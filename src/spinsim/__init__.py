@@ -61,6 +61,7 @@ from .trotter import (
     TrotterPlan,
     commutator_error_bound,
     digital_fidelity,
+    evolve,
     exact_propagator,
     steps_for_phase,
     trotterize,

@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = _apply_overrides(_load_config(args.config), args)
             runner.validate_config(cfg)
             h = runner.build_hamiltonian(cfg)
-            circ, _ = runner._digital_circuit(cfg, h, cfg.t_max)
+            circ = runner._digital_evolution(cfg, h, cfg.t_max).circuit
             _emit(compiler.dumps_circuit(circ), args.out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -515,6 +515,13 @@ def dumps_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_word(parse, word: str, ln: int, raw: str):
+    try:
+        return parse(word)
+    except ValueError as exc:
+        raise InputError(f"line {ln}: cannot parse {raw!r}") from exc
+
+
 def loads_circuit(text: str) -> Circuit:
     n_qubits = None
     phase = 0.0
@@ -523,17 +530,24 @@ def loads_circuit(text: str) -> Circuit:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("qubits"):
-            n_qubits = int(line.split()[1])
-            continue
-        if line.startswith("phase"):
-            phase = float(line.split()[1])
+        words = line.split()
+        if words[0] in ("qubits", "phase"):
+            if len(words) != 2:
+                raise InputError(f"line {ln}: expected `{words[0]} <number>`, got {raw!r}")
+            if words[0] == "qubits":
+                n_qubits = _parse_word(int, words[1], ln, raw)
+                if n_qubits < 1:
+                    raise InputError(f"line {ln}: qubits must be >= 1, got {n_qubits}")
+            else:
+                phase = _parse_word(float, words[1], ln, raw)
+                if not math.isfinite(phase):
+                    raise InputError(f"line {ln}: phase must be finite, got {words[1]!r}")
             continue
         m = _OP_RE.match(line)
         if not m:
             raise InputError(f"line {ln}: cannot parse {raw!r}")
         kind, params_s, targets_s = m.groups()
-        params = tuple(float(x) for x in params_s.split(",") if x.strip())
+        params = tuple(_parse_word(float, x, ln, raw) for x in params_s.split(",") if x.strip())
         targets = tuple(int(x) for x in targets_s.split())
         ops.append(GateOp(kind, params, targets))
     if n_qubits is None:

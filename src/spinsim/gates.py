@@ -66,6 +66,8 @@ class GateOp:
             raise InputError(
                 f"{self.kind} takes {n_params} parameter(s), got {len(self.params)}"
             )
+        if not all(map(math.isfinite, self.params)):
+            raise InputError(f"{self.kind} parameters must be finite, got {self.params}")
         if n_targets is None:
             if len(self.targets) < 1:
                 raise InputError(f"{self.kind} needs at least one target")

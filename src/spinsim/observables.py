@@ -10,6 +10,7 @@ are always assembled in grid order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .statevector import (
     pauli_expectation,
     product_state,
 )
-from .trotter import TrotterPlan, exact_propagator, trotterize
+from .trotter import EvolutionResult, TrotterPlan, evolve, exact_propagator, trotterize
 
 _PAULI_LETTERS = ("I", "X", "Y", "Z")
 
@@ -75,18 +76,30 @@ class CorrelationSpec:
             raise InputError(f"evolution must be exact or trotter, got {self.evolution}")
 
 
-def _evolver(spec) -> "callable":
-    """Returns evolve(state, t) applying U(t) in place per the spec's route."""
+def _evolvers(spec, evolutions: Sequence[EvolutionResult] | None):
+    """One function per time of the spec's grid, applying U(t) to a state in place.
+
+    Each U(t) is compiled once, when its function is made, however many states
+    it is applied to.  ``evolutions`` are Trotter results already compiled for
+    the grid, used in place of compiling from the spec.
+    """
     h = spec.hamiltonian
-    n = h.n_qubits
-    targets = tuple(range(1, n + 1))
-    if spec.evolution == "exact":
-        def evolve(state: StateVector, t: float) -> StateVector:
-            return apply_dense_unitary(state, exact_propagator(h, t), targets)
+    if evolutions is not None:
+        if spec.evolution != "trotter":
+            raise InputError("compiled evolutions apply only to the trotter route")
+        if len(evolutions) != len(spec.times):
+            raise InputError(
+                f"{len(evolutions)} compiled evolutions for {len(spec.times)} times"
+            )
+    elif spec.evolution == "trotter":
+        evolutions = (trotterize(h, t, spec.plan, spec.gate_set) for t in spec.times)
     else:
-        def evolve(state: StateVector, t: float) -> StateVector:
-            return run_circuit(state, trotterize(h, t, spec.plan, spec.gate_set).circuit)
-    return evolve
+        targets = tuple(range(1, h.n_qubits + 1))
+        return (
+            partial(apply_dense_unitary, u=exact_propagator(h, t), targets=targets)
+            for t in spec.times
+        )
+    return (partial(evolve, result=r) for r in evolutions)
 
 
 def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> StateVector:
@@ -95,20 +108,29 @@ def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> StateVect
     return state
 
 
-def correlation_direct(spec: CorrelationSpec) -> np.ndarray:
-    """C_VW(t) by pure statevector algebra: <V U psi | U W psi>."""
+def correlation_direct(
+    spec: CorrelationSpec, *, evolutions: Sequence[EvolutionResult] | None = None
+) -> np.ndarray:
+    """C_VW(t) by pure statevector algebra: <V U psi | U W psi>.
+
+    ``evolutions``, if given, are the trotter route's U(t) already compiled by
+    ``trotterize`` for each of ``spec.times``.
+    """
     n = spec.hamiltonian.n_qubits
-    evolve = _evolver(spec)
-    out = np.empty(len(spec.times), dtype=complex)
-    for k, t in enumerate(spec.times):
+    out = []
+    for evolve_t in _evolvers(spec, evolutions):
         right = product_state(n, spec.initial)
         _apply_pauli_letter(right, spec.w, spec.wq)
-        evolve(right, t)
+        evolve_t(right)
         left = product_state(n, spec.initial)
-        evolve(left, t)
+        evolve_t(left)
         _apply_pauli_letter(left, spec.v, spec.vq)
-        out[k] = np.vdot(left.amplitudes, right.amplitudes)
-    return out
+        out.append(np.vdot(left.amplitudes, right.amplitudes))
+        # on the exact route U(t) is a dense 2^N x 2^N matrix: free it before
+        # the next one is built (hence no enumerate, whose cached result
+        # tuple would keep it alive)
+        del evolve_t
+    return np.array(out, dtype=complex)
 
 
 def _controlled_pauli_ops(letter: str, ancilla: int, site: int) -> list[GateOp]:
@@ -142,31 +164,33 @@ def _ancilla_readout(state: StateVector, ancilla: int) -> complex:
     )
 
 
-def correlation_ancilla(spec: CorrelationSpec) -> np.ndarray:
+def correlation_ancilla(
+    spec: CorrelationSpec, *, evolutions: Sequence[EvolutionResult] | None = None
+) -> np.ndarray:
     """C_VW(t) via the ancilla protocol.
 
     The register gains one ancilla (last qubit) prepared in |+>; W is applied
     controlled on the ancilla, the evolution runs uncontrolled on the system,
     V is applied anti-controlled (X-conjugated control), and C is read off the
     ancilla as <sigma_x> + i <sigma_y>.  Expectations are evaluated exactly on
-    the final statevector; there is no shot sampling.
+    the final statevector; there is no shot sampling.  ``evolutions`` is as
+    for :func:`correlation_direct`.
     """
     n = spec.hamiltonian.n_qubits
     ancilla = n + 1
-    evolve = _evolver(spec)
     ctrl_w = _controlled_pauli_ops(spec.w, ancilla, spec.wq)
     ctrl_v = _controlled_pauli_ops(spec.v, ancilla, spec.vq)
     x_a = GateOp("X", (), (ancilla,))
-    out = np.empty(len(spec.times), dtype=complex)
-    for k, t in enumerate(spec.times):
+    out = []
+    for evolve_t in _evolvers(spec, evolutions):
         state = product_state(n + 1, spec.initial + "+")
         run_circuit(state, Circuit(n + 1, tuple(ctrl_w)))
-        # the evolver applies gates by absolute qubit index, so it acts on the
-        # system qubits of the extended register unchanged
-        evolve(state, t)
+        # U(t) acts on the system qubits 1..n, which lead the extended register
+        evolve_t(state)
         run_circuit(state, Circuit(n + 1, (x_a, *ctrl_v, x_a)))
-        out[k] = _ancilla_readout(state, ancilla)
-    return out
+        out.append(_ancilla_readout(state, ancilla))
+        del evolve_t  # as in correlation_direct
+    return np.array(out, dtype=complex)
 
 
 def spin_correlation(series: np.ndarray) -> np.ndarray:
@@ -213,7 +237,8 @@ def unitary_expectation_series(spec: SpectrumSpec) -> np.ndarray:
     """<psi| exp(-i Q theta) |psi> over the theta grid, via the ancilla route.
 
     Each controlled exp(-i Q theta) is compiled by trotterizing Q at phase
-    theta and mechanically controlling every gate of the resulting circuit.
+    theta and mechanically controlling every gate of the prefix and of the
+    step, once each; the controlled step then repeats like the plain one.
     """
     n = spec.operator.n_qubits
     ancilla = n + 1
@@ -222,11 +247,27 @@ def unitary_expectation_series(spec: SpectrumSpec) -> np.ndarray:
     for k in range(spec.m):
         theta = k * dtheta
         evol = trotterize(spec.operator, theta, spec.plan, spec.gate_set)
-        ctrl = controlled_circuit(evol.circuit, ancilla)
         state = product_state(n + 1, spec.initial + "+")
-        run_circuit(state, ctrl)
+        evolve(state, _controlled_evolution(evol, ancilla))
         out[k] = _ancilla_readout(state, ancilla)
     return out
+
+
+def _controlled_evolution(result: EvolutionResult, control: int) -> EvolutionResult:
+    """``result`` with every gate controlled on ``control``.
+
+    The global phase becomes a phase gate on the control, put in front of the
+    prefix; it is diagonal on the control and so commutes with every
+    controlled gate.
+    """
+    head = Circuit(result.prefix.n_qubits, result.prefix.ops, result.global_phase)
+    return EvolutionResult(
+        controlled_circuit(head, control),
+        controlled_circuit(result.step, control),
+        result.n_steps_used,
+        result.phase,
+        mirrored=result.mirrored,
+    )
 
 
 def _refine_peak(series: np.ndarray, dtheta: float, q0: float, half_width: float) -> float:

@@ -7,6 +7,7 @@ concurrent use is safe.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,6 +46,8 @@ class PauliString:
         if not self.letters or any(ch not in _LETTERS for ch in self.letters):
             raise InputError(f"invalid Pauli letters {self.letters!r}")
         object.__setattr__(self, "coef", complex(self.coef))
+        if not cmath.isfinite(self.coef):
+            raise InputError(f"Pauli coefficient must be finite, got {self.coef}")
 
     @property
     def support(self) -> frozenset[int]:

@@ -15,7 +15,7 @@ import numpy as np
 from . import compiler, gates, observables, pauli, trotter
 from .compiler import Circuit, GateSet
 from .errors import InputError
-from .statevector import StateVector, probability, product_state
+from .statevector import StateVector, inner_product, probability, product_state
 from .trotter import TrotterPlan
 
 MODELS = ("heisenberg", "xyz", "xy", "tim", "hubbard2", "pauli-file")
@@ -78,11 +78,35 @@ def _single(entries, key, path, default=None, required=False):
     return found[0]
 
 
-def _floats(raw: str, path: str) -> list[float]:
+def _float(raw: str, path: str) -> float:
     try:
-        return [float(x) for x in raw.replace(",", " ").split()]
+        value = float(raw)
     except ValueError as exc:
-        raise InputError(f"{path}: cannot parse numbers from {raw!r}") from exc
+        raise InputError(f"{path}: cannot parse a number from {raw!r}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"{path}: must be finite, got {raw!r}")
+    return value
+
+
+def _int(raw: str, path: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise InputError(f"{path}: cannot parse an integer from {raw!r}") from exc
+
+
+def _floats(raw: str, path: str) -> list[float]:
+    return [_float(x, path) for x in raw.replace(",", " ").split()]
+
+
+def _number(entries, key: str, path: str, default: str) -> float:
+    return _float(_single(entries, key, path, default=default), path)
+
+
+def _per_site(raw: str, count: int, path: str) -> list[float]:
+    """Numbers for ``count`` bonds or sites; a single value applies to all of them."""
+    values = _floats(raw, path)
+    return values * count if len(values) == 1 else values
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -94,32 +118,31 @@ def parse_config(text: str) -> ExperimentConfig:
     couplings: dict = {}
     if kind == "hubbard2":
         n_qubits = 4
-        couplings["v"] = float(_single(model_entries, "v", "model.v", default="1.0"))
-        couplings["u"] = float(_single(model_entries, "u", "model.u", default="0.0"))
+        couplings["v"] = _number(model_entries, "v", "model.v", "1.0")
+        couplings["u"] = _number(model_entries, "u", "model.u", "0.0")
     else:
         n_raw = _single(model_entries, "n_qubits", "model.n_qubits", required=True)
-        n_qubits = int(n_raw)
+        n_qubits = _int(n_raw, "model.n_qubits")
         if kind == "heisenberg":
             j = _single(model_entries, "j", "model.j", default="1.0")
-            couplings["j"] = _floats(j, "model.j")
-            couplings["bg"] = float(_single(model_entries, "bg", "model.bg", default="0.0"))
+            couplings["j"] = _per_site(j, n_qubits - 1, "model.j")
+            couplings["bg"] = _number(model_entries, "bg", "model.bg", "0.0")
         elif kind in ("xyz", "xy"):
-            couplings["jxx"] = float(_single(model_entries, "jxx", "model.jxx", default="1.0"))
-            couplings["jyy"] = float(_single(model_entries, "jyy", "model.jyy", default="1.0"))
+            couplings["jxx"] = _number(model_entries, "jxx", "model.jxx", "1.0")
+            couplings["jyy"] = _number(model_entries, "jyy", "model.jyy", "1.0")
             couplings["jzz"] = (
-                0.0 if kind == "xy"
-                else float(_single(model_entries, "jzz", "model.jzz", default="1.0"))
+                0.0 if kind == "xy" else _number(model_entries, "jzz", "model.jzz", "1.0")
             )
         elif kind == "tim":
             h = _single(model_entries, "h", "model.h", default=None)
             bg = _single(model_entries, "bg", "model.bg", default=None)
             if h is not None:
-                couplings["h"] = _floats(h, "model.h")
+                couplings["h"] = _per_site(h, n_qubits, "model.h")
             elif bg is not None:
-                couplings["h"] = [float(bg) / 2.0] * n_qubits
+                couplings["h"] = [_float(bg, "model.bg") / 2.0] * n_qubits
             else:
                 raise InputError("model: tim needs either h or bg")
-            couplings["jzz"] = float(_single(model_entries, "jzz", "model.jzz", default="1.0"))
+            couplings["jzz"] = _number(model_entries, "jzz", "model.jzz", "1.0")
         elif kind == "pauli-file":
             path = _single(model_entries, "file", "model.file", required=True)
             couplings["file"] = path
@@ -133,13 +156,13 @@ def parse_config(text: str) -> ExperimentConfig:
         gate_set = GateSet(gs_raw)
     except ValueError as exc:
         raise InputError(f"evolution.gateset: unknown gate set {gs_raw!r}") from exc
-    order = int(_single(evo, "order", "evolution.order", default="1"))
+    order = _int(_single(evo, "order", "evolution.order", default="1"), "evolution.order")
     schedule = _single(evo, "schedule", "evolution.schedule", default="fixed_n").lower()
     if schedule == "fixed_n":
-        steps = int(_single(evo, "steps", "evolution.steps", default="5"))
+        steps = _int(_single(evo, "steps", "evolution.steps", default="5"), "evolution.steps")
         plan = TrotterPlan.fixed_n(steps, order=order)
     elif schedule == "fixed_eps":
-        eps = float(_single(evo, "eps", "evolution.eps", default="0.1"))
+        eps = _number(evo, "eps", "evolution.eps", "0.1")
         growth = _single(evo, "growth", "evolution.growth", default="quadratic").lower()
         plan = TrotterPlan.fixed_eps(eps, growth=growth, order=order)
     else:
@@ -149,8 +172,8 @@ def parse_config(text: str) -> ExperimentConfig:
     variant = _single(evo, "variant", "evolution.variant", default=None)
 
     time_entries = sec.get("time", [])
-    t_max = float(_single(time_entries, "max", "time.max", default=str(math.pi)))
-    points = int(_single(time_entries, "points", "time.points", default="61"))
+    t_max = _number(time_entries, "max", "time.max", str(math.pi))
+    points = _int(_single(time_entries, "points", "time.points", default="61"), "time.points")
 
     obs: list[ObservableSpec] = []
     for key, value, ln in sec.get("observables", []):
@@ -174,12 +197,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _parse_observable(value: str, path: str) -> ObservableSpec:
     parts = value.split()
+    if not parts:
+        raise InputError(f"{path}: empty observable")
     kind = parts[0].lower()
     args = parts[1:]
     if kind == "magnetization":
         if len(args) != 1:
             raise InputError(f"{path}: magnetization takes one site argument")
-        return ObservableSpec("magnetization", (int(args[0]),))
+        return ObservableSpec("magnetization", (_int(args[0], f"{path}.site"),))
     if kind == "total_magnetization":
         return ObservableSpec("total_magnetization")
     if kind == "probability":
@@ -190,19 +215,24 @@ def _parse_observable(value: str, path: str) -> ObservableSpec:
         if len(args) != 4:
             raise InputError(f"{path}: correlation takes `V W i j`")
         return ObservableSpec(
-            "correlation", (args[0].upper(), args[1].upper(), int(args[2]), int(args[3]))
+            "correlation",
+            (args[0].upper(), args[1].upper(), _int(args[2], f"{path}.i"), _int(args[3], f"{path}.j")),
         )
     if kind == "spectrum":
-        m = int(args[0]) if args else 1024
+        m = _int(args[0], f"{path}.m") if args else 1024
         return ObservableSpec("spectrum", (m,))
     if kind == "fidelity":
         if not args:
             raise InputError(f"{path}: fidelity takes a schedule, e.g. `fixed_n 5`")
         if args[0] == "fixed_n":
-            return ObservableSpec("fidelity", ("fixed_n", int(args[1])))
+            if len(args) != 2:
+                raise InputError(f"{path}: fidelity fixed_n takes a step count")
+            return ObservableSpec("fidelity", ("fixed_n", _int(args[1], f"{path}.steps")))
         if args[0] == "fixed_eps":
+            if len(args) not in (2, 3):
+                raise InputError(f"{path}: fidelity fixed_eps takes eps and an optional growth")
             growth = args[2] if len(args) > 2 else "quadratic"
-            return ObservableSpec("fidelity", ("fixed_eps", float(args[1]), growth))
+            return ObservableSpec("fidelity", ("fixed_eps", _float(args[1], f"{path}.eps"), growth))
         raise InputError(f"{path}: unknown fidelity schedule {args[0]!r}")
     raise InputError(f"{path}: unknown observable kind {kind!r}")
 
@@ -388,12 +418,16 @@ def _scalar_name(obs: ObservableSpec) -> str:
     raise InputError(f"not a scalar observable: {obs.kind}")
 
 
-def _digital_circuit(cfg, h, t) -> tuple[Circuit, int]:
-    if cfg.heis2_variant is not None:
-        j = cfg.couplings["j"][0]
-        return compiler.heisenberg2_circuit(j * t, (1, 2), cfg.heis2_variant), 1
-    result = trotter.trotterize(h, t, cfg.plan, cfg.gate_set)
-    return result.circuit, result.n_steps_used
+def _digital_evolution(cfg, h, t) -> trotter.EvolutionResult:
+    """U(t) on the circuit route: the fixed Heisenberg variant, or the Trotter plan."""
+    if cfg.heis2_variant is None:
+        return trotter.trotterize(h, t, cfg.plan, cfg.gate_set)
+    j = cfg.couplings["j"][0]
+    circ = compiler.heisenberg2_circuit(j * t, (1, 2), cfg.heis2_variant)
+    return trotter.EvolutionResult(
+        Circuit(circ.n_qubits, circ.ops), Circuit(circ.n_qubits, ()), 1, abs(j * t),
+        circ.global_phase,
+    )
 
 
 def run(cfg: ExperimentConfig) -> str:
@@ -433,10 +467,15 @@ def _run_fidelity(cfg, header) -> str:
     rows = ["delta," + ",".join(names)]
     steps_used: list[list[int]] = [[] for _ in plans]
     for d in deltas:
+        exact = StateVector(
+            cfg.n_qubits, trotter.exact_propagator(h, float(d)) @ psi0.amplitudes
+        )
         vals = []
         for k, plan in enumerate(plans):
-            vals.append(trotter.digital_fidelity(psi0, h, float(d), plan, cfg.gate_set))
-            steps_used[k].append(trotter.trotterize(h, float(d), plan, cfg.gate_set).n_steps_used)
+            result = trotter.trotterize(h, float(d), plan, cfg.gate_set)
+            digital = trotter.evolve(psi0.copy(), result)
+            vals.append(abs(inner_product(exact, digital)))
+            steps_used[k].append(result.n_steps_used)
         rows.append(",".join([_fmt(d)] + [_fmt(v) for v in vals]))
     for name, ns in zip(names, steps_used):
         header.append(f"# n_steps_used[{name}]: {' '.join(str(n) for n in ns)}")
@@ -481,16 +520,14 @@ def _run_evolution(cfg, header) -> str:
 
     table = np.zeros((len(times), len(columns)))
     col = 0
-    steps_per_t: list[int] = []
+    digital = [_digital_evolution(cfg, h, float(t)) for t in times]
     if scalar_obs:
         for k, t in enumerate(times):
             exact_state = StateVector(
                 cfg.n_qubits,
                 trotter.exact_propagator(h, float(t)) @ product_state(cfg.n_qubits, cfg.initial).amplitudes,
             )
-            circ, n_used = _digital_circuit(cfg, h, float(t))
-            digital_state = compiler.run_circuit(product_state(cfg.n_qubits, cfg.initial), circ)
-            steps_per_t.append(n_used)
+            digital_state = trotter.evolve(product_state(cfg.n_qubits, cfg.initial), digital[k])
             for m, o in enumerate(scalar_obs):
                 table[k, col + 2 * m] = _scalar_value(o, exact_state)
                 table[k, col + 2 * m + 1] = _scalar_value(o, digital_state)
@@ -505,20 +542,23 @@ def _run_evolution(cfg, header) -> str:
             evolution="trotter", plan=cfg.plan, gate_set=cfg.gate_set, **base_kwargs
         )
         spec_exact = observables.CorrelationSpec(evolution="exact", **base_kwargs)
-        qs = observables.spin_correlation(observables.correlation_ancilla(spec_trotter))
-        digital = observables.spin_correlation(observables.correlation_direct(spec_trotter))
+        # the correlation routes always run the Trotter plan; a fixed variant
+        # replaces it in the scalar columns only
+        trotterized = digital if cfg.heis2_variant is None else None
+        qs = observables.spin_correlation(
+            observables.correlation_ancilla(spec_trotter, evolutions=trotterized)
+        )
+        direct = observables.spin_correlation(
+            observables.correlation_direct(spec_trotter, evolutions=trotterized)
+        )
         exact = observables.spin_correlation(observables.correlation_direct(spec_exact))
         table[:, col + 0], table[:, col + 1] = qs.real, qs.imag
-        table[:, col + 2], table[:, col + 3] = digital.real, digital.imag
+        table[:, col + 2], table[:, col + 3] = direct.real, direct.imag
         table[:, col + 4], table[:, col + 5] = exact.real, exact.imag
         col += 6
-        if not steps_per_t:
-            steps_per_t = [
-                trotter.trotterize(h, float(t), cfg.plan, cfg.gate_set).n_steps_used
-                for t in times
-            ]
-    if steps_per_t:
-        header.append(f"# n_steps_used: {' '.join(str(n) for n in steps_per_t)}")
+    # a fixed variant takes one step, as does the Trotter plan on its commuting
+    # two-qubit model
+    header.append(f"# n_steps_used: {' '.join(str(r.n_steps_used) for r in digital)}")
     rows = ["t," + ",".join(columns)]
     for k, t in enumerate(times):
         rows.append(",".join([_fmt(t)] + [_fmt(x) for x in table[k]]))

@@ -7,7 +7,12 @@ the splitting is exact and a single step is emitted.  Single-qubit field terms
 whose sum commutes with the interaction part are hoisted in front of the
 Trotter loop and applied once with the full angle.
 
-Backward evolution (t < 0) emits the exact mirror of the forward circuit, so a
+A compiled evolution is one Trotter step and its repeat count, not the
+unrolled gate list: ``evolve`` applies the hoisted prefix, then the step n
+times, then the global phase once.  On a small register the step is folded
+into one dense matrix, applied n times in place of its gates.
+
+Backward evolution (t < 0) is the exact mirror of the forward circuit, so a
 forward run followed by a backward run with the same plan is an exact identity.
 """
 
@@ -15,10 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .compiler import (
+    _UNITARY_QUBIT_LIMIT,
     Circuit,
     GateSet,
     decompose_multi_pauli,
@@ -69,9 +76,82 @@ class TrotterPlan:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    circuit: Circuit
+    """exp(-i H t) compiled as a hoisted prefix, one Trotter step and a repeat count.
+
+    The evolution runs ``prefix`` once, then ``step`` ``n_steps_used`` times,
+    then multiplies by e^{i global_phase}.  ``prefix`` holds the hoisted field
+    rotations and is empty when nothing is hoisted.  Neither circuit carries a
+    phase of its own: ``global_phase`` is the whole evolution's, summed term by
+    term in gate order, so it is bit-equal to the unrolled circuit's.
+
+    A ``mirrored`` result is the exact inverse of a forward one (t < 0): the
+    inverted step repeats first and the inverted prefix runs last.
+
+    ``circuit`` unrolls all of this into the one flat circuit it stands for.
+    """
+
+    prefix: Circuit
+    step: Circuit
     n_steps_used: int
     phase: float  # dimensionless delta = (coupling scale) * |t|
+    global_phase: float = 0.0
+    mirrored: bool = False
+
+    @property
+    def circuit(self) -> Circuit:
+        steps = self.step.ops * self.n_steps_used
+        ops = steps + self.prefix.ops if self.mirrored else self.prefix.ops + steps
+        return Circuit(self.step.n_qubits, ops, self.global_phase)
+
+    @cached_property
+    def folded_step(self) -> np.ndarray | None:
+        """The step as one dense 2^N x 2^N matrix, or None where gates are cheaper.
+
+        The step folds when 2^N is at most both its gate count and the repeat
+        count: building the matrix then costs no more than the gates it saves,
+        and each application no more than the gates it replaces.  The register
+        must also be within the dense-unitary limit of ``circuit_unitary``.  The
+        matrix is the step run through the gate kernels on the 2^N identity
+        columns, which together form one 2N-qubit vector.  It is built once per
+        result, on first use.
+        """
+        n = self.step.n_qubits
+        dim = 2**n
+        if dim > min(len(self.step.ops), self.n_steps_used) or n > _UNITARY_QUBIT_LIMIT:
+            return None
+        columns = StateVector(2 * n, np.eye(dim, dtype=complex).ravel())
+        return run_circuit(columns, self.step).amplitudes.reshape(dim, dim)
+
+
+def evolve(state: StateVector, result: EvolutionResult) -> StateVector:
+    """Apply a compiled evolution to ``state`` in place; returns the state.
+
+    Runs the prefix, the step ``n_steps_used`` times (as its folded matrix
+    where there is one) and the global phase once.  The state may be wider
+    than the evolution's register, e.g. with an ancilla after the system
+    qubits; the extra qubits are left alone.
+    """
+    if result.step.n_qubits > state.n_qubits:
+        raise InputError(
+            f"evolution needs {result.step.n_qubits} qubits, register has {state.n_qubits}"
+        )
+    if not result.mirrored:
+        run_circuit(state, result.prefix)
+    u = result.folded_step
+    if u is None:
+        for _ in range(result.n_steps_used):
+            run_circuit(state, result.step)
+    else:
+        # qubits 1..N are the leading bits of the amplitude index
+        out = state.amplitudes.reshape(len(u), -1)
+        for _ in range(result.n_steps_used):
+            out = u @ out
+        state.amplitudes[:] = out.reshape(-1)
+    if result.mirrored:
+        run_circuit(state, result.prefix)
+    if result.global_phase != 0.0:
+        state.amplitudes *= np.exp(1j * result.global_phase)
+    return state
 
 
 def steps_for_phase(delta: float, eps: float, growth: str = "quadratic") -> int:
@@ -183,12 +263,22 @@ def trotterize(
     plan: TrotterPlan,
     gate_set: GateSet = GateSet.S1,
 ) -> EvolutionResult:
-    """Compile exp(-i H t) into a circuit per the plan's splitting and schedule."""
+    """Compile exp(-i H t) per the plan's splitting and schedule.
+
+    The step is compiled once; the result repeats it ``n_steps_used`` times.
+    """
     if len(h.terms) == 0:
         raise InputError("cannot trotterize an empty Hamiltonian")
     if t < 0:
         fwd = trotterize(h, -t, plan, gate_set)
-        return EvolutionResult(inverse_circuit(fwd.circuit), fwd.n_steps_used, fwd.phase)
+        return EvolutionResult(
+            inverse_circuit(fwd.prefix),
+            inverse_circuit(fwd.step),
+            fwd.n_steps_used,
+            fwd.phase,
+            -fwd.global_phase,
+            mirrored=True,
+        )
 
     identity_phase = 0.0
     working: list[PauliString] = []
@@ -200,7 +290,8 @@ def trotterize(
 
     n_q = h.n_qubits
     if not working:
-        return EvolutionResult(Circuit(n_q, (), identity_phase), 1, 0.0)
+        empty = Circuit(n_q, ())
+        return EvolutionResult(empty, empty, 1, 0.0, identity_phase)
 
     all_commute = all(
         commutes(a, b) for k, a in enumerate(working) for b in working[k + 1:]
@@ -226,11 +317,11 @@ def trotterize(
     else:
         n = steps_for_phase(delta, plan.eps, plan.growth)
 
-    ops: list[GateOp] = []
+    prefix: tuple[GateOp, ...] = ()
     phase = identity_phase
     if hoisted:
         fc = _field_circuit(hoisted, t, n_q, gate_set)
-        ops += fc.ops
+        prefix = fc.ops
         phase += fc.global_phase
 
     layers = _layer_terms(rest)
@@ -240,15 +331,21 @@ def trotterize(
         reversed_layers = [list(reversed(layer)) for layer in reversed(layers)]
         step_sequences = [(layers, t / (2 * n)), (reversed_layers, t / (2 * n))]
 
-    for _ in range(n):
-        for seq, dt in step_sequences:
-            for layer in seq:
-                for term in layer:
-                    tc = _term_circuit(term, term.coef.real * dt, gate_set)
-                    ops += tc.ops
-                    phase += tc.global_phase
+    step: list[GateOp] = []
+    term_phases: list[float] = []
+    for seq, dt in step_sequences:
+        for layer in seq:
+            for term in layer:
+                tc = _term_circuit(term, term.coef.real * dt, gate_set)
+                step += tc.ops
+                if tc.global_phase:
+                    term_phases.append(tc.global_phase)
+    # one addition per term and step, as the unrolled circuit accumulates it
+    for _ in range(n if term_phases else 0):
+        for ph in term_phases:
+            phase += ph
 
-    return EvolutionResult(Circuit(n_q, ops, phase), n, delta)
+    return EvolutionResult(Circuit(n_q, prefix), Circuit(n_q, step), n, delta, phase)
 
 
 def exact_propagator(h: PauliHamiltonian, t: float) -> np.ndarray:
@@ -270,7 +367,7 @@ def digital_fidelity(
     if psi0.n_qubits != h.n_qubits:
         raise InputError("state and Hamiltonian register sizes differ")
     exact = StateVector(psi0.n_qubits, exact_propagator(h, t) @ psi0.amplitudes)
-    digital = run_circuit(psi0.copy(), trotterize(h, t, plan, gate_set).circuit)
+    digital = evolve(psi0.copy(), trotterize(h, t, plan, gate_set))
     return float(abs(inner_product(exact, digital)))
 
 

@@ -211,6 +211,11 @@ class TestGateOpValidation:
         with pytest.raises(InputError):
             GateOp("SWAP", (), (1, 2))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_param(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            GateOp("MS_T3", (0.5, bad), (1,))
+
 
 class TestZYZ:
     def test_roundtrip_random(self):

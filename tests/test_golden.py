@@ -1,0 +1,107 @@
+"""Golden lock on the behaviour contract.
+
+The files under ``tests/golden/`` were written by the program as it stood
+before Trotter steps were compiled once and repeated: every figure preset's
+CSV, the ``verify`` report, and the sha256 of ``dumps_circuit`` for a grid of
+compiled evolutions (``circuits.json``).  A change that moves any of them has
+changed what the program computes, not only how fast.
+
+Preset values may move by float rounding (the folded step multiplies a dense
+matrix instead of applying gates), so they are compared within 1e-9; every
+comment line, the column names, the ``verify`` report and the compiled
+circuits are compared byte for byte.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spinsim.compiler import GateSet, dumps_circuit
+from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
+from spinsim.runner import FIGURE_IDS, figure_preset, format_verify_report, run, verify_suite
+from spinsim.trotter import TrotterPlan, trotterize
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _tilted_heisenberg3() -> PauliHamiltonian:
+    # x and z fields on every site commute, summed, with the isotropic bonds,
+    # so they are hoisted through the two-axis (Euler-angle) field route
+    h = heisenberg_chain(3, [1.0, 0.7], 1.4)
+    fields = [PauliString(0.9, "I" * (q - 1) + "X" + "I" * (3 - q)) for q in (1, 2, 3)]
+    return PauliHamiltonian(3, list(h.terms) + fields)
+
+
+CIRCUIT_HAMILTONIANS = {
+    # z fields hoisted in front of the Trotter loop
+    "heis3-hoisted": lambda: heisenberg_chain(3, [1.0, 0.7], 3.0),
+    "heis3-tilted": _tilted_heisenberg3,
+    # fields that do not commute with the bonds: no hoisting
+    "tim2": lambda: tim_chain(2, [1.0, 0.6], 0.8),
+    # every term commutes: one exact step, identity term as a global phase
+    "commuting": lambda: PauliHamiltonian(
+        2,
+        [PauliString(0.4, "II"), PauliString(1.0, "XX"),
+         PauliString(0.5, "YY"), PauliString(-0.3, "ZZ")],
+    ),
+}
+
+
+def circuit_cases():
+    """(case id, Hamiltonian, t, plan, gate set) over the compiled-circuit grid."""
+    for name, build in CIRCUIT_HAMILTONIANS.items():
+        for gate_set in GateSet:
+            for order in (1, 2):
+                for t in (0.7, -0.7):
+                    yield (
+                        f"{name}/{gate_set.value}/order{order}/t{t:+}",
+                        build(), t, TrotterPlan.fixed_n(3, order=order), gate_set,
+                    )
+
+
+def circuit_digest(h, t, plan, gate_set) -> str:
+    text = dumps_circuit(trotterize(h, t, plan, gate_set).circuit)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _split(csv: str):
+    lines = csv.splitlines()
+    comments = [ln for ln in lines if ln.startswith("#")]
+    body = [ln for ln in lines if not ln.startswith("#")]
+    values = np.array([[float(x) for x in ln.split(",")] for ln in body[1:]])
+    return comments, body[0], values
+
+
+@pytest.fixture(scope="module")
+def preset_output():
+    return {fid: run(figure_preset(fid)) for fid in FIGURE_IDS}
+
+
+@pytest.mark.parametrize("fid", FIGURE_IDS)
+def test_preset_matches_golden(fid, preset_output):
+    comments, columns, values = _split(preset_output[fid])
+    gold_comments, gold_columns, gold_values = _split((GOLDEN / f"{fid}.csv").read_text())
+    assert comments == gold_comments
+    assert any(ln.startswith("# n_steps_used") for ln in comments)
+    assert columns == gold_columns
+    assert values.shape == gold_values.shape
+    assert np.max(np.abs(values - gold_values)) <= 1e-9
+
+
+@pytest.mark.parametrize("fid", FIGURE_IDS)
+def test_preset_is_deterministic(fid, preset_output):
+    assert run(figure_preset(fid)) == preset_output[fid]
+
+
+def test_verify_report_matches_golden():
+    report = format_verify_report(verify_suite()) + "\n"
+    assert report == (GOLDEN / "verify.txt").read_text()
+
+
+def test_unrolled_circuits_match_golden():
+    golden = json.loads((GOLDEN / "circuits.json").read_text())
+    digests = {case: circuit_digest(*args) for case, *args in circuit_cases()}
+    assert digests == golden

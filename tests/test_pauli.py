@@ -126,6 +126,12 @@ class TestHamiltonianInvariants:
         with pytest.raises(InputError):
             PauliHamiltonian(1, [PauliString(1j, "X")])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # a NaN coefficient used to fail the |coef| > 1e-12 test and vanish
+        with pytest.raises(InputError, match="finite"):
+            PauliString(bad, "XX")
+
     def test_identity_term_kept(self):
         h = PauliHamiltonian(2, [PauliString(0.5, "II"), PauliString(1.0, "ZZ")])
         assert "II" in terms_by_letters(h)

@@ -4,6 +4,7 @@ import pytest
 from spinsim.cli import main as cli_main
 from spinsim.compiler import GateSet, loads_circuit
 from spinsim.errors import InputError
+from spinsim.pauli import heisenberg_chain, parse_hamiltonian, tim_chain
 from spinsim.runner import (
     ExperimentConfig,
     ObservableSpec,
@@ -86,6 +87,113 @@ class TestParseConfig:
         )
         assert cfg.plan.eps == 0.05
         assert cfg.plan.growth == "linear"
+
+
+def _model(body: str) -> str:
+    return f"[model]\n{body}\n[observables]\nobservable = magnetization 1\n"
+
+
+class TestScalarCouplings:
+    """A single coupling or field value applies to every bond or site."""
+
+    @staticmethod
+    def _terms(h):
+        return {t.letters: t.coef for t in h.terms}
+
+    def test_heisenberg_scalar_j(self):
+        cfg = parse_config(_model("kind = heisenberg\nn_qubits = 4\nj = 0.5"))
+        assert cfg.couplings["j"] == [0.5, 0.5, 0.5]
+        assert self._terms(build_hamiltonian(cfg)) == self._terms(heisenberg_chain(4, 0.5))
+
+    def test_heisenberg_default_j(self):
+        cfg = parse_config(_model("kind = heisenberg\nn_qubits = 3"))
+        assert cfg.couplings["j"] == [1.0, 1.0]
+        header, rows = parse_csv(run(ExperimentConfig(**{**cfg.__dict__, "points": 3})))
+        assert header == ["t", "mz1", "mz1_qs"]
+
+    def test_tim_scalar_h(self):
+        cfg = parse_config(_model("kind = tim\nn_qubits = 3\nh = 1"))
+        assert cfg.couplings["h"] == [1.0, 1.0, 1.0]
+        assert self._terms(build_hamiltonian(cfg)) == self._terms(tim_chain(3, 1.0, 1.0))
+
+    def test_per_bond_list_still_checked(self):
+        cfg = parse_config(_model("kind = heisenberg\nn_qubits = 3\nj = 1 2 3"))
+        with pytest.raises(InputError, match="needs 2 entries"):
+            build_hamiltonian(cfg)
+
+
+def _fidelity(obs: str) -> str:
+    return f"[model]\nkind = tim\nn_qubits = 2\nh = 1\n[observables]\nobservable = {obs}\n"
+
+
+# each input is malformed; parsing it must raise InputError and nothing else
+MALFORMED = [
+    pytest.param(parse_config, _model("kind = tim\nn_qubits = three\nh = 1"), id="n_qubits-word"),
+    pytest.param(parse_config, _model("kind = tim\nn_qubits = 2.5\nh = 1"), id="n_qubits-float"),
+    pytest.param(parse_config, _model("kind = tim\nn_qubits = 2\nbg = strong"), id="bg-word"),
+    pytest.param(parse_config, _model("kind = heisenberg\nn_qubits = 3\nj = 1 x"), id="j-word"),
+    pytest.param(parse_config, _model("kind = xyz\nn_qubits = 2\njzz = z"), id="jzz-word"),
+    pytest.param(parse_config, _model("kind = hubbard2\nv = abc"), id="v-word"),
+    pytest.param(parse_config, _model("kind = heisenberg\nn_qubits = 3\nj = nan nan"), id="j-nan"),
+    pytest.param(parse_config, _model("kind = tim\nn_qubits = 2\nh = 1 -inf"), id="h-inf"),
+    pytest.param(parse_config, _model("kind = tim\nn_qubits = 2\nh = 1\njzz = 1e999"), id="jzz-overflow"),
+    pytest.param(parse_config, _model("kind = tim\nn_qubits = 2\nh = 1\n[time]\nmax = inf"), id="time-inf"),
+    pytest.param(parse_config, _model("kind = tim\nn_qubits = 2\nh = 1\n[time]\npoints = lots"), id="points-word"),
+    pytest.param(parse_config, _model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\norder = two"), id="order-word"),
+    pytest.param(parse_config, _model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\nsteps = 5.5"), id="steps-float"),
+    pytest.param(
+        parse_config,
+        _model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\nschedule = fixed_eps\neps = nan"),
+        id="eps-nan",
+    ),
+    pytest.param(parse_config, "[model\nkind = tim\n", id="unclosed-section"),
+    pytest.param(parse_config, _fidelity("fidelity fixed_n"), id="fidelity-no-steps"),
+    pytest.param(parse_config, _fidelity("fidelity fixed_n five"), id="fidelity-steps-word"),
+    pytest.param(parse_config, _fidelity("fidelity fixed_eps"), id="fidelity-no-eps"),
+    pytest.param(parse_config, _fidelity("fidelity fixed_eps inf"), id="fidelity-eps-inf"),
+    pytest.param(parse_config, _fidelity("fidelity fixed_eps 0.1 linear x"), id="fidelity-extra"),
+    pytest.param(parse_config, _fidelity("magnetization one"), id="site-word"),
+    pytest.param(parse_config, _fidelity("correlation X X 1 b"), id="correlation-site-word"),
+    pytest.param(parse_config, _fidelity("spectrum many"), id="spectrum-m-word"),
+    pytest.param(parse_config, _fidelity(""), id="empty-observable"),
+    pytest.param(loads_circuit, "qubits\n", id="qubits-missing"),
+    pytest.param(loads_circuit, "qubits two\n", id="qubits-word"),
+    pytest.param(loads_circuit, "qubits 0\n", id="qubits-zero"),
+    pytest.param(loads_circuit, "qubits 1\nphase\n", id="phase-missing"),
+    pytest.param(loads_circuit, "qubits 1\nphase abc\n", id="phase-word"),
+    pytest.param(loads_circuit, "qubits 1\nphase inf\n", id="phase-inf"),
+    pytest.param(loads_circuit, "Rx(abc) 1\n", id="param-word"),
+    pytest.param(loads_circuit, "Rx(nan) 1\n", id="param-nan"),
+    pytest.param(loads_circuit, "Rx(1e999) 1\n", id="param-overflow"),
+    pytest.param(loads_circuit, "Rx(0.1,0.2) 1\n", id="param-count"),
+    pytest.param(loads_circuit, "Rx(0.1) 0\n", id="target-zero"),
+    pytest.param(loads_circuit, "CNOT() 1 1\n", id="target-repeated"),
+    pytest.param(loads_circuit, "Foo(0.1) 1\n", id="unknown-kind"),
+    pytest.param(loads_circuit, "qubits 1\nCNOT() 1 2\n", id="target-outside-register"),
+    pytest.param(parse_hamiltonian, "one XX\n", id="coef-word"),
+    pytest.param(parse_hamiltonian, "nan XX\n", id="coef-nan"),
+    pytest.param(parse_hamiltonian, "-inf ZZ\n", id="coef-inf"),
+    pytest.param(parse_hamiltonian, "1.0 XQ\n", id="letters-bad"),
+    pytest.param(parse_hamiltonian, "1.0\n", id="letters-missing"),
+    pytest.param(parse_hamiltonian, "1.0 XX 2.0\n", id="extra-field"),
+    pytest.param(parse_hamiltonian, "1.0 XX\n1.0 XXX\n", id="width-mismatch"),
+    pytest.param(parse_hamiltonian, "# nothing\n", id="no-terms"),
+]
+
+
+@pytest.mark.parametrize("parse, text", MALFORMED)
+def test_malformed_input_raises_input_error(parse, text):
+    with pytest.raises(InputError):
+        parse(text)
+
+
+@pytest.mark.parametrize("text, field", [
+    pytest.param(_model("kind = heisenberg\nn_qubits = 3\nj = nan nan"), "model.j", id="j-nan"),
+    pytest.param(_model("kind = tim\nn_qubits = 2\nh = 1\n[time]\nmax = inf"), "time.max", id="time-inf"),
+])
+def test_non_finite_config_number_rejected(text, field):
+    with pytest.raises(InputError, match=rf"{field}: must be finite"):
+        parse_config(text)
 
 
 class TestValidation:
@@ -276,6 +384,16 @@ class TestCli:
 
     def test_missing_file_exits_2(self):
         assert cli_main(["run", "/nonexistent/exp.cfg"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(_model("kind = tim\nn_qubits = three\nh = 1"), id="n_qubits-word"),
+        pytest.param(_fidelity("fidelity fixed_n"), id="fidelity-no-steps"),
+    ])
+    def test_parse_error_exits_2(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert cli_main(["run", str(cfgfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_gateset_override(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

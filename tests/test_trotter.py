@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinsim import runner, trotter
 from spinsim.compiler import GateSet, circuit_unitary, equal_up_to_global_phase, run_circuit
 from spinsim.errors import InputError, ResourceError
 from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
@@ -9,6 +10,7 @@ from spinsim.trotter import (
     TrotterPlan,
     commutator_error_bound,
     digital_fidelity,
+    evolve,
     exact_propagator,
     steps_for_phase,
     trotterize,
@@ -152,6 +154,68 @@ class TestTrotterize:
         for gs in (GateSet.S2, GateSet.S3, GateSet.S4):
             u = circuit_unitary(trotterize(h, 0.3, plan, gs).circuit)
             assert equal_up_to_global_phase(u, u_ref, 1e-10)
+
+
+class TestStepAndRepeat:
+    def test_step_repeats_to_the_unrolled_circuit(self):
+        h = heisenberg_chain(3, [1.0, 0.7], 3.0)
+        res = trotterize(h, 0.8, TrotterPlan.fixed_n(4, order=2), GateSet.S3)
+        assert res.circuit.ops == res.prefix.ops + res.step.ops * 4
+        assert [op.kind for op in res.prefix.ops] == ["Rz", "Rz", "Rz"]
+        back = trotterize(h, -0.8, TrotterPlan.fixed_n(4, order=2), GateSet.S3)
+        assert back.mirrored
+        assert back.circuit.ops == back.step.ops * 4 + back.prefix.ops
+        assert back.global_phase == -res.global_phase != 0.0
+
+    @pytest.mark.parametrize(
+        "h, plan, gate_set, t",
+        [
+            (fig2_hamiltonian(), TrotterPlan.fixed_n(40), GateSet.S1, 3.1),
+            (fig2_hamiltonian(), TrotterPlan.fixed_n(40, order=2), GateSet.S4, -3.1),
+            (heisenberg_chain(3, [1.0, 0.7], 3.0), TrotterPlan.fixed_n(20), GateSet.S2, 1.3),
+            (heisenberg_chain(3, [1.0, 0.7], 3.0), TrotterPlan.fixed_n(20, order=2), GateSet.S3, -1.3),
+        ],
+    )
+    @pytest.mark.parametrize("extra_qubits", [0, 1])
+    def test_folded_step_matches_gates(self, h, plan, gate_set, t, extra_qubits):
+        res = trotterize(h, t, plan, gate_set)
+        assert res.folded_step is not None
+        state = random_state(h.n_qubits + extra_qubits)
+        by_gates = run_circuit(state.copy(), res.circuit)
+        folded = evolve(state, res)
+        assert np.max(np.abs(folded.amplitudes - by_gates.amplitudes)) <= 1e-12
+
+    def test_fold_rule(self):
+        h = heisenberg_chain(3, [1.0, 0.7], 3.0)
+        # 2^3 = 8 > 5 repeats: gate by gate
+        assert trotterize(h, 1.0, TrotterPlan.fixed_n(5)).folded_step is None
+        assert trotterize(h, 1.0, TrotterPlan.fixed_n(8)).folded_step is not None
+        # all terms commute: one exact step, nothing repeats
+        h2 = heisenberg_chain(2, [1.0], 0.0)
+        assert trotterize(h2, 1.0, TrotterPlan.fixed_n(50)).folded_step is None
+
+    def test_folded_step_is_the_step_unitary(self):
+        res = trotterize(fig2_hamiltonian(), 2.0, TrotterPlan.fixed_n(9))
+        assert np.max(np.abs(res.folded_step - circuit_unitary(res.step))) <= 1e-14
+
+    def test_evolve_rejects_narrow_register(self):
+        res = trotterize(heisenberg_chain(3, [1.0, 1.0], 0.0), 1.0, TrotterPlan.fixed_n(2))
+        with pytest.raises(InputError):
+            evolve(random_state(2), res)
+
+
+def test_fig2_compiles_once_per_delta_and_plan(monkeypatch):
+    calls = []
+    original = trotter.trotterize
+
+    def counting(h, t, plan, gate_set):
+        calls.append((t, plan))
+        return original(h, t, plan, gate_set)
+
+    monkeypatch.setattr(trotter, "trotterize", counting)
+    cfg = runner.figure_preset("fig2")
+    runner.run(cfg)
+    assert len(calls) == len(set(calls)) == cfg.points * len(cfg.observables) == 138
 
 
 class TestTrotterScaling:
