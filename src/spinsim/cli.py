@@ -48,16 +48,18 @@ def _apply_overrides(cfg, args):
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _load_config(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return runner.parse_config(fh.read())
+    return runner.parse_config(runner.read_text(path))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,9 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

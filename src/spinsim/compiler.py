@@ -9,6 +9,11 @@ Gate sets:
 * S4: trapped-ion family T1..T4 (individual z rotations, collective rotations,
   Moelmer-Soerensen entangler)
 
+A single-qubit rotation R_axis(theta) has one spelling per gate set, in
+``_rot``: the Rx/Ry/Rz gates in S1-S3, and T1(theta/2) or T3(theta/2, phi) in
+S4.  Frame changes, Euler-angle synthesis and the Trotter compiler's field
+rotations all emit it through there.
+
 Circuit order convention: list order = temporal order = right-to-left matrix
 order.  Global phases produced by decompositions are accumulated in
 ``Circuit.global_phase`` rather than discarded, so elementwise verification is
@@ -27,10 +32,8 @@ import numpy as np
 
 from . import kak
 from .errors import InputError, ResourceError
-from .gates import GateOp, gate_matrix, zyz_angles
+from .gates import DENSE_QUBIT_LIMIT, GateOp, gate_matrix, zyz_angles
 from .statevector import StateVector, apply_gate
-
-_UNITARY_QUBIT_LIMIT = 12
 
 AXES = ("x", "y", "z")
 
@@ -113,9 +116,9 @@ def embed_unitary(u: np.ndarray, targets: tuple[int, ...], n_qubits: int) -> np.
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense product of embedded gate matrices times e^{i global_phase}."""
-    if c.n_qubits > _UNITARY_QUBIT_LIMIT:
+    if c.n_qubits > DENSE_QUBIT_LIMIT:
         raise ResourceError(
-            f"dense circuit unitary limited to {_UNITARY_QUBIT_LIMIT} qubits, "
+            f"dense circuit unitary limited to {DENSE_QUBIT_LIMIT} qubits, "
             f"got {c.n_qubits}"
         )
     u = np.eye(2**c.n_qubits, dtype=complex)
@@ -131,38 +134,34 @@ def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -
     return bool(abs(np.trace(u.conj().T @ v)) >= u.shape[0] * (1.0 - tol))
 
 
-# --- frame changes ------------------------------------------------------------
-# sigma_alpha = V sigma_z V^dag with V = _Z_FRAME[alpha]; likewise for the
-# X-based sets (S2, S4).
+# --- single-qubit rotations and frame changes ---------------------------------
 
-def _rot(axis: str, theta: float, q: int) -> GateOp:
+def _rot(axis: str, theta: float, q: int, gate_set: GateSet = GateSet.S1) -> GateOp:
+    """R_axis(theta) = exp(-i theta sigma_axis / 2) on qubit q in the set's gates.
+
+    S4 spells it with the trapped-ion gates: Rz(theta) = T1(theta/2),
+    Rx(theta) = T3(theta/2, 0) and Ry(theta) = T3(theta/2, pi/2).
+    """
+    if gate_set is GateSet.S4:
+        if axis == "z":
+            return GateOp("MS_T1", (theta / 2,), (q,))
+        return GateOp("MS_T3", (theta / 2, 0.0 if axis == "x" else np.pi / 2), (q,))
     return GateOp("R" + axis, (theta,), (q,))
 
 
+# sigma_alpha = V sigma_z V^dag with V = _Z_FRAME[alpha] for the CNOT and
+# CPhase sets (S1, S3); the X-based sets (S2, S4) use sigma_x and _X_FRAME.
 _Z_FRAME = {"x": ("y", np.pi / 2), "y": ("x", -np.pi / 2), "z": None}
 _X_FRAME = {"x": None, "y": ("z", np.pi / 2), "z": ("y", -np.pi / 2)}
 
 
-def _frame_ops(frame, alpha: str, q: int, adjoint: bool) -> list[GateOp]:
+def _frame_ops(alpha: str, q: int, adjoint: bool, gate_set: GateSet) -> list[GateOp]:
+    frame = _X_FRAME if gate_set in (GateSet.S2, GateSet.S4) else _Z_FRAME
     spec = frame[alpha]
     if spec is None:
         return []
     axis, theta = spec
-    return [_rot(axis, -theta if adjoint else theta, q)]
-
-
-def _ms_frame_ops(alpha: str, q: int, adjoint: bool) -> list[GateOp]:
-    # same rotations as _X_FRAME but spelled with the trapped-ion gates:
-    # Rz(phi) = T1(phi/2), Ry(phi) = T3(phi/2, pi/2)
-    spec = _X_FRAME[alpha]
-    if spec is None:
-        return []
-    axis, theta = spec
-    if adjoint:
-        theta = -theta
-    if axis == "z":
-        return [GateOp("MS_T1", (theta / 2,), (q,))]
-    return [GateOp("MS_T3", (theta / 2, np.pi / 2), (q,))]
+    return [_rot(axis, -theta if adjoint else theta, q, gate_set)]
 
 
 def _check_axis(*axes: str):
@@ -190,43 +189,36 @@ def decompose_pauli_pair(
     if i == j:
         raise InputError("pauli pair needs two distinct qubits")
     n = max(i, j)
-    ops: list[GateOp] = []
+    # rotate sigma_alpha x sigma_beta into the set's zz (S1, S3) or xx (S2, S4)
+    ops = _frame_ops(alpha, i, True, gate_set) + _frame_ops(beta, j, True, gate_set)
     phase = 0.0
-
-    if gate_set in (GateSet.S1, GateSet.S3):
-        ops += _frame_ops(_Z_FRAME, alpha, i, adjoint=True)
-        ops += _frame_ops(_Z_FRAME, beta, j, adjoint=True)
-        if gate_set is GateSet.S1:
-            ops += [
-                GateOp("CNOT", (), (i, j)),
-                _rot("z", 2 * delta, j),
-                GateOp("CNOT", (), (i, j)),
-            ]
-        elif delta >= s3_phase_floor:
-            # ZZ(d) = e^{i d} (Rz(2d) x Rz(2d)) CPhase(-4d)
-            ops += [
-                GateOp("CPhase", (-4 * delta,), (i, j)),
-                _rot("z", 2 * delta, i),
-                _rot("z", 2 * delta, j),
-            ]
-            phase += delta
-        else:
-            # ZZ(d) = e^{i d} CPhase(-2d) (X x X) CPhase(-2d) (X x X)
-            ops += [
-                _rot("x", np.pi, i),
-                _rot("x", np.pi, j),
-                GateOp("CPhase", (-2 * delta,), (i, j)),
-                _rot("x", np.pi, i),
-                _rot("x", np.pi, j),
-                GateOp("CPhase", (-2 * delta,), (i, j)),
-            ]
-            phase += delta
-        ops += _frame_ops(_Z_FRAME, alpha, i, adjoint=False)
-        ops += _frame_ops(_Z_FRAME, beta, j, adjoint=False)
+    if gate_set is GateSet.S1:
+        ops += [
+            GateOp("CNOT", (), (i, j)),
+            _rot("z", 2 * delta, j),
+            GateOp("CNOT", (), (i, j)),
+        ]
+    elif gate_set is GateSet.S3 and delta >= s3_phase_floor:
+        # ZZ(d) = e^{i d} (Rz(2d) x Rz(2d)) CPhase(-4d)
+        ops += [
+            GateOp("CPhase", (-4 * delta,), (i, j)),
+            _rot("z", 2 * delta, i),
+            _rot("z", 2 * delta, j),
+        ]
+        phase += delta
+    elif gate_set is GateSet.S3:
+        # ZZ(d) = e^{i d} CPhase(-2d) (X x X) CPhase(-2d) (X x X)
+        ops += [
+            _rot("x", np.pi, i),
+            _rot("x", np.pi, j),
+            GateOp("CPhase", (-2 * delta,), (i, j)),
+            _rot("x", np.pi, i),
+            _rot("x", np.pi, j),
+            GateOp("CPhase", (-2 * delta,), (i, j)),
+        ]
+        phase += delta
     elif gate_set is GateSet.S2:
         # XX(d) = e^{i pi} Uxy(d/2) (I x Rx(pi)) Uxy(d/2) (I x Rx(pi))
-        ops += _frame_ops(_X_FRAME, alpha, i, adjoint=True)
-        ops += _frame_ops(_X_FRAME, beta, j, adjoint=True)
         ops += [
             _rot("x", np.pi, j),
             GateOp("Uxy", (delta / 2,), (i, j)),
@@ -234,16 +226,11 @@ def decompose_pauli_pair(
             GateOp("Uxy", (delta / 2,), (i, j)),
         ]
         phase += np.pi
-        ops += _frame_ops(_X_FRAME, alpha, i, adjoint=False)
-        ops += _frame_ops(_X_FRAME, beta, j, adjoint=False)
     elif gate_set is GateSet.S4:
-        ops += _ms_frame_ops(alpha, i, adjoint=True)
-        ops += _ms_frame_ops(beta, j, adjoint=True)
         ops.append(GateOp("MS_T4", (delta, 0.0), (i, j)))
-        ops += _ms_frame_ops(alpha, i, adjoint=False)
-        ops += _ms_frame_ops(beta, j, adjoint=False)
     else:
         raise InputError(f"unsupported gate set {gate_set}")
+    ops += _frame_ops(alpha, i, False, gate_set) + _frame_ops(beta, j, False, gate_set)
     return Circuit(n, ops, phase)
 
 
@@ -273,23 +260,23 @@ def decompose_multi_pauli(
         )
     ops: list[GateOp] = []
     for a, q in zip(axes, qubits):
-        ops += _frame_ops(_Z_FRAME, a, q, adjoint=True)
+        ops += _frame_ops(a, q, True, gate_set)
     ladder = [GateOp("CNOT", (), (qubits[k], qubits[k + 1])) for k in range(len(qubits) - 1)]
     ops += ladder
     ops.append(_rot("z", 2 * delta, qubits[-1]))
     ops += reversed(ladder)
     for a, q in zip(axes, qubits):
-        ops += _frame_ops(_Z_FRAME, a, q, adjoint=False)
+        ops += _frame_ops(a, q, False, gate_set)
     return Circuit(max(qubits), ops)
 
 
-def _su2_ops(m: np.ndarray, q: int) -> tuple[list[GateOp], float]:
+def _su2_ops(m: np.ndarray, q: int, gate_set: GateSet) -> tuple[list[GateOp], float]:
     """Gate list (time order) and phase with m = e^{i phase} [emitted rotations]."""
     phase, a, b, c = zyz_angles(m)
     ops = []
     for axis, theta in (("z", c), ("y", b), ("z", a)):
         if abs(theta) > 1e-14:
-            ops.append(_rot(axis, theta, q))
+            ops.append(_rot(axis, theta, q, gate_set))
     return ops, phase
 
 
@@ -318,7 +305,7 @@ def heisenberg2_circuit(
         )
         ops: list[GateOp] = []
         for m, q in ((pre1, i), (pre2, j)):
-            sub, ph = _su2_ops(m, q)
+            sub, ph = _su2_ops(m, q, GateSet.S1)
             ops += sub
             phase += ph
         ops += [
@@ -330,7 +317,7 @@ def heisenberg2_circuit(
             GateOp("CNOT", (), (j, i)),
         ]
         for m, q in ((post1, i), (post2, j)):
-            sub, ph = _su2_ops(m, q)
+            sub, ph = _su2_ops(m, q, GateSet.S1)
             ops += sub
             phase += ph
         return Circuit(n, ops, phase)
@@ -428,13 +415,11 @@ def _ctrl_pair_core(
 ) -> list[GateOp]:
     # controlled exp(-i d sigma sigma): frames and CNOT conjugation cancel when
     # the control is off, so only the central Rz needs the control
-    ops = _frame_ops(_Z_FRAME, alpha, i, adjoint=True)
-    ops += _frame_ops(_Z_FRAME, beta, j, adjoint=True)
+    ops = _frame_ops(alpha, i, True, GateSet.S1) + _frame_ops(beta, j, True, GateSet.S1)
     ops.append(GateOp("CNOT", (), (i, j)))
     ops += _ctrl_rz(2 * delta, c, j)
     ops.append(GateOp("CNOT", (), (i, j)))
-    ops += _frame_ops(_Z_FRAME, alpha, i, adjoint=False)
-    ops += _frame_ops(_Z_FRAME, beta, j, adjoint=False)
+    ops += _frame_ops(alpha, i, False, GateSet.S1) + _frame_ops(beta, j, False, GateSet.S1)
     return ops
 
 

@@ -17,6 +17,10 @@ from .errors import InputError
 
 SQRT2 = math.sqrt(2.0)
 
+#: largest register given a dense 2^N x 2^N matrix (Hamiltonian, circuit
+#: unitary or folded Trotter step)
+DENSE_QUBIT_LIMIT = 12
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -27,8 +27,6 @@ from .statevector import (
 )
 from .trotter import EvolutionResult, TrotterPlan, evolve, exact_propagator, trotterize
 
-_PAULI_LETTERS = ("I", "X", "Y", "Z")
-
 
 def magnetization(state: StateVector, site: int) -> float:
     """<s_z> = (1/2) <sigma_z> at the given site, in [-1/2, 1/2]."""
@@ -63,7 +61,7 @@ class CorrelationSpec:
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         n = self.hamiltonian.n_qubits
-        if self.v not in _PAULI_LETTERS or self.w not in _PAULI_LETTERS:
+        if self.v not in PAULI or self.w not in PAULI:
             raise InputError(f"V/W must be Pauli letters, got {self.v!r}, {self.w!r}")
         for q, name in ((self.vq, "V"), (self.wq, "W")):
             if not 1 <= q <= n:

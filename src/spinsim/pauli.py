@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, ResourceError
-
-_LETTERS = "IXYZ"
+from .gates import DENSE_QUBIT_LIMIT, PAULI
 
 # (a, b) -> (product letter, phase) with sigma_a sigma_b = phase * sigma_prod
 _MUL = {
@@ -24,15 +23,6 @@ _MUL = {
     ("Y", "I"): ("Y", 1), ("Y", "X"): ("Z", -1j), ("Y", "Y"): ("I", 1), ("Y", "Z"): ("X", 1j),
     ("Z", "I"): ("Z", 1), ("Z", "X"): ("Y", 1j), ("Z", "Y"): ("X", -1j), ("Z", "Z"): ("I", 1),
 }
-
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-_DENSE_QUBIT_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -43,7 +33,7 @@ class PauliString:
     letters: str
 
     def __post_init__(self):
-        if not self.letters or any(ch not in _LETTERS for ch in self.letters):
+        if not self.letters or any(ch not in PAULI for ch in self.letters):
             raise InputError(f"invalid Pauli letters {self.letters!r}")
         object.__setattr__(self, "coef", complex(self.coef))
         if not cmath.isfinite(self.coef):
@@ -175,19 +165,14 @@ def tim_chain(n: int, h, jzz: float) -> PauliHamiltonian:
     """Transverse-field Ising chain: sum_i h_i X_i + sum_bonds Jzz Z_i Z_{i+1}."""
     if n < 2:
         raise InputError("tim_chain needs at least 2 qubits")
-    if np.isscalar(h):
-        fields = [float(h)] * n
-    else:
-        fields = [float(v) for v in h]
-        if len(fields) != n:
-            raise InputError(f"per-site fields need {n} entries, got {len(fields)}")
+    fields = _per_bond(h, n, "per-site fields h")
     terms = [PauliString(hi, _single_site(n, i, "X")) for i, hi in enumerate(fields, 1)]
     for b in range(1, n):
         terms.append(PauliString(jzz, _two_site(n, b, b + 1, "Z", "Z")))
     return PauliHamiltonian(n, terms)
 
 
-def disjoint_layers(h: PauliHamiltonian) -> list[list[PauliString]]:
+def disjoint_layers(terms: Sequence[PauliString]) -> list[list[PauliString]]:
     """Greedy first-fit partition into groups with pairwise-disjoint supports.
 
     Members of one group act on disjoint qubits, hence mutually commute and can
@@ -195,10 +180,8 @@ def disjoint_layers(h: PauliHamiltonian) -> list[list[PauliString]]:
     """
     layers: list[list[PauliString]] = []
     supports: list[set[int]] = []
-    for term in h.terms:
+    for term in terms:
         sup = set(term.support)
-        if not sup:  # identity term: commutes with everything
-            sup = set()
         for k, used in enumerate(supports):
             if not (used & sup):
                 layers[k].append(term)
@@ -206,22 +189,22 @@ def disjoint_layers(h: PauliHamiltonian) -> list[list[PauliString]]:
                 break
         else:
             layers.append([term])
-            supports.append(set(sup))
+            supports.append(sup)
     return layers
 
 
 def string_matrix(letters: str) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for ch in letters:
-        out = np.kron(out, _PAULI_MATS[ch])
+        out = np.kron(out, PAULI[ch])
     return out
 
 
 def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of the Hamiltonian (N <= 12)."""
-    if h.n_qubits > _DENSE_QUBIT_LIMIT:
+    """Dense 2^N x 2^N matrix of the Hamiltonian (N <= DENSE_QUBIT_LIMIT)."""
+    if h.n_qubits > DENSE_QUBIT_LIMIT:
         raise ResourceError(
-            f"dense matrix for {h.n_qubits} qubits exceeds the {_DENSE_QUBIT_LIMIT}-qubit limit"
+            f"dense matrix for {h.n_qubits} qubits exceeds the {DENSE_QUBIT_LIMIT}-qubit limit"
         )
     dim = 2**h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)

@@ -109,6 +109,15 @@ def _per_site(raw: str, count: int, path: str) -> list[float]:
     return values * count if len(values) == 1 else values
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of an input file; an unreadable file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def parse_config(text: str) -> ExperimentConfig:
     sec = _parse_sections(text)
     model_entries = sec.get("model", [])
@@ -206,6 +215,8 @@ def _parse_observable(value: str, path: str) -> ObservableSpec:
             raise InputError(f"{path}: magnetization takes one site argument")
         return ObservableSpec("magnetization", (_int(args[0], f"{path}.site"),))
     if kind == "total_magnetization":
+        if args:
+            raise InputError(f"{path}: total_magnetization takes no arguments")
         return ObservableSpec("total_magnetization")
     if kind == "probability":
         if len(args) != 1:
@@ -219,6 +230,8 @@ def _parse_observable(value: str, path: str) -> ObservableSpec:
             (args[0].upper(), args[1].upper(), _int(args[2], f"{path}.i"), _int(args[3], f"{path}.j")),
         )
     if kind == "spectrum":
+        if len(args) > 1:
+            raise InputError(f"{path}: spectrum takes at most one grid size")
         m = _int(args[0], f"{path}.m") if args else 1024
         return ObservableSpec("spectrum", (m,))
     if kind == "fidelity":
@@ -273,7 +286,7 @@ def validate_config(cfg: ExperimentConfig):
                 )
         elif o.kind == "correlation":
             v, w, i, j = o.args
-            if v not in "IXYZ" or w not in "IXYZ":
+            if v not in gates.PAULI or w not in gates.PAULI:
                 raise InputError(f"{path}: V/W must be Pauli letters, got {v} {w}")
             for site, nm in ((i, "i"), (j, "j")):
                 if not 1 <= site <= cfg.n_qubits:
@@ -312,8 +325,7 @@ def build_hamiltonian(cfg: ExperimentConfig) -> pauli.PauliHamiltonian:
     if cfg.model == "pauli-file":
         if "text" in c:
             return pauli.parse_hamiltonian(c["text"], cfg.n_qubits)
-        with open(c["file"], "r", encoding="utf-8") as fh:
-            return pauli.parse_hamiltonian(fh.read(), cfg.n_qubits)
+        return pauli.parse_hamiltonian(read_text(c["file"]), cfg.n_qubits)
     raise InputError(f"model: unknown model {cfg.model!r}")
 
 
@@ -578,20 +590,11 @@ class CheckResult:
         return self.max_error <= self.tol
 
 
-def _unitary_with(circ: Circuit, overrides) -> np.ndarray:
-    """circuit_unitary with optionally overridden gate matrices (test fixture)."""
-    u = np.eye(2**circ.n_qubits, dtype=complex)
-    for op in circ.ops:
-        m = overrides[op.kind] if overrides and op.kind in overrides else gates.gate_matrix(op)
-        u = compiler.embed_unitary(m, op.targets, circ.n_qubits) @ u
-    return np.exp(1j * circ.global_phase) * u
-
-
 def _phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(1.0 - abs(np.trace(u.conj().T @ v)) / u.shape[0])
 
 
-def verify_suite(gate_overrides: dict | None = None) -> list[CheckResult]:
+def verify_suite() -> list[CheckResult]:
     """Machine-check the gate and decomposition identities; returns per-check results."""
     rng = np.random.default_rng(20240817)
     checks: list[CheckResult] = []
@@ -637,8 +640,8 @@ def verify_suite(gate_overrides: dict | None = None) -> list[CheckResult]:
     err = 0.0
     for a in "XYZ":
         for b in "XYZ":
-            ma = np.kron(gates.PAULI[a], gates.PAULI[a])
-            mb = np.kron(gates.PAULI[b], gates.PAULI[b])
+            ma = pauli.string_matrix(a + a)
+            mb = pauli.string_matrix(b + b)
             err = max(err, float(np.max(np.abs(ma @ mb - mb @ ma))))
     checks.append(CheckResult("pair-exponential generators commute", err, 1e-12))
 
@@ -666,7 +669,7 @@ def verify_suite(gate_overrides: dict | None = None) -> list[CheckResult]:
             for gs in GateSet:
                 for d in rng.uniform(-np.pi, np.pi, 6):
                     circ = compiler.decompose_pauli_pair(alpha, beta, float(d), (1, 2), gs)
-                    u = _unitary_with(circ, gate_overrides)
+                    u = compiler.circuit_unitary(circ)
                     target = gates.pauli_pair_exponential(alpha, beta, float(d))
                     err = max(err, _phase_distance(u, target))
     checks.append(CheckResult("pair decompositions vs exp(-i d ss) (all sets)", err, 1e-10))
@@ -676,13 +679,13 @@ def verify_suite(gate_overrides: dict | None = None) -> list[CheckResult]:
     count_err = 0.0
     for d in rng.uniform(-np.pi, np.pi, 6):
         target = gates.hermitian_expm(
-            float(d) * sum(np.kron(gates.PAULI[a], gates.PAULI[a]) for a in "XYZ")
+            float(d) * sum(pauli.string_matrix(a + a) for a in "XYZ")
         )
         for variant, kind, count in (
             ("6cnot", "CNOT", 6), ("3cnot", "CNOT", 3), ("3uxy", "Uxy", 3), ("s4", None, None)
         ):
             circ = compiler.heisenberg2_circuit(float(d), (1, 2), variant)
-            err = max(err, _phase_distance(_unitary_with(circ, gate_overrides), target))
+            err = max(err, _phase_distance(compiler.circuit_unitary(circ), target))
             if kind is not None and circ.two_qubit_count(kind) != count:
                 count_err = 1.0
     checks.append(CheckResult("heisenberg variants vs dense bond exponential", err, 1e-10))
@@ -697,9 +700,7 @@ def verify_suite(gate_overrides: dict | None = None) -> list[CheckResult]:
         )
         err = max(
             err,
-            _phase_distance(
-                _unitary_with(single, gate_overrides), _unitary_with(double, gate_overrides)
-            ),
+            _phase_distance(compiler.circuit_unitary(single), compiler.circuit_unitary(double)),
         )
     checks.append(CheckResult("S3 one-CPhase and two-CPhase forms agree", err, 1e-10))
 
@@ -710,11 +711,9 @@ def verify_suite(gate_overrides: dict | None = None) -> list[CheckResult]:
             for a3 in "xyz":
                 for d in rng.uniform(-np.pi, np.pi, 2):
                     circ = compiler.decompose_multi_pauli([a1, a2, a3], float(d), (1, 2, 3))
-                    gen = np.eye(1, dtype=complex)
-                    for a in (a1, a2, a3):
-                        gen = np.kron(gen, gates.PAULI[a.upper()])
+                    gen = pauli.string_matrix((a1 + a2 + a3).upper())
                     target = gates.hermitian_expm(float(d) * gen)
-                    err = max(err, _phase_distance(_unitary_with(circ, gate_overrides), target))
+                    err = max(err, _phase_distance(compiler.circuit_unitary(circ), target))
     checks.append(CheckResult("3-qubit ladder vs dense exponential (27 triples)", err, 1e-10))
     return checks
 

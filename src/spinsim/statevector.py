@@ -93,10 +93,33 @@ def _check_targets(n_qubits: int, targets: tuple[int, ...]):
         raise InputError(f"duplicate targets {targets}")
 
 
+# Registers of at least _LARGE_REGISTER qubits take two reshaped kernels that
+# lose to the plain strided views on smaller ones (per-gate timings, 2-14
+# qubits): a dense 1q gate on one of the last _GEMM_MAX_TAIL qubits, where the
+# batched matmul loops over many tiny blocks, breaks even near 10 qubits, and
+# the Uxy quarter-slice update near 12.
+_LARGE_REGISTER = 12
+_GEMM_MAX_TAIL = 4
+_GEMM_CHUNK = 2**15
+
+
 def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray):
+    left, right = 2 ** (q - 1), 2 ** (n - q)
+    if n >= _LARGE_REGISTER and n - q <= _GEMM_MAX_TAIL:
+        # (rows, 2R) x (2R, 2R) GEMMs with u (x) I_R, _GEMM_CHUNK amplitudes
+        # at a time to keep the product and BLAS's packing buffers small
+        rows = amps.reshape(left, 2 * right)
+        big_t = (u[:, None, :, None] * np.eye(right)[:, None, :]).reshape(
+            2 * right, 2 * right
+        ).T
+        step = _GEMM_CHUNK // (2 * right)
+        for start in range(0, left, step):
+            block = rows[start : start + step]
+            np.copyto(block, block @ big_t)
+        return
     # batched 2x2 matmul over the strided (left, 2, right) view: two memory
     # passes per gate
-    view = amps.reshape(2 ** (q - 1), 2, 2 ** (n - q))
+    view = amps.reshape(left, 2, right)
     np.copyto(view, np.matmul(u, view))
 
 
@@ -148,6 +171,20 @@ def _view_2q(amps, n, q1, q2):
     return amps.reshape(2 ** (q1 - 1), 2, 2 ** (q2 - q1 - 1), 2, 2 ** (n - q2))
 
 
+def _apply_uxy(amps, n, q1, q2, u):
+    # Uxy is symmetric in its qubits and the identity on |00>, |11>: rotate
+    # the |01>, |10> quarter slices only
+    lo, hi = (q1, q2) if q1 < q2 else (q2, q1)
+    view = _view_2q(amps, n, lo, hi)
+    diag, off = u[1, 1], u[1, 2]
+    s01, s10 = view[:, 0, :, 1, :], view[:, 1, :, 0, :]
+    mixed = s01 * off
+    s01 *= diag
+    s01 += s10 * off
+    s10 *= diag
+    s10 += mixed
+
+
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply ``gate`` in place; returns the same (mutated) StateVector.
 
@@ -168,6 +205,9 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
         return state
     if kind == "X":
         _apply_x_gate(amps, n, gate.targets[0])
+        return state
+    if kind == "Uxy" and n >= _LARGE_REGISTER:
+        _apply_uxy(amps, n, *gate.targets, _cached_matrix(kind, gate.params, 2))
         return state
     if kind in ("CNOT", "CPhase", "ZZ"):
         q1, q2 = gate.targets

@@ -25,18 +25,25 @@ from functools import cached_property
 import numpy as np
 
 from .compiler import (
-    _UNITARY_QUBIT_LIMIT,
     Circuit,
     GateSet,
     decompose_multi_pauli,
     decompose_pauli_pair,
     inverse_circuit,
     run_circuit,
+    _rot,
     _su2_ops,
 )
 from .errors import InputError, ResourceError
-from .gates import GateOp, hermitian_expm, PAULI
-from .pauli import PauliHamiltonian, PauliString, commutes, dense_matrix, mul_letters
+from .gates import DENSE_QUBIT_LIMIT, GateOp, hermitian_expm, PAULI
+from .pauli import (
+    PauliHamiltonian,
+    PauliString,
+    commutes,
+    dense_matrix,
+    disjoint_layers,
+    mul_letters,
+)
 from .statevector import StateVector, inner_product
 
 
@@ -110,14 +117,14 @@ class EvolutionResult:
         The step folds when 2^N is at most both its gate count and the repeat
         count: building the matrix then costs no more than the gates it saves,
         and each application no more than the gates it replaces.  The register
-        must also be within the dense-unitary limit of ``circuit_unitary``.  The
+        must also be within the dense-matrix limit ``DENSE_QUBIT_LIMIT``.  The
         matrix is the step run through the gate kernels on the 2^N identity
         columns, which together form one 2N-qubit vector.  It is built once per
         result, on first use.
         """
         n = self.step.n_qubits
         dim = 2**n
-        if dim > min(len(self.step.ops), self.n_steps_used) or n > _UNITARY_QUBIT_LIMIT:
+        if dim > min(len(self.step.ops), self.n_steps_used) or n > DENSE_QUBIT_LIMIT:
             return None
         columns = StateVector(2 * n, np.eye(dim, dtype=complex).ravel())
         return run_circuit(columns, self.step).amplitudes.reshape(dim, dim)
@@ -182,32 +189,6 @@ def _sum_commutator_is_zero(fields: list[PauliString], rest: list[PauliString]) 
     return all(abs(v) < 1e-12 for v in acc.values())
 
 
-def _layer_terms(terms: list[PauliString]) -> list[list[PauliString]]:
-    layers: list[list[PauliString]] = []
-    supports: list[set[int]] = []
-    for term in terms:
-        sup = set(term.support)
-        for k, used in enumerate(supports):
-            if not (used & sup):
-                layers[k].append(term)
-                used |= sup
-                break
-        else:
-            layers.append([term])
-            supports.append(sup)
-    return layers
-
-
-def _single_rotation_ops(axis: str, angle: float, q: int, gate_set: GateSet) -> list[GateOp]:
-    """exp(-i (angle/2) sigma_axis) on one qubit, in the given set's gates."""
-    if gate_set is GateSet.S4:
-        if axis == "z":
-            return [GateOp("MS_T1", (angle / 2,), (q,))]
-        phi = 0.0 if axis == "x" else np.pi / 2
-        return [GateOp("MS_T3", (angle / 2, phi), (q,))]
-    return [GateOp("R" + axis, (angle,), (q,))]
-
-
 def _term_circuit(term: PauliString, angle: float, gate_set: GateSet) -> Circuit:
     """Circuit for exp(-i angle P) with P the (unweighted) Pauli pattern."""
     sites = sorted(term.support)
@@ -215,7 +196,7 @@ def _term_circuit(term: PauliString, angle: float, gate_set: GateSet) -> Circuit
     if len(sites) == 1:
         q = sites[0]
         axis = letters[q - 1].lower()
-        return Circuit(q, _single_rotation_ops(axis, 2 * angle, q, gate_set))
+        return Circuit(q, [_rot(axis, 2 * angle, q, gate_set)])
     if len(sites) == 2:
         i, j = sites
         return decompose_pauli_pair(
@@ -240,18 +221,10 @@ def _field_circuit(
         comps = by_qubit[q]
         if len(comps) == 1:
             ((axis, h),) = comps.items()
-            ops += _single_rotation_ops(axis, 2 * h * t, q, gate_set)
+            ops.append(_rot(axis, 2 * h * t, q, gate_set))
         else:
             gen = sum(h * PAULI[a.upper()] for a, h in comps.items())
-            u = hermitian_expm(t * gen)
-            sub, ph = _su2_ops(u, q)
-            if gate_set is GateSet.S4:
-                sub = [
-                    GateOp("MS_T1" if g.kind == "Rz" else "MS_T3",
-                           (g.params[0] / 2,) if g.kind == "Rz" else (g.params[0] / 2, np.pi / 2),
-                           g.targets)
-                    for g in sub
-                ]
+            sub, ph = _su2_ops(hermitian_expm(t * gen), q, gate_set)
             ops += sub
             phase += ph
     return Circuit(n_qubits, ops, phase)
@@ -324,7 +297,7 @@ def trotterize(
         prefix = fc.ops
         phase += fc.global_phase
 
-    layers = _layer_terms(rest)
+    layers = disjoint_layers(rest)
     if plan.order == 1 or all_commute:
         step_sequences = [(layers, t / n)]
     else:
@@ -350,8 +323,6 @@ def trotterize(
 
 def exact_propagator(h: PauliHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition of the dense Hamiltonian."""
-    if h.n_qubits > 12:
-        raise ResourceError(f"exact propagator limited to 12 qubits, got {h.n_qubits}")
     w, v = np.linalg.eigh(dense_matrix(h))
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 

@@ -3,8 +3,11 @@
 The files under ``tests/golden/`` were written by the program as it stood
 before Trotter steps were compiled once and repeated: every figure preset's
 CSV, the ``verify`` report, and the sha256 of ``dumps_circuit`` for a grid of
-compiled evolutions (``circuits.json``).  A change that moves any of them has
-changed what the program computes, not only how fast.
+compiled evolutions (``circuits.json``).  The digests of the fixed Heisenberg
+bond variants and of the controlled Trotter steps were added later, by the
+program as it stood before its single-qubit rotation spellings were merged.  A
+change that moves any of them has changed what the program computes, not only
+how fast.
 
 Preset values may move by float rounding (the folded step multiplies a dense
 matrix instead of applying gates), so they are compared within 1e-9; every
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsim.compiler import GateSet, dumps_circuit
+from spinsim.compiler import GateSet, controlled_circuit, dumps_circuit, heisenberg2_circuit
 from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
 from spinsim.runner import FIGURE_IDS, figure_preset, format_verify_report, run, verify_suite
 from spinsim.trotter import TrotterPlan, trotterize
@@ -62,9 +65,26 @@ def circuit_cases():
                     )
 
 
+def fixed_circuit_cases():
+    """(case id, circuit) for circuits built outside the Trotter grid.
+
+    The fixed Heisenberg bond variants, and the controlled expansion of one
+    Trotter step (S2 adds the exchange gate, controlled through pair frames).
+    """
+    for variant in ("6cnot", "3cnot", "3uxy", "s4"):
+        for delta in (0.7, -1.3):
+            yield f"heisenberg2/{variant}/d{delta:+}", heisenberg2_circuit(delta, (1, 2), variant)
+    for gate_set in (GateSet.S1, GateSet.S2):
+        step = trotterize(_tilted_heisenberg3(), 0.7, TrotterPlan.fixed_n(1), gate_set).circuit
+        yield f"controlled/heis3-tilted/{gate_set.value}", controlled_circuit(step, 4)
+
+
+def digest(circuit) -> str:
+    return hashlib.sha256(dumps_circuit(circuit).encode()).hexdigest()
+
+
 def circuit_digest(h, t, plan, gate_set) -> str:
-    text = dumps_circuit(trotterize(h, t, plan, gate_set).circuit)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return digest(trotterize(h, t, plan, gate_set).circuit)
 
 
 def _split(csv: str):
@@ -104,4 +124,5 @@ def test_verify_report_matches_golden():
 def test_unrolled_circuits_match_golden():
     golden = json.loads((GOLDEN / "circuits.json").read_text())
     digests = {case: circuit_digest(*args) for case, *args in circuit_cases()}
+    digests.update((case, digest(c)) for case, c in fixed_circuit_cases())
     assert digests == golden

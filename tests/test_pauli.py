@@ -176,7 +176,7 @@ class TestMulLetters:
 class TestDisjointLayers:
     def test_four_spin_chain_parallel_bonds(self):
         h = heisenberg_chain(4, [1.0, 1.0, 1.0], 0.0)
-        layers = disjoint_layers(h)
+        layers = disjoint_layers(h.terms)
         # bonds 1-2 and 3-4 share layers; bond 2-3 terms come later
         first_supports = [t.support for t in layers[0]]
         assert frozenset({1, 2}) in first_supports and frozenset({3, 4}) in first_supports
@@ -188,18 +188,18 @@ class TestDisjointLayers:
 
     def test_layers_pairwise_commute(self):
         h = heisenberg_chain(4, [1.0, 0.5, 0.25], 3.0)
-        for layer in disjoint_layers(h):
+        for layer in disjoint_layers(h.terms):
             for k, a in enumerate(layer):
                 for b in layer[k + 1:]:
                     assert commutes(a, b)
 
     def test_single_term(self):
         h = PauliHamiltonian(2, [PauliString(1.0, "XX")])
-        assert len(disjoint_layers(h)) == 1
+        assert len(disjoint_layers(h.terms)) == 1
 
     def test_single_qubit_terms_one_layer(self):
         h = PauliHamiltonian(3, [PauliString(1.0, s) for s in ("XII", "IYI", "IIZ")])
-        assert len(disjoint_layers(h)) == 1
+        assert len(disjoint_layers(h.terms)) == 1
 
 
 class TestTextFormat:

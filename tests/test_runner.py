@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinsim import compiler
 from spinsim.cli import main as cli_main
 from spinsim.compiler import GateSet, loads_circuit
 from spinsim.errors import InputError
@@ -155,6 +156,8 @@ MALFORMED = [
     pytest.param(parse_config, _fidelity("magnetization one"), id="site-word"),
     pytest.param(parse_config, _fidelity("correlation X X 1 b"), id="correlation-site-word"),
     pytest.param(parse_config, _fidelity("spectrum many"), id="spectrum-m-word"),
+    pytest.param(parse_config, _fidelity("spectrum 4 8"), id="spectrum-extra"),
+    pytest.param(parse_config, _fidelity("total_magnetization 3"), id="total-magnetization-extra"),
     pytest.param(parse_config, _fidelity(""), id="empty-observable"),
     pytest.param(loads_circuit, "qubits\n", id="qubits-missing"),
     pytest.param(loads_circuit, "qubits two\n", id="qubits-word"),
@@ -225,6 +228,15 @@ class TestValidation:
             }
         )
         with pytest.raises(InputError, match="spectrum"):
+            validate_config(bad)
+
+    @pytest.mark.parametrize("v, w", [("XY", "Z"), ("X", "Q"), ("", "X")])
+    def test_correlation_letters_name_field(self, v, w):
+        cfg = parse_config(SAMPLE_CONFIG)
+        bad = ExperimentConfig(
+            **{**cfg.__dict__, "observables": (ObservableSpec("correlation", (v, w, 1, 2)),)}
+        )
+        with pytest.raises(InputError, match=r"observables\[0\]: V/W must be Pauli letters"):
             validate_config(bad)
 
     def test_initial_state_checked(self):
@@ -347,9 +359,15 @@ class TestVerifySuite:
         report = format_verify_report(checks)
         assert all(c.passed for c in checks), report
 
-    def test_corrupted_cnot_detected(self):
-        bad = np.eye(4, dtype=complex)  # identity instead of CNOT
-        checks = verify_suite(gate_overrides={"CNOT": bad})
+    def test_corrupted_cnot_detected(self, monkeypatch):
+        original = compiler.gate_matrix
+
+        def corrupted(op):
+            # identity instead of CNOT
+            return np.eye(4, dtype=complex) if op.kind == "CNOT" else original(op)
+
+        monkeypatch.setattr(compiler, "gate_matrix", corrupted)
+        checks = verify_suite()
         pair_check = next(c for c in checks if "pair decompositions" in c.name)
         assert not pair_check.passed
         assert pair_check.max_error >= 0.1
@@ -385,15 +403,42 @@ class TestCli:
     def test_missing_file_exits_2(self):
         assert cli_main(["run", "/nonexistent/exp.cfg"]) == 2
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("config", [
         pytest.param(_model("kind = tim\nn_qubits = three\nh = 1"), id="n_qubits-word"),
         pytest.param(_fidelity("fidelity fixed_n"), id="fidelity-no-steps"),
+        pytest.param(b"[model]\nkind = tim # \xe9t\xe9\n", id="config-not-utf8"),
+        pytest.param(None, id="config-is-directory"),
+        pytest.param(
+            _model("kind = pauli-file\nn_qubits = 2\nfile = {ham}"), id="hamiltonian-not-utf8"
+        ),
+        pytest.param(
+            _model("kind = pauli-file\nn_qubits = 2\nfile = {missing}"), id="hamiltonian-missing"
+        ),
     ])
-    def test_parse_error_exits_2(self, tmp_path, capsys, text):
+    def test_parse_error_exits_2(self, tmp_path, capsys, config):
+        ham = tmp_path / "h.txt"
+        ham.write_bytes(b"1.0 XX # \xff\n")
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text(text)
+        if config is None:
+            cfgfile.mkdir()
+        elif isinstance(config, bytes):
+            cfgfile.write_bytes(config)
+        else:
+            cfgfile.write_text(config.format(ham=ham, missing=tmp_path / "missing.txt"))
         assert cli_main(["run", str(cfgfile)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        assert cli_main(["figure", "fig4c", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_past_dense_limit_exits_3(self, tmp_path, capsys):
+        cfgfile = tmp_path / "big.cfg"
+        cfgfile.write_text(
+            _model("kind = heisenberg\nn_qubits = 13\n[time]\npoints = 2\n[evolution]\nsteps = 1")
+        )
+        assert cli_main(["run", str(cfgfile)]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: ")
 
     def test_gateset_override(self, tmp_path):
         cfgfile = tmp_path / "exp.cfg"

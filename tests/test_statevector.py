@@ -110,6 +110,54 @@ class TestApplyGate:
             apply_gate(s, g)
             assert np.max(np.abs(s.amplitudes - dense)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "kind", ["H", "X", "Rx", "Ry", "Rz", "Phase", "U3", "CNOT", "CPhase", "ZZ", "Uxy"]
+    )
+    def test_large_register_kernels_match_tensor_contraction(self, kind):
+        # 16 qubits switch on the GEMM kernel for dense gates on the last
+        # qubits (in more than one chunk) and the Uxy slice kernel; targets
+        # cover both those and the plain strided views
+        n = 16
+        n_params, n_targets = {"H": 0, "X": 0, "U3": 3, "CNOT": 0}.get(kind, 1), 1
+        if kind in ("CNOT", "CPhase", "ZZ", "Uxy"):
+            n_targets = 2
+        placements = (
+            [(1,), (10,), (11,), (12,), (15,), (16,)]
+            if n_targets == 1
+            else [(1, 16), (16, 1), (3, 14), (14, 3), (13, 16), (16, 13),
+                  (15, 16), (16, 15), (1, 2), (2, 1), (5, 6)]
+        )
+        for targets in placements:
+            g = GateOp(kind, tuple(RNG.uniform(-np.pi, np.pi, n_params)), targets)
+            s = random_state(n)
+            k, axes = len(targets), [t - 1 for t in targets]
+            out = np.tensordot(
+                gate_matrix(g).reshape((2,) * 2 * k),
+                s.amplitudes.reshape((2,) * n),
+                axes=(list(range(k, 2 * k)), axes),
+            )
+            expected = np.moveaxis(out, list(range(k)), axes).reshape(-1)
+            apply_gate(s, g)
+            assert np.max(np.abs(s.amplitudes - expected)) <= 1e-12, targets
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_strided_amplitudes_updated_in_place(self, n):
+        # a state over a strided array (every other entry, reversed) is
+        # updated through that array by every kernel
+        base = random_state(n).amplitudes
+        backing = np.zeros(2 ** (n + 1), dtype=complex)
+        backing[::-2] = base
+        s = StateVector(n, backing[::-2])
+        ref = StateVector(n, base.copy())
+        for g in [GateOp("X", (), (1,)), GateOp("X", (), (n,)), GateOp("H", (), (n,)),
+                  GateOp("Rz", (0.4,), (n,)), GateOp("CNOT", (), (n, 1)),
+                  GateOp("CNOT", (), (1, 2)), GateOp("CPhase", (0.5,), (1, n)),
+                  GateOp("ZZ", (0.6,), (n - 1, n)), GateOp("Uxy", (0.7,), (n, n - 1)),
+                  GateOp("MS_T4", (0.3, 0.2), (1, 2, n))]:
+            apply_gate(s, g)
+            apply_gate(ref, g)
+        assert np.max(np.abs(backing[::-2] - ref.amplitudes)) <= 1e-12
+
     def test_collective_gate_on_three_qubits(self):
         g = GateOp("MS_T4", (0.3, 0.7), (1, 2, 3))
         s = random_state(4)

@@ -2,9 +2,21 @@ import numpy as np
 import pytest
 
 from spinsim import runner, trotter
-from spinsim.compiler import GateSet, circuit_unitary, equal_up_to_global_phase, run_circuit
+from spinsim.compiler import (
+    Circuit,
+    GateSet,
+    circuit_unitary,
+    equal_up_to_global_phase,
+    run_circuit,
+)
 from spinsim.errors import InputError, ResourceError
-from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
+from spinsim.pauli import (
+    PauliHamiltonian,
+    PauliString,
+    dense_matrix,
+    heisenberg_chain,
+    tim_chain,
+)
 from spinsim.statevector import StateVector, basis_state, inner_product
 from spinsim.trotter import (
     TrotterPlan,
@@ -194,6 +206,11 @@ class TestStepAndRepeat:
         h2 = heisenberg_chain(2, [1.0], 0.0)
         assert trotterize(h2, 1.0, TrotterPlan.fixed_n(50)).folded_step is None
 
+    def test_fold_respects_dense_limit(self, monkeypatch):
+        h = heisenberg_chain(3, [1.0, 0.7], 3.0)
+        monkeypatch.setattr(trotter, "DENSE_QUBIT_LIMIT", 2)
+        assert trotterize(h, 1.0, TrotterPlan.fixed_n(8)).folded_step is None
+
     def test_folded_step_is_the_step_unitary(self):
         res = trotterize(fig2_hamiltonian(), 2.0, TrotterPlan.fixed_n(9))
         assert np.max(np.abs(res.folded_step - circuit_unitary(res.step))) <= 1e-14
@@ -314,3 +331,14 @@ class TestPlanValidation:
     def test_bad_growth(self):
         with pytest.raises(InputError):
             TrotterPlan.fixed_eps(0.1, growth="cubic")
+
+
+# one limit for every dense 2^N x 2^N matrix; the matrix is never allocated
+@pytest.mark.parametrize("dense", [
+    pytest.param(dense_matrix, id="dense_matrix"),
+    pytest.param(lambda h: circuit_unitary(Circuit(h.n_qubits, ())), id="circuit_unitary"),
+    pytest.param(lambda h: exact_propagator(h, 1.0), id="exact_propagator"),
+])
+def test_dense_limit_at_13_qubits(dense):
+    with pytest.raises(ResourceError):
+        dense(heisenberg_chain(13, 1.0))
