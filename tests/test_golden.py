@@ -9,6 +9,13 @@ program as it stood before its single-qubit rotation spellings were merged.  A
 change that moves any of them has changed what the program computes, not only
 how fast.
 
+The ``run-*.csv`` files were written by the program as it stood before the
+exact reference was diagonalized once per run, from the configs in
+``RUN_CONFIGS``: run shapes the presets do not reach (five qubits under a
+fixed-eps second-order plan with scalar and correlation columns, a fixed
+Heisenberg bond variant whose correlations compile their own Trotter plan, and
+a Jordan-Wigner fidelity sweep).
+
 Preset values may move by float rounding (the folded step multiplies a dense
 matrix instead of applying gates), so they are compared within 1e-9; every
 comment line, the column names, the ``verify`` report and the compiled
@@ -24,10 +31,76 @@ import pytest
 
 from spinsim.compiler import GateSet, controlled_circuit, dumps_circuit, heisenberg2_circuit
 from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
-from spinsim.runner import FIGURE_IDS, figure_preset, format_verify_report, run, verify_suite
+from spinsim.runner import (
+    FIGURE_IDS,
+    figure_preset,
+    format_verify_report,
+    parse_config,
+    run,
+    verify_suite,
+)
 from spinsim.trotter import TrotterPlan, trotterize
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+RUN_CONFIGS = {
+    # scalar columns and the exact correlation route share the exact reference
+    "heis5-eps2": """
+[model]
+kind = heisenberg
+n_qubits = 5
+j = 1.0 0.8 1.2 0.9
+bg = 0.6
+[initial]
+state = 01101
+[evolution]
+order = 2
+schedule = fixed_eps
+eps = 0.05
+growth = quadratic
+[time]
+max = 2.0
+points = 9
+[observables]
+observable = magnetization 2
+observable = probability 01101
+observable = correlation X Y 2 4
+""",
+    # the scalar columns run the 3-CNOT bond, the correlations the Trotter plan
+    "heis2-3cnot": """
+[model]
+kind = heisenberg
+n_qubits = 2
+j = 1.0
+[initial]
+state = 0+
+[evolution]
+variant = 3cnot
+steps = 3
+[time]
+max = 3.0
+points = 13
+[observables]
+observable = magnetization 1
+observable = correlation X X 1 2
+""",
+    # four-qubit Jordan-Wigner terms
+    "hubbard2-fidelity": """
+[model]
+kind = hubbard2
+v = 1.0
+u = 2.0
+[initial]
+state = 1001
+[time]
+max = 3.0
+points = 11
+[observables]
+observable = fidelity fixed_n 3
+observable = fidelity fixed_eps 0.1 linear
+observable = fidelity fixed_eps 0.2 quadratic
+""",
+}
 
 
 def _tilted_heisenberg3() -> PauliHamiltonian:
@@ -100,15 +173,24 @@ def preset_output():
     return {fid: run(figure_preset(fid)) for fid in FIGURE_IDS}
 
 
-@pytest.mark.parametrize("fid", FIGURE_IDS)
-def test_preset_matches_golden(fid, preset_output):
-    comments, columns, values = _split(preset_output[fid])
-    gold_comments, gold_columns, gold_values = _split((GOLDEN / f"{fid}.csv").read_text())
+def _assert_matches_golden(csv: str, name: str):
+    comments, columns, values = _split(csv)
+    gold_comments, gold_columns, gold_values = _split((GOLDEN / f"{name}.csv").read_text())
     assert comments == gold_comments
     assert any(ln.startswith("# n_steps_used") for ln in comments)
     assert columns == gold_columns
     assert values.shape == gold_values.shape
     assert np.max(np.abs(values - gold_values)) <= 1e-9
+
+
+@pytest.mark.parametrize("fid", FIGURE_IDS)
+def test_preset_matches_golden(fid, preset_output):
+    _assert_matches_golden(preset_output[fid], fid)
+
+
+@pytest.mark.parametrize("name", RUN_CONFIGS)
+def test_run_config_matches_golden(name):
+    _assert_matches_golden(run(parse_config(RUN_CONFIGS[name])), f"run-{name}")
 
 
 @pytest.mark.parametrize("fid", FIGURE_IDS)
