@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import compiler, runner, trotter
 from .errors import InputError, ResourceError
@@ -26,25 +27,16 @@ def _add_override_flags(p: argparse.ArgumentParser):
 
 
 def _apply_overrides(cfg, args):
-    from dataclasses import replace
-
     if args.gateset:
         cfg = replace(cfg, gate_set=compiler.GateSet(args.gateset))
-    order = args.order if args.order else cfg.plan.order
+    order = args.order or cfg.plan.order
     if args.steps is not None:
-        cfg = replace(cfg, plan=trotter.TrotterPlan.fixed_n(args.steps, order=order))
+        plan = trotter.TrotterPlan.fixed_n(args.steps, order=order)
     elif args.eps is not None:
-        growth = args.growth or cfg.plan.growth
-        cfg = replace(cfg, plan=trotter.TrotterPlan.fixed_eps(args.eps, growth, order=order))
-    elif args.order:
-        plan = cfg.plan
-        if plan.n_steps is not None:
-            cfg = replace(cfg, plan=trotter.TrotterPlan.fixed_n(plan.n_steps, order=order))
-        else:
-            cfg = replace(
-                cfg, plan=trotter.TrotterPlan.fixed_eps(plan.eps, plan.growth, order=order)
-            )
-    return cfg
+        plan = trotter.TrotterPlan.fixed_eps(args.eps, args.growth or cfg.plan.growth, order=order)
+    else:
+        plan = replace(cfg.plan, order=order)
+    return replace(cfg, plan=plan)
 
 
 def _emit(text: str, out: str | None):
@@ -56,10 +48,6 @@ def _emit(text: str, out: str | None):
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc}") from exc
-
-
-def _load_config(path: str):
-    return runner.parse_config(runner.read_text(path))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -89,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _apply_overrides(_load_config(args.config), args)
+            cfg = _apply_overrides(runner.parse_config(runner.read_text(args.config)), args)
             _emit(runner.run(cfg), args.out)
         elif args.command == "figure":
             cfg = _apply_overrides(runner.figure_preset(args.id), args)
@@ -100,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
             if not all(c.passed for c in checks):
                 return 1
         elif args.command == "dump-circuit":
-            cfg = _apply_overrides(_load_config(args.config), args)
+            cfg = _apply_overrides(runner.parse_config(runner.read_text(args.config)), args)
             runner.validate_config(cfg)
             h = runner.build_hamiltonian(cfg)
             circ = runner._digital_evolution(cfg, h, cfg.t_max).circuit

@@ -32,10 +32,8 @@ import numpy as np
 
 from . import kak
 from .errors import InputError, ResourceError
-from .gates import DENSE_QUBIT_LIMIT, GateOp, gate_matrix, zyz_angles
+from .gates import DENSE_QUBIT_LIMIT, GateOp, check_axes, gate_matrix, zyz_angles
 from .statevector import StateVector, apply_gate
-
-AXES = ("x", "y", "z")
 
 
 class GateSet(enum.Enum):
@@ -164,12 +162,6 @@ def _frame_ops(alpha: str, q: int, adjoint: bool, gate_set: GateSet) -> list[Gat
     return [_rot(axis, -theta if adjoint else theta, q, gate_set)]
 
 
-def _check_axis(*axes: str):
-    for a in axes:
-        if a not in AXES:
-            raise InputError(f"axis must be one of {AXES}, got {a!r}")
-
-
 def decompose_pauli_pair(
     alpha: str,
     beta: str,
@@ -184,7 +176,7 @@ def decompose_pauli_pair(
     ``s3_phase_floor`` (default 0: negative angles switch to the two-CPhase
     form, which only needs positive hardware phases).
     """
-    _check_axis(alpha, beta)
+    check_axes(alpha, beta)
     i, j = qubits
     if i == j:
         raise InputError("pauli pair needs two distinct qubits")
@@ -252,7 +244,7 @@ def decompose_multi_pauli(
         raise InputError(f"{len(axes)} axes for {len(qubits)} qubits")
     if len(set(qubits)) != len(qubits):
         raise InputError(f"duplicate qubits {qubits}")
-    _check_axis(*axes)
+    check_axes(*axes)
     if gate_set is not GateSet.S1:
         raise InputError(
             "multi-qubit Pauli exponentials are compiled in the CNOT set (S1); "
@@ -414,12 +406,10 @@ def _ctrl_pair_core(
     alpha: str, beta: str, delta: float, c: int, i: int, j: int
 ) -> list[GateOp]:
     # controlled exp(-i d sigma sigma): frames and CNOT conjugation cancel when
-    # the control is off, so only the central Rz needs the control
-    ops = _frame_ops(alpha, i, True, GateSet.S1) + _frame_ops(beta, j, True, GateSet.S1)
-    ops.append(GateOp("CNOT", (), (i, j)))
-    ops += _ctrl_rz(2 * delta, c, j)
-    ops.append(GateOp("CNOT", (), (i, j)))
-    ops += _frame_ops(alpha, i, False, GateSet.S1) + _frame_ops(beta, j, False, GateSet.S1)
+    # the control is off, so only the central Rz of the S1 form needs the control
+    ops: list[GateOp] = []
+    for op in decompose_pauli_pair(alpha, beta, delta, (i, j), GateSet.S1).ops:
+        ops += _ctrl_rz(op.params[0], c, j) if op.kind == "Rz" else [op]
     return ops
 
 

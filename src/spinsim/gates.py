@@ -8,8 +8,10 @@ All functions here are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -106,10 +108,15 @@ def phase_gate(delta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * delta)]])
 
 
+def check_axes(*axes: str):
+    for a in axes:
+        if a not in AXES:
+            raise InputError(f"axis must be one of {AXES}, got {a!r}")
+
+
 def rotation(axis: str, theta: float) -> np.ndarray:
     """R_axis(theta) = exp(-i theta sigma_axis / 2)."""
-    if axis not in AXES:
-        raise InputError(f"axis must be one of {AXES}, got {axis!r}")
+    check_axes(axis)
     sigma = PAULI[axis.upper()]
     return math.cos(theta / 2) * PAULI["I"] - 1j * math.sin(theta / 2) * sigma
 
@@ -126,6 +133,19 @@ def cphase(delta: float) -> np.ndarray:
     return np.diag([1, 1, 1, np.exp(1j * delta)])
 
 
+def kron_factors(factors: Iterable[np.ndarray]) -> np.ndarray:
+    """Kronecker product of per-qubit factors, qubit 1 first."""
+    out = np.eye(1, dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def string_matrix(letters: str) -> np.ndarray:
+    """Dense matrix of a Pauli string such as ``"XIZ"``."""
+    return kron_factors(PAULI[ch] for ch in letters)
+
+
 def hermitian_expm(generator: np.ndarray) -> np.ndarray:
     """exp(-i G) for Hermitian G, via eigendecomposition."""
     w, v = np.linalg.eigh(generator)
@@ -134,48 +154,32 @@ def hermitian_expm(generator: np.ndarray) -> np.ndarray:
 
 def pauli_pair_exponential(alpha: str, beta: str, delta: float) -> np.ndarray:
     """exp(-i delta sigma_alpha (x) sigma_beta) as a 4x4 unitary."""
-    if alpha not in AXES or beta not in AXES:
-        raise InputError(f"axes must be in {AXES}, got ({alpha!r}, {beta!r})")
-    gen = np.kron(PAULI[alpha.upper()], PAULI[beta.upper()])
-    return hermitian_expm(delta * gen)
+    check_axes(alpha, beta)
+    return hermitian_expm(delta * string_matrix((alpha + beta).upper()))
 
 
 def uxy(delta: float) -> np.ndarray:
     """exp(-i delta (XX + YY)); acts nontrivially only on span{|01>, |10>}."""
-    gen = np.kron(PAULI["X"], PAULI["X"]) + np.kron(PAULI["Y"], PAULI["Y"])
-    return hermitian_expm(delta * gen)
-
-
-def _sigma_phi(phi: float) -> np.ndarray:
-    return math.cos(phi) * PAULI["X"] + math.sin(phi) * PAULI["Y"]
+    return hermitian_expm(delta * (string_matrix("XX") + string_matrix("YY")))
 
 
 def ms_generator(kind: str, theta: float, phi: float, n: int) -> np.ndarray:
     """Hermitian generator G of the collective gate exp(-i G) on n addressed qubits."""
-    if kind in ("MS_T1", "MS_T2"):
-        single = PAULI["Z"]
-    elif kind == "MS_T3":
-        single = _sigma_phi(phi)
-    elif kind == "MS_T4":
+    if kind == "MS_T4":
         if n < 2:
             raise InputError("MS_T4 needs at least two addressed qubits")
-        sp = _sigma_phi(phi)
-        gen = np.zeros((2**n, 2**n), dtype=complex)
-        for i in range(n):
-            for j in range(i + 1, n):
-                term = np.eye(1, dtype=complex)
-                for k in range(n):
-                    term = np.kron(term, sp if k in (i, j) else PAULI["I"])
-                gen += term
-        return theta * gen
+        groups = itertools.combinations(range(n), 2)  # sigma_phi on every pair
+    elif kind in ("MS_T1", "MS_T2", "MS_T3"):
+        groups = itertools.combinations(range(n), 1)  # one operator on each qubit
     else:
         raise InputError(f"not a collective gate kind: {kind}")
+    if kind in ("MS_T1", "MS_T2"):
+        single = PAULI["Z"]
+    else:  # sigma_phi
+        single = math.cos(phi) * PAULI["X"] + math.sin(phi) * PAULI["Y"]
     gen = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        term = np.eye(1, dtype=complex)
-        for k in range(n):
-            term = np.kron(term, single if k == i else PAULI["I"])
-        gen += term
+    for group in groups:
+        gen += kron_factors(single if k in group else PAULI["I"] for k in range(n))
     return theta * gen
 
 

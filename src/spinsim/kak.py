@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .errors import InputError
-from .gates import PAULI, hermitian_expm, rotation
+from .gates import hermitian_expm, rotation, string_matrix
 
 _MAGIC = np.array(
     [
@@ -37,12 +37,9 @@ _SHIFTS = ((0.0, 0.0, 0.0),) + tuple(itertools.product((0.0, np.pi), repeat=3))
 
 def canonical_gate(a: float, b: float, c: float) -> np.ndarray:
     """exp(-i (a XX + b YY + c ZZ)) as a dense 4x4 unitary."""
-    gen = (
-        a * np.kron(PAULI["X"], PAULI["X"])
-        + b * np.kron(PAULI["Y"], PAULI["Y"])
-        + c * np.kron(PAULI["Z"], PAULI["Z"])
+    return hermitian_expm(
+        a * string_matrix("XX") + b * string_matrix("YY") + c * string_matrix("ZZ")
     )
-    return hermitian_expm(gen)
 
 
 def _wrap(ang: np.ndarray, cut: float = 1e-7) -> np.ndarray:

@@ -5,27 +5,31 @@ protocol), and operator spectra via FFT of a phase-swept expectation series.
 Series points (time or theta) are independent; each evaluation owns its
 StateVector, so grids can be distributed across workers if desired.  Results
 are always assembled in grid order.
+
+The correlation routes take U(t) as one in-place function per time
+(``evolutions=``), so compiled Trotter results or the exact evolvers of one
+diagonalization are shared across routes instead of rebuilt by each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .compiler import Circuit, GateSet, controlled_circuit, run_circuit
 from .errors import InputError
 from .gates import GateOp, PAULI
-from .pauli import PauliHamiltonian, PauliString
+from .pauli import PauliHamiltonian, PauliString, _single_site
 from .statevector import (
     StateVector,
     apply_dense_unitary,
     pauli_expectation,
     product_state,
 )
-from .trotter import EvolutionResult, TrotterPlan, evolve, exact_propagator, trotterize
+from .trotter import EvolutionResult, Evolver, TrotterPlan, evolve, exact_evolvers, trotterize
 
 
 def magnetization(state: StateVector, site: int) -> float:
@@ -74,30 +78,24 @@ class CorrelationSpec:
             raise InputError(f"evolution must be exact or trotter, got {self.evolution}")
 
 
-def _evolvers(spec, evolutions: Sequence[EvolutionResult] | None):
+def _evolvers(spec, evolutions: Sequence[Evolver] | None) -> Iterable[Evolver]:
     """One function per time of the spec's grid, applying U(t) to a state in place.
 
     Each U(t) is compiled once, when its function is made, however many states
-    it is applied to.  ``evolutions`` are Trotter results already compiled for
-    the grid, used in place of compiling from the spec.
+    it is applied to.  ``evolutions``, if given, are those functions already
+    made for the grid, used in place of making them from the spec.
     """
-    h = spec.hamiltonian
     if evolutions is not None:
-        if spec.evolution != "trotter":
-            raise InputError("compiled evolutions apply only to the trotter route")
         if len(evolutions) != len(spec.times):
-            raise InputError(
-                f"{len(evolutions)} compiled evolutions for {len(spec.times)} times"
-            )
-    elif spec.evolution == "trotter":
-        evolutions = (trotterize(h, t, spec.plan, spec.gate_set) for t in spec.times)
-    else:
-        targets = tuple(range(1, h.n_qubits + 1))
+            raise InputError(f"{len(evolutions)} evolutions for {len(spec.times)} times")
+        return evolutions
+    h = spec.hamiltonian
+    if spec.evolution == "trotter":
         return (
-            partial(apply_dense_unitary, u=exact_propagator(h, t), targets=targets)
+            partial(evolve, result=trotterize(h, t, spec.plan, spec.gate_set))
             for t in spec.times
         )
-    return (partial(evolve, result=r) for r in evolutions)
+    return exact_evolvers(h, spec.times)
 
 
 def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> StateVector:
@@ -107,12 +105,14 @@ def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> StateVect
 
 
 def correlation_direct(
-    spec: CorrelationSpec, *, evolutions: Sequence[EvolutionResult] | None = None
+    spec: CorrelationSpec, *, evolutions: Sequence[Evolver] | None = None
 ) -> np.ndarray:
     """C_VW(t) by pure statevector algebra: <V U psi | U W psi>.
 
-    ``evolutions``, if given, are the trotter route's U(t) already compiled by
-    ``trotterize`` for each of ``spec.times``.
+    ``evolutions``, if given, replaces the route the spec names: one function
+    per time of ``spec.times`` applying U(t) in place, such as
+    ``partial(evolve, result=r)`` for a compiled Trotter result ``r`` or one
+    of :func:`~spinsim.trotter.exact_evolvers`.
     """
     n = spec.hamiltonian.n_qubits
     out = []
@@ -124,10 +124,6 @@ def correlation_direct(
         evolve_t(left)
         _apply_pauli_letter(left, spec.v, spec.vq)
         out.append(np.vdot(left.amplitudes, right.amplitudes))
-        # on the exact route U(t) is a dense 2^N x 2^N matrix: free it before
-        # the next one is built (hence no enumerate, whose cached result
-        # tuple would keep it alive)
-        del evolve_t
     return np.array(out, dtype=complex)
 
 
@@ -153,9 +149,7 @@ def _controlled_pauli_ops(letter: str, ancilla: int, site: int) -> list[GateOp]:
 
 def _ancilla_readout(state: StateVector, ancilla: int) -> complex:
     """<2 sigma_+> on the ancilla: Re from <sigma_x>, Im from <sigma_y>."""
-    n = state.n_qubits
-    sx = "I" * (ancilla - 1) + "X" + "I" * (n - ancilla)
-    sy = "I" * (ancilla - 1) + "Y" + "I" * (n - ancilla)
+    sx, sy = (_single_site(state.n_qubits, ancilla, letter) for letter in "XY")
     return complex(
         pauli_expectation(state, PauliString(1.0, sx)),
         pauli_expectation(state, PauliString(1.0, sy)),
@@ -163,7 +157,7 @@ def _ancilla_readout(state: StateVector, ancilla: int) -> complex:
 
 
 def correlation_ancilla(
-    spec: CorrelationSpec, *, evolutions: Sequence[EvolutionResult] | None = None
+    spec: CorrelationSpec, *, evolutions: Sequence[Evolver] | None = None
 ) -> np.ndarray:
     """C_VW(t) via the ancilla protocol.
 
@@ -172,7 +166,8 @@ def correlation_ancilla(
     V is applied anti-controlled (X-conjugated control), and C is read off the
     ancilla as <sigma_x> + i <sigma_y>.  Expectations are evaluated exactly on
     the final statevector; there is no shot sampling.  ``evolutions`` is as
-    for :func:`correlation_direct`.
+    for :func:`correlation_direct`; its functions act on the leading system
+    qubits of the widened register.
     """
     n = spec.hamiltonian.n_qubits
     ancilla = n + 1
@@ -187,7 +182,6 @@ def correlation_ancilla(
         evolve_t(state)
         run_circuit(state, Circuit(n + 1, (x_a, *ctrl_v, x_a)))
         out.append(_ancilla_readout(state, ancilla))
-        del evolve_t  # as in correlation_direct
     return np.array(out, dtype=complex)
 
 

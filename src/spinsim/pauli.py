@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .gates import DENSE_QUBIT_LIMIT, PAULI
+from .gates import DENSE_QUBIT_LIMIT, PAULI, string_matrix
 
 # (a, b) -> (product letter, phase) with sigma_a sigma_b = phase * sigma_prod
 _MUL = {
@@ -191,13 +191,6 @@ def disjoint_layers(terms: Sequence[PauliString]) -> list[list[PauliString]]:
             layers.append([term])
             supports.append(sup)
     return layers
-
-
-def string_matrix(letters: str) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for ch in letters:
-        out = np.kron(out, PAULI[ch])
-    return out
 
 
 def dense_matrix(h: PauliHamiltonian) -> np.ndarray:

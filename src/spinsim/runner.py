@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -455,18 +456,20 @@ def run(cfg: ExperimentConfig) -> str:
     for a in cfg.assumptions:
         header.append(f"# assumption: {a}")
 
-    kinds = {o.kind for o in cfg.observables}
-    if kinds == {"fidelity"}:
-        return _run_fidelity(cfg, header)
-    if kinds == {"spectrum"}:
-        return _run_spectrum(cfg, header)
-    return _run_evolution(cfg, header)
-
-
-def _run_fidelity(cfg, header) -> str:
     h = build_hamiltonian(cfg)
+    kinds = {o.kind for o in cfg.observables}
+    if kinds == {"spectrum"}:
+        return _run_spectrum(cfg, h, header)
+    # one time grid and one diagonalization of H for every exact column
+    times = np.linspace(0.0, cfg.t_max, cfg.points)
+    exact = trotter.exact_evolvers(h, times)
+    if kinds == {"fidelity"}:
+        return _run_fidelity(cfg, h, times, exact, header)
+    return _run_evolution(cfg, h, times, exact, header)
+
+
+def _run_fidelity(cfg, h, deltas, exact, header) -> str:
     psi0 = product_state(cfg.n_qubits, cfg.initial)
-    deltas = np.linspace(0.0, cfg.t_max, cfg.points)
     names = []
     plans = []
     for o in cfg.observables:
@@ -478,15 +481,13 @@ def _run_fidelity(cfg, header) -> str:
             plans.append(TrotterPlan.fixed_eps(o.args[1], o.args[2], order=cfg.plan.order))
     rows = ["delta," + ",".join(names)]
     steps_used: list[list[int]] = [[] for _ in plans]
-    for d in deltas:
-        exact = StateVector(
-            cfg.n_qubits, trotter.exact_propagator(h, float(d)) @ psi0.amplitudes
-        )
+    for d, exact_d in zip(deltas, exact):
+        exact_state = exact_d(psi0.copy())
         vals = []
         for k, plan in enumerate(plans):
             result = trotter.trotterize(h, float(d), plan, cfg.gate_set)
             digital = trotter.evolve(psi0.copy(), result)
-            vals.append(abs(inner_product(exact, digital)))
+            vals.append(abs(inner_product(exact_state, digital)))
             steps_used[k].append(result.n_steps_used)
         rows.append(",".join([_fmt(d)] + [_fmt(v) for v in vals]))
     for name, ns in zip(names, steps_used):
@@ -494,8 +495,7 @@ def _run_fidelity(cfg, header) -> str:
     return "\n".join(header + rows) + "\n"
 
 
-def _run_spectrum(cfg, header) -> str:
-    h = build_hamiltonian(cfg)
+def _run_spectrum(cfg, h, header) -> str:
     m = cfg.observables[0].args[0]
     spec = observables.SpectrumSpec(
         operator=h, initial=cfg.initial, m=m,
@@ -509,9 +509,7 @@ def _run_spectrum(cfg, header) -> str:
     return "\n".join(header + rows) + "\n"
 
 
-def _run_evolution(cfg, header) -> str:
-    h = build_hamiltonian(cfg)
-    times = np.linspace(0.0, cfg.t_max, cfg.points)
+def _run_evolution(cfg, h, times, exact, header) -> str:
     scalar_obs = [o for o in cfg.observables if o.kind != "correlation"]
     corr_obs = [o for o in cfg.observables if o.kind == "correlation"]
 
@@ -534,39 +532,39 @@ def _run_evolution(cfg, header) -> str:
     col = 0
     digital = [_digital_evolution(cfg, h, float(t)) for t in times]
     if scalar_obs:
-        for k, t in enumerate(times):
-            exact_state = StateVector(
-                cfg.n_qubits,
-                trotter.exact_propagator(h, float(t)) @ product_state(cfg.n_qubits, cfg.initial).amplitudes,
-            )
-            digital_state = trotter.evolve(product_state(cfg.n_qubits, cfg.initial), digital[k])
+        for k, (exact_t, result) in enumerate(zip(exact, digital)):
+            exact_state = exact_t(product_state(cfg.n_qubits, cfg.initial))
+            digital_state = trotter.evolve(product_state(cfg.n_qubits, cfg.initial), result)
             for m, o in enumerate(scalar_obs):
                 table[k, col + 2 * m] = _scalar_value(o, exact_state)
                 table[k, col + 2 * m + 1] = _scalar_value(o, digital_state)
         col += 2 * len(scalar_obs)
+    # the correlation routes always run the Trotter plan; a fixed variant
+    # replaces it in the scalar columns only
+    trotterized = None
+    if cfg.heis2_variant is None:
+        trotterized = [partial(trotter.evolve, result=r) for r in digital]
     for o in corr_obs:
         v, w, i, j = o.args
-        base_kwargs = dict(
+        # the exact route is always given its evolvers; the trotter routes
+        # compile the spec's plan only under a fixed variant
+        spec = observables.CorrelationSpec(
             v=v, w=w, vq=i, wq=j, initial=cfg.initial, hamiltonian=h,
             times=tuple(float(t) for t in times),
+            evolution="trotter", plan=cfg.plan, gate_set=cfg.gate_set,
         )
-        spec_trotter = observables.CorrelationSpec(
-            evolution="trotter", plan=cfg.plan, gate_set=cfg.gate_set, **base_kwargs
-        )
-        spec_exact = observables.CorrelationSpec(evolution="exact", **base_kwargs)
-        # the correlation routes always run the Trotter plan; a fixed variant
-        # replaces it in the scalar columns only
-        trotterized = digital if cfg.heis2_variant is None else None
         qs = observables.spin_correlation(
-            observables.correlation_ancilla(spec_trotter, evolutions=trotterized)
+            observables.correlation_ancilla(spec, evolutions=trotterized)
         )
         direct = observables.spin_correlation(
-            observables.correlation_direct(spec_trotter, evolutions=trotterized)
+            observables.correlation_direct(spec, evolutions=trotterized)
         )
-        exact = observables.spin_correlation(observables.correlation_direct(spec_exact))
+        exact_c = observables.spin_correlation(
+            observables.correlation_direct(spec, evolutions=exact)
+        )
         table[:, col + 0], table[:, col + 1] = qs.real, qs.imag
         table[:, col + 2], table[:, col + 3] = direct.real, direct.imag
-        table[:, col + 4], table[:, col + 5] = exact.real, exact.imag
+        table[:, col + 4], table[:, col + 5] = exact_c.real, exact_c.imag
         col += 6
     # a fixed variant takes one step, as does the Trotter plan on its commuting
     # two-qubit model
@@ -640,8 +638,8 @@ def verify_suite() -> list[CheckResult]:
     err = 0.0
     for a in "XYZ":
         for b in "XYZ":
-            ma = pauli.string_matrix(a + a)
-            mb = pauli.string_matrix(b + b)
+            ma = gates.string_matrix(a + a)
+            mb = gates.string_matrix(b + b)
             err = max(err, float(np.max(np.abs(ma @ mb - mb @ ma))))
     checks.append(CheckResult("pair-exponential generators commute", err, 1e-12))
 
@@ -679,7 +677,7 @@ def verify_suite() -> list[CheckResult]:
     count_err = 0.0
     for d in rng.uniform(-np.pi, np.pi, 6):
         target = gates.hermitian_expm(
-            float(d) * sum(pauli.string_matrix(a + a) for a in "XYZ")
+            float(d) * sum(gates.string_matrix(a + a) for a in "XYZ")
         )
         for variant, kind, count in (
             ("6cnot", "CNOT", 6), ("3cnot", "CNOT", 3), ("3uxy", "Uxy", 3), ("s4", None, None)
@@ -711,7 +709,7 @@ def verify_suite() -> list[CheckResult]:
             for a3 in "xyz":
                 for d in rng.uniform(-np.pi, np.pi, 2):
                     circ = compiler.decompose_multi_pauli([a1, a2, a3], float(d), (1, 2, 3))
-                    gen = pauli.string_matrix((a1 + a2 + a3).upper())
+                    gen = gates.string_matrix((a1 + a2 + a3).upper())
                     target = gates.hermitian_expm(float(d) * gen)
                     err = max(err, _phase_distance(compiler.circuit_unitary(circ), target))
     checks.append(CheckResult("3-qubit ladder vs dense exponential (27 triples)", err, 1e-10))

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .gates import GateOp, gate_matrix, hadamard
+from .gates import PAULI, GateOp, gate_matrix, hadamard, is_unitary
 from .pauli import PauliString
 
 _DENSE_LIMIT = 26  # 2**26 complex amplitudes == 1 GiB
@@ -146,6 +146,15 @@ def _apply_dense(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarr
     np.copyto(tensor, out.reshape((2,) * n).transpose(inv))
 
 
+def _apply_matrix(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarray):
+    if len(targets) == 1:
+        _apply_1q(amps, n, targets[0], u)
+    elif len(targets) == 2:
+        _apply_2q(amps, n, *targets, u)
+    else:
+        _apply_dense(amps, n, targets, u)
+
+
 @lru_cache(maxsize=8192)
 def _cached_matrix(kind: str, params: tuple, k_targets: int) -> np.ndarray:
     # the dense matrix is independent of which qubits the gate addresses
@@ -232,14 +241,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
             view[:, 1, :, 0, :] *= ph
             view[:, 1, :, 1, :] *= ph.conjugate()
         return state
-    u = _cached_matrix(kind, gate.params, len(gate.targets))
-    k = len(gate.targets)
-    if k == 1:
-        _apply_1q(amps, n, gate.targets[0], u)
-    elif k == 2:
-        _apply_2q(amps, n, *gate.targets, u)
-    else:
-        _apply_dense(amps, n, gate.targets, u)
+    _apply_matrix(amps, n, gate.targets, _cached_matrix(kind, gate.params, len(gate.targets)))
     return state
 
 
@@ -250,14 +252,9 @@ def apply_dense_unitary(
     _check_targets(state.n_qubits, targets)
     if u.shape != (2 ** len(targets), 2 ** len(targets)):
         raise InputError(f"matrix shape {u.shape} does not match {len(targets)} targets")
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-10:
+    if not is_unitary(u):
         raise InputError("matrix is not unitary within 1e-10")
-    if len(targets) == 1:
-        _apply_1q(state.amplitudes, state.n_qubits, targets[0], u)
-    elif len(targets) == 2:
-        _apply_2q(state.amplitudes, state.n_qubits, *targets, u)
-    else:
-        _apply_dense(state.amplitudes, state.n_qubits, targets, u)
+    _apply_matrix(state.amplitudes, state.n_qubits, targets, u)
     return state
 
 
@@ -287,8 +284,6 @@ def pauli_expectation(state: StateVector, p: PauliString) -> float:
             f"Pauli string length {len(p.letters)} does not match register size"
         )
     phi = state.copy()
-    from .gates import PAULI
-
     for q, letter in enumerate(p.letters, start=1):
         if letter != "I":
             _apply_1q(phi.amplitudes, state.n_qubits, q, PAULI[letter])

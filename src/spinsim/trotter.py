@@ -19,8 +19,10 @@ forward run followed by a backward run with the same plan is an exact identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -45,6 +47,9 @@ from .pauli import (
     mul_letters,
 )
 from .statevector import StateVector, inner_product
+
+#: applies U(t) for one time t to a state in place and returns the state
+Evolver = Callable[[StateVector], StateVector]
 
 
 @dataclass(frozen=True)
@@ -167,15 +172,19 @@ def steps_for_phase(delta: float, eps: float, growth: str = "quadratic") -> int:
     quadratic: n = max(1, ceil(delta^2 / 2 eps)); linear: n = max(1,
     ceil(delta / 2 eps)).
     """
-    if delta < 0:
-        raise InputError(f"phase must be nonnegative, got {delta}")
+    if not 0 <= delta < math.inf:
+        raise InputError(f"phase must be finite and nonnegative, got {delta}")
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    if growth == "quadratic":
-        return max(1, math.ceil(delta**2 / (2 * eps)))
-    if growth == "linear":
-        return max(1, math.ceil(delta / (2 * eps)))
-    raise InputError(f"growth must be linear or quadratic, got {growth}")
+    if growth not in ("linear", "quadratic"):
+        raise InputError(f"growth must be linear or quadratic, got {growth}")
+    try:
+        n = math.ceil((delta**2 if growth == "quadratic" else delta) / (2 * eps))
+    except OverflowError:
+        n = math.inf
+    if n > sys.maxsize:
+        raise InputError(f"phase {delta} needs more Trotter steps than an index holds")
+    return max(1, n)
 
 
 def _sum_commutator_is_zero(fields: list[PauliString], rest: list[PauliString]) -> bool:
@@ -327,6 +336,35 @@ def exact_propagator(h: PauliHamiltonian, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
+def exact_evolvers(h: PauliHamiltonian, times: Iterable[float]) -> list[Evolver]:
+    """exp(-i H t) for each of ``times``, as functions evolving a state in place.
+
+    Diagonalizes the dense Hamiltonian once, H = V diag(w) V^dag.  The function
+    for t applies V e^{-iwt} V^dag to the leading N qubits of a state, which may
+    be widened by trailing qubits (an ancilla) as in :func:`evolve`.
+    """
+    w, v = np.linalg.eigh(dense_matrix(h))
+
+    def evolver(t: float) -> Evolver:
+        with np.errstate(all="ignore"):  # a non-finite phase is rejected below
+            phases = np.exp(-1j * w * t)
+        if not np.isfinite(phases).all():
+            raise InputError(f"exact evolution needs a finite time and phase, got t = {t}")
+
+        def apply(state: StateVector) -> StateVector:
+            if h.n_qubits > state.n_qubits:
+                raise InputError(f"state has {state.n_qubits} qubits, H acts on {h.n_qubits}")
+            x = state.amplitudes.reshape(len(w), -1)
+            # V^dag x as conj(V^T conj(x)): no conjugated copy of V
+            coeffs = (v.T @ x.conj()).conj()
+            state.amplitudes[:] = (v @ (phases[:, None] * coeffs)).reshape(-1)
+            return state
+
+        return apply
+
+    return [evolver(float(t)) for t in times]
+
+
 def digital_fidelity(
     psi0: StateVector,
     h: PauliHamiltonian,
@@ -337,7 +375,7 @@ def digital_fidelity(
     """|<psi_exact(t) | psi_trotter(t)>| on the statevector backend."""
     if psi0.n_qubits != h.n_qubits:
         raise InputError("state and Hamiltonian register sizes differ")
-    exact = StateVector(psi0.n_qubits, exact_propagator(h, t) @ psi0.amplitudes)
+    exact = exact_evolvers(h, (t,))[0](psi0.copy())
     digital = evolve(psi0.copy(), trotterize(h, t, plan, gate_set))
     return float(abs(inner_product(exact, digital)))
 

@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from spinsim.compiler import GateSet
 from spinsim.errors import InputError
+from spinsim.gates import PAULI
 from spinsim.observables import (
     CorrelationSpec,
     SpectrumSpec,
@@ -15,7 +18,7 @@ from spinsim.observables import (
 )
 from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain
 from spinsim.statevector import basis_state, product_state
-from spinsim.trotter import TrotterPlan, exact_propagator
+from spinsim.trotter import TrotterPlan, evolve, exact_evolvers, exact_propagator, trotterize
 
 RNG = np.random.default_rng(60)
 
@@ -138,6 +141,56 @@ class TestRouteEquivalence:
         d = correlation_direct(CorrelationSpec(evolution="exact", **spec_kwargs))
         a = correlation_ancilla(CorrelationSpec(evolution="exact", **spec_kwargs))
         assert np.max(np.abs(d - a)) <= 1e-10
+
+
+class TestGivenEvolutions:
+    """``evolutions=`` carries per-time in-place evolvers for either route."""
+
+    def spec(self, evolution, times=np.linspace(0, 2, 5)):
+        return CorrelationSpec(
+            v="Y", w="X", vq=3, wq=1, initial="101", hamiltonian=fig6_system(),
+            times=times, evolution=evolution, plan=TrotterPlan.fixed_n(3),
+        )
+
+    def test_exact_evolvers_replace_the_trotter_route(self):
+        exact = exact_evolvers(fig6_system(), self.spec("exact").times)
+        for route in (correlation_direct, correlation_ancilla):
+            assert np.array_equal(
+                route(self.spec("trotter"), evolutions=exact), route(self.spec("exact"))
+            )
+
+    def test_trotter_evolvers_replace_the_exact_route(self):
+        spec = self.spec("trotter")
+        compiled = [
+            partial(evolve, result=trotterize(spec.hamiltonian, t, spec.plan))
+            for t in spec.times
+        ]
+        for route in (correlation_direct, correlation_ancilla):
+            assert np.array_equal(
+                route(self.spec("exact"), evolutions=compiled), route(spec)
+            )
+
+    def test_exact_route_against_dense_oracle(self):
+        spec = self.spec("exact")
+        want = []
+        for t in spec.times:
+            u = exact_propagator(spec.hamiltonian, t)
+            psi = product_state(3, "101").amplitudes
+            x1 = np.kron(PAULI["X"], np.eye(4))
+            y3 = np.kron(np.eye(4), PAULI["Y"])
+            want.append(np.vdot(y3 @ u @ psi, u @ x1 @ psi))
+        assert np.max(np.abs(correlation_direct(spec) - np.array(want))) <= 1e-12
+
+    def test_count_must_match_grid(self):
+        spec = self.spec("exact")
+        exact = exact_evolvers(spec.hamiltonian, spec.times[:-1])
+        with pytest.raises(InputError):
+            correlation_direct(spec, evolutions=exact)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_exact_route_rejects_non_finite_time(self, bad):
+        with pytest.raises(InputError):
+            correlation_direct(self.spec("exact", times=[0.0, 1.0, bad]))
 
 
 class TestSpecValidation:

@@ -414,6 +414,16 @@ class TestCli:
         pytest.param(
             _model("kind = pauli-file\nn_qubits = 2\nfile = {missing}"), id="hamiltonian-missing"
         ),
+        pytest.param(
+            _model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\nschedule = fixed_eps\n"
+                   "[time]\nmax = 1e200"),
+            id="fixed-eps-steps-overflow",
+        ),
+        pytest.param(
+            _model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\nschedule = fixed_eps\n"
+                   "[time]\nmax = 1e12"),
+            id="fixed-eps-steps-past-index",
+        ),
     ])
     def test_parse_error_exits_2(self, tmp_path, capsys, config):
         ham = tmp_path / "h.txt"
@@ -426,6 +436,15 @@ class TestCli:
         else:
             cfgfile.write_text(config.format(ham=ham, missing=tmp_path / "missing.txt"))
         assert cli_main(["run", str(cfgfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_dump_circuit_steps_past_index_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "long.cfg"
+        cfgfile.write_text(
+            _model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\nschedule = fixed_eps\n"
+                   "[time]\nmax = 1e12")
+        )
+        assert cli_main(["dump-circuit", str(cfgfile)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):

@@ -23,6 +23,7 @@ from spinsim.trotter import (
     commutator_error_bound,
     digital_fidelity,
     evolve,
+    exact_evolvers,
     exact_propagator,
     steps_for_phase,
     trotterize,
@@ -73,6 +74,21 @@ class TestStepsForPhase:
     def test_bad_eps(self):
         with pytest.raises(InputError):
             steps_for_phase(1.0, 1.5)
+
+    @pytest.mark.parametrize("delta, growth", [
+        pytest.param(float("nan"), "quadratic", id="nan"),
+        pytest.param(float("inf"), "quadratic", id="inf"),
+        pytest.param(float("inf"), "linear", id="inf-linear"),
+        # finite phases whose step count does not fit a float
+        pytest.param(1e200, "quadratic", id="square-overflows"),
+        pytest.param(1e308, "linear", id="ratio-overflows"),
+        # a step count no index can hold
+        pytest.param(1e10, "quadratic", id="steps-past-index"),
+        pytest.param(1e19, "linear", id="steps-past-index-linear"),
+    ])
+    def test_non_finite_or_overflowing_phase_rejected(self, delta, growth):
+        with pytest.raises(InputError):
+            steps_for_phase(delta, 0.1, growth)
 
 
 class TestTrotterize:
@@ -125,6 +141,12 @@ class TestTrotterize:
         res = trotterize(h, 1.3, TrotterPlan.fixed_n(1))
         u = circuit_unitary(res.circuit)
         assert np.max(np.abs(u - exact_propagator(h, 1.3))) <= 1e-10
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 1e200, 1e12],
+                             ids=["nan", "inf", "1e200", "1e12"])
+    def test_fixed_eps_non_finite_or_overflowing_time_rejected(self, t):
+        with pytest.raises(InputError):
+            trotterize(fig2_hamiltonian(), t, TrotterPlan.fixed_eps(0.1))
 
     def test_empty_hamiltonian_rejected(self):
         with pytest.raises(InputError):
@@ -235,6 +257,135 @@ def test_fig2_compiles_once_per_delta_and_plan(monkeypatch):
     assert len(calls) == len(set(calls)) == cfg.points * len(cfg.observables) == 138
 
 
+def _count_dense_matrix(monkeypatch) -> list:
+    calls = []
+    original = trotter.dense_matrix
+
+    def counting(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(trotter, "dense_matrix", counting)
+    return calls
+
+
+EVOLUTION_CONFIG = """
+[model]
+kind = heisenberg
+n_qubits = 3
+j = 1.0 0.7
+bg = 0.4
+[initial]
+state = 010
+[time]
+max = 1.0
+points = 6
+[observables]
+observable = magnetization 1
+observable = probability 010
+observable = correlation X Z 1 2
+observable = correlation Y Y 3 3
+"""
+
+SPECTRUM_CONFIG = """
+[model]
+kind = tim
+n_qubits = 2
+h = 1
+[initial]
+state = 00
+[observables]
+observable = spectrum 16
+"""
+
+
+@pytest.mark.parametrize("cfg, diagonalizations", [
+    pytest.param(lambda: runner.figure_preset("fig2"), 1, id="fig2"),
+    # scalar columns and two exact correlation routes share one reference
+    pytest.param(lambda: runner.parse_config(EVOLUTION_CONFIG), 1, id="evolution"),
+    pytest.param(lambda: runner.parse_config(SPECTRUM_CONFIG), 0, id="spectrum"),
+])
+def test_one_diagonalization_per_run(monkeypatch, cfg, diagonalizations):
+    calls = _count_dense_matrix(monkeypatch)
+    runner.run(cfg())
+    assert len(calls) == diagonalizations
+
+
+def test_spectrum_runs_past_dense_limit(monkeypatch):
+    # a spectrum has no exact reference, so 13 qubits need no dense matrix
+    calls = _count_dense_matrix(monkeypatch)
+    text = SPECTRUM_CONFIG.replace("n_qubits = 2", "n_qubits = 13")
+    text = text.replace("state = 00", "state = " + "0" * 13).replace("spectrum 16", "spectrum 2")
+    lines = runner.run(runner.parse_config(text)).splitlines()
+    assert lines[lines.index("q,weight") + 1:]
+    assert calls == []
+
+
+def random_real_pauli_hamiltonian(n: int) -> PauliHamiltonian:
+    terms = [
+        PauliString(float(RNG.normal()), "".join(RNG.choice(list("IXYZ"), size=n)))
+        for _ in range(n + 3)
+    ]
+    terms.append(PauliString(0.5, "Z" * n))  # never only identities
+    return PauliHamiltonian(n, terms)
+
+
+class TestExactEvolvers:
+    """The evolvers of one diagonalization against the dense propagator."""
+
+    TIMES = (0.0, 0.37, -1.3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_plain_state(self, n):
+        h = random_real_pauli_hamiltonian(n)
+        for t, evolve_t in zip(self.TIMES, exact_evolvers(h, self.TIMES)):
+            psi = random_state(n)
+            want = exact_propagator(h, t) @ psi.amplitudes
+            assert np.max(np.abs(evolve_t(psi).amplitudes - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_trailing_ancilla(self, n):
+        h = random_real_pauli_hamiltonian(n)
+        for t, evolve_t in zip(self.TIMES, exact_evolvers(h, self.TIMES)):
+            psi = random_state(n + 1)
+            want = np.kron(exact_propagator(h, t), np.eye(2)) @ psi.amplitudes
+            assert np.max(np.abs(evolve_t(psi).amplitudes - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_strided_amplitudes_updated_in_place(self, n):
+        # a state over every other entry of a larger array, reversed, is
+        # updated through that array
+        h = random_real_pauli_hamiltonian(n)
+        for t, evolve_t in zip(self.TIMES, exact_evolvers(h, self.TIMES)):
+            base = random_state(n).amplitudes
+            backing = np.zeros(2 ** (n + 1), dtype=complex)
+            backing[::-2] = base
+            evolve_t(StateVector(n, backing[::-2]))
+            want = exact_propagator(h, t) @ base
+            assert np.max(np.abs(backing[::-2] - want)) <= 1e-12
+            assert np.all(backing[::2] == 0)
+
+    def test_evolvers_reused_across_states(self):
+        h = random_real_pauli_hamiltonian(3)
+        (evolve_t,) = exact_evolvers(h, [0.8])
+        u = exact_propagator(h, 0.8)
+        for _ in range(3):
+            psi = random_state(3)
+            want = u @ psi.amplitudes
+            assert np.max(np.abs(evolve_t(psi).amplitudes - want)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 1e308],
+                             ids=["nan", "inf", "-inf", "phase-overflows"])
+    def test_non_finite_time_or_phase_rejected(self, t):
+        with pytest.raises(InputError):
+            exact_evolvers(heisenberg_chain(2, 1.0, 0.5), [0.0, t])
+
+    def test_narrow_register_rejected(self):
+        (evolve_t,) = exact_evolvers(heisenberg_chain(3, 1.0), [0.5])
+        with pytest.raises(InputError):
+            evolve_t(random_state(2))
+
+
 class TestTrotterScaling:
     def fit_slope(self, order):
         h = fig2_hamiltonian()
@@ -338,6 +489,7 @@ class TestPlanValidation:
     pytest.param(dense_matrix, id="dense_matrix"),
     pytest.param(lambda h: circuit_unitary(Circuit(h.n_qubits, ())), id="circuit_unitary"),
     pytest.param(lambda h: exact_propagator(h, 1.0), id="exact_propagator"),
+    pytest.param(lambda h: exact_evolvers(h, [1.0]), id="exact_evolvers"),
 ])
 def test_dense_limit_at_13_qubits(dense):
     with pytest.raises(ResourceError):
