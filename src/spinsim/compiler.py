@@ -465,7 +465,13 @@ def _controlled_op(op: GateOp, c: int) -> list[GateOp]:
 
 
 def controlled_circuit(circuit: Circuit, control: int) -> Circuit:
-    """Mechanically controlled version of every gate (and the global phase)."""
+    """The hardware circuit of ``circuit`` controlled on qubit ``control``.
+
+    Each gate becomes controlled S1 gates and the global phase a phase gate on
+    the control; MS gates have no such spelling (``InputError``).  This is the
+    circuit a device runs for an ancilla protocol.  It is not simulated: the
+    observables apply the plain operation to the amplitudes with the control at 1.
+    """
     n = max(circuit.n_qubits, control)
     ops: list[GateOp] = []
     if circuit.global_phase != 0.0:

@@ -6,4 +6,4 @@ class InputError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """Register too large for a dense operation. CLI maps this to exit code 3."""
+    """Register or plan past a resource limit. CLI maps this to exit code 3."""

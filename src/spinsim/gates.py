@@ -23,6 +23,10 @@ SQRT2 = math.sqrt(2.0)
 #: unitary or folded Trotter step)
 DENSE_QUBIT_LIMIT = 12
 
+#: most gate applications one compiled evolution may take (Trotter steps times
+#: gates per step); a plan past it is refused before it runs
+GATE_BUDGET = 10**8
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

@@ -9,6 +9,10 @@ are always assembled in grid order.
 The correlation routes take U(t) as one in-place function per time
 (``evolutions=``), so compiled Trotter results or the exact evolvers of one
 diagonalization are shared across routes instead of rebuilt by each.
+
+The ancilla protocols put one extra qubit after the system qubits.  An
+operation controlled on it runs as the plain operation on the amplitudes with
+the ancilla at 1 (:func:`_half`), not as a controlled gate circuit.
 """
 
 from __future__ import annotations
@@ -19,17 +23,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .compiler import Circuit, GateSet, controlled_circuit, run_circuit
+from .compiler import GateSet
 from .errors import InputError
-from .gates import GateOp, PAULI
-from .pauli import PauliHamiltonian, PauliString, _single_site
-from .statevector import (
-    StateVector,
-    apply_dense_unitary,
-    pauli_expectation,
-    product_state,
-)
-from .trotter import EvolutionResult, Evolver, TrotterPlan, evolve, exact_evolvers, trotterize
+from .gates import PAULI
+from .pauli import PauliHamiltonian
+from .statevector import StateVector, apply_dense_unitary, product_state
+from .trotter import Evolver, TrotterPlan, evolve, exact_evolvers, trotterize
 
 
 def magnetization(state: StateVector, site: int) -> float:
@@ -98,10 +97,9 @@ def _evolvers(spec, evolutions: Sequence[Evolver] | None) -> Iterable[Evolver]:
     return exact_evolvers(h, spec.times)
 
 
-def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> StateVector:
+def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> None:
     if letter != "I":
         apply_dense_unitary(state, PAULI[letter], (site,))
-    return state
 
 
 def correlation_direct(
@@ -127,61 +125,39 @@ def correlation_direct(
     return np.array(out, dtype=complex)
 
 
-def _controlled_pauli_ops(letter: str, ancilla: int, site: int) -> list[GateOp]:
-    if letter == "I":
-        return []
-    if letter == "X":
-        return [GateOp("CNOT", (), (ancilla, site))]
-    if letter == "Y":
-        return [
-            GateOp("Phase", (-np.pi / 2,), (site,)),
-            GateOp("CNOT", (), (ancilla, site)),
-            GateOp("Phase", (np.pi / 2,), (site,)),
-        ]
-    if letter == "Z":
-        return [
-            GateOp("H", (), (site,)),
-            GateOp("CNOT", (), (ancilla, site)),
-            GateOp("H", (), (site,)),
-        ]
-    raise InputError(f"not a Pauli letter: {letter!r}")
+def _half(state: StateVector, bit: int) -> StateVector:
+    """A view of the amplitudes of ``state`` with its trailing ancilla at ``bit``.
+
+    Applied to half 1, an operation is controlled on the ancilla; to half 0, anti-controlled.
+    """
+    return StateVector(state.n_qubits - 1, state.amplitudes[bit::2])
 
 
-def _ancilla_readout(state: StateVector, ancilla: int) -> complex:
-    """<2 sigma_+> on the ancilla: Re from <sigma_x>, Im from <sigma_y>."""
-    sx, sy = (_single_site(state.n_qubits, ancilla, letter) for letter in "XY")
-    return complex(
-        pauli_expectation(state, PauliString(1.0, sx)),
-        pauli_expectation(state, PauliString(1.0, sy)),
-    )
+def _ancilla_readout(state: StateVector) -> complex:
+    """<2 sigma_+> = <sigma_x> + i <sigma_y> on the trailing ancilla."""
+    return complex(2 * np.vdot(_half(state, 0).amplitudes, _half(state, 1).amplitudes))
 
 
 def correlation_ancilla(
     spec: CorrelationSpec, *, evolutions: Sequence[Evolver] | None = None
 ) -> np.ndarray:
-    """C_VW(t) via the ancilla protocol.
+    """C_VW(t) via the ancilla protocol (Somma et al., PRA 65, 042323 (2002)).
 
-    The register gains one ancilla (last qubit) prepared in |+>; W is applied
-    controlled on the ancilla, the evolution runs uncontrolled on the system,
-    V is applied anti-controlled (X-conjugated control), and C is read off the
-    ancilla as <sigma_x> + i <sigma_y>.  Expectations are evaluated exactly on
-    the final statevector; there is no shot sampling.  ``evolutions`` is as
-    for :func:`correlation_direct`; its functions act on the leading system
-    qubits of the widened register.
+    One ancilla in |+> follows the system qubits.  W runs on the ancilla's one
+    half (controlled), U(t) on the system, V on the zero half (anti-controlled),
+    and C is read off the ancilla as <sigma_x> + i <sigma_y>, exactly: there is
+    no shot sampling.  ``evolutions`` is as for :func:`correlation_direct`; its
+    functions act on the leading system qubits of the widened register.
     """
     n = spec.hamiltonian.n_qubits
-    ancilla = n + 1
-    ctrl_w = _controlled_pauli_ops(spec.w, ancilla, spec.wq)
-    ctrl_v = _controlled_pauli_ops(spec.v, ancilla, spec.vq)
-    x_a = GateOp("X", (), (ancilla,))
     out = []
     for evolve_t in _evolvers(spec, evolutions):
         state = product_state(n + 1, spec.initial + "+")
-        run_circuit(state, Circuit(n + 1, tuple(ctrl_w)))
+        _apply_pauli_letter(_half(state, 1), spec.w, spec.wq)
         # U(t) acts on the system qubits 1..n, which lead the extended register
         evolve_t(state)
-        run_circuit(state, Circuit(n + 1, (x_a, *ctrl_v, x_a)))
-        out.append(_ancilla_readout(state, ancilla))
+        _apply_pauli_letter(_half(state, 0), spec.v, spec.vq)
+        out.append(_ancilla_readout(state))
     return np.array(out, dtype=complex)
 
 
@@ -228,38 +204,18 @@ class SpectrumSpec:
 def unitary_expectation_series(spec: SpectrumSpec) -> np.ndarray:
     """<psi| exp(-i Q theta) |psi> over the theta grid, via the ancilla route.
 
-    Each controlled exp(-i Q theta) is compiled by trotterizing Q at phase
-    theta and mechanically controlling every gate of the prefix and of the
-    step, once each; the controlled step then repeats like the plain one.
+    For each theta, Q is trotterized at phase theta and the compiled evolution,
+    global phase included, runs on the ancilla-one half of |psi>|+>: that is
+    exp(-i Q theta) controlled on the ancilla, on any gate set.
     """
     n = spec.operator.n_qubits
-    ancilla = n + 1
     dtheta = spec.spacing()
     out = np.empty(spec.m, dtype=complex)
     for k in range(spec.m):
-        theta = k * dtheta
-        evol = trotterize(spec.operator, theta, spec.plan, spec.gate_set)
         state = product_state(n + 1, spec.initial + "+")
-        evolve(state, _controlled_evolution(evol, ancilla))
-        out[k] = _ancilla_readout(state, ancilla)
+        evolve(_half(state, 1), trotterize(spec.operator, k * dtheta, spec.plan, spec.gate_set))
+        out[k] = _ancilla_readout(state)
     return out
-
-
-def _controlled_evolution(result: EvolutionResult, control: int) -> EvolutionResult:
-    """``result`` with every gate controlled on ``control``.
-
-    The global phase becomes a phase gate on the control, put in front of the
-    prefix; it is diagonal on the control and so commutes with every
-    controlled gate.
-    """
-    head = Circuit(result.prefix.n_qubits, result.prefix.ops, result.global_phase)
-    return EvolutionResult(
-        controlled_circuit(head, control),
-        controlled_circuit(result.step, control),
-        result.n_steps_used,
-        result.phase,
-        mirrored=result.mirrored,
-    )
 
 
 def _refine_peak(series: np.ndarray, dtheta: float, q0: float, half_width: float) -> float:

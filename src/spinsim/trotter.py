@@ -37,7 +37,7 @@ from .compiler import (
     _su2_ops,
 )
 from .errors import InputError, ResourceError
-from .gates import DENSE_QUBIT_LIMIT, GateOp, hermitian_expm, PAULI
+from .gates import DENSE_QUBIT_LIMIT, GATE_BUDGET, GateOp, hermitian_expm, PAULI
 from .pauli import (
     PauliHamiltonian,
     PauliString,
@@ -248,6 +248,7 @@ def trotterize(
     """Compile exp(-i H t) per the plan's splitting and schedule.
 
     The step is compiled once; the result repeats it ``n_steps_used`` times.
+    A plan over ``GATE_BUDGET`` gate applications raises ``ResourceError``.
     """
     if len(h.terms) == 0:
         raise InputError("cannot trotterize an empty Hamiltonian")
@@ -322,6 +323,9 @@ def trotterize(
                 step += tc.ops
                 if tc.global_phase:
                     term_phases.append(tc.global_phase)
+    if n * len(step) > GATE_BUDGET:
+        raise ResourceError(f"{n} Trotter steps of {len(step)} gates are {n * len(step)} "
+                            f"gate applications, over the budget of {GATE_BUDGET}")
     # one addition per term and step, as the unrolled circuit accumulates it
     for _ in range(n if term_phases else 0):
         for ph in term_phases:

@@ -16,6 +16,13 @@ fixed-eps second-order plan with scalar and correlation columns, a fixed
 Heisenberg bond variant whose correlations compile their own Trotter plan, and
 a Jordan-Wigner fidelity sweep).
 
+The ``spectrum-*.csv`` files, and the ``spectrum-*.series`` expectation
+series they were fitted to (one ``re,im`` line per theta), were written by the
+program as it stood before the ancilla control of a spectrum run was applied
+to an amplitude half instead of a controlled gate circuit, from the configs in
+``SPECTRUM_CONFIGS``: the criterion 8 setting and non-commuting fixed-eps
+plans, whose folded steps repeat up to thousands of times.
+
 Preset values may move by float rounding (the folded step multiplies a dense
 matrix instead of applying gates), so they are compared within 1e-9; every
 comment line, the column names, the ``verify`` report and the compiled
@@ -29,6 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spinsim import observables
 from spinsim.compiler import GateSet, controlled_circuit, dumps_circuit, heisenberg2_circuit
 from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
 from spinsim.runner import (
@@ -99,6 +107,51 @@ points = 11
 observable = fidelity fixed_n 3
 observable = fidelity fixed_eps 0.1 linear
 observable = fidelity fixed_eps 0.2 quadratic
+""",
+}
+
+
+SPECTRUM_CONFIGS = {
+    # criterion 8: |01> splits evenly over the eigenvalues -3 and +1
+    "heis2": """
+[model]
+kind = heisenberg
+n_qubits = 2
+j = 1.0
+[initial]
+state = 01
+[observables]
+observable = spectrum 1024
+""",
+    # fields that do not commute with the bonds, first order
+    "tim3-eps": """
+[model]
+kind = tim
+n_qubits = 3
+h = 0.7
+[initial]
+state = 0+1
+[evolution]
+schedule = fixed_eps
+eps = 0.05
+[observables]
+observable = spectrum 64
+""",
+    # the same model under a second-order plan on the exchange gate set
+    "tim3-eps-order2-s2": """
+[model]
+kind = tim
+n_qubits = 3
+h = 0.7
+[initial]
+state = 0+1
+[evolution]
+gateset = S2
+order = 2
+schedule = fixed_eps
+eps = 0.05
+[observables]
+observable = spectrum 32
 """,
 }
 
@@ -191,6 +244,41 @@ def test_preset_matches_golden(fid, preset_output):
 @pytest.mark.parametrize("name", RUN_CONFIGS)
 def test_run_config_matches_golden(name):
     _assert_matches_golden(run(parse_config(RUN_CONFIGS[name])), f"run-{name}")
+
+
+def run_spectrum(text: str, monkeypatch) -> tuple[str, np.ndarray]:
+    """The CSV of a spectrum config and the expectation series it was fitted to."""
+    series = []
+    fit = observables.spectrum_from_series
+    monkeypatch.setattr(
+        observables, "spectrum_from_series", lambda s, d: series.append(s) or fit(s, d)
+    )
+    csv = run(parse_config(text))
+    return csv, series[0]
+
+
+def _read_series(text: str) -> np.ndarray:
+    return np.array([complex(*map(float, ln.split(","))) for ln in text.splitlines()])
+
+
+@pytest.mark.parametrize("name", SPECTRUM_CONFIGS)
+def test_spectrum_config_matches_golden(name, monkeypatch):
+    # a spectrum CSV has no n_steps_used line, so this does not go through
+    # _assert_matches_golden
+    csv, series = run_spectrum(SPECTRUM_CONFIGS[name], monkeypatch)
+    comments, columns, values = _split(csv)
+    gold = _split((GOLDEN / f"spectrum-{name}.csv").read_text())
+    assert comments == gold[0]
+    assert any(ln.startswith("# theta grid") for ln in comments)
+    assert columns == gold[1] == "q,weight"
+    gold_series = _read_series((GOLDEN / f"spectrum-{name}.series").read_text())
+    assert series.shape == gold_series.shape
+    assert np.max(np.abs(series - gold_series)) <= 1e-9
+    # the fit refines each q by golden-section search on |DTFT(q)|, which is
+    # flat to float precision within ~1e-9 of its peak: noise of 1e-15 on
+    # the tim3-eps series moves a fitted q by 2.3e-9
+    assert values.shape == gold[2].shape
+    assert np.max(np.abs(values - gold[2])) <= 1e-8
 
 
 @pytest.mark.parametrize("fid", FIGURE_IDS)

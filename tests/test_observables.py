@@ -3,12 +3,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spinsim.compiler import GateSet
+import spinsim
+from spinsim import compiler, runner
+from spinsim.compiler import Circuit, GateSet, circuit_unitary, controlled_circuit, run_circuit
 from spinsim.errors import InputError
-from spinsim.gates import PAULI
+from spinsim.gates import PAULI, GateOp
 from spinsim.observables import (
     CorrelationSpec,
     SpectrumSpec,
+    _half,
     correlation_ancilla,
     correlation_direct,
     magnetization,
@@ -16,9 +19,16 @@ from spinsim.observables import (
     spin_correlation,
     unitary_expectation_series,
 )
-from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain
-from spinsim.statevector import basis_state, product_state
-from spinsim.trotter import TrotterPlan, evolve, exact_evolvers, exact_propagator, trotterize
+from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
+from spinsim.statevector import StateVector, basis_state, pauli_expectation, product_state
+from spinsim.trotter import (
+    EvolutionResult,
+    TrotterPlan,
+    evolve,
+    exact_evolvers,
+    exact_propagator,
+    trotterize,
+)
 
 RNG = np.random.default_rng(60)
 
@@ -238,14 +248,188 @@ class TestUnitaryExpectationSeries:
         series = unitary_expectation_series(spec)
         assert series[0] == pytest.approx(1.0, abs=1e-10)
 
-    def test_matches_dense_oracle(self):
+    @pytest.mark.parametrize("gate_set", list(GateSet), ids=lambda g: g.value)
+    def test_matches_dense_oracle(self, gate_set):
         q = heisenberg_chain(2, [1.0], 0.0)
-        spec = SpectrumSpec(operator=q, initial="01", m=16, dtheta=0.22)
+        spec = SpectrumSpec(operator=q, initial="01", m=16, dtheta=0.22, gate_set=gate_set)
         series = unitary_expectation_series(spec)
         psi = product_state(2, "01").amplitudes
         for k in range(16):
             u = exact_propagator(q, k * 0.22)
             assert series[k] == pytest.approx(complex(np.vdot(psi, u @ psi)), abs=1e-10)
+
+
+def random_state(n):
+    amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def controlled_evolution(result: EvolutionResult, control: int) -> EvolutionResult:
+    """``result`` with every gate controlled on ``control``, as gate circuits.
+
+    The global phase becomes a phase gate on the control in front of the
+    prefix; it is diagonal on the control and commutes with every controlled
+    gate.
+    """
+    head = Circuit(result.prefix.n_qubits, result.prefix.ops, result.global_phase)
+    return EvolutionResult(
+        controlled_circuit(head, control),
+        controlled_circuit(result.step, control),
+        result.n_steps_used,
+        result.phase,
+        mirrored=result.mirrored,
+    )
+
+
+def ancilla_readout(state: StateVector) -> complex:
+    """<sigma_x> + i <sigma_y> on the last qubit, from Pauli-string expectations."""
+    n = state.n_qubits
+    sx, sy = (PauliString(1.0, "I" * (n - 1) + letter) for letter in "XY")
+    return complex(pauli_expectation(state, sx), pauli_expectation(state, sy))
+
+
+def pauli_circuit(n: int, letter: str, site: int) -> Circuit:
+    """The Pauli letter on ``site`` as one gate of the circuit format, phase included."""
+    if letter == "I":
+        return Circuit(n, ())
+    if letter == "Y":  # Y = e^{i pi/2} Ry(pi)
+        return Circuit(n, (GateOp("Ry", (np.pi,), (site,)),), np.pi / 2)
+    kind, params = {"X": ("X", ()), "Z": ("Phase", (np.pi,))}[letter]
+    return Circuit(n, (GateOp(kind, params, (site,)),))
+
+
+def controlled_correlation(spec: CorrelationSpec, evolutions) -> np.ndarray:
+    """The ancilla protocol run as controlled gate circuits.
+
+    W is controlled on the ancilla and V anti-controlled (X on the ancilla on
+    either side of the controlled V).
+    """
+    n = spec.hamiltonian.n_qubits
+    a = n + 1
+    ctrl_w = controlled_circuit(pauli_circuit(n, spec.w, spec.wq), a)
+    ctrl_v = controlled_circuit(pauli_circuit(n, spec.v, spec.vq), a)
+    flip = GateOp("X", (), (a,))
+    anti_v = Circuit(a, (flip, *ctrl_v.ops, flip))
+    out = []
+    for evolve_t in evolutions:
+        state = product_state(a, spec.initial + "+")
+        run_circuit(state, ctrl_w)
+        evolve_t(state)
+        run_circuit(state, anti_v)
+        out.append(ancilla_readout(state))
+    return np.array(out)
+
+
+def _tilted_heisenberg(n: int) -> PauliHamiltonian:
+    # x fields that do not commute with the bonds, z fields and an identity
+    # term, which gives the compiled evolution a global phase
+    h = heisenberg_chain(n, [1.0, 0.7, 1.2][: n - 1], 0.8)
+    extra = [PauliString(0.4, "I" * n)] + [
+        PauliString(0.3 * q, "I" * (q - 1) + "X" + "I" * (n - q)) for q in range(1, n + 1)
+    ]
+    return PauliHamiltonian(n, list(h.terms) + extra)
+
+
+SLICE_HAMILTONIANS = {
+    "tim2": lambda: tim_chain(2, [1.0, 0.6], 0.8),
+    # z fields hoisted into the prefix
+    "heis3-hoisted": lambda: heisenberg_chain(3, [1.0, 0.7], 3.0),
+    "heis3-tilted": lambda: _tilted_heisenberg(3),
+    "heis4-tilted": lambda: _tilted_heisenberg(4),
+}
+
+
+class TestAncillaHalfAgainstControlledCircuit:
+    """The amplitude-half route against the hardware controlled circuits."""
+
+    @pytest.mark.parametrize("gate_set", [GateSet.S1, GateSet.S2, GateSet.S3],
+                             ids=lambda g: g.value)
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("folded", [False, True], ids=["gates", "folded"])
+    @pytest.mark.parametrize("name", SLICE_HAMILTONIANS)
+    def test_controlled_evolution(self, name, folded, order, gate_set):
+        h = SLICE_HAMILTONIANS[name]()
+        n = h.n_qubits
+        plan = TrotterPlan.fixed_n(20 if folded else 3, order=order)
+        for t in (0.9, -0.6):
+            result = trotterize(h, t, plan, gate_set)
+            assert (result.folded_step is not None) == folded
+            psi = random_state(n + 1)
+            want = evolve(psi.copy(), controlled_evolution(result, n + 1))
+            got = psi.copy()
+            evolve(_half(got, 1), result)
+            assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("gate_set", [GateSet.S1, GateSet.S2, GateSet.S3],
+                             ids=lambda g: g.value)
+    def test_expectation_series(self, gate_set):
+        q = tim_chain(3, [0.7, 0.7, 0.7], 1.0)
+        spec = SpectrumSpec(operator=q, initial="0+1", m=8, plan=TrotterPlan.fixed_eps(0.05),
+                            gate_set=gate_set)
+        want = []
+        for k in range(spec.m):
+            result = trotterize(q, k * spec.spacing(), spec.plan, gate_set)
+            state = product_state(4, "0+1+")
+            want.append(ancilla_readout(evolve(state, controlled_evolution(result, 4))))
+        assert np.max(np.abs(unitary_expectation_series(spec) - np.array(want))) <= 1e-12
+
+    @pytest.mark.parametrize("letter", "XYZ")
+    def test_pauli_circuits(self, letter):
+        assert np.max(np.abs(circuit_unitary(pauli_circuit(1, letter, 1)) - PAULI[letter])) <= 1e-15
+
+    @pytest.mark.parametrize("evolution", ["exact", "trotter"])
+    @pytest.mark.parametrize("v", "IXYZ")
+    @pytest.mark.parametrize("w", "IXYZ")
+    def test_correlation(self, v, w, evolution):
+        h = heisenberg_chain(3, [1.0, 0.7], 0.9)
+        for vq, wq in ((1, 1), (1, 3), (2, 1)):
+            spec = CorrelationSpec(
+                v=v, w=w, vq=vq, wq=wq, initial="0+1", hamiltonian=h,
+                times=np.linspace(-0.5, 1.5, 5), evolution=evolution,
+                plan=TrotterPlan.fixed_n(4, order=2), gate_set=GateSet.S2,
+            )
+            evolvers = (
+                exact_evolvers(h, spec.times) if evolution == "exact"
+                else [partial(evolve, result=trotterize(h, t, spec.plan, spec.gate_set))
+                      for t in spec.times]
+            )
+            want = controlled_correlation(spec, evolvers)
+            assert np.max(np.abs(correlation_ancilla(spec) - want)) <= 1e-12
+
+
+ANCILLA_CONFIG = """
+[model]
+kind = tim
+n_qubits = 3
+h = 0.7
+[initial]
+state = 0+1
+[evolution]
+gateset = {gateset}
+schedule = fixed_eps
+eps = 0.1
+[time]
+max = 1.0
+points = 4
+[observables]
+{observables}
+"""
+
+
+@pytest.mark.parametrize("gateset", ["S1", "S4"])
+@pytest.mark.parametrize("observables, column", [
+    ("observable = spectrum 16", "q,weight"),
+    ("observable = correlation X Y 1 3\nobservable = correlation Z Z 2 2", "czz_2_2_re_qs"),
+], ids=["spectrum", "correlation"])
+def test_ancilla_runs_build_no_controlled_circuit(monkeypatch, gateset, observables, column):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a controlled circuit was built")
+
+    for module, name in ((compiler, "controlled_circuit"), (compiler, "_controlled_op"),
+                         (spinsim, "controlled_circuit")):
+        monkeypatch.setattr(module, name, refuse)
+    text = ANCILLA_CONFIG.format(gateset=gateset, observables=observables)
+    assert column in runner.run(runner.parse_config(text))
 
 
 class TestSpectrumFromSeries:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -446,6 +448,47 @@ class TestCli:
         )
         assert cli_main(["dump-circuit", str(cfgfile)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["run", "dump-circuit"])
+    @pytest.mark.parametrize("config", [
+        pytest.param(
+            _model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\nschedule = fixed_eps\n"
+                   "[time]\nmax = 1e9"),
+            id="fixed-eps-time-1e9",
+        ),
+        pytest.param(
+            _model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\nsteps = 1000000000000"),
+            id="steps-1e12",
+        ),
+    ])
+    def test_plan_over_gate_budget_exits_3(self, tmp_path, capsys, command, config):
+        # refused before anything is simulated or unrolled
+        cfgfile = tmp_path / "long.cfg"
+        cfgfile.write_text(config)
+        start = time.perf_counter()
+        assert cli_main([command, str(cfgfile)]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: ")
+        assert "gate applications, over the budget" in err
+
+    @pytest.mark.parametrize("gateset", ["S1", "S4"])
+    def test_spectrum_peaks(self, tmp_path, gateset):
+        # criterion 8 on the command line: |01> splits evenly over -3 and +1
+        cfgfile = tmp_path / "spectrum.cfg"
+        cfgfile.write_text(
+            "[model]\nkind = heisenberg\nn_qubits = 2\nj = 1.0\n[initial]\nstate = 01\n"
+            "[observables]\nobservable = spectrum 1024\n"
+        )
+        out = tmp_path / "spectrum.csv"
+        assert cli_main(["run", str(cfgfile), "--gateset", gateset, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert f"gateset={gateset}" in text
+        header, rows = parse_csv(text)
+        assert header == ["q", "weight"]
+        bin_width = 9.0 / 1024  # 2 pi / (m dtheta) with dtheta = pi / 4.5
+        assert rows[:, 0] == pytest.approx([-3.0, 1.0], abs=bin_width)
+        assert rows[:, 1] == pytest.approx([0.5, 0.5], abs=0.02)
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         assert cli_main(["figure", "fig4c", "--out", str(tmp_path)]) == 2

@@ -10,6 +10,7 @@ from spinsim.compiler import (
     run_circuit,
 )
 from spinsim.errors import InputError, ResourceError
+from spinsim.gates import GATE_BUDGET
 from spinsim.pauli import (
     PauliHamiltonian,
     PauliString,
@@ -255,6 +256,32 @@ def test_fig2_compiles_once_per_delta_and_plan(monkeypatch):
     cfg = runner.figure_preset("fig2")
     runner.run(cfg)
     assert len(calls) == len(set(calls)) == cfg.points * len(cfg.observables) == 138
+
+
+class TestGateBudget:
+    def test_steps_times_gates_against_budget(self, monkeypatch):
+        h = fig2_hamiltonian()
+        gates = len(trotterize(h, 1.0, TrotterPlan.fixed_n(1)).step.ops)
+        monkeypatch.setattr(trotter, "GATE_BUDGET", 10 * gates)
+        assert trotterize(h, 1.0, TrotterPlan.fixed_n(10)).n_steps_used == 10
+        for t in (1.0, -1.0):
+            with pytest.raises(ResourceError, match=f"are {11 * gates} gate applications"):
+                trotterize(h, t, TrotterPlan.fixed_n(11))
+
+    def test_budget_far_above_the_largest_preset_plan(self, monkeypatch):
+        counts = []
+        original = trotter.trotterize
+
+        def counting(h, t, plan, gate_set):
+            result = original(h, t, plan, gate_set)
+            counts.append(result.n_steps_used * len(result.step.ops))
+            return result
+
+        monkeypatch.setattr(trotter, "trotterize", counting)
+        runner.run(runner.figure_preset("fig2"))
+        # fig2's quadratic fixed-eps column at delta = 45
+        assert max(counts) == 50_625
+        assert GATE_BUDGET >= 100 * max(counts)
 
 
 def _count_dense_matrix(monkeypatch) -> list:
