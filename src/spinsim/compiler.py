@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kak
 from .errors import InputError, ResourceError
 from .gates import DENSE_QUBIT_LIMIT, GateOp, check_axes, gate_matrix, zyz_angles
 from .statevector import StateVector, apply_gate
@@ -277,10 +276,12 @@ def heisenberg2_circuit(
 ) -> Circuit:
     """Two-qubit Heisenberg bond evolution exp(-i delta (XX + YY + ZZ)).
 
-    Variants: ``6cnot`` (three juxtaposed pair blocks), ``3cnot`` (canonical
-    two-qubit synthesis, exactly three CNOTs), ``3uxy`` (three exchange gates
-    via the pairwise-commuting splitting of 2 H = H_xxyy + H_xxzz + H_zzyy),
-    and ``s4`` (the Moelmer-Soerensen sequence A B C A C^dag).
+    Variants: ``6cnot`` (three juxtaposed pair blocks), ``3cnot`` (the closed
+    form of Vatan & Williams, PRA 69, 032315 (2004): exactly three CNOTs with
+    Rz and Ry rotations between them, exact including the global phase),
+    ``3uxy`` (three exchange gates via the pairwise-commuting splitting of
+    2 H = H_xxyy + H_xxzz + H_zzyy), and ``s4`` (the Moelmer-Soerensen
+    sequence A B C A C^dag).
     """
     i, j = qubits
     if i == j:
@@ -292,27 +293,18 @@ def heisenberg2_circuit(
             c = c + decompose_pauli_pair(axis, axis, delta, qubits, GateSet.S1)
         return c
     if variant == "3cnot":
-        pre1, pre2, (p1, p2, p3), post1, post2, phase = kak.canonical_3cnot(
-            delta, delta, delta
-        )
-        ops: list[GateOp] = []
-        for m, q in ((pre1, i), (pre2, j)):
-            sub, ph = _su2_ops(m, q, GateSet.S1)
-            ops += sub
-            phase += ph
-        ops += [
+        a = 2 * delta + np.pi / 2
+        ops = [
+            _rot("z", np.pi / 2, j),
             GateOp("CNOT", (), (j, i)),
-            _rot("y", p1, j),
+            _rot("z", a, i),
+            _rot("y", a, j),
             GateOp("CNOT", (), (i, j)),
-            _rot("z", p2, i),
-            _rot("y", p3, j),
+            _rot("y", -a, j),
             GateOp("CNOT", (), (j, i)),
+            _rot("z", -np.pi / 2, i),
         ]
-        for m, q in ((post1, i), (post2, j)):
-            sub, ph = _su2_ops(m, q, GateSet.S1)
-            ops += sub
-            phase += ph
-        return Circuit(n, ops, phase)
+        return Circuit(n, ops, np.pi / 4)
     if variant == "3uxy":
         half = delta / 2
         ops = [GateOp("Uxy", (half,), (i, j))]

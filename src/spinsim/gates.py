@@ -24,7 +24,8 @@ SQRT2 = math.sqrt(2.0)
 DENSE_QUBIT_LIMIT = 12
 
 #: most gate applications one compiled evolution may take (Trotter steps times
-#: gates per step); a plan past it is refused before it runs
+#: gates per step); a plan past it is refused before it runs, and so is a time
+#: or spectrum grid of more points, since each point takes at least one gate
 GATE_BUDGET = 10**8
 
 PAULI = {

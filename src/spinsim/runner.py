@@ -15,8 +15,8 @@ import numpy as np
 
 from . import compiler, gates, observables, pauli, trotter
 from .compiler import Circuit, GateSet
-from .errors import InputError
-from .statevector import StateVector, inner_product, probability, product_state
+from .errors import InputError, ResourceError
+from .statevector import StateVector, check_register, inner_product, probability, product_state
 from .trotter import TrotterPlan
 
 MODELS = ("heisenberg", "xyz", "xy", "tim", "hubbard2", "pauli-file")
@@ -133,6 +133,7 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         n_raw = _single(model_entries, "n_qubits", "model.n_qubits", required=True)
         n_qubits = _int(n_raw, "model.n_qubits")
+        check_register(n_qubits, "model.n_qubits")
         if kind == "heisenberg":
             j = _single(model_entries, "j", "model.j", default="1.0")
             couplings["j"] = _per_site(j, n_qubits - 1, "model.j")
@@ -251,11 +252,19 @@ def _parse_observable(value: str, path: str) -> ObservableSpec:
     raise InputError(f"{path}: unknown observable kind {kind!r}")
 
 
+def _check_grid(size: int, path: str):
+    # every grid point costs at least one gate application
+    if size > gates.GATE_BUDGET:
+        raise ResourceError(
+            f"{path}: {size} grid points are over the budget of {gates.GATE_BUDGET} "
+            "gate applications"
+        )
+
+
 def validate_config(cfg: ExperimentConfig):
     if cfg.model not in MODELS:
         raise InputError(f"model: unknown model {cfg.model!r}")
-    if cfg.n_qubits < 1:
-        raise InputError(f"model.n_qubits: must be >= 1, got {cfg.n_qubits}")
+    check_register(cfg.n_qubits, "model.n_qubits")
     if len(cfg.initial) != cfg.n_qubits:
         raise InputError(
             f"initial.state: {cfg.initial!r} does not match n_qubits={cfg.n_qubits}"
@@ -264,6 +273,7 @@ def validate_config(cfg: ExperimentConfig):
         raise InputError(f"initial.state: only 0/1/+/- allowed, got {cfg.initial!r}")
     if cfg.points < 1:
         raise InputError(f"time.points: must be >= 1, got {cfg.points}")
+    _check_grid(cfg.points, "time.points")
     if not cfg.observables:
         raise InputError("observables: at least one observable is required")
     kinds = {o.kind for o in cfg.observables}
@@ -298,6 +308,7 @@ def validate_config(cfg: ExperimentConfig):
             m = o.args[0]
             if m < 2 or m & (m - 1):
                 raise InputError(f"{path}.m: must be a power of two, got {m}")
+            _check_grid(m, f"{path}.m")
     if cfg.heis2_variant is not None:
         if cfg.heis2_variant not in ("6cnot", "3cnot", "3uxy", "s4"):
             raise InputError(f"evolution.variant: unknown variant {cfg.heis2_variant!r}")

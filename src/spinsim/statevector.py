@@ -25,16 +25,23 @@ from .pauli import PauliString
 _DENSE_LIMIT = 26  # 2**26 complex amplitudes == 1 GiB
 
 
+def check_register(n_qubits: int, path: str = "n_qubits"):
+    """Refuse a register of fewer than one or more than ``_DENSE_LIMIT`` qubits."""
+    if n_qubits < 1:
+        raise InputError(f"{path}: must be >= 1, got {n_qubits}")
+    if n_qubits > _DENSE_LIMIT:
+        raise ResourceError(
+            f"{path}: a statevector of {n_qubits} qubits is over the {_DENSE_LIMIT}-qubit limit"
+        )
+
+
 class StateVector:
     """Normalized array of 2**n_qubits complex amplitudes."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None):
-        if n_qubits < 1:
-            raise InputError(f"n_qubits must be >= 1, got {n_qubits}")
-        if n_qubits > _DENSE_LIMIT:
-            raise ResourceError(f"statevector with {n_qubits} qubits is too large")
+        check_register(n_qubits)
         self.n_qubits = int(n_qubits)
         if amplitudes is None:
             amplitudes = np.zeros(2**n_qubits, dtype=complex)

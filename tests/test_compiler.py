@@ -215,9 +215,22 @@ class TestDecomposeMultiPauli:
 class TestHeisenberg2Variants:
     @pytest.mark.parametrize("variant", ["6cnot", "3cnot", "3uxy", "s4"])
     def test_oracle_equality(self, variant):
+        # elementwise, so the circuit's global_phase must be right too
         for d in RNG.uniform(-np.pi, np.pi, 8):
-            c = heisenberg2_circuit(float(d), (1, 2), variant)
-            assert equal_up_to_global_phase(circuit_unitary(c), heis2_target(float(d)), 1e-10)
+            target = heis2_target(float(d))
+            for pair in ((1, 2), (2, 1)):
+                u = circuit_unitary(heisenberg2_circuit(float(d), pair, variant))
+                assert np.max(np.abs(u - target)) <= 1e-12
+            u = circuit_unitary(heisenberg2_circuit(float(d), (3, 1), variant))
+            assert np.max(np.abs(u - embed_unitary(target, (3, 1), 3))) <= 1e-12
+
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 1), (3, 1)])
+    def test_3cnot_shape(self, pair):
+        i, j = pair
+        ops = heisenberg2_circuit(0.37, pair, "3cnot").ops
+        cnots = [op.targets for op in ops if op.kind == "CNOT"]
+        assert cnots == [(j, i), (i, j), (j, i)]
+        assert {op.kind for op in ops if op.kind != "CNOT"} <= {"Rz", "Ry"}
 
     def test_gate_counts(self):
         assert heisenberg2_circuit(0.5, (1, 2), "6cnot").two_qubit_count("CNOT") == 6
@@ -240,7 +253,8 @@ class TestHeisenberg2Variants:
             assert equal_up_to_global_phase(circuit_unitary(c), np.eye(4), 1e-10)
 
     def test_weyl_chamber_corners(self):
-        # delta values where the canonical class degenerates
+        # delta values where the bond is, up to phase, the identity (pi/2, pi),
+        # SWAP (pi/4, 3pi/4) or a square root of SWAP (+-pi/8)
         for d in (np.pi / 8, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi, -np.pi / 8):
             c = heisenberg2_circuit(float(d), (1, 2), "3cnot")
             assert c.two_qubit_count("CNOT") == 3

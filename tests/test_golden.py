@@ -5,7 +5,9 @@ before Trotter steps were compiled once and repeated: every figure preset's
 CSV, the ``verify`` report, and the sha256 of ``dumps_circuit`` for a grid of
 compiled evolutions (``circuits.json``).  The digests of the fixed Heisenberg
 bond variants and of the controlled Trotter steps were added later, by the
-program as it stood before its single-qubit rotation spellings were merged.  A
+program as it stood before its single-qubit rotation spellings were merged;
+the two ``heisenberg2/3cnot`` digests were rewritten when that variant began
+to emit its closed-form circuit instead of a numerical KAK synthesis.  A
 change that moves any of them has changed what the program computes, not only
 how fast.
 
@@ -37,6 +39,7 @@ import numpy as np
 import pytest
 
 from spinsim import observables
+from spinsim.cli import main as cli_main
 from spinsim.compiler import GateSet, controlled_circuit, dumps_circuit, heisenberg2_circuit
 from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
 from spinsim.runner import (
@@ -296,3 +299,11 @@ def test_unrolled_circuits_match_golden():
     digests = {case: circuit_digest(*args) for case, *args in circuit_cases()}
     digests.update((case, digest(c)) for case, c in fixed_circuit_cases())
     assert digests == golden
+
+
+def test_dump_heis2_3cnot_has_three_cnots(tmp_path, capsys):
+    cfgfile = tmp_path / "heis2-3cnot.cfg"
+    cfgfile.write_text(RUN_CONFIGS["heis2-3cnot"])
+    assert cli_main(["dump-circuit", str(cfgfile)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(ln.startswith("CNOT()") for ln in lines) == 3

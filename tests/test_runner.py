@@ -6,7 +6,8 @@ import pytest
 from spinsim import compiler
 from spinsim.cli import main as cli_main
 from spinsim.compiler import GateSet, loads_circuit
-from spinsim.errors import InputError
+from spinsim.errors import InputError, ResourceError
+from spinsim.gates import GATE_BUDGET
 from spinsim.pauli import heisenberg_chain, parse_hamiltonian, tim_chain
 from spinsim.runner import (
     ExperimentConfig,
@@ -247,6 +248,29 @@ class TestValidation:
         with pytest.raises(InputError, match="initial.state"):
             validate_config(bad)
 
+    @pytest.mark.parametrize("n, error", [(0, InputError), (27, ResourceError)])
+    def test_register_size_checked(self, n, error):
+        cfg = parse_config(SAMPLE_CONFIG)
+        bad = ExperimentConfig(**{**cfg.__dict__, "n_qubits": n, "initial": "0" * n})
+        with pytest.raises(error, match="model.n_qubits"):
+            validate_config(bad)
+
+    def test_grids_within_gate_budget(self):
+        # a grid point costs at least one gate application; the checks allocate nothing
+        cfg = parse_config(SAMPLE_CONFIG)
+        validate_config(ExperimentConfig(**{**cfg.__dict__, "points": GATE_BUDGET}))
+        with pytest.raises(ResourceError, match="time.points"):
+            validate_config(ExperimentConfig(**{**cfg.__dict__, "points": GATE_BUDGET + 1}))
+        m = 1 << GATE_BUDGET.bit_length()
+        spectrum = ExperimentConfig(
+            **{**cfg.__dict__, "observables": (ObservableSpec("spectrum", (m // 2,)),)}
+        )
+        validate_config(spectrum)
+        with pytest.raises(ResourceError, match=r"observables\[0\]\.m"):
+            validate_config(ExperimentConfig(
+                **{**cfg.__dict__, "observables": (ObservableSpec("spectrum", (m,)),)}
+            ))
+
 
 class TestBuildHamiltonian:
     def test_pauli_file_inline(self):
@@ -471,6 +495,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("resource limit: ")
         assert "gate applications, over the budget" in err
+
+    @pytest.mark.parametrize("command", ["run", "dump-circuit"])
+    @pytest.mark.parametrize("config", [
+        pytest.param(_model("kind = tim\nn_qubits = 27\nh = 1"), id="qubits-27"),
+        pytest.param(_model("kind = tim\nn_qubits = 1000000000000\nh = 1"), id="qubits-1e12"),
+        pytest.param(
+            _model("kind = tim\nn_qubits = 2\nh = 1\n[time]\npoints = 1000000000000"),
+            id="points-1e12",
+        ),
+        pytest.param(
+            "[model]\nkind = heisenberg\nn_qubits = 2\n"
+            "[observables]\nobservable = spectrum 1099511627776\n",
+            id="spectrum-2^40",
+        ),
+    ])
+    def test_register_or_grid_over_limit_exits_3(self, tmp_path, capsys, command, config):
+        # refused where the config is read, before a Hamiltonian or grid is built
+        cfgfile = tmp_path / "big.cfg"
+        cfgfile.write_text(config)
+        start = time.perf_counter()
+        assert cli_main([command, str(cfgfile)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("resource limit: ")
 
     @pytest.mark.parametrize("gateset", ["S1", "S4"])
     def test_spectrum_peaks(self, tmp_path, gateset):

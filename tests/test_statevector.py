@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from spinsim.compiler import embed_unitary
-from spinsim.errors import InputError
+from spinsim.errors import InputError, ResourceError
 from spinsim.gates import GateOp, gate_matrix
 from spinsim.statevector import (
     StateVector,
     apply_gate,
     basis_state,
+    check_register,
     inner_product,
     pauli_expectation,
     probability,
@@ -33,6 +34,17 @@ def random_gate(n):
     params = tuple(RNG.uniform(-np.pi, np.pi, n_params))
     targets = tuple(int(q) + 1 for q in RNG.choice(n, size=n_targets, replace=False))
     return GateOp(kind, params, targets)
+
+
+def test_register_bounds():
+    check_register(1)
+    check_register(26)
+    with pytest.raises(InputError, match="must be >= 1"):
+        StateVector(0)
+    with pytest.raises(ResourceError, match="27 qubits"):
+        check_register(27)
+    with pytest.raises(ResourceError):
+        StateVector(10**12)
 
 
 class TestBasisState:
