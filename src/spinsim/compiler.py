@@ -124,11 +124,16 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return np.exp(1j * c.global_phase) * u
 
 
-def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff |trace(U^dag V)| >= dim (1 - tol); symmetric in its arguments."""
+def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """1 - |trace(U^dag V)| / dim: 0 iff U = e^{i phi} V; symmetric in its arguments."""
     if u.shape != v.shape:
         raise InputError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return bool(abs(np.trace(u.conj().T @ v)) >= u.shape[0] * (1.0 - tol))
+    return float(1.0 - abs(np.trace(u.conj().T @ v)) / u.shape[0])
+
+
+def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
+    """True iff phase_distance(u, v) <= tol."""
+    return phase_distance(u, v) <= tol
 
 
 # --- single-qubit rotations and frame changes ---------------------------------
@@ -161,6 +166,13 @@ def _frame_ops(alpha: str, q: int, adjoint: bool, gate_set: GateSet) -> list[Gat
     return [_rot(axis, -theta if adjoint else theta, q, gate_set)]
 
 
+def _parity_rz(delta: float, qubits: tuple[int, ...]) -> list[GateOp]:
+    """exp(-i delta Z...Z): a CNOT ladder folds the parity onto the last qubit,
+    Rz(2 delta) there, then the ladder is undone."""
+    ladder = [GateOp("CNOT", (), pair) for pair in zip(qubits, qubits[1:])]
+    return ladder + [_rot("z", 2 * delta, qubits[-1])] + ladder[::-1]
+
+
 def decompose_pauli_pair(
     alpha: str,
     beta: str,
@@ -184,11 +196,7 @@ def decompose_pauli_pair(
     ops = _frame_ops(alpha, i, True, gate_set) + _frame_ops(beta, j, True, gate_set)
     phase = 0.0
     if gate_set is GateSet.S1:
-        ops += [
-            GateOp("CNOT", (), (i, j)),
-            _rot("z", 2 * delta, j),
-            GateOp("CNOT", (), (i, j)),
-        ]
+        ops += _parity_rz(delta, (i, j))
     elif gate_set is GateSet.S3 and delta >= s3_phase_floor:
         # ZZ(d) = e^{i d} (Rz(2d) x Rz(2d)) CPhase(-4d)
         ops += [
@@ -231,12 +239,8 @@ def decompose_multi_pauli(
     qubits: tuple[int, ...],
     gate_set: GateSet = GateSet.S1,
 ) -> Circuit:
-    """CNOT-ladder circuit for exp(-i delta tensor_i sigma_{axes[i]}).
-
-    Frames rotate every qubit into the z basis, a CNOT ladder folds the joint
-    parity onto the last qubit, Rz(2 delta) applies the phase, and the ladder
-    and frames are undone.
-    """
+    """CNOT-ladder circuit for exp(-i delta tensor_i sigma_{axes[i]}): frames rotate
+    every qubit into the z basis around the ladder of :func:`_parity_rz`."""
     if len(qubits) < 3:
         raise InputError("use decompose_pauli_pair for fewer than 3 qubits")
     if len(axes) != len(qubits):
@@ -252,10 +256,7 @@ def decompose_multi_pauli(
     ops: list[GateOp] = []
     for a, q in zip(axes, qubits):
         ops += _frame_ops(a, q, True, gate_set)
-    ladder = [GateOp("CNOT", (), (qubits[k], qubits[k + 1])) for k in range(len(qubits) - 1)]
-    ops += ladder
-    ops.append(_rot("z", 2 * delta, qubits[-1]))
-    ops += reversed(ladder)
+    ops += _parity_rz(delta, qubits)
     for a, q in zip(axes, qubits):
         ops += _frame_ops(a, q, False, gate_set)
     return Circuit(max(qubits), ops)
@@ -325,23 +326,15 @@ def heisenberg2_circuit(
     raise InputError(f"unknown variant {variant!r}; use 6cnot, 3cnot, 3uxy or s4")
 
 
-_INVERT_PARAMS = {
-    "Phase", "Rx", "Ry", "Rz", "CPhase", "ZZ", "XX", "YY", "Uxy",
-    "MS_T1", "MS_T2", "MS_T3", "MS_T4",
-}
-_SELF_INVERSE = {"H", "X", "CNOT"}
-
-
 def _inverse_op(op: GateOp) -> GateOp:
-    if op.kind in _SELF_INVERSE:
+    """A kind without parameters (H, X, CNOT) is its own inverse; U3(theta, phi,
+    lam) inverts to U3(-theta, -lam, -phi) and every other kind negates its first."""
+    if not op.params:
         return op
     if op.kind == "U3":
         theta, phi, lam = op.params
         return GateOp("U3", (-theta, -lam, -phi), op.targets)
-    if op.kind in _INVERT_PARAMS:
-        params = (-op.params[0],) + op.params[1:]
-        return GateOp(op.kind, params, op.targets)
-    raise InputError(f"cannot invert gate kind {op.kind}")
+    return GateOp(op.kind, (-op.params[0],) + op.params[1:], op.targets)
 
 
 def inverse_circuit(c: Circuit) -> Circuit:

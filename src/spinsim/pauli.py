@@ -1,6 +1,11 @@
 """Pauli-string Hamiltonians, spin-model builders, commutation analysis and the
 Jordan-Wigner fermion-to-qubit mapping.
 
+Letters (``"XIZ"``) are the stored and I/O form; the algebra runs on the (x, z)
+bit masks of Aaronson & Gottesman, PRA 70, 052328 (2004).  X sets a qubit's x
+bit, Z its z bit and Y both; qubit 1 is the most significant bit, and (x, z)
+stands for i^|x&z| X^x Z^z.
+
 All values here are immutable and all builders are pure functions; unrestricted
 concurrent use is safe.
 """
@@ -8,21 +13,16 @@ concurrent use is safe.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .gates import DENSE_QUBIT_LIMIT, PAULI, string_matrix
+from .gates import DENSE_QUBIT_LIMIT, PAULI, string_matrix  # noqa: F401 (public name)
 
-# (a, b) -> (product letter, phase) with sigma_a sigma_b = phase * sigma_prod
-_MUL = {
-    ("I", "I"): ("I", 1), ("I", "X"): ("X", 1), ("I", "Y"): ("Y", 1), ("I", "Z"): ("Z", 1),
-    ("X", "I"): ("X", 1), ("X", "X"): ("I", 1), ("X", "Y"): ("Z", 1j), ("X", "Z"): ("Y", -1j),
-    ("Y", "I"): ("Y", 1), ("Y", "X"): ("Z", -1j), ("Y", "Y"): ("I", 1), ("Y", "Z"): ("X", 1j),
-    ("Z", "I"): ("Z", 1), ("Z", "X"): ("Y", 1j), ("Z", "Y"): ("X", -1j), ("Z", "Z"): ("I", 1),
-}
+_MASK_BITS = (str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011"))  # x, z
+_I_POW = (1 + 0j, 1j, -1 + 0j, complex(0, -1))
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class PauliString:
 
     coef: complex
     letters: str
+    masks: tuple[int, int] = field(init=False, repr=False, compare=False)  # (x, z)
 
     def __post_init__(self):
         if not self.letters or any(ch not in PAULI for ch in self.letters):
@@ -38,6 +39,8 @@ class PauliString:
         object.__setattr__(self, "coef", complex(self.coef))
         if not cmath.isfinite(self.coef):
             raise InputError(f"Pauli coefficient must be finite, got {self.coef}")
+        masks = tuple(int(self.letters.translate(bits), 2) for bits in _MASK_BITS)
+        object.__setattr__(self, "masks", masks)
 
     @property
     def support(self) -> frozenset[int]:
@@ -48,29 +51,29 @@ class PauliString:
         return f"PauliString({self.coef}, {self.letters!r})"
 
 
+def mul_masks(a: tuple[int, int], b: tuple[int, int]) -> tuple[complex, tuple[int, int]]:
+    """(x, z) product sigma_a sigma_b = phase * sigma_out, as (phase, out masks)."""
+    (xa, za), (xb, zb) = a, b
+    x, z = xa ^ xb, za ^ zb
+    k = (xa & za).bit_count() + (xb & zb).bit_count() - (x & z).bit_count()
+    return _I_POW[(k + 2 * (za & xb).bit_count()) % 4], (x, z)
+
+
 def mul_letters(a: str, b: str) -> tuple[complex, str]:
     """Sitewise product sigma_a sigma_b = phase * sigma_out."""
     if len(a) != len(b):
         raise InputError("Pauli strings act on different register sizes")
-    phase = 1 + 0j
-    out = []
-    for ca, cb in zip(a, b):
-        letter, ph = _MUL[(ca, cb)]
-        out.append(letter)
-        phase *= ph
-    return phase, "".join(out)
+    phase, (x, z) = mul_masks(PauliString(1, a).masks, PauliString(1, b).masks)
+    bits = zip(f"{x:0{len(a)}b}", f"{z:0{len(a)}b}")
+    return phase, "".join("IZXY"[2 * int(bx) + int(bz)] for bx, bz in bits)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff the strings commute: an even number of conflicting sites."""
+    """True iff the strings commute: x_a&z_b ^ z_a&x_b has even weight."""
     if len(a.letters) != len(b.letters):
         raise InputError("Pauli strings act on different register sizes")
-    conflicts = sum(
-        1
-        for ca, cb in zip(a.letters, b.letters)
-        if ca != "I" and cb != "I" and ca != cb
-    )
-    return conflicts % 2 == 0
+    (xa, za), (xb, zb) = a.masks, b.masks
+    return ((xa & zb) ^ (za & xb)).bit_count() % 2 == 0
 
 
 class PauliHamiltonian:
@@ -179,30 +182,31 @@ def disjoint_layers(terms: Sequence[PauliString]) -> list[list[PauliString]]:
     be scheduled as one parallel gate layer.
     """
     layers: list[list[PauliString]] = []
-    supports: list[set[int]] = []
+    used: list[int] = []  # per layer, the mask of the qubits it acts on
     for term in terms:
-        sup = set(term.support)
-        for k, used in enumerate(supports):
-            if not (used & sup):
-                layers[k].append(term)
-                used |= sup
-                break
-        else:
-            layers.append([term])
-            supports.append(sup)
+        sup = term.masks[0] | term.masks[1]
+        k = next((k for k, u in enumerate(used) if not u & sup), len(layers))
+        if k == len(layers):
+            layers.append([])
+            used.append(0)
+        layers[k].append(term)
+        used[k] |= sup
     return layers
 
 
 def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of the Hamiltonian (N <= DENSE_QUBIT_LIMIT)."""
+    """Dense 2^N x 2^N matrix (N <= DENSE_QUBIT_LIMIT): term (x, z) sends j to j ^ x
+    with phase i^|x&z| (-1)^|j&z|."""
     if h.n_qubits > DENSE_QUBIT_LIMIT:
         raise ResourceError(
             f"dense matrix for {h.n_qubits} qubits exceeds the {DENSE_QUBIT_LIMIT}-qubit limit"
         )
-    dim = 2**h.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
+    j = np.arange(2**h.n_qubits)
+    signs = np.array([1 - 2 * (k.bit_count() & 1) for k in range(len(j))])  # (-1)^|k|
+    out = np.zeros((len(j), len(j)), dtype=complex)
     for t in h.terms:
-        out += t.coef * string_matrix(t.letters)
+        x, z = t.masks
+        out[j ^ x, j] += t.coef * _I_POW[(x & z).bit_count() % 4] * signs[j & z]
     return out
 
 

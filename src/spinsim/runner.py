@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import compiler, gates, observables, pauli, trotter
-from .compiler import Circuit, GateSet
+from .compiler import Circuit, GateSet, phase_distance
 from .errors import InputError, ResourceError
 from .statevector import StateVector, check_register, inner_product, probability, product_state
 from .trotter import TrotterPlan
@@ -335,8 +335,6 @@ def build_hamiltonian(cfg: ExperimentConfig) -> pauli.PauliHamiltonian:
     if cfg.model == "hubbard2":
         return pauli.jordan_wigner(pauli.hubbard_2site(c["v"], c["u"]))
     if cfg.model == "pauli-file":
-        if "text" in c:
-            return pauli.parse_hamiltonian(c["text"], cfg.n_qubits)
         return pauli.parse_hamiltonian(read_text(c["file"]), cfg.n_qubits)
     raise InputError(f"model: unknown model {cfg.model!r}")
 
@@ -552,17 +550,15 @@ def _run_evolution(cfg, h, times, exact, header) -> str:
         col += 2 * len(scalar_obs)
     # the correlation routes always run the Trotter plan; a fixed variant
     # replaces it in the scalar columns only
-    trotterized = None
-    if cfg.heis2_variant is None:
-        trotterized = [partial(trotter.evolve, result=r) for r in digital]
+    routes = digital
+    if corr_obs and cfg.heis2_variant is not None:
+        routes = [trotter.trotterize(h, float(t), cfg.plan, cfg.gate_set) for t in times]
+    trotterized = [partial(trotter.evolve, result=r) for r in routes]
     for o in corr_obs:
         v, w, i, j = o.args
-        # the exact route is always given its evolvers; the trotter routes
-        # compile the spec's plan only under a fixed variant
         spec = observables.CorrelationSpec(
             v=v, w=w, vq=i, wq=j, initial=cfg.initial, hamiltonian=h,
             times=tuple(float(t) for t in times),
-            evolution="trotter", plan=cfg.plan, gate_set=cfg.gate_set,
         )
         qs = observables.spin_correlation(
             observables.correlation_ancilla(spec, evolutions=trotterized)
@@ -599,10 +595,6 @@ class CheckResult:
         return self.max_error <= self.tol
 
 
-def _phase_distance(u: np.ndarray, v: np.ndarray) -> float:
-    return float(1.0 - abs(np.trace(u.conj().T @ v)) / u.shape[0])
-
-
 def verify_suite() -> list[CheckResult]:
     """Machine-check the gate and decomposition identities; returns per-check results."""
     rng = np.random.default_rng(20240817)
@@ -634,7 +626,7 @@ def verify_suite() -> list[CheckResult]:
             @ gates.rotation("x", th)
             @ gates.rotation("z", la - np.pi / 2)
         )
-        err = max(err, _phase_distance(lhs, rhs))
+        err = max(err, phase_distance(lhs, rhs))
     checks.append(CheckResult("u3 = Rz Rx Rz synthesis (up to phase)", err, 1e-12))
 
     # reference-frame changes
@@ -680,7 +672,7 @@ def verify_suite() -> list[CheckResult]:
                     circ = compiler.decompose_pauli_pair(alpha, beta, float(d), (1, 2), gs)
                     u = compiler.circuit_unitary(circ)
                     target = gates.pauli_pair_exponential(alpha, beta, float(d))
-                    err = max(err, _phase_distance(u, target))
+                    err = max(err, phase_distance(u, target))
     checks.append(CheckResult("pair decompositions vs exp(-i d ss) (all sets)", err, 1e-10))
 
     # heisenberg variants + gate-count contracts
@@ -694,7 +686,7 @@ def verify_suite() -> list[CheckResult]:
             ("6cnot", "CNOT", 6), ("3cnot", "CNOT", 3), ("3uxy", "Uxy", 3), ("s4", None, None)
         ):
             circ = compiler.heisenberg2_circuit(float(d), (1, 2), variant)
-            err = max(err, _phase_distance(compiler.circuit_unitary(circ), target))
+            err = max(err, phase_distance(compiler.circuit_unitary(circ), target))
             if kind is not None and circ.two_qubit_count(kind) != count:
                 count_err = 1.0
     checks.append(CheckResult("heisenberg variants vs dense bond exponential", err, 1e-10))
@@ -709,7 +701,7 @@ def verify_suite() -> list[CheckResult]:
         )
         err = max(
             err,
-            _phase_distance(compiler.circuit_unitary(single), compiler.circuit_unitary(double)),
+            phase_distance(compiler.circuit_unitary(single), compiler.circuit_unitary(double)),
         )
     checks.append(CheckResult("S3 one-CPhase and two-CPhase forms agree", err, 1e-10))
 
@@ -722,7 +714,7 @@ def verify_suite() -> list[CheckResult]:
                     circ = compiler.decompose_multi_pauli([a1, a2, a3], float(d), (1, 2, 3))
                     gen = gates.string_matrix((a1 + a2 + a3).upper())
                     target = gates.hermitian_expm(float(d) * gen)
-                    err = max(err, _phase_distance(compiler.circuit_unitary(circ), target))
+                    err = max(err, phase_distance(compiler.circuit_unitary(circ), target))
     checks.append(CheckResult("3-qubit ladder vs dense exponential (27 triples)", err, 1e-10))
     return checks
 

@@ -44,7 +44,7 @@ from .pauli import (
     commutes,
     dense_matrix,
     disjoint_layers,
-    mul_letters,
+    mul_masks,
 )
 from .statevector import StateVector, inner_product
 
@@ -188,13 +188,13 @@ def steps_for_phase(delta: float, eps: float, growth: str = "quadratic") -> int:
 
 
 def _sum_commutator_is_zero(fields: list[PauliString], rest: list[PauliString]) -> bool:
-    """[sum(fields), sum(rest)] == 0, computed symbolically."""
-    acc: dict[str, complex] = {}
+    """[sum(fields), sum(rest)] == 0 symbolically: [f, r] is 2fr or 0 as f, r anticommute or not."""
+    acc: dict[tuple[int, int], complex] = {}
     for f in fields:
         for r in rest:
-            ph_fr, letters = mul_letters(f.letters, r.letters)
-            ph_rf, _ = mul_letters(r.letters, f.letters)
-            acc[letters] = acc.get(letters, 0.0) + f.coef * r.coef * (ph_fr - ph_rf)
+            if not commutes(f, r):
+                phase, masks = mul_masks(f.masks, r.masks)
+                acc[masks] = acc.get(masks, 0.0) + f.coef * r.coef * (2 * phase)
     return all(abs(v) < 1e-12 for v in acc.values())
 
 

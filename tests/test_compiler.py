@@ -14,10 +14,11 @@ from spinsim.compiler import (
     heisenberg2_circuit,
     inverse_circuit,
     loads_circuit,
+    phase_distance,
     run_circuit,
 )
 from spinsim.errors import InputError, ResourceError
-from spinsim.gates import GateOp, PAULI, gate_matrix, hadamard, hermitian_expm, pauli_pair_exponential
+from spinsim.gates import GATE_SIGNATURES, GateOp, PAULI, gate_matrix, hadamard, hermitian_expm, pauli_pair_exponential
 from spinsim.statevector import basis_state
 
 RNG = np.random.default_rng(2024)
@@ -102,6 +103,12 @@ class TestEqualUpToGlobalPhase:
         with pytest.raises(InputError):
             equal_up_to_global_phase(np.eye(2), np.eye(4))
 
+    def test_phase_distance(self):
+        assert phase_distance(np.eye(4), np.exp(0.3j) * np.eye(4)) == pytest.approx(0.0, abs=1e-15)
+        assert phase_distance(np.eye(2), PAULI["Z"]) == 1.0  # trace zero
+        with pytest.raises(InputError):
+            phase_distance(np.eye(2), np.eye(4))
+
 
 class TestDecomposePauliPair:
     def test_s1_zz_structure(self):
@@ -174,6 +181,12 @@ class TestDecomposePauliPair:
 
 
 class TestDecomposeMultiPauli:
+    def test_s1_pair_core_is_the_two_qubit_ladder(self):
+        c = decompose_pauli_pair("z", "z", 0.3, (3, 1), GateSet.S1)
+        assert [(op.kind, op.params, op.targets) for op in c.ops] == [
+            ("CNOT", (), (3, 1)), ("Rz", (0.6,), (1,)), ("CNOT", (), (3, 1)),
+        ]
+
     def test_zzz_structure(self):
         c = decompose_multi_pauli(["z", "z", "z"], 0.2, (1, 2, 3))
         assert c.two_qubit_count("CNOT") == 4
@@ -270,6 +283,14 @@ class TestHeisenberg2Variants:
 
 
 class TestInverseCircuit:
+    @pytest.mark.parametrize("kind", sorted(GATE_SIGNATURES))
+    def test_every_kind_inverts(self, kind):
+        n_params, n_targets = GATE_SIGNATURES[kind]
+        op = GateOp(kind, tuple(RNG.uniform(-2, 2, n_params)), tuple(range(1, (n_targets or 3) + 1)))
+        c = Circuit(3, (op,))
+        product = circuit_unitary(inverse_circuit(c)) @ circuit_unitary(c)
+        assert np.max(np.abs(product - np.eye(8))) <= 1e-10
+
     def test_inverse_is_adjoint(self):
         for _ in range(5):
             ops = []

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,42 @@ class TestMulLetters:
             for b in ("YY", "ZX", "IX", "ZI"):
                 phase, out = mul_letters(a, b)
                 assert np.allclose(phase * string_matrix(out), string_matrix(a) @ string_matrix(b))
+
+
+def _all_strings(n):
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+
+
+class TestMaskAlgebra:
+    """The (x, z) mask algebra against products of dense string matrices."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mul_and_commutes_every_pair(self, n):
+        strings = _all_strings(n)
+        dense = {s: string_matrix(s) for s in strings}
+        for a in strings:
+            for b in strings:
+                ab, ba = dense[a] @ dense[b], dense[b] @ dense[a]
+                phase, out = mul_letters(a, b)
+                assert phase in (1, 1j, -1, -1j)
+                assert np.array_equal(phase * dense[out], ab)
+                assert commutes(PauliString(1, a), PauliString(1, b)) == np.array_equal(ab, ba)
+
+    def test_masks(self):
+        # qubit 1 is the most significant bit; Y sets both masks
+        assert PauliString(1, "XYZI").masks == (0b1100, 0b0110)
+        assert PauliString(1, "III").masks == (0, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dense_matrix_is_the_string_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        letters = {"".join(rng.choice(list("IXYZ"), n)) for _ in range(int(rng.integers(1, 12)))}
+        h = PauliHamiltonian(n, [PauliString(float(rng.normal()), s) for s in letters])
+        reference = np.zeros((2**n, 2**n), dtype=complex)
+        for t in h.terms:
+            reference += t.coef * string_matrix(t.letters)
+        assert np.array_equal(dense_matrix(h), reference)
 
 
 class TestDisjointLayers:

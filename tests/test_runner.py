@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from spinsim import compiler
+from spinsim import compiler, observables
 from spinsim.cli import main as cli_main
 from spinsim.compiler import GateSet, loads_circuit
 from spinsim.errors import InputError, ResourceError
@@ -273,10 +273,12 @@ class TestValidation:
 
 
 class TestBuildHamiltonian:
-    def test_pauli_file_inline(self):
+    def test_pauli_file_inline(self, tmp_path):
+        ham = tmp_path / "h.txt"
+        ham.write_text("0.5 ZZ\n1.0 XI\n")
         cfg = ExperimentConfig(
             model="pauli-file", n_qubits=2,
-            couplings={"text": "0.5 ZZ\n1.0 XI\n"},
+            couplings={"file": str(ham)},
             initial="00",
             observables=(ObservableSpec("magnetization", (1,)),),
         )
@@ -363,6 +365,21 @@ class TestRun:
         assert rows[2, header.index("p100")] == pytest.approx(
             spinsim.probability(s, "100"), abs=1e-9
         )
+
+    @pytest.mark.parametrize("variant", ["", "variant = 3cnot\n"], ids=["plan", "3cnot"])
+    def test_correlation_routes_get_their_evolvers(self, monkeypatch, variant):
+        # the runner compiles every route's U(t) itself, under a fixed variant too
+        def refuse(*args, **kwargs):
+            raise AssertionError("a correlation route compiled its own evolution")
+
+        monkeypatch.setattr(observables, "trotterize", refuse)
+        monkeypatch.setattr(observables, "exact_evolvers", refuse)
+        cfg = parse_config(
+            "[model]\nkind = heisenberg\nn_qubits = 2\n[evolution]\n" + variant
+            + "[time]\npoints = 3\n[observables]\nobservable = correlation X Y 1 2\n"
+        )
+        header, rows = parse_csv(run(cfg))
+        assert rows.shape == (3, 7)
 
     def test_spectrum_run(self):
         cfg = ExperimentConfig(
