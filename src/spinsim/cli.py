@@ -20,23 +20,23 @@ def _add_override_flags(p: argparse.ArgumentParser):
     p.add_argument("--order", type=int, choices=[1, 2], help="override Trotter order")
     p.add_argument("--steps", type=int, help="override: fixed step count")
     p.add_argument("--eps", type=float, help="override: fixed digital error budget")
-    p.add_argument(
-        "--growth", choices=["linear", "quadratic"], help="override: fixed-eps growth"
-    )
+    p.add_argument("--growth", choices=["linear", "quadratic"], help="override: fixed-eps growth")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def _apply_overrides(cfg, args):
     if args.gateset:
         cfg = replace(cfg, gate_set=compiler.GateSet(args.gateset))
-    order = args.order or cfg.plan.order
+    if args.steps is not None and args.eps is not None:
+        raise InputError("--steps and --eps set different schedules; give one of them")
+    plan = replace(cfg.plan, order=args.order or cfg.plan.order)
     if args.steps is not None:
-        plan = trotter.TrotterPlan.fixed_n(args.steps, order=order)
+        plan = trotter.TrotterPlan.fixed_n(args.steps, order=plan.order)
     elif args.eps is not None:
-        plan = trotter.TrotterPlan.fixed_eps(args.eps, args.growth or cfg.plan.growth, order=order)
-    else:
-        plan = replace(cfg.plan, order=order)
-    return replace(cfg, plan=plan)
+        plan = trotter.TrotterPlan.fixed_eps(args.eps, plan.growth, order=plan.order)
+    if args.growth and plan.eps is None:
+        raise InputError("--growth applies to a fixed_eps schedule only")
+    return replace(cfg, plan=replace(plan, growth=args.growth or plan.growth))
 
 
 def _emit(text: str, out: str | None):

@@ -8,7 +8,7 @@ output.  Runs are deterministic: identical configs produce byte-identical CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -57,6 +57,8 @@ def _parse_sections(text: str) -> dict[str, list[tuple[str, str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in ("model", "initial", "evolution", "time", "observables"):
+                raise InputError(f"line {ln}: unknown section [{current}]")
             sections.setdefault(current, [])
             continue
         if "=" not in line:
@@ -70,6 +72,7 @@ def _parse_sections(text: str) -> dict[str, list[tuple[str, str, int]]]:
 
 def _single(entries, key, path, default=None, required=False):
     found = [v for k, v, _ in entries if k == key]
+    entries[:] = [e for e in entries if e[0] != key]  # read; parse_config refuses the rest
     if not found:
         if required:
             raise InputError(f"{path}: missing required key {key!r}")
@@ -145,18 +148,17 @@ def parse_config(text: str) -> ExperimentConfig:
                 0.0 if kind == "xy" else _number(model_entries, "jzz", "model.jzz", "1.0")
             )
         elif kind == "tim":
-            h = _single(model_entries, "h", "model.h", default=None)
-            bg = _single(model_entries, "bg", "model.bg", default=None)
+            h = _single(model_entries, "h", "model.h")
             if h is not None:
                 couplings["h"] = _per_site(h, n_qubits, "model.h")
-            elif bg is not None:
+            else:  # the shorthand h = bg / 2, unread (so refused) next to h
+                bg = _single(model_entries, "bg", "model.bg")
+                if bg is None:
+                    raise InputError("model: tim needs either h or bg")
                 couplings["h"] = [_float(bg, "model.bg") / 2.0] * n_qubits
-            else:
-                raise InputError("model: tim needs either h or bg")
             couplings["jzz"] = _number(model_entries, "jzz", "model.jzz", "1.0")
         elif kind == "pauli-file":
-            path = _single(model_entries, "file", "model.file", required=True)
-            couplings["file"] = path
+            couplings["file"] = _single(model_entries, "file", "model.file", required=True)
 
     init_entries = sec.get("initial", [])
     initial = _single(init_entries, "state", "initial.state", default="0" * n_qubits)
@@ -187,10 +189,14 @@ def parse_config(text: str) -> ExperimentConfig:
     points = _int(_single(time_entries, "points", "time.points", default="61"), "time.points")
 
     obs: list[ObservableSpec] = []
-    for key, value, ln in sec.get("observables", []):
+    for key, value, ln in sec.pop("observables", []):
         if key != "observable":
             raise InputError(f"line {ln}: observables section only takes `observable = ...`")
         obs.append(_parse_observable(value, f"observables[{len(obs)}]"))
+    unread = sorted((ln, name, key) for name, entries in sec.items() for key, _, ln in entries)
+    if unread:
+        ln, name, key = unread[0]
+        raise InputError(f"line {ln}: {name}.{key} is unknown or unused by this model and schedule")
 
     return ExperimentConfig(
         model=kind,
@@ -455,6 +461,9 @@ def _digital_evolution(cfg, h, t) -> trotter.EvolutionResult:
 def run(cfg: ExperimentConfig) -> str:
     """Execute a validated config; returns the CSV text (comments prefixed #)."""
     validate_config(cfg)
+    kinds = {o.kind for o in cfg.observables}
+    if kinds == {"spectrum"} and cfg.plan.eps is None:  # steps must grow with theta
+        cfg = replace(cfg, plan=TrotterPlan.fixed_eps(0.1, order=cfg.plan.order))
     header = [f"# spinsim run: model={cfg.model} n_qubits={cfg.n_qubits}"]
     if cfg.name:
         header.append(f"# preset: {cfg.name}")
@@ -466,7 +475,6 @@ def run(cfg: ExperimentConfig) -> str:
         header.append(f"# assumption: {a}")
 
     h = build_hamiltonian(cfg)
-    kinds = {o.kind for o in cfg.observables}
     if kinds == {"spectrum"}:
         return _run_spectrum(cfg, h, header)
     # one time grid and one diagonalization of H for every exact column
@@ -508,8 +516,7 @@ def _run_spectrum(cfg, h, header) -> str:
     m = cfg.observables[0].args[0]
     spec = observables.SpectrumSpec(
         operator=h, initial=cfg.initial, m=m,
-        plan=cfg.plan if cfg.plan.eps is not None else TrotterPlan.fixed_eps(0.1),
-        gate_set=cfg.gate_set,
+        plan=cfg.plan, gate_set=cfg.gate_set,
     )
     series = observables.unitary_expectation_series(spec)
     peaks = observables.spectrum_from_series(series, spec.spacing())

@@ -15,7 +15,7 @@ The ``run-*.csv`` files were written by the program as it stood before the
 exact reference was diagonalized once per run, from the configs in
 ``RUN_CONFIGS``: run shapes the presets do not reach (five qubits under a
 fixed-eps second-order plan with scalar and correlation columns, a fixed
-Heisenberg bond variant whose correlations compile their own Trotter plan, and
+Heisenberg bond variant whose correlation columns run the Trotter plan, and
 a Jordan-Wigner fidelity sweep).
 
 The ``spectrum-*.csv`` files, and the ``spectrum-*.series`` expectation
@@ -24,6 +24,8 @@ program as it stood before the ancilla control of a spectrum run was applied
 to an amplitude half instead of a controlled gate circuit, from the configs in
 ``SPECTRUM_CONFIGS``: the criterion 8 setting and non-commuting fixed-eps
 plans, whose folded steps repeat up to thousands of times.
+The plan line of ``spectrum-heis2.csv`` was rewritten when a spectrum run's
+header began to name the fixed-eps plan that runs in place of a fixed_n one.
 
 Preset values may move by float rounding (the folded step multiplies a dense
 matrix instead of applying gates), so they are compared within 1e-9; every

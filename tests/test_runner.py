@@ -83,6 +83,21 @@ class TestParseConfig:
         with pytest.raises(InputError, match="more than once"):
             parse_config("[model]\nkind = tim\nn_qubits = 2\nn_qubits = 3\n")
 
+    @pytest.mark.parametrize("text, where", [
+        ("[model]\nkind = tim\nn_qubits = 2\nh = 1\n[evolution]\nstep = 7\n", "line 6: evolution.step"),
+        ("[model]\nkind = heisenberg\nn_qubits = 2\njzz = 2\n", "line 4: model.jzz"),
+        ("[model]\nkind = hubbard2\nn_qubits = 4\n", "line 3: model.n_qubits"),
+        ("[model]\nkind = tim\nn_qubits = 2\nh = 1\n[evolutoin]\n", "line 5: unknown section"),
+        ("[model]\nkind = tim\nn_qubits = 2\nbg = 2\nh = 1\n", "line 4: model.bg"),
+        ("[model]\nkind = tim\nn_qubits = 2\nh = 1\n[evolution]\n"
+         "schedule = fixed_eps\nsteps = 3\n", "line 7: evolution.steps"),
+        ("[model]\nkind = tim\nn_qubits = 2\nh = 1\n[evolution]\n"
+         "steps = 3\ngrowth = linear\n", "line 7: evolution.growth"),
+    ])
+    def test_unread_key_or_section_names_its_line(self, text, where):
+        with pytest.raises(InputError, match=where):
+            parse_config(text)
+
     def test_fixed_eps_schedule(self):
         cfg = parse_config(
             "[model]\nkind = xy\nn_qubits = 2\njxx = 1\njyy = 1\n"
@@ -381,6 +396,14 @@ class TestRun:
         header, rows = parse_csv(run(cfg))
         assert rows.shape == (3, 7)
 
+    def test_spectrum_header_names_the_plan_that_ran(self):
+        # a spectrum run replaces a fixed_n plan by fixed_eps(0.1), keeping the order
+        text = run(parse_config(
+            "[model]\nkind = heisenberg\nn_qubits = 2\n[initial]\nstate = 01\n"
+            "[evolution]\norder = 2\nsteps = 7\n[observables]\nobservable = spectrum 16\n"
+        ))
+        assert " plan=TrotterPlan(order=2, n_steps=None, eps=0.1, growth='quadratic')\n" in text
+
     def test_spectrum_run(self):
         cfg = ExperimentConfig(
             model="heisenberg", n_qubits=2,
@@ -467,6 +490,13 @@ class TestCli:
                    "[time]\nmax = 1e12"),
             id="fixed-eps-steps-past-index",
         ),
+        pytest.param(_model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\nstep = 7"), id="key-typo"),
+        pytest.param(
+            _model("kind = tim\nn_qubits = 2\nh = 1\n[evolution]\nschedule = fixed_n\neps = 0.3"),
+            id="eps-under-fixed-n",
+        ),
+        pytest.param(_model("kind = tim\nn_qubits = 2\nh = 1\n[evolutoin]\nsteps = 7"), id="section-typo"),
+        pytest.param(_model("kind = tim\nn_qubits = 2\nh = 1\nbg = 2"), id="tim-h-and-bg"),
     ])
     def test_parse_error_exits_2(self, tmp_path, capsys, config):
         ham = tmp_path / "h.txt"
@@ -480,6 +510,54 @@ class TestCli:
             cfgfile.write_text(config.format(ham=ham, missing=tmp_path / "missing.txt"))
         assert cli_main(["run", str(cfgfile)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_three_body_term_outside_s1_exits_2(self, tmp_path, capsys):
+        ham = tmp_path / "h.txt"
+        ham.write_text("1.0 XXZ\n0.5 ZII\n")
+        cfgfile = tmp_path / "multi.cfg"
+        cfgfile.write_text(
+            _model(f"kind = pauli-file\nn_qubits = 3\nfile = {ham}\n[evolution]\ngateset = S2")
+        )
+        assert cli_main(["run", str(cfgfile)]) == 2
+        assert "compiled in the CNOT set (S1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, plan", [
+        (["--steps", "3"], "TrotterPlan(order=1, n_steps=3, eps=None, growth='quadratic')"),
+        (["--eps", "0.2", "--order", "2"],
+         "TrotterPlan(order=2, n_steps=None, eps=0.2, growth='quadratic')"),
+        (["--eps", "0.2", "--growth", "linear"],
+         "TrotterPlan(order=1, n_steps=None, eps=0.2, growth='linear')"),
+    ])
+    def test_schedule_overrides(self, tmp_path, flags, plan):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(SAMPLE_CONFIG)
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", str(cfgfile), "--out", str(out)] + flags) == 0
+        assert f" plan={plan}\n" in out.read_text()
+
+    def test_growth_override_on_fixed_eps_config(self, tmp_path):
+        cfgfile = tmp_path / "eps.cfg"
+        cfgfile.write_text(SAMPLE_CONFIG.replace("schedule = fixed_n\nsteps = 5", "schedule = fixed_eps"))
+        texts = {}
+        for growth in ("linear", "quadratic"):
+            out = tmp_path / f"{growth}.csv"
+            assert cli_main(["run", str(cfgfile), "--growth", growth, "--out", str(out)]) == 0
+            texts[growth] = out.read_text()
+            assert f"eps=0.1, growth='{growth}')" in texts[growth]
+        steps = {g: t.split("# n_steps_used: ")[1].split("\n")[0] for g, t in texts.items()}
+        assert steps["linear"] != steps["quadratic"]
+
+    @pytest.mark.parametrize("command", ["run", "dump-circuit"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--growth", "linear"], "--growth applies to a fixed_eps schedule only"),
+        (["--steps", "3", "--growth", "linear"], "--growth applies to a fixed_eps schedule only"),
+        (["--steps", "3", "--eps", "0.2"], "--steps and --eps"),
+    ], ids=["growth-on-fixed-n", "growth-with-steps", "steps-and-eps"])
+    def test_conflicting_overrides_exit_2(self, tmp_path, capsys, command, flags, message):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(SAMPLE_CONFIG)
+        assert cli_main([command, str(cfgfile)] + flags) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_dump_circuit_steps_past_index_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "long.cfg"

@@ -149,6 +149,24 @@ class TestTrotterize:
         with pytest.raises(InputError):
             trotterize(fig2_hamiltonian(), t, TrotterPlan.fixed_eps(0.1))
 
+    def test_all_identity_hamiltonian(self):
+        # nothing to compile: empty circuits, one step, and e^{-i c t} as the global phase
+        h = PauliHamiltonian(2, [PauliString(0.6, "II")])
+        res = trotterize(h, 1.7, TrotterPlan.fixed_n(4))
+        assert res.prefix.ops == () and res.step.ops == () and res.n_steps_used == 1
+        psi = random_state(2)
+        out = evolve(psi.copy(), res)
+        assert np.max(np.abs(out.amplitudes - np.exp(-1j * 0.6 * 1.7) * psi.amplitudes)) <= 1e-12
+
+    def test_three_body_terms_through_the_cnot_ladder(self):
+        # the strings commute, so one step is exact, phase included
+        h = PauliHamiltonian(4, [PauliString(0.7, "XXZI"), PauliString(-0.4, "ZZIY")])
+        res = trotterize(h, 0.9, TrotterPlan.fixed_n(3))
+        assert res.n_steps_used == 1
+        assert res.step.two_qubit_count("CNOT") == 8  # two 3-qubit ladders of 2 + 2
+        u = circuit_unitary(res.circuit)
+        assert np.max(np.abs(u - exact_propagator(h, 0.9))) <= 1e-10
+
     def test_empty_hamiltonian_rejected(self):
         with pytest.raises(InputError):
             trotterize(PauliHamiltonian(2, []), 1.0, TrotterPlan.fixed_n(1))
