@@ -22,7 +22,7 @@ from .errors import InputError, ResourceError
 from .gates import DENSE_QUBIT_LIMIT, PAULI, string_matrix  # noqa: F401 (public name)
 
 _MASK_BITS = (str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011"))  # x, z
-_I_POW = (1 + 0j, 1j, -1 + 0j, complex(0, -1))
+_I_POW = (1 + 0j, 1j, -1 + 0j, complex(0, -1))  # i^k; the literal -1j is (-0-1j)
 
 
 @dataclass(frozen=True)
