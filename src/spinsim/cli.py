@@ -29,6 +29,8 @@ def _apply_overrides(cfg, args):
         cfg = replace(cfg, gate_set=compiler.GateSet(args.gateset))
     if args.steps is not None and args.eps is not None:
         raise InputError("--steps and --eps set different schedules; give one of them")
+    if args.steps is not None and {o.kind for o in cfg.observables} == {"spectrum"}:
+        raise InputError("--steps does not apply to a spectrum run, whose steps grow with theta")
     plan = replace(cfg.plan, order=args.order or cfg.plan.order)
     if args.steps is not None:
         plan = trotter.TrotterPlan.fixed_n(args.steps, order=plan.order)

@@ -19,6 +19,11 @@ order.  Global phases produced by decompositions are accumulated in
 ``Circuit.global_phase`` rather than discarded, so elementwise verification is
 possible where an identity is exact.  Circuits are immutable values after
 construction; all functions here are pure.
+
+``run_circuit`` is the one gate executor.  On a register of 12 qubits or more
+(``statevector._LARGE_REGISTER``) it runs the circuit's ``blocks``, its gates
+fused into blocks of at most 2 qubits, which each circuit builds once and
+keeps; smaller registers run gate by gate.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, ResourceError
 from .gates import DENSE_QUBIT_LIMIT, GateOp, check_axes, gate_matrix, zyz_angles
-from .statevector import StateVector, apply_gate
+from .statevector import _LARGE_REGISTER, Block, StateVector, apply_blocks, apply_gate, fuse
 
 
 class GateSet(enum.Enum):
@@ -68,6 +74,15 @@ class Circuit:
             return sum(1 for op in self.ops if op.kind == kind)
         return sum(1 for op in self.ops if op.kind in TWO_QUBIT_KINDS)
 
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """The ops fused into blocks of at most 2 qubits (:func:`statevector.fuse`).
+
+        Built on first use and kept with the circuit, so a step that repeats
+        is fused once.
+        """
+        return fuse(self.ops)
+
     def __add__(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
             raise InputError("cannot concatenate circuits on different registers")
@@ -79,13 +94,21 @@ class Circuit:
 
 
 def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Execute a circuit on the statevector backend, in place."""
+    """Execute a circuit on the statevector backend, in place.
+
+    A register of ``_LARGE_REGISTER`` (12) qubits or more runs the circuit's
+    fused ``blocks``, one memory pass per block instead of per gate; a smaller
+    one runs the ops gate by gate.
+    """
     if circuit.n_qubits > state.n_qubits:
         raise InputError(
             f"circuit needs {circuit.n_qubits} qubits, register has {state.n_qubits}"
         )
-    for op in circuit.ops:
-        apply_gate(state, op)
+    if state.n_qubits >= _LARGE_REGISTER:
+        apply_blocks(state, circuit.blocks)
+    else:
+        for op in circuit.ops:
+            apply_gate(state, op)
     if circuit.global_phase != 0.0:
         state.amplitudes *= np.exp(1j * circuit.global_phase)
     return state

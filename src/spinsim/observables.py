@@ -36,9 +36,10 @@ def magnetization(state: StateVector, site: int) -> float:
     n = state.n_qubits
     if not 1 <= site <= n:
         raise InputError(f"site {site} out of range for {n} qubits")
-    probs = np.abs(state.amplitudes) ** 2
-    bits = (np.arange(2**n) >> (n - site)) & 1
-    return float(0.5 * np.sum(probs * (1.0 - 2.0 * bits)))
+    # |amplitude|^2 summed over the halves with the site's bit at 0 and at 1
+    probs = np.abs(state.amplitudes.reshape(2 ** (site - 1), 2, -1))
+    probs *= probs
+    return float(0.5 * (probs[:, 0].sum() - probs[:, 1].sum()))
 
 
 @dataclass(frozen=True)

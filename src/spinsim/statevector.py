@@ -8,6 +8,10 @@ Conventions:
 
 Gate application is strided and in-place over amplitude pairs/quadruples;
 dense matrices are only used for k-qubit collective gates and verification.
+On registers of ``_LARGE_REGISTER`` (12) qubits or more, ``compiler.run_circuit``
+first fuses a circuit into blocks of at most 2 qubits (:func:`fuse`, in the
+style of qsim's gate fusion) and applies one 2x2 or 4x4 matrix per block
+(:func:`apply_blocks`), so a run of gates costs one pass over the state.
 A StateVector is a single-writer value: at most one mutating operation at a
 time.  Distinct instances are independent and safe on different threads.
 """
@@ -15,6 +19,7 @@ time.  Distinct instances are independent and safe on different threads.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -88,7 +93,7 @@ def product_state(n_qubits: int, spec: str) -> StateVector:
     h = hadamard()
     for i, ch in enumerate(spec, start=1):
         if ch in "+-":
-            _apply_1q(state.amplitudes, n_qubits, i, h)
+            _apply_run(state.amplitudes, n_qubits, i, h)
     return state
 
 
@@ -102,44 +107,52 @@ def _check_targets(n_qubits: int, targets: tuple[int, ...]):
 
 # Registers of at least _LARGE_REGISTER qubits take two reshaped kernels that
 # lose to the plain strided views on smaller ones (per-gate timings, 2-14
-# qubits): a dense 1q gate on one of the last _GEMM_MAX_TAIL qubits, where the
-# batched matmul loops over many tiny blocks, breaks even near 10 qubits, and
-# the Uxy quarter-slice update near 12.
+# qubits): a dense gate on the last _GEMM_MAX_TAIL qubits, where the batched
+# matmul loops over many tiny blocks, breaks even near 10 qubits, and the Uxy
+# quarter-slice update near 12.  On such registers a circuit also runs as
+# fused blocks (:func:`fuse`) instead of gate by gate.
 _LARGE_REGISTER = 12
 _GEMM_MAX_TAIL = 4
 _GEMM_CHUNK = 2**15
 
 
-def _apply_1q(amps: np.ndarray, n: int, q: int, u: np.ndarray):
-    left, right = 2 ** (q - 1), 2 ** (n - q)
-    if n >= _LARGE_REGISTER and n - q <= _GEMM_MAX_TAIL:
-        # (rows, 2R) x (2R, 2R) GEMMs with u (x) I_R, _GEMM_CHUNK amplitudes
-        # at a time to keep the product and BLAS's packing buffers small
-        rows = amps.reshape(left, 2 * right)
-        big_t = (u[:, None, :, None] * np.eye(right)[:, None, :]).reshape(
-            2 * right, 2 * right
-        ).T
-        step = _GEMM_CHUNK // (2 * right)
+def _apply_run(amps: np.ndarray, n: int, q: int, u: np.ndarray):
+    """``u`` on the k = 1 or 2 adjacent qubits q..q+k-1, qubit q its high bit."""
+    dim = len(u)
+    left = 2 ** (q - 1)
+    right = amps.size // (left * dim)
+    if n >= _LARGE_REGISTER and right <= 2**_GEMM_MAX_TAIL:
+        # (rows, dim R) x (dim R, dim R) GEMMs with u (x) I_R, _GEMM_CHUNK
+        # amplitudes at a time to keep the product and BLAS's packing buffers
+        # small
+        rows = amps.reshape(left, dim * right)
+        big_t = np.kron(u, np.eye(right)).T
+        step = _GEMM_CHUNK // (dim * right)
         for start in range(0, left, step):
             block = rows[start : start + step]
             np.copyto(block, block @ big_t)
         return
-    # batched 2x2 matmul over the strided (left, 2, right) view: two memory
+    # batched matmul over the strided (left, dim, right) view: two memory
     # passes per gate
-    view = amps.reshape(left, 2, right)
+    view = amps.reshape(left, dim, right)
     np.copyto(view, np.matmul(u, view))
 
 
 def _apply_2q(amps: np.ndarray, n: int, q1: int, q2: int, u: np.ndarray):
     # reorder so the gate matrix indexes (hi, lo) = sorted qubit positions
     if q1 > q2:
-        perm = [0, 2, 1, 3]
-        u = u[np.ix_(perm, perm)]
+        u = _swap_qubits(u)
         q1, q2 = q2, q1
     view = amps.reshape(2 ** (q1 - 1), 2, 2 ** (q2 - q1 - 1), 2, 2 ** (n - q2))
     moved = view.transpose(1, 3, 0, 2, 4).reshape(4, -1)
     out = np.matmul(u, moved)
     np.copyto(view, out.reshape(2, 2, *view.shape[::2]).transpose(2, 0, 3, 1, 4))
+
+
+def _swap_qubits(u: np.ndarray) -> np.ndarray:
+    """A 4x4 two-qubit matrix with its two qubits exchanged."""
+    perm = [0, 2, 1, 3]
+    return u[np.ix_(perm, perm)]
 
 
 def _apply_dense(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarray):
@@ -154,8 +167,9 @@ def _apply_dense(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarr
 
 
 def _apply_matrix(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarray):
-    if len(targets) == 1:
-        _apply_1q(amps, n, targets[0], u)
+    adjacent_pair = len(targets) == 2 and targets[1] == targets[0] + 1
+    if len(targets) == 1 or (adjacent_pair and n >= _LARGE_REGISTER):
+        _apply_run(amps, n, targets[0], u)
     elif len(targets) == 2:
         _apply_2q(amps, n, *targets, u)
     else:
@@ -166,6 +180,83 @@ def _apply_matrix(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndar
 def _cached_matrix(kind: str, params: tuple, k_targets: int) -> np.ndarray:
     # the dense matrix is independent of which qubits the gate addresses
     return gate_matrix(GateOp(kind, params, tuple(range(1, k_targets + 1))))
+
+
+_I2 = np.eye(2, dtype=complex)
+
+Block = tuple[tuple[int, ...], np.ndarray]  # target qubits, 2^k x 2^k matrix
+
+
+def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
+    """``ops`` (time order) merged into ``(targets, matrix)`` blocks of at most 2 qubits.
+
+    Walking the ops in order, each qubit has at most one open block.  A 1q gate
+    multiplies into its qubit's open block.  A 2q gate on the pair of an open
+    2q block multiplies into that block; any other 2q gate opens a block on
+    its pair (targets ascending) that absorbs the open 1q blocks of its two
+    qubits and closes any other block holding one of them.  A gate on more
+    than 2 qubits closes the blocks it touches and is a block of its own.
+    Blocks are listed as they close, so applying them in order (see
+    :func:`apply_blocks`) equals applying the ops in order.
+    """
+    blocks = []
+    open_blocks: dict[int, list] = {}  # qubit -> [targets, matrix], shared by a pair
+
+    def close(q: int):
+        block = open_blocks.get(q)
+        if block is not None:
+            for t in block[0]:
+                del open_blocks[t]
+            blocks.append(tuple(block))
+
+    for op in ops:
+        targets = op.targets
+        u = _cached_matrix(op.kind, op.params, len(targets))
+        if len(targets) == 1:
+            block = open_blocks.get(targets[0])
+            if block is None:
+                open_blocks[targets[0]] = [targets, u]
+                continue
+            if len(block[0]) == 2:
+                u = np.kron(u, _I2) if targets[0] == block[0][0] else np.kron(_I2, u)
+            block[1] = u @ block[1]
+        elif len(targets) == 2:
+            pair = tuple(sorted(targets))
+            if pair != targets:
+                u = _swap_qubits(u)
+            block = open_blocks.get(pair[0])
+            if block is not None and block[0] == pair:
+                block[1] = u @ block[1]
+                continue
+            before = []
+            for q in pair:
+                block = open_blocks.get(q)
+                if block is not None and len(block[0]) == 1:
+                    del open_blocks[q]
+                    before.append(block[1])
+                else:
+                    close(q)
+                    before.append(_I2)
+            open_blocks[pair[0]] = open_blocks[pair[1]] = [pair, u @ np.kron(*before)]
+        else:
+            for q in targets:
+                close(q)
+            blocks.append((targets, u))
+    for q in sorted(open_blocks):
+        close(q)
+    return tuple(blocks)
+
+
+def apply_blocks(state: StateVector, blocks: Sequence[Block]) -> StateVector:
+    """Apply the ``(targets, matrix)`` blocks of :func:`fuse` in order, in place.
+
+    A block on two adjacent qubits runs through the same kernel as a 1q gate,
+    over a (left, 4, right) view; other pairs through the 2q kernel.
+    """
+    for targets, u in blocks:
+        _check_targets(state.n_qubits, targets)
+        _apply_matrix(state.amplitudes, state.n_qubits, targets, u)
+    return state
 
 
 def _apply_diag_1q(amps, n, q, d0, d1):
@@ -293,7 +384,7 @@ def pauli_expectation(state: StateVector, p: PauliString) -> float:
     phi = state.copy()
     for q, letter in enumerate(p.letters, start=1):
         if letter != "I":
-            _apply_1q(phi.amplitudes, state.n_qubits, q, PAULI[letter])
+            _apply_run(phi.amplitudes, state.n_qubits, q, PAULI[letter])
     value = coef.real * inner_product(state, phi)
     if abs(value.imag) > 1e-10:
         raise InputError(f"expectation came out non-real: {value}")

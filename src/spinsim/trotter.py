@@ -334,10 +334,19 @@ def trotterize(
     return EvolutionResult(Circuit(n_q, prefix), Circuit(n_q, step), n, delta, phase)
 
 
+def _exact_phases(w: np.ndarray, t: float) -> np.ndarray:
+    """e^{-i w t} for the eigenvalues ``w``; a non-finite time or phase is an InputError."""
+    with np.errstate(all="ignore"):  # a non-finite phase is rejected below
+        phases = np.exp(-1j * w * t)
+    if not np.isfinite(phases).all():
+        raise InputError(f"exact evolution needs a finite time and phase, got t = {t}")
+    return phases
+
+
 def exact_propagator(h: PauliHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition of the dense Hamiltonian."""
     w, v = np.linalg.eigh(dense_matrix(h))
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return (v * _exact_phases(w, t)) @ v.conj().T
 
 
 def exact_evolvers(h: PauliHamiltonian, times: Iterable[float]) -> list[Evolver]:
@@ -350,10 +359,7 @@ def exact_evolvers(h: PauliHamiltonian, times: Iterable[float]) -> list[Evolver]
     w, v = np.linalg.eigh(dense_matrix(h))
 
     def evolver(t: float) -> Evolver:
-        with np.errstate(all="ignore"):  # a non-finite phase is rejected below
-            phases = np.exp(-1j * w * t)
-        if not np.isfinite(phases).all():
-            raise InputError(f"exact evolution needs a finite time and phase, got t = {t}")
+        phases = _exact_phases(w, t)
 
         def apply(state: StateVector) -> StateVector:
             if h.n_qubits > state.n_qubits:

@@ -17,9 +17,13 @@ from spinsim.compiler import (
     phase_distance,
     run_circuit,
 )
+from spinsim import compiler
 from spinsim.errors import InputError, ResourceError
 from spinsim.gates import GATE_SIGNATURES, GateOp, PAULI, gate_matrix, hadamard, hermitian_expm, pauli_pair_exponential
-from spinsim.statevector import basis_state
+from spinsim.observables import _half
+from spinsim.pauli import heisenberg_chain
+from spinsim.statevector import StateVector, apply_gate, basis_state, fuse, product_state
+from spinsim.trotter import TrotterPlan, evolve, trotterize
 
 RNG = np.random.default_rng(2024)
 
@@ -405,3 +409,89 @@ class TestRunCircuit:
         state = run_circuit(basis_state(2, "01"), c)
         expected = circuit_unitary(c) @ np.array([0, 1, 0, 0], dtype=complex)
         assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+
+
+def _random_fusion_circuit(n: int, n_ops: int) -> Circuit:
+    """1q gates, adjacent and non-adjacent pairs in either target order, MS
+    gates on 2-4 qubits and a nonzero global phase."""
+    kinds = {
+        "H": (0, 1), "X": (0, 1), "Rx": (1, 1), "Ry": (1, 1), "Rz": (1, 1), "Phase": (1, 1),
+        "U3": (3, 1), "MS_T1": (1, 1), "CNOT": (0, 2), "CPhase": (1, 2), "ZZ": (1, 2),
+        "XX": (1, 2), "YY": (1, 2), "Uxy": (1, 2), "MS_T3": (2, 3), "MS_T4": (2, 4),
+    }
+    ops = []
+    for _ in range(n_ops):
+        kind = str(RNG.choice(list(kinds)))
+        n_params, k = kinds[kind]
+        if kind in ("MS_T3", "MS_T4"):
+            k = int(RNG.integers(2, k + 1))  # collective, on 2 to k qubits
+        if k == 2 and RNG.random() < 0.5:
+            q = int(RNG.integers(1, n))
+            targets = (q, q + 1)
+        else:
+            targets = tuple(int(q) + 1 for q in RNG.choice(n, size=k, replace=False))
+        if RNG.random() < 0.5:
+            targets = targets[::-1]
+        ops.append(GateOp(kind, tuple(RNG.uniform(-np.pi, np.pi, n_params)), targets))
+    return Circuit(n, ops, 0.83)
+
+
+def _random_amplitudes(n: int) -> np.ndarray:
+    amps = RNG.normal(size=2**n) + 1j * RNG.normal(size=2**n)
+    return amps / np.linalg.norm(amps)
+
+
+def _gate_by_gate(state: StateVector, c: Circuit) -> StateVector:
+    for op in c.ops:
+        apply_gate(state, op)
+    state.amplitudes *= np.exp(1j * c.global_phase)
+    return state
+
+
+class TestFusedRun:
+    """Registers of 12 qubits or more run a circuit as fused <= 2-qubit blocks."""
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_matches_gate_by_gate(self, n):
+        c = _random_fusion_circuit(n, 150)
+        assert len(c.blocks) < len(c.ops)
+        amps = _random_amplitudes(n)
+        got = run_circuit(StateVector(n, amps.copy()), c)
+        want = _gate_by_gate(StateVector(n, amps.copy()), c)
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+
+    def test_strided_half_of_13_qubits(self):
+        c = _random_fusion_circuit(12, 150)
+        amps = _random_amplitudes(13)
+        state = StateVector(13, amps.copy())
+        run_circuit(_half(state, 1), c)
+        want = _gate_by_gate(StateVector(12, amps[1::2].copy()), c)
+        assert np.max(np.abs(state.amplitudes[1::2] - want.amplitudes)) <= 1e-12
+        assert np.array_equal(state.amplitudes[0::2], amps[0::2])
+
+    def test_gate_sets_agree_at_12_qubits(self):
+        h = heisenberg_chain(12, list(RNG.uniform(0.5, 1.5, 11)), 0.5)
+        states = []
+        for gate_set in GateSet:
+            c = trotterize(h, 1.0, TrotterPlan.fixed_n(1), gate_set).circuit
+            assert len(c.blocks) == 11  # one block per bond of the chain
+            states.append(run_circuit(product_state(12, "010011010110"), c).amplitudes)
+        for other in states[1:]:
+            assert abs(np.vdot(states[0], other)) >= 1.0 - 1e-10
+
+    def test_evolve_fuses_each_circuit_once(self, monkeypatch):
+        calls = []
+
+        def counting(ops):
+            calls.append(ops)
+            return fuse(ops)
+
+        monkeypatch.setattr(compiler, "fuse", counting)
+        h = heisenberg_chain(12, 1.0, 0.5)
+        result = trotterize(h, 0.6, TrotterPlan.fixed_n(4), GateSet.S1)
+        assert result.n_steps_used == 4 and result.folded_step is None
+        state = evolve(product_state(12, "0" * 6 + "1" * 6), result)
+        # once for the step, once for the prefix of hoisted field rotations
+        assert [ops is result.step.ops for ops in calls] == [False, True]
+        evolve(state, result)
+        assert len(calls) == 2

@@ -56,6 +56,20 @@ class TestMagnetization:
         expected = 0.5 * np.real(np.vdot(amps, z1 @ amps))
         assert magnetization(s, 1) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_against_index_array_reference(self, n):
+        # the halves' sums against (1/2) sum |a_i|^2 (1 - 2 bit_site(i)); a
+        # strided half of a wider state gives the values of its copy
+        def reference(amps, site):
+            bits = (np.arange(len(amps)) >> (n - site)) & 1
+            return 0.5 * np.sum(np.abs(amps) ** 2 * (1.0 - 2.0 * bits))
+
+        psi = random_state(n + 1)
+        for state in (random_state(n), _half(psi, 1)):
+            for site in range(1, n + 1):
+                want = reference(state.amplitudes.copy(), site)
+                assert abs(magnetization(state, site) - want) <= 1e-14
+
     def test_site_range(self):
         with pytest.raises(InputError):
             magnetization(basis_state(2, "00"), 3)

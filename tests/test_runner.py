@@ -559,6 +559,16 @@ class TestCli:
         assert cli_main([command, str(cfgfile)] + flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("command", ["run", "dump-circuit"])
+    def test_steps_override_on_spectrum_config_exits_2(self, tmp_path, capsys, command):
+        # a spectrum run's steps must grow with theta, so a fixed count is refused
+        cfgfile = tmp_path / "spectrum.cfg"
+        cfgfile.write_text(
+            "[model]\nkind = heisenberg\nn_qubits = 2\n[observables]\nobservable = spectrum 16\n"
+        )
+        assert cli_main([command, str(cfgfile), "--steps", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: --steps does not apply to a spectrum run")
+
     def test_dump_circuit_steps_past_index_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "long.cfg"
         cfgfile.write_text(

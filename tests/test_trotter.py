@@ -422,8 +422,10 @@ class TestExactEvolvers:
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 1e308],
                              ids=["nan", "inf", "-inf", "phase-overflows"])
     def test_non_finite_time_or_phase_rejected(self, t):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="finite time and phase"):
             exact_evolvers(heisenberg_chain(2, 1.0, 0.5), [0.0, t])
+        with pytest.raises(InputError, match="finite time and phase"):
+            exact_propagator(heisenberg_chain(2, 1.0, 0.5), t)
 
     def test_narrow_register_rejected(self):
         (evolve_t,) = exact_evolvers(heisenberg_chain(3, 1.0), [0.5])
