@@ -92,6 +92,11 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "dump-circuit":
             cfg = _apply_overrides(runner.parse_config(runner.read_text(args.config)), args)
             runner.validate_config(cfg)
+            if {o.kind for o in cfg.observables} == {"spectrum"}:
+                raise InputError(
+                    "dump-circuit does not apply to a spectrum run, which compiles "
+                    "one circuit per theta"
+                )
             h = runner.build_hamiltonian(cfg)
             circ = runner._digital_evolution(cfg, h, cfg.t_max).circuit
             _emit(compiler.dumps_circuit(circ), args.out)

@@ -20,10 +20,9 @@ order.  Global phases produced by decompositions are accumulated in
 possible where an identity is exact.  Circuits are immutable values after
 construction; all functions here are pure.
 
-``run_circuit`` is the one gate executor.  On a register of 12 qubits or more
-(``statevector._LARGE_REGISTER``) it runs the circuit's ``blocks``, its gates
-fused into blocks of at most 2 qubits, which each circuit builds once and
-keeps; smaller registers run gate by gate.
+``run_circuit`` is the one circuit executor.  On every register it runs the
+circuit's ``blocks``, its gates fused into blocks of at most 2 qubits, which
+each circuit builds once and keeps.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .gates import DENSE_QUBIT_LIMIT, GateOp, check_axes, gate_matrix, zyz_angles
-from .statevector import _LARGE_REGISTER, Block, StateVector, apply_blocks, apply_gate, fuse
+from .statevector import Block, StateVector, _apply_matrix, fuse
 
 
 class GateSet(enum.Enum):
@@ -96,19 +95,17 @@ class Circuit:
 def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Execute a circuit on the statevector backend, in place.
 
-    A register of ``_LARGE_REGISTER`` (12) qubits or more runs the circuit's
-    fused ``blocks``, one memory pass per block instead of per gate; a smaller
-    one runs the ops gate by gate.
+    Runs the circuit's fused ``blocks`` in order, one memory pass per block
+    instead of per gate, on every register.  Their targets were checked
+    against the circuit's register when it was built; that register is
+    checked against the state's here.
     """
     if circuit.n_qubits > state.n_qubits:
         raise InputError(
             f"circuit needs {circuit.n_qubits} qubits, register has {state.n_qubits}"
         )
-    if state.n_qubits >= _LARGE_REGISTER:
-        apply_blocks(state, circuit.blocks)
-    else:
-        for op in circuit.ops:
-            apply_gate(state, op)
+    for targets, u in circuit.blocks:
+        _apply_matrix(state.amplitudes, state.n_qubits, targets, u)
     if circuit.global_phase != 0.0:
         state.amplitudes *= np.exp(1j * circuit.global_phase)
     return state

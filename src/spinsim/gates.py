@@ -139,10 +139,16 @@ def cphase(delta: float) -> np.ndarray:
 
 
 def kron_factors(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of per-qubit factors, qubit 1 first."""
-    out = np.eye(1, dtype=complex)
+    """Kronecker product of per-qubit factors, qubit 1 first; ``eye(1)`` for none.
+
+    Each step is one broadcast outer product, the same products ``np.kron``
+    forms without its per-call overhead.
+    """
+    factors = iter(factors)
+    out = np.array(next(factors, [[1.0]]), dtype=complex)
     for f in factors:
-        out = np.kron(out, f)
+        (r1, c1), (r2, c2) = out.shape, f.shape
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(r1 * r2, c1 * c2)
     return out
 
 

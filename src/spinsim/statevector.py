@@ -6,12 +6,12 @@ Conventions:
   index, so ``|b_1 b_2 ... b_N>`` sits at index ``sum(b_i * 2**(N-i))``.
 * ``|0> = |up>`` with ``sigma_z |0> = +|0>``.
 
-Gate application is strided and in-place over amplitude pairs/quadruples;
-dense matrices are only used for k-qubit collective gates and verification.
-On registers of ``_LARGE_REGISTER`` (12) qubits or more, ``compiler.run_circuit``
-first fuses a circuit into blocks of at most 2 qubits (:func:`fuse`, in the
-style of qsim's gate fusion) and applies one 2x2 or 4x4 matrix per block
-(:func:`apply_blocks`), so a run of gates costs one pass over the state.
+Gates and fused blocks apply in place over strided views of the amplitudes.
+``compiler.run_circuit`` fuses a circuit into blocks of at most 2 qubits
+(:func:`fuse`, in the style of qsim's gate fusion) and applies one 2x2 or 4x4
+matrix per block, on every register, so a run of gates costs one pass over
+the state.  :func:`apply_gate` applies a single gate, with strided fast paths
+for diagonal and permutation gates.
 A StateVector is a single-writer value: at most one mutating operation at a
 time.  Distinct instances are independent and safe on different threads.
 """
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .gates import PAULI, GateOp, gate_matrix, hadamard, is_unitary
+from .gates import PAULI, GateOp, gate_matrix, hadamard, is_unitary, kron_factors
 from .pauli import PauliString
 
 _DENSE_LIMIT = 26  # 2**26 complex amplitudes == 1 GiB
@@ -105,12 +105,10 @@ def _check_targets(n_qubits: int, targets: tuple[int, ...]):
         raise InputError(f"duplicate targets {targets}")
 
 
-# Registers of at least _LARGE_REGISTER qubits take two reshaped kernels that
-# lose to the plain strided views on smaller ones (per-gate timings, 2-14
-# qubits): a dense gate on the last _GEMM_MAX_TAIL qubits, where the batched
-# matmul loops over many tiny blocks, breaks even near 10 qubits, and the Uxy
-# quarter-slice update near 12.  On such registers a circuit also runs as
-# fused blocks (:func:`fuse`) instead of gate by gate.
+# A dense gate on the last _GEMM_MAX_TAIL qubits, where the batched matmul
+# loops over many tiny blocks, runs as chunked GEMMs on registers of at least
+# _LARGE_REGISTER qubits; it breaks even with the strided view near 10 qubits
+# (per-gate timings, 2-14 qubits).
 _LARGE_REGISTER = 12
 _GEMM_MAX_TAIL = 4
 _GEMM_CHUNK = 2**15
@@ -138,17 +136,6 @@ def _apply_run(amps: np.ndarray, n: int, q: int, u: np.ndarray):
     np.copyto(view, np.matmul(u, view))
 
 
-def _apply_2q(amps: np.ndarray, n: int, q1: int, q2: int, u: np.ndarray):
-    # reorder so the gate matrix indexes (hi, lo) = sorted qubit positions
-    if q1 > q2:
-        u = _swap_qubits(u)
-        q1, q2 = q2, q1
-    view = amps.reshape(2 ** (q1 - 1), 2, 2 ** (q2 - q1 - 1), 2, 2 ** (n - q2))
-    moved = view.transpose(1, 3, 0, 2, 4).reshape(4, -1)
-    out = np.matmul(u, moved)
-    np.copyto(view, out.reshape(2, 2, *view.shape[::2]).transpose(2, 0, 3, 1, 4))
-
-
 def _swap_qubits(u: np.ndarray) -> np.ndarray:
     """A 4x4 two-qubit matrix with its two qubits exchanged."""
     perm = [0, 2, 1, 3]
@@ -167,11 +154,8 @@ def _apply_dense(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarr
 
 
 def _apply_matrix(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarray):
-    adjacent_pair = len(targets) == 2 and targets[1] == targets[0] + 1
-    if len(targets) == 1 or (adjacent_pair and n >= _LARGE_REGISTER):
+    if len(targets) == 1 or (len(targets) == 2 and targets[1] == targets[0] + 1):
         _apply_run(amps, n, targets[0], u)
-    elif len(targets) == 2:
-        _apply_2q(amps, n, *targets, u)
     else:
         _apply_dense(amps, n, targets, u)
 
@@ -196,8 +180,8 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
     its pair (targets ascending) that absorbs the open 1q blocks of its two
     qubits and closes any other block holding one of them.  A gate on more
     than 2 qubits closes the blocks it touches and is a block of its own.
-    Blocks are listed as they close, so applying them in order (see
-    :func:`apply_blocks`) equals applying the ops in order.
+    Blocks are listed as they close, so applying them in order equals applying
+    the ops in order.
     """
     blocks = []
     open_blocks: dict[int, list] = {}  # qubit -> [targets, matrix], shared by a pair
@@ -217,9 +201,13 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
             if block is None:
                 open_blocks[targets[0]] = [targets, u]
                 continue
-            if len(block[0]) == 2:
-                u = np.kron(u, _I2) if targets[0] == block[0][0] else np.kron(_I2, u)
-            block[1] = u @ block[1]
+            m = block[1]
+            if len(block[0]) == 1:
+                block[1] = u @ m
+            elif targets[0] == block[0][0]:  # (u x I) m: u on the high bit of the row index
+                block[1] = (u @ m.reshape(2, 8)).reshape(4, 4)
+            else:  # (I x u) m: u on the low bit of the row index
+                block[1] = (u @ m.reshape(2, 2, 4)).reshape(4, 4)
         elif len(targets) == 2:
             pair = tuple(sorted(targets))
             if pair != targets:
@@ -237,7 +225,7 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
                 else:
                     close(q)
                     before.append(_I2)
-            open_blocks[pair[0]] = open_blocks[pair[1]] = [pair, u @ np.kron(*before)]
+            open_blocks[pair[0]] = open_blocks[pair[1]] = [pair, u @ kron_factors(before)]
         else:
             for q in targets:
                 close(q)
@@ -245,18 +233,6 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
     for q in sorted(open_blocks):
         close(q)
     return tuple(blocks)
-
-
-def apply_blocks(state: StateVector, blocks: Sequence[Block]) -> StateVector:
-    """Apply the ``(targets, matrix)`` blocks of :func:`fuse` in order, in place.
-
-    A block on two adjacent qubits runs through the same kernel as a 1q gate,
-    over a (left, 4, right) view; other pairs through the 2q kernel.
-    """
-    for targets, u in blocks:
-        _check_targets(state.n_qubits, targets)
-        _apply_matrix(state.amplitudes, state.n_qubits, targets, u)
-    return state
 
 
 def _apply_diag_1q(amps, n, q, d0, d1):
@@ -313,7 +289,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     if kind == "X":
         _apply_x_gate(amps, n, gate.targets[0])
         return state
-    if kind == "Uxy" and n >= _LARGE_REGISTER:
+    if kind == "Uxy":
         _apply_uxy(amps, n, *gate.targets, _cached_matrix(kind, gate.params, 2))
         return state
     if kind in ("CNOT", "CPhase", "ZZ"):

@@ -413,7 +413,7 @@ class TestRunCircuit:
 
 def _random_fusion_circuit(n: int, n_ops: int) -> Circuit:
     """1q gates, adjacent and non-adjacent pairs in either target order, MS
-    gates on 2-4 qubits and a nonzero global phase."""
+    gates on 2 to min(4, n) qubits and a nonzero global phase."""
     kinds = {
         "H": (0, 1), "X": (0, 1), "Rx": (1, 1), "Ry": (1, 1), "Rz": (1, 1), "Phase": (1, 1),
         "U3": (3, 1), "MS_T1": (1, 1), "CNOT": (0, 2), "CPhase": (1, 2), "ZZ": (1, 2),
@@ -424,7 +424,7 @@ def _random_fusion_circuit(n: int, n_ops: int) -> Circuit:
         kind = str(RNG.choice(list(kinds)))
         n_params, k = kinds[kind]
         if kind in ("MS_T3", "MS_T4"):
-            k = int(RNG.integers(2, k + 1))  # collective, on 2 to k qubits
+            k = int(RNG.integers(2, min(k, n) + 1))  # collective, on 2 to k qubits
         if k == 2 and RNG.random() < 0.5:
             q = int(RNG.integers(1, n))
             targets = (q, q + 1)
@@ -449,9 +449,10 @@ def _gate_by_gate(state: StateVector, c: Circuit) -> StateVector:
 
 
 class TestFusedRun:
-    """Registers of 12 qubits or more run a circuit as fused <= 2-qubit blocks."""
+    """Every register runs a circuit as fused <= 2-qubit blocks; ``apply_gate``,
+    one gate at a time, is the reference."""
 
-    @pytest.mark.parametrize("n", [12, 13])
+    @pytest.mark.parametrize("n", [2, 3, 5, 9, 12, 13])
     def test_matches_gate_by_gate(self, n):
         c = _random_fusion_circuit(n, 150)
         assert len(c.blocks) < len(c.ops)
@@ -460,12 +461,14 @@ class TestFusedRun:
         want = _gate_by_gate(StateVector(n, amps.copy()), c)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
 
-    def test_strided_half_of_13_qubits(self):
-        c = _random_fusion_circuit(12, 150)
-        amps = _random_amplitudes(13)
-        state = StateVector(13, amps.copy())
+    # 3 qubits: a 2-qubit circuit on the ancilla half, as in a spectrum run
+    @pytest.mark.parametrize("n", [3, 13])
+    def test_strided_half(self, n):
+        c = _random_fusion_circuit(n - 1, 150)
+        amps = _random_amplitudes(n)
+        state = StateVector(n, amps.copy())
         run_circuit(_half(state, 1), c)
-        want = _gate_by_gate(StateVector(12, amps[1::2].copy()), c)
+        want = _gate_by_gate(StateVector(n - 1, amps[1::2].copy()), c)
         assert np.max(np.abs(state.amplitudes[1::2] - want.amplitudes)) <= 1e-12
         assert np.array_equal(state.amplitudes[0::2], amps[0::2])
 
@@ -479,7 +482,8 @@ class TestFusedRun:
         for other in states[1:]:
             assert abs(np.vdot(states[0], other)) >= 1.0 - 1e-10
 
-    def test_evolve_fuses_each_circuit_once(self, monkeypatch):
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_evolve_fuses_each_circuit_once(self, monkeypatch, n):
         calls = []
 
         def counting(ops):
@@ -487,10 +491,10 @@ class TestFusedRun:
             return fuse(ops)
 
         monkeypatch.setattr(compiler, "fuse", counting)
-        h = heisenberg_chain(12, 1.0, 0.5)
+        h = heisenberg_chain(n, 1.0, 0.5)
         result = trotterize(h, 0.6, TrotterPlan.fixed_n(4), GateSet.S1)
         assert result.n_steps_used == 4 and result.folded_step is None
-        state = evolve(product_state(12, "0" * 6 + "1" * 6), result)
+        state = evolve(product_state(n, "0" * (n // 2) + "1" * (n - n // 2)), result)
         # once for the step, once for the prefix of hoisted field rotations
         assert [ops is result.step.ops for ops in calls] == [False, True]
         evolve(state, result)

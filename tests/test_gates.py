@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from spinsim.gates import (
     hadamard,
     hermitian_expm,
     is_unitary,
+    kron_factors,
     ms_generator,
     pauli_pair_exponential,
     phase_gate,
@@ -169,6 +172,25 @@ class TestMSGates:
             GateOp("MS_T4", (0.1, 0.0), (1,))
         with pytest.raises(InputError):
             ms_generator("MS_T4", 0.1, 0.0, 1)
+
+
+def _random_complex(dim: int) -> np.ndarray:
+    return RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+
+
+class TestKronFactors:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (4, 4), (4, 2, 4), (2, 4, 2), (2,), (4,)])
+    def test_equals_kron_fold(self, dims):
+        factors = [_random_complex(d) for d in dims]
+        want = reduce(np.kron, factors, np.eye(1, dtype=complex))
+        got = kron_factors(factors)
+        assert got.dtype == complex and np.array_equal(got, want)
+        # a single factor comes back as a copy, not the caller's array
+        assert not np.shares_memory(got, factors[0])
+
+    def test_empty_list_is_eye_1(self):
+        got = kron_factors([])
+        assert got.dtype == complex and np.array_equal(got, np.eye(1))
 
 
 class TestUnitarity:

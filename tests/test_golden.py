@@ -28,7 +28,8 @@ The plan line of ``spectrum-heis2.csv`` was rewritten when a spectrum run's
 header began to name the fixed-eps plan that runs in place of a fixed_n one.
 
 Preset values may move by float rounding (the folded step multiplies a dense
-matrix instead of applying gates), so they are compared within 1e-9; every
+matrix, and a fused block the matrices of its gates, instead of applying the
+gates one by one), so they are compared within 1e-9; every
 comment line, the column names, the ``verify`` report and the compiled
 circuits are compared byte for byte.
 """

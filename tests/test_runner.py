@@ -569,6 +569,17 @@ class TestCli:
         assert cli_main([command, str(cfgfile), "--steps", "3"]) == 2
         assert capsys.readouterr().err.startswith("error: --steps does not apply to a spectrum run")
 
+    def test_dump_circuit_on_spectrum_config_exits_2(self, tmp_path, capsys):
+        # a spectrum run compiles one circuit per theta, none at time.max
+        cfgfile = tmp_path / "spectrum.cfg"
+        cfgfile.write_text(
+            "[model]\nkind = heisenberg\nn_qubits = 2\n[observables]\nobservable = spectrum 64\n"
+        )
+        assert cli_main(["dump-circuit", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dump-circuit does not apply to a spectrum run")
+
     def test_dump_circuit_steps_past_index_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "long.cfg"
         cfgfile.write_text(
