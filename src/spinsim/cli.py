@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``run <config>``, ``figure <id>``, ``verify``,
-``dump-circuit <config>``.  Exit codes: 0 success, 2 validation error,
-3 resource limit.
+Subcommands: ``run <config>``, ``figure <id>``, ``verify`` and ``dump-circuit
+<config>`` (time-evolution runs only).  An override flag makes a new config,
+checked as it is built.  Exit codes: 0 success, 2 invalid input, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -25,12 +25,8 @@ def _add_override_flags(p: argparse.ArgumentParser):
 
 
 def _apply_overrides(cfg, args):
-    if args.gateset:
-        cfg = replace(cfg, gate_set=compiler.GateSet(args.gateset))
     if args.steps is not None and args.eps is not None:
         raise InputError("--steps and --eps set different schedules; give one of them")
-    if args.steps is not None and {o.kind for o in cfg.observables} == {"spectrum"}:
-        raise InputError("--steps does not apply to a spectrum run, whose steps grow with theta")
     plan = replace(cfg.plan, order=args.order or cfg.plan.order)
     if args.steps is not None:
         plan = trotter.TrotterPlan.fixed_n(args.steps, order=plan.order)
@@ -38,7 +34,8 @@ def _apply_overrides(cfg, args):
         plan = trotter.TrotterPlan.fixed_eps(args.eps, plan.growth, order=plan.order)
     if args.growth and plan.eps is None:
         raise InputError("--growth applies to a fixed_eps schedule only")
-    return replace(cfg, plan=replace(plan, growth=args.growth or plan.growth))
+    plan = replace(plan, growth=args.growth or plan.growth)
+    return replace(cfg, gate_set=compiler.GateSet(args.gateset or cfg.gate_set), plan=plan)
 
 
 def _emit(text: str, out: str | None):
@@ -78,28 +75,26 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = _apply_overrides(runner.parse_config(runner.read_text(args.config)), args)
-            _emit(runner.run(cfg), args.out)
-        elif args.command == "figure":
-            cfg = _apply_overrides(runner.figure_preset(args.id), args)
-            _emit(runner.run(cfg), args.out)
-        elif args.command == "verify":
+        if args.command == "verify":
             checks = runner.verify_suite()
             _emit(runner.format_verify_report(checks) + "\n", args.out)
-            if not all(c.passed for c in checks):
-                return 1
-        elif args.command == "dump-circuit":
+            return 0 if all(c.passed for c in checks) else 1
+        if args.command == "figure":
+            cfg = _apply_overrides(runner.figure_preset(args.id), args)
+        else:
             cfg = _apply_overrides(runner.parse_config(runner.read_text(args.config)), args)
-            runner.validate_config(cfg)
-            if {o.kind for o in cfg.observables} == {"spectrum"}:
+        if args.command == "dump-circuit":
+            compiles = {"spectrum": "theta", "fidelity": "schedule and delta"}.get(cfg.run_kind)
+            if compiles:
                 raise InputError(
-                    "dump-circuit does not apply to a spectrum run, which compiles "
-                    "one circuit per theta"
+                    f"dump-circuit does not apply to a {cfg.run_kind} run, which compiles "
+                    f"one circuit per {compiles}"
                 )
             h = runner.build_hamiltonian(cfg)
             circ = runner._digital_evolution(cfg, h, cfg.t_max).circuit
             _emit(compiler.dumps_circuit(circ), args.out)
+        else:
+            _emit(runner.run(cfg), args.out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

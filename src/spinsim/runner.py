@@ -30,20 +30,112 @@ class ObservableSpec:
     args: tuple = ()
 
 
+def _check_grid(size: int, path: str):
+    # every grid point costs at least one gate application
+    if size > gates.GATE_BUDGET:
+        raise ResourceError(
+            f"{path}: {size} grid points are over the budget of {gates.GATE_BUDGET} "
+            "gate applications"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run of a spin model, checked when built: ``InputError`` if unusable,
+    ``ResourceError`` past a register or grid limit.
+
+    ``plan=None`` is ``fixed_eps(0.1)`` for a spectrum run, whose steps grow with
+    theta, else ``fixed_n(5)``.  An evolution run reads every field.  A fidelity
+    sweep reads only the plan's order (its observables set the schedules), and a
+    spectrum run not ``t_max`` or ``points``; neither takes ``heis2_variant``.
+    """
+
     model: str
     n_qubits: int
     couplings: dict = field(default_factory=dict)
     initial: str = ""
     gate_set: GateSet = GateSet.S1
-    plan: TrotterPlan = field(default_factory=lambda: TrotterPlan.fixed_n(5))
+    plan: TrotterPlan | None = None
     t_max: float = math.pi
     points: int = 61
     observables: tuple[ObservableSpec, ...] = ()
     heis2_variant: str | None = None
     assumptions: tuple[str, ...] = ()
     name: str = ""
+
+    @property
+    def run_kind(self) -> str:
+        """``spectrum`` or ``fidelity`` when those are all its observables, else ``evolution``."""
+        kinds = {o.kind for o in self.observables}
+        return kinds.pop() if kinds in ({"spectrum"}, {"fidelity"}) else "evolution"
+
+    def __post_init__(self):
+        if self.plan is None:
+            spectrum = self.run_kind == "spectrum"
+            plan = TrotterPlan.fixed_eps(0.1) if spectrum else TrotterPlan.fixed_n(5)
+            object.__setattr__(self, "plan", plan)
+        if self.model not in MODELS:
+            raise InputError(f"model: unknown model {self.model!r}")
+        check_register(self.n_qubits, "model.n_qubits")
+        if len(self.initial) != self.n_qubits:
+            raise InputError(
+                f"initial.state: {self.initial!r} does not match n_qubits={self.n_qubits}"
+            )
+        if any(ch not in "01+-" for ch in self.initial):
+            raise InputError(f"initial.state: only 0/1/+/- allowed, got {self.initial!r}")
+        if self.points < 1:
+            raise InputError(f"time.points: must be >= 1, got {self.points}")
+        _check_grid(self.points, "time.points")
+        if not self.observables:
+            raise InputError("observables: at least one observable is required")
+        kinds = {o.kind for o in self.observables}
+        if "spectrum" in kinds and len(self.observables) > 1:
+            raise InputError("observables: spectrum must be the only observable")
+        if "fidelity" in kinds and kinds != {"fidelity"}:
+            raise InputError("observables: fidelity sweeps cannot mix with other kinds")
+        for k, o in enumerate(self.observables):
+            path = f"observables[{k}]"
+            if o.kind == "magnetization":
+                site = o.args[0]
+                if not 1 <= site <= self.n_qubits:
+                    raise InputError(
+                        f"{path}.site: site {site} out of range for {self.n_qubits} qubits"
+                    )
+            elif o.kind == "probability":
+                bits = o.args[0]
+                if len(bits) != self.n_qubits or any(b not in "01" for b in bits):
+                    raise InputError(
+                        f"{path}.bits: {bits!r} is not a {self.n_qubits}-bit string"
+                    )
+            elif o.kind == "correlation":
+                v, w, i, j = o.args
+                if v not in gates.PAULI or w not in gates.PAULI:
+                    raise InputError(f"{path}: V/W must be Pauli letters, got {v} {w}")
+                for site, nm in ((i, "i"), (j, "j")):
+                    if not 1 <= site <= self.n_qubits:
+                        raise InputError(
+                            f"{path}.{nm}: site {site} out of range for {self.n_qubits} qubits"
+                        )
+            elif o.kind == "spectrum":
+                m = o.args[0]
+                if m < 2 or m & (m - 1):
+                    raise InputError(f"{path}.m: must be a power of two, got {m}")
+                _check_grid(m, f"{path}.m")
+        if self.run_kind == "spectrum" and self.plan.eps is None:
+            raise InputError("evolution.schedule: spectrum steps grow with theta; use fixed_eps")
+        if self.run_kind == "fidelity" and replace(self.plan, order=1) != TrotterPlan.fixed_n(5):
+            raise InputError(
+                "evolution: a fidelity sweep takes only an order; its observables set schedules"
+            )
+        if self.heis2_variant is not None:
+            if self.heis2_variant not in ("6cnot", "3cnot", "3uxy", "s4"):
+                raise InputError(f"evolution.variant: unknown variant {self.heis2_variant!r}")
+            applies_to = (self.run_kind, self.model, self.n_qubits, self.couplings.get("bg", 0.0))
+            if applies_to != ("evolution", "heisenberg", 2, 0.0):
+                raise InputError(
+                    "evolution.variant: fixed Heisenberg variants apply only to time evolution "
+                    "of the 2-qubit field-free Heisenberg model"
+                )
 
 
 # --- config text format -------------------------------------------------------
@@ -163,6 +255,12 @@ def parse_config(text: str) -> ExperimentConfig:
     init_entries = sec.get("initial", [])
     initial = _single(init_entries, "state", "initial.state", default="0" * n_qubits)
 
+    obs: list[ObservableSpec] = []
+    for key, value, ln in sec.pop("observables", []):
+        if key != "observable":
+            raise InputError(f"line {ln}: observables section only takes `observable = ...`")
+        obs.append(_parse_observable(value, f"observables[{len(obs)}]"))
+
     evo = sec.get("evolution", [])
     gs_raw = _single(evo, "gateset", "evolution.gateset", default="S1").upper()
     try:
@@ -170,13 +268,17 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise InputError(f"evolution.gateset: unknown gate set {gs_raw!r}") from exc
     order = _int(_single(evo, "order", "evolution.order", default="1"), "evolution.order")
-    schedule = _single(evo, "schedule", "evolution.schedule", default="fixed_n").lower()
+    kinds = {o.kind for o in obs}
+    # a fidelity sweep reads no schedule keys (so refuses them): its observables set them
+    plan_entries = [] if kinds == {"fidelity"} else evo
+    default = "fixed_eps" if kinds == {"spectrum"} else "fixed_n"
+    schedule = _single(plan_entries, "schedule", "evolution.schedule", default=default).lower()
     if schedule == "fixed_n":
-        steps = _int(_single(evo, "steps", "evolution.steps", default="5"), "evolution.steps")
-        plan = TrotterPlan.fixed_n(steps, order=order)
+        steps = _single(plan_entries, "steps", "evolution.steps", default="5")
+        plan = TrotterPlan.fixed_n(_int(steps, "evolution.steps"), order=order)
     elif schedule == "fixed_eps":
-        eps = _number(evo, "eps", "evolution.eps", "0.1")
-        growth = _single(evo, "growth", "evolution.growth", default="quadratic").lower()
+        eps = _number(plan_entries, "eps", "evolution.eps", "0.1")
+        growth = _single(plan_entries, "growth", "evolution.growth", default="quadratic").lower()
         plan = TrotterPlan.fixed_eps(eps, growth=growth, order=order)
     else:
         raise InputError(
@@ -188,15 +290,10 @@ def parse_config(text: str) -> ExperimentConfig:
     t_max = _number(time_entries, "max", "time.max", str(math.pi))
     points = _int(_single(time_entries, "points", "time.points", default="61"), "time.points")
 
-    obs: list[ObservableSpec] = []
-    for key, value, ln in sec.pop("observables", []):
-        if key != "observable":
-            raise InputError(f"line {ln}: observables section only takes `observable = ...`")
-        obs.append(_parse_observable(value, f"observables[{len(obs)}]"))
     unread = sorted((ln, name, key) for name, entries in sec.items() for key, _, ln in entries)
     if unread:
         ln, name, key = unread[0]
-        raise InputError(f"line {ln}: {name}.{key} is unknown or unused by this model and schedule")
+        raise InputError(f"line {ln}: {name}.{key} is unknown or unused by this model and run")
 
     return ExperimentConfig(
         model=kind,
@@ -258,78 +355,6 @@ def _parse_observable(value: str, path: str) -> ObservableSpec:
     raise InputError(f"{path}: unknown observable kind {kind!r}")
 
 
-def _check_grid(size: int, path: str):
-    # every grid point costs at least one gate application
-    if size > gates.GATE_BUDGET:
-        raise ResourceError(
-            f"{path}: {size} grid points are over the budget of {gates.GATE_BUDGET} "
-            "gate applications"
-        )
-
-
-def validate_config(cfg: ExperimentConfig):
-    if cfg.model not in MODELS:
-        raise InputError(f"model: unknown model {cfg.model!r}")
-    check_register(cfg.n_qubits, "model.n_qubits")
-    if len(cfg.initial) != cfg.n_qubits:
-        raise InputError(
-            f"initial.state: {cfg.initial!r} does not match n_qubits={cfg.n_qubits}"
-        )
-    if any(ch not in "01+-" for ch in cfg.initial):
-        raise InputError(f"initial.state: only 0/1/+/- allowed, got {cfg.initial!r}")
-    if cfg.points < 1:
-        raise InputError(f"time.points: must be >= 1, got {cfg.points}")
-    _check_grid(cfg.points, "time.points")
-    if not cfg.observables:
-        raise InputError("observables: at least one observable is required")
-    kinds = {o.kind for o in cfg.observables}
-    if "spectrum" in kinds and len(cfg.observables) > 1:
-        raise InputError("observables: spectrum must be the only observable")
-    if "fidelity" in kinds and kinds != {"fidelity"}:
-        raise InputError("observables: fidelity sweeps cannot mix with other kinds")
-    for k, o in enumerate(cfg.observables):
-        path = f"observables[{k}]"
-        if o.kind == "magnetization":
-            site = o.args[0]
-            if not 1 <= site <= cfg.n_qubits:
-                raise InputError(
-                    f"{path}.site: site {site} out of range for {cfg.n_qubits} qubits"
-                )
-        elif o.kind == "probability":
-            bits = o.args[0]
-            if len(bits) != cfg.n_qubits or any(b not in "01" for b in bits):
-                raise InputError(
-                    f"{path}.bits: {bits!r} is not a {cfg.n_qubits}-bit string"
-                )
-        elif o.kind == "correlation":
-            v, w, i, j = o.args
-            if v not in gates.PAULI or w not in gates.PAULI:
-                raise InputError(f"{path}: V/W must be Pauli letters, got {v} {w}")
-            for site, nm in ((i, "i"), (j, "j")):
-                if not 1 <= site <= cfg.n_qubits:
-                    raise InputError(
-                        f"{path}.{nm}: site {site} out of range for {cfg.n_qubits} qubits"
-                    )
-        elif o.kind == "spectrum":
-            m = o.args[0]
-            if m < 2 or m & (m - 1):
-                raise InputError(f"{path}.m: must be a power of two, got {m}")
-            _check_grid(m, f"{path}.m")
-    if cfg.heis2_variant is not None:
-        if cfg.heis2_variant not in ("6cnot", "3cnot", "3uxy", "s4"):
-            raise InputError(f"evolution.variant: unknown variant {cfg.heis2_variant!r}")
-        ok = (
-            cfg.model == "heisenberg"
-            and cfg.n_qubits == 2
-            and cfg.couplings.get("bg", 0.0) == 0.0
-        )
-        if not ok:
-            raise InputError(
-                "evolution.variant: fixed Heisenberg variants apply only to the "
-                "2-qubit field-free Heisenberg model"
-            )
-
-
 def build_hamiltonian(cfg: ExperimentConfig) -> pauli.PauliHamiltonian:
     c = cfg.couplings
     if cfg.model == "heisenberg":
@@ -340,9 +365,7 @@ def build_hamiltonian(cfg: ExperimentConfig) -> pauli.PauliHamiltonian:
         return pauli.tim_chain(cfg.n_qubits, c["h"], c["jzz"])
     if cfg.model == "hubbard2":
         return pauli.jordan_wigner(pauli.hubbard_2site(c["v"], c["u"]))
-    if cfg.model == "pauli-file":
-        return pauli.parse_hamiltonian(read_text(c["file"]), cfg.n_qubits)
-    raise InputError(f"model: unknown model {cfg.model!r}")
+    return pauli.parse_hamiltonian(read_text(c["file"]), cfg.n_qubits)  # pauli-file
 
 
 # --- figure presets -----------------------------------------------------------
@@ -355,7 +378,6 @@ def figure_preset(figure_id: str) -> ExperimentConfig:
             model="tim", n_qubits=2,
             couplings={"h": [1.0, 1.0], "jzz": 1.0},
             initial="00",
-            plan=TrotterPlan.fixed_n(5),
             t_max=45.0, points=46,
             observables=(
                 ObservableSpec("fidelity", ("fixed_n", 5)),
@@ -384,7 +406,6 @@ def figure_preset(figure_id: str) -> ExperimentConfig:
             model="heisenberg", n_qubits=3,
             couplings={"j": [1.0, 1.0], "bg": 20.0},
             initial="100",
-            plan=TrotterPlan.fixed_n(5),
             t_max=math.pi, points=61,
             observables=(ObservableSpec("probability", ("100",)),),
             assumptions=("trotter steps n=5 (step count not stated for this figure)",),
@@ -395,7 +416,6 @@ def figure_preset(figure_id: str) -> ExperimentConfig:
             model="tim", n_qubits=2,
             couplings={"h": [1.0, 1.0], "jzz": 1.0},  # Bg = 2J -> h_i = Bg/2 = J
             initial="00",
-            plan=TrotterPlan.fixed_n(5),
             t_max=math.pi, points=61,
             observables=(ObservableSpec("total_magnetization"),),
             assumptions=(
@@ -410,7 +430,6 @@ def figure_preset(figure_id: str) -> ExperimentConfig:
             model="heisenberg", n_qubits=3,
             couplings={"j": [1.0, 1.0], "bg": 20.0},
             initial="111",
-            plan=TrotterPlan.fixed_n(5),
             t_max=math.pi, points=61,
             observables=(ObservableSpec("correlation", ("X", "X", site, 1)),),
             name=fid,
@@ -431,9 +450,7 @@ def _scalar_value(obs: ObservableSpec, state: StateVector) -> float:
         return sum(
             observables.magnetization(state, i) for i in range(1, state.n_qubits + 1)
         )
-    if obs.kind == "probability":
-        return probability(state, obs.args[0])
-    raise InputError(f"not a scalar observable: {obs.kind}")
+    return probability(state, obs.args[0])
 
 
 def _scalar_name(obs: ObservableSpec) -> str:
@@ -441,9 +458,7 @@ def _scalar_name(obs: ObservableSpec) -> str:
         return f"mz{obs.args[0]}"
     if obs.kind == "total_magnetization":
         return "mz_total"
-    if obs.kind == "probability":
-        return f"p{obs.args[0]}"
-    raise InputError(f"not a scalar observable: {obs.kind}")
+    return f"p{obs.args[0]}"
 
 
 def _digital_evolution(cfg, h, t) -> trotter.EvolutionResult:
@@ -459,11 +474,7 @@ def _digital_evolution(cfg, h, t) -> trotter.EvolutionResult:
 
 
 def run(cfg: ExperimentConfig) -> str:
-    """Execute a validated config; returns the CSV text (comments prefixed #)."""
-    validate_config(cfg)
-    kinds = {o.kind for o in cfg.observables}
-    if kinds == {"spectrum"} and cfg.plan.eps is None:  # steps must grow with theta
-        cfg = replace(cfg, plan=TrotterPlan.fixed_eps(0.1, order=cfg.plan.order))
+    """Execute a config, valid by construction; returns the CSV text (comments prefixed #)."""
     header = [f"# spinsim run: model={cfg.model} n_qubits={cfg.n_qubits}"]
     if cfg.name:
         header.append(f"# preset: {cfg.name}")
@@ -475,12 +486,12 @@ def run(cfg: ExperimentConfig) -> str:
         header.append(f"# assumption: {a}")
 
     h = build_hamiltonian(cfg)
-    if kinds == {"spectrum"}:
+    if cfg.run_kind == "spectrum":
         return _run_spectrum(cfg, h, header)
     # one time grid and one diagonalization of H for every exact column
     times = np.linspace(0.0, cfg.t_max, cfg.points)
     exact = trotter.exact_evolvers(h, times)
-    if kinds == {"fidelity"}:
+    if cfg.run_kind == "fidelity":
         return _run_fidelity(cfg, h, times, exact, header)
     return _run_evolution(cfg, h, times, exact, header)
 

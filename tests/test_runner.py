@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from spinsim.runner import (
     format_verify_report,
     parse_config,
     run,
-    validate_config,
     verify_suite,
 )
 from spinsim.trotter import TrotterPlan
@@ -47,6 +47,10 @@ points = 5
 observable = probability 100
 observable = magnetization 1
 """
+
+SPECTRUM_CONFIG = (
+    "[model]\nkind = heisenberg\nn_qubits = 2\n[observables]\nobservable = spectrum 16\n"
+)
 
 
 def parse_csv(text):
@@ -97,6 +101,25 @@ class TestParseConfig:
     def test_unread_key_or_section_names_its_line(self, text, where):
         with pytest.raises(InputError, match=where):
             parse_config(text)
+
+    @pytest.mark.parametrize("evolution, where", [
+        ("steps = 3", "line 8: evolution.steps"),
+        ("schedule = fixed_eps", "line 8: evolution.schedule"),
+        ("eps = 0.2", "line 8: evolution.eps"),
+        ("growth = linear", "line 8: evolution.growth"),
+    ])
+    def test_fidelity_config_reads_no_schedule(self, evolution, where):
+        # each fidelity column's schedule comes from its observable
+        with pytest.raises(InputError, match=where):
+            parse_config(_fidelity("fidelity fixed_n 3") + f"[evolution]\n{evolution}\n")
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(SPECTRUM_CONFIG, id="spectrum"),
+        pytest.param(SPECTRUM_CONFIG.replace("spectrum 16", "fidelity fixed_n 3"), id="fidelity"),
+    ])
+    def test_variant_outside_time_evolution_refused(self, text):
+        with pytest.raises(InputError, match="evolution.variant: .* only to time evolution"):
+            parse_config(text + "[evolution]\nvariant = 3cnot\n")
 
     def test_fixed_eps_schedule(self):
         cfg = parse_config(
@@ -218,73 +241,87 @@ def test_non_finite_config_number_rejected(text, field):
 
 
 class TestValidation:
+    """A config is checked where it is built, so a bad one is never made."""
+
     def test_site_out_of_range_names_field(self):
         cfg = parse_config(SAMPLE_CONFIG)
-        bad = ExperimentConfig(
-            **{**cfg.__dict__, "observables": (ObservableSpec("magnetization", (9,)),)}
-        )
         with pytest.raises(InputError, match=r"observables\[0\]\.site"):
-            validate_config(bad)
+            ExperimentConfig(
+                **{**cfg.__dict__, "observables": (ObservableSpec("magnetization", (9,)),)}
+            )
 
     def test_bitstring_mismatch(self):
         cfg = parse_config(SAMPLE_CONFIG)
-        bad = ExperimentConfig(
-            **{**cfg.__dict__, "observables": (ObservableSpec("probability", ("10",)),)}
-        )
         with pytest.raises(InputError, match=r"observables\[0\]\.bits"):
-            validate_config(bad)
+            ExperimentConfig(
+                **{**cfg.__dict__, "observables": (ObservableSpec("probability", ("10",)),)}
+            )
 
     def test_spectrum_exclusive(self):
         cfg = parse_config(SAMPLE_CONFIG)
-        bad = ExperimentConfig(
-            **{
-                **cfg.__dict__,
-                "observables": (
-                    ObservableSpec("spectrum", (64,)),
-                    ObservableSpec("magnetization", (1,)),
-                ),
-            }
-        )
         with pytest.raises(InputError, match="spectrum"):
-            validate_config(bad)
+            ExperimentConfig(
+                **{
+                    **cfg.__dict__,
+                    "observables": (
+                        ObservableSpec("spectrum", (64,)),
+                        ObservableSpec("magnetization", (1,)),
+                    ),
+                }
+            )
 
     @pytest.mark.parametrize("v, w", [("XY", "Z"), ("X", "Q"), ("", "X")])
     def test_correlation_letters_name_field(self, v, w):
         cfg = parse_config(SAMPLE_CONFIG)
-        bad = ExperimentConfig(
-            **{**cfg.__dict__, "observables": (ObservableSpec("correlation", (v, w, 1, 2)),)}
-        )
         with pytest.raises(InputError, match=r"observables\[0\]: V/W must be Pauli letters"):
-            validate_config(bad)
+            ExperimentConfig(
+                **{**cfg.__dict__, "observables": (ObservableSpec("correlation", (v, w, 1, 2)),)}
+            )
 
     def test_initial_state_checked(self):
         cfg = parse_config(SAMPLE_CONFIG)
-        bad = ExperimentConfig(**{**cfg.__dict__, "initial": "10"})
         with pytest.raises(InputError, match="initial.state"):
-            validate_config(bad)
+            ExperimentConfig(**{**cfg.__dict__, "initial": "10"})
 
     @pytest.mark.parametrize("n, error", [(0, InputError), (27, ResourceError)])
     def test_register_size_checked(self, n, error):
         cfg = parse_config(SAMPLE_CONFIG)
-        bad = ExperimentConfig(**{**cfg.__dict__, "n_qubits": n, "initial": "0" * n})
         with pytest.raises(error, match="model.n_qubits"):
-            validate_config(bad)
+            ExperimentConfig(**{**cfg.__dict__, "n_qubits": n, "initial": "0" * n})
 
     def test_grids_within_gate_budget(self):
         # a grid point costs at least one gate application; the checks allocate nothing
         cfg = parse_config(SAMPLE_CONFIG)
-        validate_config(ExperimentConfig(**{**cfg.__dict__, "points": GATE_BUDGET}))
+        ExperimentConfig(**{**cfg.__dict__, "points": GATE_BUDGET})
         with pytest.raises(ResourceError, match="time.points"):
-            validate_config(ExperimentConfig(**{**cfg.__dict__, "points": GATE_BUDGET + 1}))
+            ExperimentConfig(**{**cfg.__dict__, "points": GATE_BUDGET + 1})
         m = 1 << GATE_BUDGET.bit_length()
-        spectrum = ExperimentConfig(
-            **{**cfg.__dict__, "observables": (ObservableSpec("spectrum", (m // 2,)),)}
-        )
-        validate_config(spectrum)
+        # a spectrum takes the fixed_eps plan that plan=None resolves to
+        spectrum = {**cfg.__dict__, "plan": None}
+        ExperimentConfig(**{**spectrum, "observables": (ObservableSpec("spectrum", (m // 2,)),)})
         with pytest.raises(ResourceError, match=r"observables\[0\]\.m"):
-            validate_config(ExperimentConfig(
-                **{**cfg.__dict__, "observables": (ObservableSpec("spectrum", (m,)),)}
-            ))
+            ExperimentConfig(**{**spectrum, "observables": (ObservableSpec("spectrum", (m,)),)})
+
+
+def test_one_check_for_every_way_a_config_is_built(tmp_path, capsys):
+    message = "initial.state: '10' does not match n_qubits=3"
+    text = SAMPLE_CONFIG.replace("state = 100", "state = 10")
+    builds = {
+        "parse_config": lambda: parse_config(text),
+        "replace": lambda: replace(figure_preset("fig4b"), initial="10"),
+        "constructor": lambda: ExperimentConfig(
+            model="heisenberg", n_qubits=3, initial="10",
+            observables=(ObservableSpec("magnetization", (1,)),),
+        ),
+    }
+    for path, build in builds.items():
+        with pytest.raises(InputError) as exc:
+            build()
+        assert str(exc.value) == message, path
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    assert cli_main(["run", str(cfgfile), "--gateset", "S2"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestBuildHamiltonian:
@@ -397,10 +434,10 @@ class TestRun:
         assert rows.shape == (3, 7)
 
     def test_spectrum_header_names_the_plan_that_ran(self):
-        # a spectrum run replaces a fixed_n plan by fixed_eps(0.1), keeping the order
+        # a spectrum config's schedule defaults to fixed_eps(0.1), under the order it sets
         text = run(parse_config(
             "[model]\nkind = heisenberg\nn_qubits = 2\n[initial]\nstate = 01\n"
-            "[evolution]\norder = 2\nsteps = 7\n[observables]\nobservable = spectrum 16\n"
+            "[evolution]\norder = 2\n[observables]\nobservable = spectrum 16\n"
         ))
         assert " plan=TrotterPlan(order=2, n_steps=None, eps=0.1, growth='quadratic')\n" in text
 
@@ -441,6 +478,9 @@ class TestVerifySuite:
     def test_report_mentions_gate_counts(self):
         report = format_verify_report(verify_suite())
         assert "6/3/3" in report
+
+
+_PLAN = "TrotterPlan(order={}, n_steps={}, eps={}, growth='{}')"
 
 
 class TestCli:
@@ -497,6 +537,8 @@ class TestCli:
         ),
         pytest.param(_model("kind = tim\nn_qubits = 2\nh = 1\n[evolutoin]\nsteps = 7"), id="section-typo"),
         pytest.param(_model("kind = tim\nn_qubits = 2\nh = 1\nbg = 2"), id="tim-h-and-bg"),
+        pytest.param(SPECTRUM_CONFIG + "[evolution]\nsteps = 7\n", id="spectrum-steps"),
+        pytest.param(SPECTRUM_CONFIG + "[evolution]\nschedule = fixed_n\n", id="spectrum-fixed-n"),
     ])
     def test_parse_error_exits_2(self, tmp_path, capsys, config):
         ham = tmp_path / "h.txt"
@@ -559,6 +601,41 @@ class TestCli:
         assert cli_main([command, str(cfgfile)] + flags) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("kind, flag, ran", [
+        ("evolution", "--gateset S2", ("S2", _PLAN.format(1, 5, None, "quadratic"))),
+        ("evolution", "--order 2", ("S1", _PLAN.format(2, 5, None, "quadratic"))),
+        ("evolution", "--steps 3", ("S1", _PLAN.format(1, 3, None, "quadratic"))),
+        ("evolution", "--eps 0.2", ("S1", _PLAN.format(1, None, 0.2, "quadratic"))),
+        ("evolution", "--growth linear", "--growth applies to a fixed_eps schedule only"),
+        ("fig2", "--gateset S2", ("S2", _PLAN.format(1, 5, None, "quadratic"))),
+        ("fig2", "--order 2", ("S1", _PLAN.format(2, 5, None, "quadratic"))),
+        ("fig2", "--steps 3", "evolution: a fidelity sweep takes only an order"),
+        ("fig2", "--eps 0.2", "evolution: a fidelity sweep takes only an order"),
+        ("fig2", "--growth linear", "--growth applies to a fixed_eps schedule only"),
+        ("spectrum", "--gateset S2", ("S2", _PLAN.format(1, None, 0.1, "quadratic"))),
+        ("spectrum", "--order 2", ("S1", _PLAN.format(2, None, 0.1, "quadratic"))),
+        ("spectrum", "--steps 3", "evolution.schedule: spectrum steps grow with theta"),
+        ("spectrum", "--eps 0.2", ("S1", _PLAN.format(1, None, 0.2, "quadratic"))),
+        ("spectrum", "--growth linear", ("S1", _PLAN.format(1, None, 0.1, "linear"))),
+    ])
+    def test_override_matrix(self, tmp_path, capsys, kind, flag, ran):
+        # a run's header names the gate set and plan that ran; an override it
+        # would not use is refused
+        if kind == "fig2":
+            argv = ["figure", "fig2"]
+        else:
+            cfgfile = tmp_path / f"{kind}.cfg"
+            cfgfile.write_text(SAMPLE_CONFIG if kind == "evolution" else SPECTRUM_CONFIG)
+            argv = ["run", str(cfgfile)]
+        out = tmp_path / "out.csv"
+        rc = cli_main(argv + flag.split() + ["--out", str(out)])
+        if isinstance(ran, str):
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(f"error: {ran}")
+        else:
+            assert rc == 0
+            assert f" gateset={ran[0]} plan={ran[1]}\n" in out.read_text()
+
     @pytest.mark.parametrize("command", ["run", "dump-circuit"])
     def test_steps_override_on_spectrum_config_exits_2(self, tmp_path, capsys, command):
         # a spectrum run's steps must grow with theta, so a fixed count is refused
@@ -567,7 +644,9 @@ class TestCli:
             "[model]\nkind = heisenberg\nn_qubits = 2\n[observables]\nobservable = spectrum 16\n"
         )
         assert cli_main([command, str(cfgfile), "--steps", "3"]) == 2
-        assert capsys.readouterr().err.startswith("error: --steps does not apply to a spectrum run")
+        assert capsys.readouterr().err == (
+            "error: evolution.schedule: spectrum steps grow with theta; use fixed_eps\n"
+        )
 
     def test_dump_circuit_on_spectrum_config_exits_2(self, tmp_path, capsys):
         # a spectrum run compiles one circuit per theta, none at time.max
@@ -579,6 +658,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: dump-circuit does not apply to a spectrum run")
+
+    def test_dump_circuit_on_fidelity_config_exits_2(self, tmp_path, capsys):
+        # a fidelity sweep compiles one circuit per schedule and delta, none at time.max
+        cfgfile = tmp_path / "fidelity.cfg"
+        cfgfile.write_text(_fidelity("fidelity fixed_eps 0.1 linear"))
+        assert cli_main(["dump-circuit", str(cfgfile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dump-circuit does not apply to a fidelity run")
 
     def test_dump_circuit_steps_past_index_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "long.cfg"
