@@ -91,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"one circuit per {compiles}"
                 )
             h = runner.build_hamiltonian(cfg)
-            circ = runner._digital_evolution(cfg, h, cfg.t_max).circuit
+            circ = runner._digital_evolution(cfg, runner._compiler(cfg, h), cfg.t_max).circuit
             _emit(compiler.dumps_circuit(circ), args.out)
         else:
             _emit(runner.run(cfg), args.out)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -37,6 +37,13 @@ def _check_grid(size: int, path: str):
             f"{path}: {size} grid points are over the budget of {gates.GATE_BUDGET} "
             "gate applications"
         )
+
+
+def _fidelity_plan(o: ObservableSpec, order: int) -> TrotterPlan:
+    """The schedule a fidelity column runs, at the sweep's splitting order."""
+    if o.args[0] == "fixed_n":
+        return TrotterPlan.fixed_n(o.args[1], order=order)
+    return TrotterPlan.fixed_eps(o.args[1], o.args[2], order=order)
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,11 @@ class ExperimentConfig:
                 if m < 2 or m & (m - 1):
                     raise InputError(f"{path}.m: must be a power of two, got {m}")
                 _check_grid(m, f"{path}.m")
+            elif o.kind == "fidelity":
+                try:
+                    _fidelity_plan(o, order=1)
+                except InputError as exc:
+                    raise InputError(f"{path}: {exc}") from exc
         if self.run_kind == "spectrum" and self.plan.eps is None:
             raise InputError("evolution.schedule: spectrum steps grow with theta; use fixed_eps")
         if self.run_kind == "fidelity" and replace(self.plan, order=1) != TrotterPlan.fixed_n(5):
@@ -461,10 +473,25 @@ def _scalar_name(obs: ObservableSpec) -> str:
     return f"p{obs.args[0]}"
 
 
-def _digital_evolution(cfg, h, t) -> trotter.EvolutionResult:
+def _compiler(cfg, h):
+    """``trotterize(h, t, plan)`` on the config's gate set, keeping each plan at ``t_max``.
+
+    The budget check compiles the grid's last time first; the run reuses it there.
+    """
+    at_t_max = cache(lambda plan: trotter.trotterize(h, cfg.t_max, plan, cfg.gate_set))
+
+    def compile_at(t: float, plan: TrotterPlan) -> trotter.EvolutionResult:
+        if t == cfg.t_max:
+            return at_t_max(plan)
+        return trotter.trotterize(h, t, plan, cfg.gate_set)
+
+    return compile_at
+
+
+def _digital_evolution(cfg, compile_at, t: float) -> trotter.EvolutionResult:
     """U(t) on the circuit route: the fixed Heisenberg variant, or the Trotter plan."""
     if cfg.heis2_variant is None:
-        return trotter.trotterize(h, t, cfg.plan, cfg.gate_set)
+        return compile_at(t, cfg.plan)
     j = cfg.couplings["j"][0]
     circ = compiler.heisenberg2_circuit(j * t, (1, 2), cfg.heis2_variant)
     return trotter.EvolutionResult(
@@ -486,34 +513,56 @@ def run(cfg: ExperimentConfig) -> str:
         header.append(f"# assumption: {a}")
 
     h = build_hamiltonian(cfg)
+    compile_at = _compiler(cfg, h)
+    _check_run_budget(cfg, h, compile_at)
     if cfg.run_kind == "spectrum":
         return _run_spectrum(cfg, h, header)
     # one time grid and one diagonalization of H for every exact column
     times = np.linspace(0.0, cfg.t_max, cfg.points)
     exact = trotter.exact_evolvers(h, times)
     if cfg.run_kind == "fidelity":
-        return _run_fidelity(cfg, h, times, exact, header)
-    return _run_evolution(cfg, h, times, exact, header)
+        return _run_fidelity(cfg, compile_at, times, exact, header)
+    return _run_evolution(cfg, h, compile_at, times, exact, header)
 
 
-def _run_fidelity(cfg, h, deltas, exact, header) -> str:
+def _check_run_budget(cfg, h, compile_at):
+    """Refuse a run of over ``GATE_BUDGET`` planned gate applications, before its grid is made.
+
+    No point of the grid costs more than its last, largest time: the gates of
+    each compiled evolution it runs there, plus one application per exact one.
+    """
+    if cfg.run_kind == "spectrum":
+        m = cfg.observables[0].args[0]
+        theta = (m - 1) * _spectrum_spec(cfg, h).spacing()
+        total = m * trotter.trotterize(h, theta, cfg.plan, cfg.gate_set).gate_applications
+    elif cfg.run_kind == "fidelity":  # one exact evolution, shared by the columns
+        plans = [_fidelity_plan(o, cfg.plan.order) for o in cfg.observables]
+        total = cfg.points * (1 + sum(compile_at(cfg.t_max, p).gate_applications for p in plans))
+    else:
+        n_corr = sum(o.kind == "correlation" for o in cfg.observables)
+        per_point = 0
+        if n_corr < len(cfg.observables):  # scalar columns: one exact, one digital evolution
+            per_point += 1 + _digital_evolution(cfg, compile_at, cfg.t_max).gate_applications
+        if n_corr:  # each: two exact and three Trotter evolutions
+            per_point += n_corr * (2 + 3 * compile_at(cfg.t_max, cfg.plan).gate_applications)
+        total = cfg.points * per_point
+    if total > gates.GATE_BUDGET:
+        raise ResourceError(f"the run plans {total} gate applications, over the budget "
+                            f"of {gates.GATE_BUDGET}")
+
+
+def _run_fidelity(cfg, compile_at, deltas, exact, header) -> str:
     psi0 = product_state(cfg.n_qubits, cfg.initial)
-    names = []
-    plans = []
-    for o in cfg.observables:
-        if o.args[0] == "fixed_n":
-            names.append(f"fid_fixed{o.args[1]}")
-            plans.append(TrotterPlan.fixed_n(o.args[1], order=cfg.plan.order))
-        else:
-            names.append(f"fid_{o.args[2]}")
-            plans.append(TrotterPlan.fixed_eps(o.args[1], o.args[2], order=cfg.plan.order))
+    names = [f"fid_fixed{o.args[1]}" if o.args[0] == "fixed_n" else f"fid_{o.args[2]}"
+             for o in cfg.observables]
+    plans = [_fidelity_plan(o, cfg.plan.order) for o in cfg.observables]
     rows = ["delta," + ",".join(names)]
     steps_used: list[list[int]] = [[] for _ in plans]
     for d, exact_d in zip(deltas, exact):
         exact_state = exact_d(psi0.copy())
         vals = []
         for k, plan in enumerate(plans):
-            result = trotter.trotterize(h, float(d), plan, cfg.gate_set)
+            result = compile_at(float(d), plan)
             digital = trotter.evolve(psi0.copy(), result)
             vals.append(abs(inner_product(exact_state, digital)))
             steps_used[k].append(result.n_steps_used)
@@ -523,20 +572,23 @@ def _run_fidelity(cfg, h, deltas, exact, header) -> str:
     return "\n".join(header + rows) + "\n"
 
 
-def _run_spectrum(cfg, h, header) -> str:
-    m = cfg.observables[0].args[0]
-    spec = observables.SpectrumSpec(
-        operator=h, initial=cfg.initial, m=m,
+def _spectrum_spec(cfg, h) -> observables.SpectrumSpec:
+    return observables.SpectrumSpec(
+        operator=h, initial=cfg.initial, m=cfg.observables[0].args[0],
         plan=cfg.plan, gate_set=cfg.gate_set,
     )
+
+
+def _run_spectrum(cfg, h, header) -> str:
+    spec = _spectrum_spec(cfg, h)
     series = observables.unitary_expectation_series(spec)
     peaks = observables.spectrum_from_series(series, spec.spacing())
-    header.append(f"# theta grid: m={m} dtheta={_fmt(spec.spacing())}")
+    header.append(f"# theta grid: m={spec.m} dtheta={_fmt(spec.spacing())}")
     rows = ["q,weight"] + [f"{_fmt(q)},{_fmt(w)}" for q, w in peaks]
     return "\n".join(header + rows) + "\n"
 
 
-def _run_evolution(cfg, h, times, exact, header) -> str:
+def _run_evolution(cfg, h, compile_at, times, exact, header) -> str:
     scalar_obs = [o for o in cfg.observables if o.kind != "correlation"]
     corr_obs = [o for o in cfg.observables if o.kind == "correlation"]
 
@@ -557,7 +609,7 @@ def _run_evolution(cfg, h, times, exact, header) -> str:
 
     table = np.zeros((len(times), len(columns)))
     col = 0
-    digital = [_digital_evolution(cfg, h, float(t)) for t in times]
+    digital = [_digital_evolution(cfg, compile_at, float(t)) for t in times]
     if scalar_obs:
         for k, (exact_t, result) in enumerate(zip(exact, digital)):
             exact_state = exact_t(product_state(cfg.n_qubits, cfg.initial))
@@ -570,7 +622,7 @@ def _run_evolution(cfg, h, times, exact, header) -> str:
     # replaces it in the scalar columns only
     routes = digital
     if corr_obs and cfg.heis2_variant is not None:
-        routes = [trotter.trotterize(h, float(t), cfg.plan, cfg.gate_set) for t in times]
+        routes = [compile_at(float(t), cfg.plan) for t in times]
     trotterized = [partial(trotter.evolve, result=r) for r in routes]
     for o in corr_obs:
         v, w, i, j = o.args

@@ -9,8 +9,9 @@ Trotter loop and applied once with the full angle.
 
 A compiled evolution is one Trotter step and its repeat count, not the
 unrolled gate list: ``evolve`` applies the hoisted prefix, then the step n
-times, then the global phase once.  On a small register the step is folded
-into one dense matrix, applied n times in place of its gates.
+times, then the global phase once.  Where it is cheaper than the gates, the
+step is folded into one dense matrix U, and U^n, formed by repeated squaring
+in about log2(n) products, is applied once in place of n passes of its gates.
 
 Backward evolution (t < 0) is the exact mirror of the forward circuit, so a
 forward run followed by a backward run with the same plan is an exact identity.
@@ -50,6 +51,11 @@ from .statevector import StateVector, inner_product
 
 #: applies U(t) for one time t to a state in place and returns the state
 Evolver = Callable[[StateVector], StateVector]
+
+# The cost of one fused block pass over the state, in units of the flops of a
+# dense matrix product (8^N per squaring): gates-vs-folded timings of
+# trotterize + evolve, Heisenberg chains of 3-10 qubits with 2-4096 steps.
+_BLOCK_PASS_FLOPS = 2**17
 
 
 @dataclass(frozen=True)
@@ -115,33 +121,52 @@ class EvolutionResult:
         ops = steps + self.prefix.ops if self.mirrored else self.prefix.ops + steps
         return Circuit(self.step.n_qubits, ops, self.global_phase)
 
+    @property
+    def gate_applications(self) -> int:
+        """The gates ``circuit`` applies, counted without unrolling it."""
+        return len(self.prefix.ops) + self.n_steps_used * len(self.step.ops)
+
+    @property
+    def folds(self) -> bool:
+        """Whether the repeated step is cheaper as a power of its dense matrix than as gates.
+
+        Folded, the evolution costs one pass of the step's blocks over the 2^N
+        identity columns, to build the matrix, and about log2(n) dense products
+        of 8^N flops, to square it up to the n-th power.  Unfolded, it costs n
+        passes of its blocks over the state.  So the step folds when 2^N <= n,
+        which bounds the build by the passes it saves, and log2(n) 8^N <=
+        ``_BLOCK_PASS_FLOPS`` n blocks, which bounds the squaring; the constant
+        is measured, and the table it rests on is in CHANGES.md.  The register
+        must also be within the dense-matrix limit ``DENSE_QUBIT_LIMIT``.
+        """
+        n = self.step.n_qubits
+        reps = self.n_steps_used
+        if n > DENSE_QUBIT_LIMIT or 2**n > reps:
+            return False
+        return math.log2(reps) * 8**n <= _BLOCK_PASS_FLOPS * reps * len(self.step.blocks)
+
     @cached_property
     def folded_step(self) -> np.ndarray | None:
-        """The step as one dense 2^N x 2^N matrix, or None where gates are cheaper.
+        """The step as one dense 2^N x 2^N matrix where it :attr:`folds`, else None.
 
-        The step folds when 2^N is at most both its gate count and the repeat
-        count: building the matrix then costs no more than the gates it saves,
-        and each application no more than the gates it replaces.  The register
-        must also be within the dense-matrix limit ``DENSE_QUBIT_LIMIT``.  The
-        matrix is the step run through the gate kernels on the 2^N identity
+        The matrix is the step run through the gate kernels on the 2^N identity
         columns, which together form one 2N-qubit vector.  It is built once per
         result, on first use.
         """
-        n = self.step.n_qubits
-        dim = 2**n
-        if dim > min(len(self.step.ops), self.n_steps_used) or n > DENSE_QUBIT_LIMIT:
+        if not self.folds:
             return None
-        columns = StateVector(2 * n, np.eye(dim, dtype=complex).ravel())
+        dim = 2**self.step.n_qubits
+        columns = StateVector(2 * self.step.n_qubits, np.eye(dim, dtype=complex).ravel())
         return run_circuit(columns, self.step).amplitudes.reshape(dim, dim)
 
 
 def evolve(state: StateVector, result: EvolutionResult) -> StateVector:
     """Apply a compiled evolution to ``state`` in place; returns the state.
 
-    Runs the prefix, the step ``n_steps_used`` times (as its folded matrix
-    where there is one) and the global phase once.  The state may be wider
-    than the evolution's register, e.g. with an ancilla after the system
-    qubits; the extra qubits are left alone.
+    Runs the prefix, the step ``n_steps_used`` times (as one power of its
+    folded matrix where there is one) and the global phase once.  The state
+    may be wider than the evolution's register, e.g. with an ancilla after the
+    system qubits; the extra qubits are left alone.
     """
     if result.step.n_qubits > state.n_qubits:
         raise InputError(
@@ -156,8 +181,7 @@ def evolve(state: StateVector, result: EvolutionResult) -> StateVector:
     else:
         # qubits 1..N are the leading bits of the amplitude index
         out = state.amplitudes.reshape(len(u), -1)
-        for _ in range(result.n_steps_used):
-            out = u @ out
+        out = np.linalg.matrix_power(u, result.n_steps_used) @ out
         state.amplitudes[:] = out.reshape(-1)
     if result.mirrored:
         run_circuit(state, result.prefix)

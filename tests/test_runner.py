@@ -250,6 +250,16 @@ class TestValidation:
                 **{**cfg.__dict__, "observables": (ObservableSpec("magnetization", (9,)),)}
             )
 
+    @pytest.mark.parametrize("schedule, message", [
+        ("fixed_n 0", "n_steps must be >= 1"),
+        ("fixed_eps 0.1 cubic", "growth must be linear or quadratic"),
+        ("fixed_eps 1.5 linear", "eps must lie in"),
+    ])
+    def test_fidelity_schedule_names_field(self, schedule, message):
+        # refused where the config is built, not after H is diagonalized
+        with pytest.raises(InputError, match=rf"^observables\[1\]: {message}"):
+            parse_config(_fidelity(f"fidelity fixed_n 5\nobservable = fidelity {schedule}"))
+
     def test_bitstring_mismatch(self):
         cfg = parse_config(SAMPLE_CONFIG)
         with pytest.raises(InputError, match=r"observables\[0\]\.bits"):
@@ -539,6 +549,8 @@ class TestCli:
         pytest.param(_model("kind = tim\nn_qubits = 2\nh = 1\nbg = 2"), id="tim-h-and-bg"),
         pytest.param(SPECTRUM_CONFIG + "[evolution]\nsteps = 7\n", id="spectrum-steps"),
         pytest.param(SPECTRUM_CONFIG + "[evolution]\nschedule = fixed_n\n", id="spectrum-fixed-n"),
+        pytest.param(_fidelity("fidelity fixed_n 0"), id="fidelity-zero-steps"),
+        pytest.param(_fidelity("fidelity fixed_eps 0.1 cubic"), id="fidelity-unknown-growth"),
     ])
     def test_parse_error_exits_2(self, tmp_path, capsys, config):
         ham = tmp_path / "h.txt"
@@ -722,6 +734,31 @@ class TestCli:
         assert cli_main([command, str(cfgfile)]) == 3
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err.startswith("resource limit: ")
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(
+            _model("kind = tim\nn_qubits = 2\nh = 1\n[time]\npoints = 10000000"), id="points-1e7"
+        ),
+        pytest.param(
+            "[model]\nkind = tim\nn_qubits = 2\nh = 1\n[time]\npoints = 10000000\n"
+            "[observables]\nobservable = fidelity fixed_n 5\n",
+            id="fidelity-points-1e7",
+        ),
+        pytest.param(
+            "[model]\nkind = heisenberg\nn_qubits = 2\n"
+            "[observables]\nobservable = spectrum 67108864\n",
+            id="spectrum-2^26",
+        ),
+    ])
+    def test_run_over_gate_budget_exits_3(self, tmp_path, capsys, config):
+        # each grid point is within the grid limit and each plan within the
+        # budget, but not the whole run: refused before the grid is made
+        cfgfile = tmp_path / "long.cfg"
+        cfgfile.write_text(config)
+        start = time.perf_counter()
+        assert cli_main(["run", str(cfgfile)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("resource limit: the run plans ")
 
     @pytest.mark.parametrize("gateset", ["S1", "S4"])
     def test_spectrum_peaks(self, tmp_path, gateset):

@@ -11,6 +11,7 @@ from spinsim.compiler import (
 )
 from spinsim.errors import InputError, ResourceError
 from spinsim.gates import GATE_BUDGET
+from spinsim.observables import _half
 from spinsim.pauli import (
     PauliHamiltonian,
     PauliString,
@@ -20,6 +21,7 @@ from spinsim.pauli import (
 )
 from spinsim.statevector import StateVector, basis_state, inner_product
 from spinsim.trotter import (
+    EvolutionResult,
     TrotterPlan,
     commutator_error_bound,
     digital_fidelity,
@@ -209,6 +211,13 @@ class TestTrotterize:
             assert equal_up_to_global_phase(u, u_ref, 1e-10)
 
 
+def _repeating_chain(n):
+    # non-commuting terms on 2-4 qubits, with a hoisted field prefix from 3 on
+    if n == 2:
+        return tim_chain(2, [1.0, 0.6], 0.9)
+    return heisenberg_chain(n, [1.0, 0.7, 1.3][: n - 1], 0.5)
+
+
 class TestStepAndRepeat:
     def test_step_repeats_to_the_unrolled_circuit(self):
         h = heisenberg_chain(3, [1.0, 0.7], 3.0)
@@ -237,6 +246,62 @@ class TestStepAndRepeat:
         by_gates = run_circuit(state.copy(), res.circuit)
         folded = evolve(state, res)
         assert np.max(np.abs(folded.amplitudes - by_gates.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 64, 1000])
+    @pytest.mark.parametrize("ancilla", [False, True])
+    def test_step_power_matches_gates(self, monkeypatch, n_qubits, steps, ancilla):
+        # every repeat count, folded or not by the rule, through the squaring
+        monkeypatch.setattr(EvolutionResult, "folds", True)
+        res = trotterize(_repeating_chain(n_qubits), 2.3, TrotterPlan.fixed_n(steps, order=2))
+        assert res.n_steps_used == steps and res.folded_step is not None
+        state = random_state(n_qubits + ancilla)
+        before = state.amplitudes.copy()
+        target = _half(state, 1) if ancilla else state
+        by_gates = run_circuit(StateVector(target.n_qubits, target.amplitudes.copy()), res.circuit)
+        evolve(target, res)
+        assert np.max(np.abs(target.amplitudes - by_gates.amplitudes)) <= 1e-12
+        if ancilla:  # the ancilla-zero half is left alone
+            assert np.array_equal(state.amplitudes[0::2], before[0::2])
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_mirrored_power_inverts_forward(self, n_qubits):
+        plan = TrotterPlan.fixed_n(1000)
+        h = _repeating_chain(n_qubits)
+        fwd, back = trotterize(h, 1.7, plan), trotterize(h, -1.7, plan)
+        assert back.mirrored and fwd.folded_step is not None and back.folded_step is not None
+        state = random_state(n_qubits)
+        out = evolve(evolve(state.copy(), fwd), back)
+        assert np.max(np.abs(out.amplitudes - state.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1.0, -1.0])
+    def test_folded_evolve_runs_only_the_prefix_as_gates(self, monkeypatch, t):
+        res = trotterize(heisenberg_chain(3, [1.0, 0.7], 3.0), t, TrotterPlan.fixed_n(64))
+        assert res.prefix.ops and res.folded_step is not None  # built before counting
+        ran = []
+
+        def counting(state, circuit):
+            ran.append(circuit)
+            return run_circuit(state, circuit)
+
+        monkeypatch.setattr(trotter, "run_circuit", counting)
+        evolve(random_state(3), res)
+        assert ran == [res.prefix]
+
+    # (qubits, steps, folds) cells of the gates-vs-folded timing table, on both
+    # sides of the crossover: Heisenberg chain with a field, first order, S1
+    @pytest.mark.parametrize("n_qubits, steps, folds", [
+        (3, 4, False), (3, 8, True), (4, 4, False), (4, 16, True),
+        (7, 64, False), (7, 128, True), (7, 4096, True),
+        (8, 128, False), (8, 256, True),
+        (9, 1024, False), (9, 2048, True),
+        (10, 1024, False), (10, 4096, False),
+    ])
+    def test_fold_crossover_table(self, n_qubits, steps, folds):
+        h = heisenberg_chain(n_qubits, [1.0] * (n_qubits - 1), 0.5)
+        res = trotterize(h, 1.0, TrotterPlan.fixed_n(steps))
+        assert res.folds is folds
+        assert (res.folded_step is None) is not folds
 
     def test_fold_rule(self):
         h = heisenberg_chain(3, [1.0, 0.7], 3.0)
@@ -300,6 +365,33 @@ class TestGateBudget:
         # fig2's quadratic fixed-eps column at delta = 45
         assert max(counts) == 50_625
         assert GATE_BUDGET >= 100 * max(counts)
+
+
+    @staticmethod
+    def _planned(monkeypatch, cfg) -> int:
+        # under a zero run budget every run is refused, naming its planned total
+        monkeypatch.setattr(runner.gates, "GATE_BUDGET", 0)
+        with pytest.raises(ResourceError, match="the run plans") as exc:
+            runner.run(cfg)
+        monkeypatch.undo()
+        return int(str(exc.value).split()[3])
+
+    def test_run_budget_far_above_every_preset_run(self, monkeypatch):
+        planned = {fid: self._planned(monkeypatch, runner.figure_preset(fid))
+                   for fid in runner.FIGURE_IDS}
+        assert planned["fig2"] == max(planned.values()) == 2_381_696
+        assert GATE_BUDGET >= 40 * max(planned.values())
+
+    def test_run_budget_is_the_planned_total(self, monkeypatch):
+        cfg = runner.figure_preset("fig4c")
+        planned = self._planned(monkeypatch, cfg)
+        # 61 points of one exact evolution and 5 steps of 5 gates
+        assert planned == 61 * (1 + 5 * 5)
+        monkeypatch.setattr(runner.gates, "GATE_BUDGET", planned)
+        runner.run(cfg)
+        monkeypatch.setattr(runner.gates, "GATE_BUDGET", planned - 1)
+        with pytest.raises(ResourceError):
+            runner.run(cfg)
 
 
 def _count_dense_matrix(monkeypatch) -> list:
