@@ -58,6 +58,7 @@ from .statevector import (
 )
 from .trotter import (
     EvolutionResult,
+    TrotterCompiler,
     TrotterPlan,
     commutator_error_bound,
     digital_fidelity,

@@ -25,6 +25,15 @@ def _add_override_flags(p: argparse.ArgumentParser):
 
 
 def _apply_overrides(cfg, args):
+    given = [f"--{flag}" for flag in ("steps", "eps", "order", "growth", "gateset")
+             if getattr(args, flag) is not None]
+    if given and cfg.heis2_variant is not None and all(
+        o.kind != "correlation" for o in cfg.observables
+    ):
+        raise InputError(
+            f"{given[0]} does not apply: the fixed Heisenberg variant {cfg.heis2_variant} "
+            "runs every column in place of the plan and gate set"
+        )
     if args.steps is not None and args.eps is not None:
         raise InputError("--steps and --eps set different schedules; give one of them")
     plan = replace(cfg.plan, order=args.order or cfg.plan.order)

@@ -10,8 +10,8 @@ Gate sets:
   Moelmer-Soerensen entangler)
 
 A single-qubit rotation R_axis(theta) has one spelling per gate set, in
-``_rot``: the Rx/Ry/Rz gates in S1-S3, and T1(theta/2) or T3(theta/2, phi) in
-S4.  Frame changes, Euler-angle synthesis and the Trotter compiler's field
+``_rot_spelling``: the Rx/Ry/Rz gates in S1-S3, and T1(theta/2) or
+T3(theta/2, phi) in S4.  Frame changes, Euler-angle synthesis and the Trotter compiler's field
 rotations all emit it through there.
 
 Circuit order convention: list order = temporal order = right-to-left matrix
@@ -30,8 +30,9 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,17 +159,24 @@ def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -
 
 # --- single-qubit rotations and frame changes ---------------------------------
 
-def _rot(axis: str, theta: float, q: int, gate_set: GateSet = GateSet.S1) -> GateOp:
-    """R_axis(theta) = exp(-i theta sigma_axis / 2) on qubit q in the set's gates.
+def _rot_spelling(axis: str, gate_set: GateSet) -> tuple[str, Callable[[float], tuple[float, ...]]]:
+    """Gate kind and parameters(theta) of R_axis(theta) = exp(-i theta sigma_axis / 2).
 
     S4 spells it with the trapped-ion gates: Rz(theta) = T1(theta/2),
     Rx(theta) = T3(theta/2, 0) and Ry(theta) = T3(theta/2, pi/2).
     """
     if gate_set is GateSet.S4:
         if axis == "z":
-            return GateOp("MS_T1", (theta / 2,), (q,))
-        return GateOp("MS_T3", (theta / 2, 0.0 if axis == "x" else np.pi / 2), (q,))
-    return GateOp("R" + axis, (theta,), (q,))
+            return "MS_T1", lambda theta: (theta / 2,)
+        phi = 0.0 if axis == "x" else np.pi / 2
+        return "MS_T3", lambda theta: (theta / 2, phi)
+    return "R" + axis, lambda theta: (theta,)
+
+
+def _rot(axis: str, theta: float, q: int, gate_set: GateSet = GateSet.S1) -> GateOp:
+    """R_axis(theta) on qubit q in the set's gates (:func:`_rot_spelling`)."""
+    kind, params = _rot_spelling(axis, gate_set)
+    return GateOp(kind, params(theta), (q,))
 
 
 # sigma_alpha = V sigma_z V^dag with V = _Z_FRAME[alpha] for the CNOT and
@@ -186,11 +194,86 @@ def _frame_ops(alpha: str, q: int, adjoint: bool, gate_set: GateSet) -> list[Gat
     return [_rot(axis, -theta if adjoint else theta, q, gate_set)]
 
 
-def _parity_rz(delta: float, qubits: tuple[int, ...]) -> list[GateOp]:
-    """exp(-i delta Z...Z): a CNOT ladder folds the parity onto the last qubit,
-    Rz(2 delta) there, then the ladder is undone."""
-    ladder = [GateOp("CNOT", (), pair) for pair in zip(qubits, qubits[1:])]
-    return ladder + [_rot("z", 2 * delta, qubits[-1])] + ladder[::-1]
+# --- Pauli exponentials -----------------------------------------------------------
+
+#: a gate whose parameters depend on the angle d: (kind, params(d), targets)
+AngleSlot = tuple[str, Callable[[float], tuple[float, ...]], tuple[int, ...]]
+
+
+class PauliLowering(NamedTuple):
+    """exp(-i d P) in a gate set's gates, for every angle d.
+
+    ``slots`` are in time order.  The gates that do not depend on d (frame
+    changes, CNOT ladders, pi flips) are built :class:`GateOp` values, shared
+    by every d; the rest are :data:`AngleSlot` entries.  ``phase(d)`` is the
+    circuit's global phase, and None stands for 0.
+    """
+
+    slots: tuple[GateOp | AngleSlot, ...]
+    phase: Callable[[float], float] | None = None
+
+    def ops(self, d: float, make: Callable[..., GateOp] = GateOp) -> list[GateOp]:
+        """The gates at angle ``d``; ``make`` builds each angle-carrying one."""
+        return [s if type(s) is GateOp else make(s[0], s[1](d), s[2]) for s in self.slots]
+
+    def circuit(self, d: float, n_qubits: int) -> Circuit:
+        return Circuit(n_qubits, self.ops(d), self.phase(d) if self.phase else 0.0)
+
+
+def _rot_slot(axis: str, q: int, gate_set: GateSet) -> AngleSlot:
+    """R_axis(2 d) on qubit q: exp(-i d sigma_axis)."""
+    kind, params = _rot_spelling(axis, gate_set)
+    return kind, lambda d: params(2 * d), (q,)
+
+
+def pauli_lowering(
+    axes: Sequence[str], qubits: tuple[int, ...], gate_set: GateSet, s3_single: bool = True
+) -> PauliLowering:
+    """exp(-i d sigma_axes[0] (x) sigma_axes[1] ...) on ``qubits``, for any angle d.
+
+    One qubit is a rotation.  Two qubits rotate the pair into the set's zz
+    (S1, S3) or xx (S2, S4) frame around the set's entangler; ``s3_single``
+    picks the single-CPhase S3 form over the two-CPhase one.  Three or more
+    qubits, in S1 only, fold the parity onto the last qubit with a CNOT
+    ladder, apply Rz(2 d) there and undo the ladder.  The axes and qubits are
+    the caller's to check.
+    """
+    if len(qubits) == 1:
+        return PauliLowering((_rot_slot(axes[0], qubits[0], gate_set),))
+    before = [op for a, q in zip(axes, qubits) for op in _frame_ops(a, q, True, gate_set)]
+    after = [op for a, q in zip(axes, qubits) for op in _frame_ops(a, q, False, gate_set)]
+    phase = None
+    if gate_set is GateSet.S1:
+        ladder = [GateOp("CNOT", (), pair) for pair in zip(qubits, qubits[1:])]
+        core = ladder + [_rot_slot("z", qubits[-1], gate_set)] + ladder[::-1]
+    elif len(qubits) > 2:
+        raise InputError(
+            "multi-qubit Pauli exponentials are compiled in the CNOT set (S1); "
+            f"got {gate_set}"
+        )
+    elif gate_set is GateSet.S3:
+        i, j = qubits
+        if s3_single:
+            # ZZ(d) = e^{i d} (Rz(2d) x Rz(2d)) CPhase(-4d)
+            core = [("CPhase", lambda d: (-4 * d,), qubits),
+                    _rot_slot("z", i, gate_set), _rot_slot("z", j, gate_set)]
+        else:
+            # ZZ(d) = e^{i d} CPhase(-2d) (X x X) CPhase(-2d) (X x X)
+            flips = [_rot("x", np.pi, i), _rot("x", np.pi, j)]
+            cphase = ("CPhase", lambda d: (-2 * d,), qubits)
+            core = flips + [cphase] + flips + [cphase]
+        phase = lambda d: 0.0 + d  # a phase of 0.0, not -0.0, at d = -0.0
+    elif gate_set is GateSet.S2:
+        # XX(d) = e^{i pi} Uxy(d/2) (I x Rx(pi)) Uxy(d/2) (I x Rx(pi))
+        flip = _rot("x", np.pi, qubits[1])
+        uxy = ("Uxy", lambda d: (d / 2,), qubits)
+        core = [flip, uxy, flip, uxy]
+        phase = lambda d: np.pi
+    elif gate_set is GateSet.S4:
+        core = [("MS_T4", lambda d: (d, 0.0), qubits)]
+    else:
+        raise InputError(f"unsupported gate set {gate_set}")
+    return PauliLowering(tuple(before + core + after), phase)
 
 
 def decompose_pauli_pair(
@@ -211,46 +294,8 @@ def decompose_pauli_pair(
     i, j = qubits
     if i == j:
         raise InputError("pauli pair needs two distinct qubits")
-    n = max(i, j)
-    # rotate sigma_alpha x sigma_beta into the set's zz (S1, S3) or xx (S2, S4)
-    ops = _frame_ops(alpha, i, True, gate_set) + _frame_ops(beta, j, True, gate_set)
-    phase = 0.0
-    if gate_set is GateSet.S1:
-        ops += _parity_rz(delta, (i, j))
-    elif gate_set is GateSet.S3 and delta >= s3_phase_floor:
-        # ZZ(d) = e^{i d} (Rz(2d) x Rz(2d)) CPhase(-4d)
-        ops += [
-            GateOp("CPhase", (-4 * delta,), (i, j)),
-            _rot("z", 2 * delta, i),
-            _rot("z", 2 * delta, j),
-        ]
-        phase += delta
-    elif gate_set is GateSet.S3:
-        # ZZ(d) = e^{i d} CPhase(-2d) (X x X) CPhase(-2d) (X x X)
-        ops += [
-            _rot("x", np.pi, i),
-            _rot("x", np.pi, j),
-            GateOp("CPhase", (-2 * delta,), (i, j)),
-            _rot("x", np.pi, i),
-            _rot("x", np.pi, j),
-            GateOp("CPhase", (-2 * delta,), (i, j)),
-        ]
-        phase += delta
-    elif gate_set is GateSet.S2:
-        # XX(d) = e^{i pi} Uxy(d/2) (I x Rx(pi)) Uxy(d/2) (I x Rx(pi))
-        ops += [
-            _rot("x", np.pi, j),
-            GateOp("Uxy", (delta / 2,), (i, j)),
-            _rot("x", np.pi, j),
-            GateOp("Uxy", (delta / 2,), (i, j)),
-        ]
-        phase += np.pi
-    elif gate_set is GateSet.S4:
-        ops.append(GateOp("MS_T4", (delta, 0.0), (i, j)))
-    else:
-        raise InputError(f"unsupported gate set {gate_set}")
-    ops += _frame_ops(alpha, i, False, gate_set) + _frame_ops(beta, j, False, gate_set)
-    return Circuit(n, ops, phase)
+    lowering = pauli_lowering((alpha, beta), (i, j), gate_set, delta >= s3_phase_floor)
+    return lowering.circuit(delta, max(i, j))
 
 
 def decompose_multi_pauli(
@@ -259,8 +304,7 @@ def decompose_multi_pauli(
     qubits: tuple[int, ...],
     gate_set: GateSet = GateSet.S1,
 ) -> Circuit:
-    """CNOT-ladder circuit for exp(-i delta tensor_i sigma_{axes[i]}): frames rotate
-    every qubit into the z basis around the ladder of :func:`_parity_rz`."""
+    """CNOT-ladder circuit for exp(-i delta tensor_i sigma_{axes[i]}) (:func:`pauli_lowering`)."""
     if len(qubits) < 3:
         raise InputError("use decompose_pauli_pair for fewer than 3 qubits")
     if len(axes) != len(qubits):
@@ -268,18 +312,7 @@ def decompose_multi_pauli(
     if len(set(qubits)) != len(qubits):
         raise InputError(f"duplicate qubits {qubits}")
     check_axes(*axes)
-    if gate_set is not GateSet.S1:
-        raise InputError(
-            "multi-qubit Pauli exponentials are compiled in the CNOT set (S1); "
-            f"got {gate_set}"
-        )
-    ops: list[GateOp] = []
-    for a, q in zip(axes, qubits):
-        ops += _frame_ops(a, q, True, gate_set)
-    ops += _parity_rz(delta, qubits)
-    for a, q in zip(axes, qubits):
-        ops += _frame_ops(a, q, False, gate_set)
-    return Circuit(max(qubits), ops)
+    return pauli_lowering(axes, tuple(qubits), gate_set).circuit(delta, max(qubits))
 
 
 def _su2_ops(m: np.ndarray, q: int, gate_set: GateSet) -> tuple[list[GateOp], float]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import InputError
 from .gates import PAULI
 from .pauli import PauliHamiltonian
 from .statevector import StateVector, apply_dense_unitary, product_state
-from .trotter import Evolver, TrotterPlan, evolve, exact_evolvers, trotterize
+from .trotter import EvolutionResult, Evolver, TrotterCompiler, TrotterPlan, evolve, exact_evolvers
 
 
 def magnetization(state: StateVector, site: int) -> float:
@@ -91,10 +91,8 @@ def _evolvers(spec, evolutions: Sequence[Evolver] | None) -> Iterable[Evolver]:
         return evolutions
     h = spec.hamiltonian
     if spec.evolution == "trotter":
-        return (
-            partial(evolve, result=trotterize(h, t, spec.plan, spec.gate_set))
-            for t in spec.times
-        )
+        compile_at = TrotterCompiler(h, spec.plan, spec.gate_set)
+        return (partial(evolve, result=compile_at(t)) for t in spec.times)
     return exact_evolvers(h, spec.times)
 
 
@@ -202,46 +200,64 @@ class SpectrumSpec:
         return float(np.pi / (1.5 * bound))
 
 
-def unitary_expectation_series(spec: SpectrumSpec) -> np.ndarray:
+def unitary_expectation_series(
+    spec: SpectrumSpec, *, compile_at: Callable[[float], EvolutionResult] | None = None
+) -> np.ndarray:
     """<psi| exp(-i Q theta) |psi> over the theta grid, via the ancilla route.
 
     For each theta, Q is trotterized at phase theta and the compiled evolution,
     global phase included, runs on the ancilla-one half of |psi>|+>: that is
     exp(-i Q theta) controlled on the ancilla, on any gate set.
+    ``compile_at``, if given, compiles Q at theta in place of a
+    :class:`~spinsim.trotter.TrotterCompiler` of the spec's plan and gate set.
     """
-    n = spec.operator.n_qubits
+    if compile_at is None:
+        compile_at = TrotterCompiler(spec.operator, spec.plan, spec.gate_set)
     dtheta = spec.spacing()
+    start = product_state(spec.operator.n_qubits + 1, spec.initial + "+")
     out = np.empty(spec.m, dtype=complex)
     for k in range(spec.m):
-        state = product_state(n + 1, spec.initial + "+")
-        evolve(_half(state, 1), trotterize(spec.operator, k * dtheta, spec.plan, spec.gate_set))
+        state = start.copy()
+        evolve(_half(state, 1), compile_at(k * dtheta))
         out[k] = _ancilla_readout(state)
     return out
 
 
+# the peak refinement's starting samples per window, and its most Newton steps
+_PEAK_SAMPLES = 13
+_NEWTON_STEPS = 32
+
+
 def _refine_peak(series: np.ndarray, dtheta: float, q0: float, half_width: float) -> float:
-    """Golden-section maximization of the matched-filter response |DTFT(q)|."""
-    thetas = np.arange(len(series)) * dtheta
+    """The q within ``half_width`` of ``q0`` that maximizes |S(q)|^2.
 
-    def response(q: float) -> float:
-        return abs(np.sum(series * np.exp(1j * q * thetas)))
-
-    lo, hi = q0 - half_width, q0 + half_width
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = response(c), response(d)
-    for _ in range(70):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = response(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = response(d)
-    return 0.5 * (a + b)
+    S(q) = sum_k x_k e^{i q theta_k} is the series' matched-filter response.
+    Newton's method finds the root of d|S|^2/dq = 2 Re(conj(S) S'), with S'
+    and S'' in closed form as in single-tone estimation (Rife & Boorstyn,
+    IEEE Trans. Inf. Theory 20, 591 (1974)), starting from the best of a few
+    samples across the window.  It stops when a step no longer shrinks, or
+    would leave the window or the concave part of the peak.  The thetas are
+    centred on the grid, which leaves |S| alone and keeps S' small.
+    """
+    thetas = (np.arange(len(series)) - (len(series) - 1) / 2) * dtheta
+    samples = q0 + np.linspace(-half_width, half_width, _PEAK_SAMPLES)
+    q = float(max(samples, key=lambda q: abs(np.exp(1j * q * thetas) @ series)))
+    last_step = np.inf
+    for _ in range(_NEWTON_STEPS):
+        terms = series * np.exp(1j * q * thetas)
+        s0 = terms.sum()
+        s1 = 1j * (terms @ thetas)
+        s2 = -(terms @ thetas**2)
+        # half of d|S|^2/dq and of d^2|S|^2/dq^2
+        slope = (s0.conjugate() * s1).real
+        curvature = abs(s1) ** 2 + (s0.conjugate() * s2).real
+        if not curvature < 0:
+            break
+        step = -slope / curvature
+        if not (abs(step) < last_step and abs(q + step - q0) <= half_width):
+            break
+        q, last_step = q + step, abs(step)
+    return q
 
 
 def spectrum_from_series(

@@ -473,17 +473,27 @@ def _scalar_name(obs: ObservableSpec) -> str:
     return f"p{obs.args[0]}"
 
 
-def _compiler(cfg, h):
-    """``trotterize(h, t, plan)`` on the config's gate set, keeping each plan at ``t_max``.
+def _last_point(cfg, h) -> float:
+    """The largest time of the run's grid, or theta of its spectrum grid."""
+    if cfg.run_kind == "spectrum":
+        spec = _spectrum_spec(cfg, h)
+        return (spec.m - 1) * spec.spacing()
+    return cfg.t_max
 
-    The budget check compiles the grid's last time first; the run reuses it there.
+
+def _compiler(cfg, h):
+    """U(t) under a plan on the config's gate set: ``compile_at(t, plan)``.
+
+    Each plan gets one :class:`~spinsim.trotter.TrotterCompiler`, and keeps
+    what it compiles at the grid's last point: the budget check compiles that
+    point first, and the run reuses it there.
     """
-    at_t_max = cache(lambda plan: trotter.trotterize(h, cfg.t_max, plan, cfg.gate_set))
+    compilers = cache(lambda plan: trotter.TrotterCompiler(h, plan, cfg.gate_set))
+    t_last = _last_point(cfg, h)
+    at_last = cache(lambda plan: compilers(plan)(t_last))
 
     def compile_at(t: float, plan: TrotterPlan) -> trotter.EvolutionResult:
-        if t == cfg.t_max:
-            return at_t_max(plan)
-        return trotter.trotterize(h, t, plan, cfg.gate_set)
+        return at_last(plan) if t == t_last else compilers(plan)(t)
 
     return compile_at
 
@@ -516,7 +526,7 @@ def run(cfg: ExperimentConfig) -> str:
     compile_at = _compiler(cfg, h)
     _check_run_budget(cfg, h, compile_at)
     if cfg.run_kind == "spectrum":
-        return _run_spectrum(cfg, h, header)
+        return _run_spectrum(cfg, h, compile_at, header)
     # one time grid and one diagonalization of H for every exact column
     times = np.linspace(0.0, cfg.t_max, cfg.points)
     exact = trotter.exact_evolvers(h, times)
@@ -533,8 +543,7 @@ def _check_run_budget(cfg, h, compile_at):
     """
     if cfg.run_kind == "spectrum":
         m = cfg.observables[0].args[0]
-        theta = (m - 1) * _spectrum_spec(cfg, h).spacing()
-        total = m * trotter.trotterize(h, theta, cfg.plan, cfg.gate_set).gate_applications
+        total = m * compile_at(_last_point(cfg, h), cfg.plan).gate_applications
     elif cfg.run_kind == "fidelity":  # one exact evolution, shared by the columns
         plans = [_fidelity_plan(o, cfg.plan.order) for o in cfg.observables]
         total = cfg.points * (1 + sum(compile_at(cfg.t_max, p).gate_applications for p in plans))
@@ -579,9 +588,11 @@ def _spectrum_spec(cfg, h) -> observables.SpectrumSpec:
     )
 
 
-def _run_spectrum(cfg, h, header) -> str:
+def _run_spectrum(cfg, h, compile_at, header) -> str:
     spec = _spectrum_spec(cfg, h)
-    series = observables.unitary_expectation_series(spec)
+    series = observables.unitary_expectation_series(
+        spec, compile_at=partial(compile_at, plan=cfg.plan)
+    )
     peaks = observables.spectrum_from_series(series, spec.spacing())
     header.append(f"# theta grid: m={spec.m} dtheta={_fmt(spec.spacing())}")
     rows = ["q,weight"] + [f"{_fmt(q)},{_fmt(w)}" for q, w in peaks]

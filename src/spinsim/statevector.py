@@ -18,13 +18,12 @@ time.  Distinct instances are independent and safe on different threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .gates import PAULI, GateOp, gate_matrix, hadamard, is_unitary, kron_factors
+from .gates import PAULI, GateOp, hadamard, is_unitary, kron_factors
 from .pauli import PauliString
 
 _DENSE_LIMIT = 26  # 2**26 complex amplitudes == 1 GiB
@@ -160,12 +159,6 @@ def _apply_matrix(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndar
         _apply_dense(amps, n, targets, u)
 
 
-@lru_cache(maxsize=8192)
-def _cached_matrix(kind: str, params: tuple, k_targets: int) -> np.ndarray:
-    # the dense matrix is independent of which qubits the gate addresses
-    return gate_matrix(GateOp(kind, params, tuple(range(1, k_targets + 1))))
-
-
 _I2 = np.eye(2, dtype=complex)
 
 Block = tuple[tuple[int, ...], np.ndarray]  # target qubits, 2^k x 2^k matrix
@@ -195,7 +188,7 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
 
     for op in ops:
         targets = op.targets
-        u = _cached_matrix(op.kind, op.params, len(targets))
+        u = op.matrix
         if len(targets) == 1:
             block = open_blocks.get(targets[0])
             if block is None:
@@ -203,9 +196,9 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
                 continue
             m = block[1]
             if len(block[0]) == 1:
-                block[1] = u @ m
+                block[1] = u.dot(m)
             elif targets[0] == block[0][0]:  # (u x I) m: u on the high bit of the row index
-                block[1] = (u @ m.reshape(2, 8)).reshape(4, 4)
+                block[1] = u.dot(m.reshape(2, 8)).reshape(4, 4)
             else:  # (I x u) m: u on the low bit of the row index
                 block[1] = (u @ m.reshape(2, 2, 4)).reshape(4, 4)
         elif len(targets) == 2:
@@ -214,7 +207,7 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
                 u = _swap_qubits(u)
             block = open_blocks.get(pair[0])
             if block is not None and block[0] == pair:
-                block[1] = u @ block[1]
+                block[1] = u.dot(block[1])
                 continue
             before = []
             for q in pair:
@@ -225,7 +218,7 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
                 else:
                     close(q)
                     before.append(_I2)
-            open_blocks[pair[0]] = open_blocks[pair[1]] = [pair, u @ kron_factors(before)]
+            open_blocks[pair[0]] = open_blocks[pair[1]] = [pair, u.dot(kron_factors(before))]
         else:
             for q in targets:
                 close(q)
@@ -290,7 +283,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
         _apply_x_gate(amps, n, gate.targets[0])
         return state
     if kind == "Uxy":
-        _apply_uxy(amps, n, *gate.targets, _cached_matrix(kind, gate.params, 2))
+        _apply_uxy(amps, n, *gate.targets, gate.matrix)
         return state
     if kind in ("CNOT", "CPhase", "ZZ"):
         q1, q2 = gate.targets
@@ -315,7 +308,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
             view[:, 1, :, 0, :] *= ph
             view[:, 1, :, 1, :] *= ph.conjugate()
         return state
-    _apply_matrix(amps, n, gate.targets, _cached_matrix(kind, gate.params, len(gate.targets)))
+    _apply_matrix(amps, n, gate.targets, gate.matrix)
     return state
 
 

@@ -7,6 +7,13 @@ the splitting is exact and a single step is emitted.  Single-qubit field terms
 whose sum commutes with the interaction part are hoisted in front of the
 Trotter loop and applied once with the full angle.
 
+A :class:`TrotterCompiler` is built once per Hamiltonian, plan and gate set.
+It does the analysis that does not depend on the time: the commutation checks
+and the hoisting decision, the coupling scale, the disjoint layers, and each
+term's gates with its angle left open.  Called at a time t, it works out the
+step count and builds only the gates whose angles depend on t; the frame
+changes and CNOTs are shared by every call.  ``trotterize`` is one such call.
+
 A compiled evolution is one Trotter step and its repeat count, not the
 unrolled gate list: ``evolve`` applies the hoisted prefix, then the step n
 times, then the global phase once.  Where it is cheaper than the gates, the
@@ -22,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -30,11 +37,11 @@ import numpy as np
 from .compiler import (
     Circuit,
     GateSet,
-    decompose_multi_pauli,
-    decompose_pauli_pair,
+    PauliLowering,
     inverse_circuit,
+    pauli_lowering,
     run_circuit,
-    _rot,
+    _rot_spelling,
     _su2_ops,
 )
 from .errors import InputError, ResourceError
@@ -222,23 +229,6 @@ def _sum_commutator_is_zero(fields: list[PauliString], rest: list[PauliString]) 
     return all(abs(v) < 1e-12 for v in acc.values())
 
 
-def _term_circuit(term: PauliString, angle: float, gate_set: GateSet) -> Circuit:
-    """Circuit for exp(-i angle P) with P the (unweighted) Pauli pattern."""
-    sites = sorted(term.support)
-    letters = term.letters
-    if len(sites) == 1:
-        q = sites[0]
-        axis = letters[q - 1].lower()
-        return Circuit(q, [_rot(axis, 2 * angle, q, gate_set)])
-    if len(sites) == 2:
-        i, j = sites
-        return decompose_pauli_pair(
-            letters[i - 1].lower(), letters[j - 1].lower(), angle, (i, j), gate_set
-        )
-    axes = [letters[q - 1].lower() for q in sites]
-    return decompose_multi_pauli(axes, angle, tuple(sites), gate_set)
-
-
 def _field_circuit(
     fields: list[PauliString], t: float, n_qubits: int, gate_set: GateSet
 ) -> Circuit:
@@ -254,13 +244,132 @@ def _field_circuit(
         comps = by_qubit[q]
         if len(comps) == 1:
             ((axis, h),) = comps.items()
-            ops.append(_rot(axis, 2 * h * t, q, gate_set))
+            kind, params = _rot_spelling(axis, gate_set)
+            ops.append(GateOp._at_angle(kind, params(2 * h * t), (q,)))
         else:
             gen = sum(h * PAULI[a.upper()] for a, h in comps.items())
             sub, ph = _su2_ops(hermitian_expm(t * gen), q, gate_set)
             ops += sub
             phase += ph
     return Circuit(n_qubits, ops, phase)
+
+
+class TrotterCompiler:
+    """exp(-i H t) under one plan and gate set, compiled for any t by calling it.
+
+    What does not depend on t is done once, when it is built: the identity
+    terms are set apart, the commutation checks decide whether the field terms
+    are hoisted and whether the splitting is exact, and the remaining terms are
+    scaled and cut into disjoint layers, each term lowered to its gates with
+    the angle left open.  A call works out the step count and emits the step:
+    the gates that carry the term angles, and the frame changes and CNOTs,
+    which every call shares.  The hoisted field prefix is made per call.
+    """
+
+    def __init__(self, h: PauliHamiltonian, plan: TrotterPlan, gate_set: GateSet = GateSet.S1):
+        if len(h.terms) == 0:
+            raise InputError("cannot trotterize an empty Hamiltonian")
+        self.n_qubits = h.n_qubits
+        self.plan = plan
+        self.gate_set = gate_set
+        self._identity = [term.coef.real for term in h.terms if not term.support]
+        working = [term for term in h.terms if term.support]
+        all_commute = all(
+            commutes(a, b) for k, a in enumerate(working) for b in working[k + 1:]
+        )
+        self._hoisted: list[PauliString] = []
+        rest = working
+        if not all_commute:
+            fields = [term for term in working if len(term.support) == 1]
+            others = [term for term in working if len(term.support) > 1]
+            if fields and others and _sum_commutator_is_zero(fields, others):
+                self._hoisted, rest = fields, others
+                all_commute = all(
+                    commutes(a, b) for k, a in enumerate(rest) for b in rest[k + 1:]
+                )
+        self._all_commute = all_commute
+        self._scale = max((abs(term.coef.real) for term in rest), default=0.0)
+        layers = disjoint_layers(rest)
+        forward = [term for layer in layers for term in layer]
+        backward = [term for layer in reversed(layers) for term in reversed(layer)]
+        # each term as (coefficient, lowering at angles d >= 0, the lowering at d < 0)
+        lowered = {term: (term.coef.real, *self._lower(term)) for term in forward}
+        orders = [forward] if plan.order == 1 or all_commute else [forward, backward]
+        self._sequences = [[lowered[term] for term in seq] for seq in orders]
+
+    def _lower(self, term: PauliString) -> tuple[PauliLowering, Callable[[], PauliLowering]]:
+        sites = tuple(sorted(term.support))
+        axes = [term.letters[q - 1].lower() for q in sites]
+        at_nonnegative = pauli_lowering(axes, sites, self.gate_set)
+        if len(sites) == 2 and self.gate_set is GateSet.S3:
+            # decompose_pauli_pair's default floor: a negative angle takes the
+            # two-CPhase form (an angle of -0.0 does not), built on first use
+            return at_nonnegative, cache(
+                partial(pauli_lowering, axes, sites, self.gate_set, s3_single=False)
+            )
+        return at_nonnegative, lambda: at_nonnegative
+
+    def __call__(self, t: float) -> EvolutionResult:
+        """exp(-i H t) compiled; a non-finite t or angle is an ``InputError``.
+
+        A plan over ``GATE_BUDGET`` gate applications raises ``ResourceError``.
+        """
+        t = float(t)
+        if not math.isfinite(t):
+            raise InputError(f"time must be finite, got {t}")
+        if t < 0:
+            fwd = self(-t)
+            return EvolutionResult(
+                inverse_circuit(fwd.prefix),
+                inverse_circuit(fwd.step),
+                fwd.n_steps_used,
+                fwd.phase,
+                -fwd.global_phase,
+                mirrored=True,
+            )
+        phase = 0.0
+        for coef in self._identity:
+            phase += -coef * t
+        n_q = self.n_qubits
+        if not self._sequences[0]:
+            empty = Circuit(n_q, ())
+            return EvolutionResult(empty, empty, 1, 0.0, phase)
+
+        plan = self.plan
+        delta = self._scale * t
+        if self._all_commute:
+            n = 1
+        elif plan.n_steps is not None:
+            n = plan.n_steps
+        else:
+            n = steps_for_phase(delta, plan.eps, plan.growth)
+
+        prefix: tuple[GateOp, ...] = ()
+        if self._hoisted:
+            fc = _field_circuit(self._hoisted, t, n_q, self.gate_set)
+            prefix = fc.ops
+            phase += fc.global_phase
+
+        dt = t / n if len(self._sequences) == 1 else t / (2 * n)
+        step: list[GateOp] = []
+        term_phases: list[float] = []
+        for seq in self._sequences:
+            for coef, at_nonnegative, at_negative in seq:
+                d = coef * dt
+                lowering = at_nonnegative if d >= 0.0 else at_negative()
+                step += lowering.ops(d, GateOp._at_angle)
+                ph = lowering.phase(d) if lowering.phase else 0.0
+                if ph:
+                    term_phases.append(ph)
+        if n * len(step) > GATE_BUDGET:
+            raise ResourceError(f"{n} Trotter steps of {len(step)} gates are {n * len(step)} "
+                                f"gate applications, over the budget of {GATE_BUDGET}")
+        # one addition per term and step, as the unrolled circuit accumulates it
+        for _ in range(n if term_phases else 0):
+            for ph in term_phases:
+                phase += ph
+
+        return EvolutionResult(Circuit(n_q, prefix), Circuit(n_q, step), n, delta, phase)
 
 
 def trotterize(
@@ -272,90 +381,10 @@ def trotterize(
     """Compile exp(-i H t) per the plan's splitting and schedule.
 
     The step is compiled once; the result repeats it ``n_steps_used`` times.
-    A plan over ``GATE_BUDGET`` gate applications raises ``ResourceError``.
+    This is one call of a :class:`TrotterCompiler`, which a caller compiling
+    H at many times should build once and keep.
     """
-    if len(h.terms) == 0:
-        raise InputError("cannot trotterize an empty Hamiltonian")
-    if t < 0:
-        fwd = trotterize(h, -t, plan, gate_set)
-        return EvolutionResult(
-            inverse_circuit(fwd.prefix),
-            inverse_circuit(fwd.step),
-            fwd.n_steps_used,
-            fwd.phase,
-            -fwd.global_phase,
-            mirrored=True,
-        )
-
-    identity_phase = 0.0
-    working: list[PauliString] = []
-    for term in h.terms:
-        if not term.support:
-            identity_phase += -term.coef.real * t
-        else:
-            working.append(term)
-
-    n_q = h.n_qubits
-    if not working:
-        empty = Circuit(n_q, ())
-        return EvolutionResult(empty, empty, 1, 0.0, identity_phase)
-
-    all_commute = all(
-        commutes(a, b) for k, a in enumerate(working) for b in working[k + 1:]
-    )
-
-    hoisted: list[PauliString] = []
-    rest = working
-    if not all_commute:
-        fields = [term for term in working if len(term.support) == 1]
-        others = [term for term in working if len(term.support) > 1]
-        if fields and others and _sum_commutator_is_zero(fields, others):
-            hoisted, rest = fields, others
-            all_commute = all(
-                commutes(a, b) for k, a in enumerate(rest) for b in rest[k + 1:]
-            )
-
-    scale = max(abs(term.coef.real) for term in rest)
-    delta = scale * t
-    if all_commute:
-        n = 1
-    elif plan.n_steps is not None:
-        n = plan.n_steps
-    else:
-        n = steps_for_phase(delta, plan.eps, plan.growth)
-
-    prefix: tuple[GateOp, ...] = ()
-    phase = identity_phase
-    if hoisted:
-        fc = _field_circuit(hoisted, t, n_q, gate_set)
-        prefix = fc.ops
-        phase += fc.global_phase
-
-    layers = disjoint_layers(rest)
-    if plan.order == 1 or all_commute:
-        step_sequences = [(layers, t / n)]
-    else:
-        reversed_layers = [list(reversed(layer)) for layer in reversed(layers)]
-        step_sequences = [(layers, t / (2 * n)), (reversed_layers, t / (2 * n))]
-
-    step: list[GateOp] = []
-    term_phases: list[float] = []
-    for seq, dt in step_sequences:
-        for layer in seq:
-            for term in layer:
-                tc = _term_circuit(term, term.coef.real * dt, gate_set)
-                step += tc.ops
-                if tc.global_phase:
-                    term_phases.append(tc.global_phase)
-    if n * len(step) > GATE_BUDGET:
-        raise ResourceError(f"{n} Trotter steps of {len(step)} gates are {n * len(step)} "
-                            f"gate applications, over the budget of {GATE_BUDGET}")
-    # one addition per term and step, as the unrolled circuit accumulates it
-    for _ in range(n if term_phases else 0):
-        for ph in term_phases:
-            phase += ph
-
-    return EvolutionResult(Circuit(n_q, prefix), Circuit(n_q, step), n, delta, phase)
+    return TrotterCompiler(h, plan, gate_set)(t)
 
 
 def _exact_phases(w: np.ndarray, t: float) -> np.ndarray:
@@ -367,9 +396,23 @@ def _exact_phases(w: np.ndarray, t: float) -> np.ndarray:
     return phases
 
 
+def _eigh(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and complex eigenvectors of the dense Hamiltonian.
+
+    A real matrix (Heisenberg, TIM, XYZ: an even number of Y per term) is
+    diagonalized as real, about 3x faster, and its eigenvectors are cast to
+    complex once, so products with complex states still run in BLAS.
+    """
+    m = dense_matrix(h)
+    if m.imag.any():
+        return np.linalg.eigh(m)
+    w, v = np.linalg.eigh(m.real)
+    return w, v.astype(complex)
+
+
 def exact_propagator(h: PauliHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition of the dense Hamiltonian."""
-    w, v = np.linalg.eigh(dense_matrix(h))
+    w, v = _eigh(h)
     return (v * _exact_phases(w, t)) @ v.conj().T
 
 
@@ -380,7 +423,7 @@ def exact_evolvers(h: PauliHamiltonian, times: Iterable[float]) -> list[Evolver]
     for t applies V e^{-iwt} V^dag to the leading N qubits of a state, which may
     be widened by trailing qubits (an ancilla) as in :func:`evolve`.
     """
-    w, v = np.linalg.eigh(dense_matrix(h))
+    w, v = _eigh(h)
 
     def evolver(t: float) -> Evolver:
         phases = _exact_phases(w, t)

@@ -434,7 +434,7 @@ class TestRun:
         def refuse(*args, **kwargs):
             raise AssertionError("a correlation route compiled its own evolution")
 
-        monkeypatch.setattr(observables, "trotterize", refuse)
+        monkeypatch.setattr(observables, "TrotterCompiler", refuse)
         monkeypatch.setattr(observables, "exact_evolvers", refuse)
         cfg = parse_config(
             "[model]\nkind = heisenberg\nn_qubits = 2\n[evolution]\n" + variant
@@ -647,6 +647,38 @@ class TestCli:
         else:
             assert rc == 0
             assert f" gateset={ran[0]} plan={ran[1]}\n" in out.read_text()
+
+    @pytest.mark.parametrize("command", ["run", "figure", "dump-circuit"])
+    @pytest.mark.parametrize("flag", ["--steps 3", "--eps 0.2", "--order 2", "--growth linear",
+                                      "--gateset S2"])
+    def test_override_under_a_fixed_variant_exits_2(self, tmp_path, capsys, command, flag):
+        # with no correlation column, the 3-CNOT bond runs every column, so a
+        # plan or gate set override would run nowhere (fig4a's shape)
+        cfgfile = tmp_path / "variant.cfg"
+        cfgfile.write_text(
+            "[model]\nkind = heisenberg\nn_qubits = 2\n[initial]\nstate = 0+\n"
+            "[evolution]\nvariant = 3cnot\n[time]\npoints = 3\n"
+            "[observables]\nobservable = magnetization 1\n"
+        )
+        argv = ["figure", "fig4a"] if command == "figure" else [command, str(cfgfile)]
+        assert cli_main(argv + flag.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag.split()[0]} does not apply: the fixed Heisenberg variant 3cnot "
+            "runs every column in place of the plan and gate set\n"
+        )
+
+    def test_override_under_a_fixed_variant_with_correlations(self, tmp_path):
+        # the correlation columns run the Trotter plan, so the override applies there
+        cfgfile = tmp_path / "variant.cfg"
+        cfgfile.write_text(
+            "[model]\nkind = heisenberg\nn_qubits = 2\n[evolution]\nvariant = 3cnot\n"
+            "[time]\npoints = 3\n[observables]\nobservable = correlation X X 1 2\n"
+        )
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", str(cfgfile), "--steps", "2", "--out", str(out)]) == 0
+        assert "n_steps=2" in out.read_text()
 
     @pytest.mark.parametrize("command", ["run", "dump-circuit"])
     def test_steps_override_on_spectrum_config_exits_2(self, tmp_path, capsys, command):

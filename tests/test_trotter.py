@@ -10,7 +10,7 @@ from spinsim.compiler import (
     run_circuit,
 )
 from spinsim.errors import InputError, ResourceError
-from spinsim.gates import GATE_BUDGET
+from spinsim.gates import GATE_BUDGET, _cached_matrix
 from spinsim.observables import _half
 from spinsim.pauli import (
     PauliHamiltonian,
@@ -211,6 +211,56 @@ class TestTrotterize:
             assert equal_up_to_global_phase(u, u_ref, 1e-10)
 
 
+class TestTrotterCompiler:
+    @pytest.mark.parametrize("t", [float("inf"), -float("inf"), float("nan")],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("h", [fig2_hamiltonian(), PauliHamiltonian(2, [PauliString(0.6, "II")])],
+                             ids=["tim2", "identity"])
+    def test_fixed_n_non_finite_time_rejected(self, h, t):
+        with pytest.raises(InputError, match="time must be finite"):
+            trotterize(h, t, TrotterPlan.fixed_n(3))
+
+    @pytest.mark.parametrize("h, t, gate_set, kind", [
+        (fig2_hamiltonian(), 1e308, GateSet.S1, "Rx"),           # 2 d overflows
+        (PauliHamiltonian(2, [PauliString(-1.0, "ZZ")]), 1e308, GateSet.S3, "CPhase"),  # -2 d < 0
+        (tim_chain(2, [1.0, 1.0], 1.0), 6e307, GateSet.S3, "CPhase"),    # -4 d
+        (tim_chain(2, [0.5, 0.5], 4.0), 1e308, GateSet.S4, "MS_T4"),     # d itself
+        (heisenberg_chain(2, [1.0], 2.0), 1e308, GateSet.S1, "Rz"),       # the hoisted field
+    ], ids=["S1-rotation", "S3-negative", "S3-positive", "S4-d", "field-prefix"])
+    def test_fixed_n_overflowing_angle_rejected(self, h, t, gate_set, kind):
+        for sign in (1, -1):
+            with pytest.raises(InputError, match=f"{kind} parameters must be finite"):
+                trotterize(h, sign * t, TrotterPlan.fixed_n(1), gate_set)
+
+    @pytest.mark.parametrize("gate_set", list(GateSet))
+    def test_calls_share_the_gates_without_an_angle(self, gate_set):
+        # frame changes, CNOTs and pi flips are built once per compiler; each
+        # call builds only the gates that carry its angles
+        h = heisenberg_chain(3, [1.0, 0.7], 0.5)
+        compile_at = trotter.TrotterCompiler(h, TrotterPlan.fixed_n(2, order=2), gate_set)
+        a, b = compile_at(0.4).step.ops, compile_at(0.9).step.ops
+        assert len(a) == len(b)
+        shared = [x is y for x, y in zip(a, b)]
+        assert shared == [x == y for x, y in zip(a, b)]
+        assert any(shared) and not all(shared)
+
+    def test_angle_matrices_stay_out_of_the_shared_cache(self):
+        # a gate made for one angle builds its own matrix; the CNOTs, which
+        # every time shares, go through the cache once
+        _cached_matrix.cache_clear()
+        compile_at = trotter.TrotterCompiler(fig2_hamiltonian(), TrotterPlan.fixed_n(1))
+        for t in np.linspace(0.1, 3.0, 30):
+            run_circuit(random_state(2), compile_at(t).step)
+        assert _cached_matrix.cache_info().currsize == 1
+
+    def test_compiler_is_reusable_across_times(self):
+        h = heisenberg_chain(3, [1.0, 0.7], 3.0)
+        plan = TrotterPlan.fixed_eps(0.05, "linear", order=2)
+        compile_at = trotter.TrotterCompiler(h, plan, GateSet.S3)
+        for t in (0.0, 1.3, -0.4, 2.9, 1.3):
+            assert compile_at(t) == trotterize(h, t, plan, GateSet.S3)
+
+
 def _repeating_chain(n):
     # non-commuting terms on 2-4 qubits, with a hoisted field prefix from 3 on
     if n == 2:
@@ -328,17 +378,39 @@ class TestStepAndRepeat:
 
 
 def test_fig2_compiles_once_per_delta_and_plan(monkeypatch):
-    calls = []
-    original = trotter.trotterize
+    calls, compilers = [], set()
+    original = trotter.TrotterCompiler.__call__
 
-    def counting(h, t, plan, gate_set):
-        calls.append((t, plan))
-        return original(h, t, plan, gate_set)
+    def counting(self, t):
+        calls.append((t, self.plan))
+        compilers.add(self)
+        return original(self, t)
 
-    monkeypatch.setattr(trotter, "trotterize", counting)
+    monkeypatch.setattr(trotter.TrotterCompiler, "__call__", counting)
     cfg = runner.figure_preset("fig2")
     runner.run(cfg)
     assert len(calls) == len(set(calls)) == cfg.points * len(cfg.observables) == 138
+    # one compiler object per plan
+    assert len(compilers) == len(cfg.observables)
+
+
+def test_spectrum_compiles_each_theta_once(monkeypatch):
+    # the budget check compiles the largest theta, and the series reuses it
+    calls, compilers = [], set()
+    original = trotter.TrotterCompiler.__call__
+
+    def counting(self, t):
+        calls.append(t)
+        compilers.add(self)
+        return original(self, t)
+
+    monkeypatch.setattr(trotter.TrotterCompiler, "__call__", counting)
+    runner.run(runner.parse_config(
+        "[model]\nkind = tim\nn_qubits = 2\nh = 0.7\n[initial]\nstate = 0+\n"
+        "[observables]\nobservable = spectrum 64\n"
+    ))
+    assert len(calls) == len(set(calls)) == 64
+    assert len(compilers) == 1
 
 
 class TestGateBudget:
@@ -353,14 +425,14 @@ class TestGateBudget:
 
     def test_budget_far_above_the_largest_preset_plan(self, monkeypatch):
         counts = []
-        original = trotter.trotterize
+        original = trotter.TrotterCompiler.__call__
 
-        def counting(h, t, plan, gate_set):
-            result = original(h, t, plan, gate_set)
+        def counting(self, t):
+            result = original(self, t)
             counts.append(result.n_steps_used * len(result.step.ops))
             return result
 
-        monkeypatch.setattr(trotter, "trotterize", counting)
+        monkeypatch.setattr(trotter.TrotterCompiler, "__call__", counting)
         runner.run(runner.figure_preset("fig2"))
         # fig2's quadratic fixed-eps column at delta = 45
         assert max(counts) == 50_625

@@ -1,0 +1,137 @@
+"""Compiled evolutions against ``golden/trotterize-grid.json``.
+
+The golden file was written by ``trotterize`` as it stood before a
+``TrotterCompiler`` analysed each Hamiltonian once and emitted only the
+angle-carrying gates per time, from the grid in ``grid_cases``: the spin
+builders and a Jordan-Wigner Hubbard model, a three-qubit Pauli term, fixed_n
+and fixed_eps schedules, orders 1 and 2, the four gate sets, and t = 0 and
++-0.7.  Negative couplings put the S3 pairs on their two-CPhase form at t > 0,
+and on the single-CPhase form at t = 0.
+
+Each record holds the step count, the phase and the global phase (as exact
+float hex) and the sha256 of ``dumps_circuit`` of the prefix and of the step,
+so a match is bit for bit.  A case the compiler refuses records its error.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from spinsim import trotter
+from spinsim.compiler import GateSet, dumps_circuit
+from spinsim.errors import InputError
+from spinsim.pauli import (
+    PauliHamiltonian,
+    PauliString,
+    heisenberg_chain,
+    hubbard_2site,
+    jordan_wigner,
+    tim_chain,
+    xyz_chain,
+)
+from spinsim.trotter import TrotterPlan, trotterize
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "trotterize-grid.json"
+
+
+def _tilted_heisenberg3() -> PauliHamiltonian:
+    # x and z fields that commute, summed, with the bonds: the Euler-angle prefix
+    h = heisenberg_chain(3, [1.0, -0.7], 1.4)
+    fields = [PauliString(0.9, "I" * (q - 1) + "X" + "I" * (3 - q)) for q in (1, 2, 3)]
+    return PauliHamiltonian(3, list(h.terms) + fields)
+
+
+HAMILTONIANS = {
+    # z fields hoisted in front of the loop; a negative bond
+    "heis3": lambda: heisenberg_chain(3, [1.0, -0.7], 1.5),
+    "heis3-tilted": _tilted_heisenberg3,
+    # fields that do not commute with the negative bonds
+    "tim3": lambda: tim_chain(3, [0.7, -0.4, 0.5], -0.8),
+    "xyz3": lambda: xyz_chain(3, 1.0, -0.5, 0.3),
+    # an identity term and a bond between qubits 1 and 4
+    "hubbard2-jw": lambda: jordan_wigner(hubbard_2site(1.0, 2.0)),
+    # a three-qubit term: S1 only
+    "multi3": lambda: PauliHamiltonian(
+        3, [PauliString(0.6, "XZY"), PauliString(-0.4, "ZZI"), PauliString(0.3, "IXI")]
+    ),
+}
+
+PLANS = {
+    f"{name}-order{order}": plan(order)
+    for order in (1, 2)
+    for name, plan in (
+        ("fixed_n3", lambda o: TrotterPlan.fixed_n(3, order=o)),
+        ("eps0.1", lambda o: TrotterPlan.fixed_eps(0.1, "quadratic", order=o)),
+    )
+}
+
+TIMES = (0.0, 0.7, -0.7)
+
+
+def grid_cases():
+    """(case id, Hamiltonian name, plan, gate set, t) over the grid."""
+    for h_name in HAMILTONIANS:
+        for plan_name, plan in PLANS.items():
+            for gate_set in GateSet:
+                for t in TIMES:
+                    yield f"{h_name}/{plan_name}/{gate_set.value}/t{t:+}", h_name, plan, gate_set, t
+
+
+def _sha(circuit) -> str:
+    return hashlib.sha256(dumps_circuit(circuit).encode()).hexdigest()
+
+
+def record(compile_at, t: float) -> str:
+    """One line per compiled evolution: every value it carries, bit for bit."""
+    try:
+        r = compile_at(t)
+    except InputError as exc:
+        return f"InputError: {exc}"
+    return (f"n={r.n_steps_used} phase={r.phase.hex()} global_phase={r.global_phase.hex()} "
+            f"mirrored={r.mirrored} prefix={_sha(r.prefix)} step={_sha(r.step)}")
+
+
+def grid_records(compile_for) -> dict[str, str]:
+    """The grid's records; ``compile_for(h, plan, gate_set)`` returns a function of t."""
+    built = {name: build() for name, build in HAMILTONIANS.items()}
+    return {
+        case: record(compile_for(built[h_name], plan, gate_set), t)
+        for case, h_name, plan, gate_set, t in grid_cases()
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict[str, str]:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_trotterize_matches_golden(golden):
+    records = grid_records(lambda h, plan, gate_set: lambda t: trotterize(h, t, plan, gate_set))
+    assert records == golden
+
+
+def test_one_compiler_per_hamiltonian_matches_golden(golden):
+    # one object compiles every time of a (H, plan, gate set), in grid order
+    def compile_for(h, plan, gate_set):
+        try:
+            return trotter.TrotterCompiler(h, plan, gate_set)
+        except InputError as exc:
+            error = exc
+
+            def refuse(t):
+                raise error
+
+            return refuse
+
+    assert grid_records(compile_for) == golden
+
+
+def test_grid_covers_the_s3_sign_switch(golden):
+    # a negative coupling on S3: one CPhase per pair at t = 0, two at t > 0
+    for case, h_name, plan, gate_set, t in grid_cases():
+        if h_name == "tim3" and gate_set is GateSet.S3 and plan.order == 1 and t >= 0:
+            step = trotterize(HAMILTONIANS[h_name](), t, plan, gate_set).step
+            assert step.two_qubit_count("CPhase") == (2 if t == 0 else 4)
+    assert sum(r.startswith("InputError") for r in golden.values()) == 3 * len(PLANS) * len(TIMES)
