@@ -21,7 +21,7 @@ possible where an identity is exact.  Circuits are immutable values after
 construction; all functions here are pure.
 
 ``run_circuit`` is the one circuit executor.  On every register it runs the
-circuit's ``blocks``, its gates fused into blocks of at most 2 qubits, which
+circuit's ``blocks``, its gates fused into blocks of at most 4 qubits, which
 each circuit builds once and keeps.
 """
 
@@ -76,7 +76,7 @@ class Circuit:
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
-        """The ops fused into blocks of at most 2 qubits (:func:`statevector.fuse`).
+        """The ops fused into blocks of at most 4 qubits (:func:`statevector.fuse`).
 
         Built on first use and kept with the circuit, so a step that repeats
         is fused once.
@@ -96,10 +96,10 @@ class Circuit:
 def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Execute a circuit on the statevector backend, in place.
 
-    Runs the circuit's fused ``blocks`` in order, one memory pass per block
-    instead of per gate, on every register.  Their targets were checked
-    against the circuit's register when it was built; that register is
-    checked against the state's here.
+    Runs the circuit's fused ``blocks`` of at most 4 qubits in order, one
+    memory pass per block instead of per gate, on every register.  Their
+    targets were checked against the circuit's register when it was built;
+    that register is checked against the state's here.
     """
     if circuit.n_qubits > state.n_qubits:
         raise InputError(
@@ -213,8 +213,16 @@ class PauliLowering(NamedTuple):
     phase: Callable[[float], float] | None = None
 
     def ops(self, d: float, make: Callable[..., GateOp] = GateOp) -> list[GateOp]:
-        """The gates at angle ``d``; ``make`` builds each angle-carrying one."""
-        return [s if type(s) is GateOp else make(s[0], s[1](d), s[2]) for s in self.slots]
+        """The gates at angle ``d``; ``make`` builds each angle-carrying one.
+
+        A slot that recurs (S2's two ``Uxy(d/2)``, the two-CPhase S3 form's
+        CPhase) is built once and emitted at each of its places.
+        """
+        built = {}
+        for s in self.slots:
+            if type(s) is not GateOp and id(s) not in built:
+                built[id(s)] = make(s[0], s[1](d), s[2])
+        return [built.get(id(s), s) for s in self.slots]
 
     def circuit(self, d: float, n_qubits: int) -> Circuit:
         return Circuit(n_qubits, self.ops(d), self.phase(d) if self.phase else 0.0)

@@ -31,15 +31,30 @@ from .statevector import StateVector, apply_dense_unitary, product_state
 from .trotter import EvolutionResult, Evolver, TrotterCompiler, TrotterPlan, evolve, exact_evolvers
 
 
+# a half row shorter than this many floats is summed _SHORT_ROW floats at a time
+_SHORT_ROW = 2**12
+
+
 def magnetization(state: StateVector, site: int) -> float:
     """<s_z> = (1/2) <sigma_z> at the given site, in [-1/2, 1/2]."""
     n = state.n_qubits
     if not 1 <= site <= n:
         raise InputError(f"site {site} out of range for {n} qubits")
-    # |amplitude|^2 summed over the halves with the site's bit at 0 and at 1
-    probs = np.abs(state.amplitudes.reshape(2 ** (site - 1), 2, -1))
-    probs *= probs
-    return float(0.5 * (probs[:, 0].sum() - probs[:, 1].sum()))
+    # squared real and imaginary parts summed over the halves with the site's
+    # bit at 0 and at 1, in one pass over a float view of the amplitudes (a
+    # strided view, such as an ancilla half, is copied to make one)
+    x = np.ascontiguousarray(state.amplitudes).view(float)
+    left, width = 2 ** (site - 1), 2 ** (n - site + 1)  # rows, floats per half row
+    group = min(left, max(1, _SHORT_ROW // (2 * width)))
+    if group == 1:
+        x = x.reshape(left, 2, width)
+        sums = np.einsum("ijk,ijk->j", x, x)
+    else:
+        # short rows: add up blocks of `group` rows elementwise first, so the
+        # inner loop runs over 2 * group * width floats
+        x = x.reshape(left // group, group, 2, width)
+        sums = np.einsum("aijk,aijk->ijk", x, x).sum(axis=(0, 2))
+    return float(0.5 * (sums[0] - sums[1]))
 
 
 @dataclass(frozen=True)

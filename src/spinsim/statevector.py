@@ -7,11 +7,11 @@ Conventions:
 * ``|0> = |up>`` with ``sigma_z |0> = +|0>``.
 
 Gates and fused blocks apply in place over strided views of the amplitudes.
-``compiler.run_circuit`` fuses a circuit into blocks of at most 2 qubits
-(:func:`fuse`, in the style of qsim's gate fusion) and applies one 2x2 or 4x4
-matrix per block, on every register, so a run of gates costs one pass over
-the state.  :func:`apply_gate` applies a single gate, with strided fast paths
-for diagonal and permutation gates.
+``compiler.run_circuit`` fuses a circuit into blocks of at most 4 qubits
+(:func:`fuse`, in the style of qsim's gate fusion) and applies one matrix of
+at most 16x16 per block, on every register, so a run of gates costs one pass
+over the state.  :func:`apply_gate` applies a single gate, with strided fast
+paths for diagonal and permutation gates.
 A StateVector is a single-writer value: at most one mutating operation at a
 time.  Distinct instances are independent and safe on different threads.
 """
@@ -104,35 +104,57 @@ def _check_targets(n_qubits: int, targets: tuple[int, ...]):
         raise InputError(f"duplicate targets {targets}")
 
 
-# A dense gate on the last _GEMM_MAX_TAIL qubits, where the batched matmul
-# loops over many tiny blocks, runs as chunked GEMMs on registers of at least
-# _LARGE_REGISTER qubits; it breaks even with the strided view near 10 qubits
-# (per-gate timings, 2-14 qubits).
+# Fused blocks act on at most _MAX_RUN qubits: per pass at N=20, wider blocks
+# cost more than the passes they save (timings in CHANGES.md).
+_MAX_RUN = 4
+
+# A block pass runs _CHUNK amplitudes at a time through a scratch array of that
+# size, so the product stays in cache and no state-sized temporary is made.
+# On registers of at least _LARGE_REGISTER qubits, a block on the last qubits,
+# where the batched matmul loops over many tiny products, runs as GEMMs with
+# u (x) I_right when that matrix is at most _GEMM_WIDTH wide; a wider one
+# spends more on the identity's zeros than it saves (per-position timings at
+# N=20, dims 4 and 16, in CHANGES.md).
+_CHUNK = 2**15
 _LARGE_REGISTER = 12
-_GEMM_MAX_TAIL = 4
-_GEMM_CHUNK = 2**15
+_GEMM_WIDTH = 64
+
+
+def _is_run(targets: tuple[int, ...]) -> bool:
+    """Whether ``targets`` are ascending adjacent qubits q, q+1, ..."""
+    return targets == tuple(range(targets[0], targets[0] + len(targets)))
 
 
 def _apply_run(amps: np.ndarray, n: int, q: int, u: np.ndarray):
-    """``u`` on the k = 1 or 2 adjacent qubits q..q+k-1, qubit q its high bit."""
+    """``u`` on the k <= ``_MAX_RUN`` adjacent qubits q..q+k-1, qubit q its high bit."""
     dim = len(u)
     left = 2 ** (q - 1)
     right = amps.size // (left * dim)
-    if n >= _LARGE_REGISTER and right <= 2**_GEMM_MAX_TAIL:
-        # (rows, dim R) x (dim R, dim R) GEMMs with u (x) I_R, _GEMM_CHUNK
-        # amplitudes at a time to keep the product and BLAS's packing buffers
-        # small
-        rows = amps.reshape(left, dim * right)
+    if n >= _LARGE_REGISTER and dim * right <= _GEMM_WIDTH:
+        # (rows, dim R) x (dim R, dim R) GEMMs with u (x) I_R
+        view = amps.reshape(left, dim * right)
         big_t = np.kron(u, np.eye(right)).T
-        step = _GEMM_CHUNK // (dim * right)
+        step = _CHUNK // (dim * right)
+        out = np.empty((min(step, left), dim * right), dtype=complex)
         for start in range(0, left, step):
-            block = rows[start : start + step]
-            np.copyto(block, block @ big_t)
+            block = view[start : start + step]
+            np.matmul(block, big_t, out=out)
+            np.copyto(block, out)
         return
-    # batched matmul over the strided (left, dim, right) view: two memory
-    # passes per gate
+    # u times the (dim, right) slabs of the strided (left, dim, right) view,
+    # batched over whole rows, or over column slices of a row longer than _CHUNK
     view = amps.reshape(left, dim, right)
-    np.copyto(view, np.matmul(u, view))
+    if amps.size <= _CHUNK:  # one chunk: no scratch array
+        np.copyto(view, np.matmul(u, view))
+        return
+    rows = max(1, _CHUNK // (dim * right))
+    cols = min(right, _CHUNK // dim)
+    out = np.empty((min(rows, left), dim, cols), dtype=complex)
+    for r in range(0, left, rows):
+        for c in range(0, right, cols):
+            block = view[r : r + rows, :, c : c + cols]
+            np.matmul(u, block, out=out)
+            np.copyto(block, out)
 
 
 def _swap_qubits(u: np.ndarray) -> np.ndarray:
@@ -153,7 +175,7 @@ def _apply_dense(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarr
 
 
 def _apply_matrix(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarray):
-    if len(targets) == 1 or (len(targets) == 2 and targets[1] == targets[0] + 1):
+    if len(targets) <= _MAX_RUN and _is_run(targets):
         _apply_run(amps, n, targets[0], u)
     else:
         _apply_dense(amps, n, targets, u)
@@ -165,7 +187,7 @@ Block = tuple[tuple[int, ...], np.ndarray]  # target qubits, 2^k x 2^k matrix
 
 
 def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
-    """``ops`` (time order) merged into ``(targets, matrix)`` blocks of at most 2 qubits.
+    """``ops`` (time order) merged into ``(targets, matrix)`` blocks of at most 4 qubits.
 
     Walking the ops in order, each qubit has at most one open block.  A 1q gate
     multiplies into its qubit's open block.  A 2q gate on the pair of an open
@@ -174,7 +196,12 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
     qubits and closes any other block holding one of them.  A gate on more
     than 2 qubits closes the blocks it touches and is a block of its own.
     Blocks are listed as they close, so applying them in order equals applying
-    the ops in order.
+    the ops in order.  Last, a block whose targets are a run of adjacent
+    qubits that continues, above or below, the run of the block listed just
+    before it joins that block as their kron product, up to ``_MAX_RUN``
+    qubits: the two share no qubit, so they commute.  A step listed layer by
+    layer, bonds (1,2), (3,4), ... then (2,3), (4,5), ..., so runs in half as
+    many blocks.
     """
     blocks = []
     open_blocks: dict[int, list] = {}  # qubit -> [targets, matrix], shared by a pair
@@ -225,7 +252,17 @@ def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
             blocks.append((targets, u))
     for q in sorted(open_blocks):
         close(q)
-    return tuple(blocks)
+    merged: list[Block] = []
+    for block in blocks:
+        if merged:
+            last = merged[-1]
+            (lo, u_lo), (hi, u_hi) = (last, block) if last[0][0] < block[0][0] else (block, last)
+            if (lo[-1] + 1 == hi[0] and len(lo) + len(hi) <= _MAX_RUN
+                    and _is_run(lo) and _is_run(hi)):
+                merged[-1] = (lo + hi, kron_factors((u_lo, u_hi)))
+                continue
+        merged.append(block)
+    return tuple(merged)
 
 
 def _apply_diag_1q(amps, n, q, d0, d1):

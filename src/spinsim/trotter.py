@@ -59,10 +59,18 @@ from .statevector import StateVector, inner_product
 #: applies U(t) for one time t to a state in place and returns the state
 Evolver = Callable[[StateVector], StateVector]
 
-# The cost of one fused block pass over the state, in units of the flops of a
-# dense matrix product (8^N per squaring): gates-vs-folded timings of
-# trotterize + evolve, Heisenberg chains of 3-10 qubits with 2-4096 steps.
+# The cost of one fused block pass over 2^m amplitudes, in units of the flops
+# of a dense matrix product (8^N per squaring): _BLOCK_PASS_FLOPS up to 2^10
+# amplitudes, where the call overhead dominates, and _AMPLITUDE_FLOPS per
+# amplitude above.  Measured: gates-vs-folded timings of evolve, Heisenberg
+# chains of 3-10 qubits with 1-4096 steps (table in CHANGES.md).
 _BLOCK_PASS_FLOPS = 2**17
+_AMPLITUDE_FLOPS = 2**7
+
+
+def _pass_flops(n_qubits: int) -> int:
+    """What one block pass over ``n_qubits`` qubits costs, in flops of a dense product."""
+    return max(_BLOCK_PASS_FLOPS, _AMPLITUDE_FLOPS * 2**n_qubits)
 
 
 @dataclass(frozen=True)
@@ -137,20 +145,23 @@ class EvolutionResult:
     def folds(self) -> bool:
         """Whether the repeated step is cheaper as a power of its dense matrix than as gates.
 
-        Folded, the evolution costs one pass of the step's blocks over the 2^N
-        identity columns, to build the matrix, and about log2(n) dense products
-        of 8^N flops, to square it up to the n-th power.  Unfolded, it costs n
-        passes of its blocks over the state.  So the step folds when 2^N <= n,
-        which bounds the build by the passes it saves, and log2(n) 8^N <=
-        ``_BLOCK_PASS_FLOPS`` n blocks, which bounds the squaring; the constant
-        is measured, and the table it rests on is in CHANGES.md.  The register
-        must also be within the dense-matrix limit ``DENSE_QUBIT_LIMIT``.
+        Folded, the evolution costs a pass of each of the step's blocks over
+        the 2^N identity columns, which form one 2N-qubit vector, to build the
+        matrix, about two more such passes to set up the columns and apply the
+        power to the state, and about log2(n) dense products of 8^N flops, to
+        square it up to the n-th power.  Unfolded, it costs n passes of its
+        blocks over the state.  Each pass is priced by :func:`_pass_flops`, and
+        the step folds when that makes folding the cheaper route; the table
+        the constants rest on is in CHANGES.md.  The register must also be
+        within the dense-matrix limit ``DENSE_QUBIT_LIMIT``.
         """
         n = self.step.n_qubits
-        reps = self.n_steps_used
-        if n > DENSE_QUBIT_LIMIT or 2**n > reps:
+        if n > DENSE_QUBIT_LIMIT:
             return False
-        return math.log2(reps) * 8**n <= _BLOCK_PASS_FLOPS * reps * len(self.step.blocks)
+        reps = self.n_steps_used
+        blocks = len(self.step.blocks)
+        folded = (blocks + 2) * _pass_flops(2 * n) + math.log2(reps) * 8**n
+        return folded < reps * blocks * _pass_flops(n)
 
     @cached_property
     def folded_step(self) -> np.ndarray | None:

@@ -448,9 +448,39 @@ def _gate_by_gate(state: StateVector, c: Circuit) -> StateVector:
     return state
 
 
+def _op(kind: str, *targets: int) -> GateOp:
+    """``kind`` on ``targets`` with random parameters."""
+    return GateOp(kind, tuple(RNG.uniform(-np.pi, np.pi, GATE_SIGNATURES[kind][0])), targets)
+
+
+# (ops as (kind, *targets), the fused blocks' targets) for the neighbour merge
+MERGE_CASES = {
+    # (2, 3) closes (1, 2) and then (3, 4): the low block is listed first
+    "low-first": ([("XX", 1, 2), ("Ry", 3), ("XX", 3, 4), ("CNOT", 2, 3)],
+                  [(1, 2, 3, 4), (2, 3)]),
+    # (4, 5) closes (3, 4) before (6, 2) closes (1, 2): the high block first
+    "high-first": ([("XX", 1, 2), ("XX", 3, 4), ("CNOT", 4, 5), ("CNOT", 6, 2)],
+                   [(1, 2, 3, 4), (2, 6), (4, 5)]),
+    # 1q blocks below and above a pair
+    "single-qubits": ([("Ry", 4), ("XX", 2, 3), ("Ry", 1)], [(1, 2, 3, 4)]),
+    "single-above": ([("Rx", 3), ("XX", 1, 2)], [(1, 2, 3)]),
+    # overlapping, gapped and non-adjacent neighbours stay apart
+    "overlap": ([("XX", 1, 2), ("XX", 2, 3), ("XX", 5, 6)], [(1, 2), (2, 3), (5, 6)]),
+    "interleaved": ([("CNOT", 3, 1), ("Ry", 2)], [(1, 3), (2,)]),
+    "not-a-run": ([("CNOT", 3, 1), ("Ry", 4)], [(1, 3), (4,)]),
+    # no block wider than 4 qubits
+    "cap": ([("XX", 1, 2), ("XX", 3, 4), ("XX", 5, 6), ("CNOT", 2, 3), ("CNOT", 4, 5)],
+            [(1, 2, 3, 4), (5, 6), (2, 3, 4, 5)]),
+    # MS_T4 on adjacent qubits: a 3-qubit one joins the 1q block after it
+    "ms3": ([("Ry", 8), ("MS_T4", 5, 6, 7)], [(5, 6, 7, 8)]),
+    "ms4": ([("MS_T4", 1, 2, 3, 4), ("Ry", 5)], [(1, 2, 3, 4), (5,)]),
+    "ms3-descending": ([("MS_T4", 7, 6, 5), ("Ry", 8)], [(7, 6, 5), (8,)]),
+}
+
+
 class TestFusedRun:
-    """Every register runs a circuit as fused <= 2-qubit blocks; ``apply_gate``,
-    one gate at a time, is the reference."""
+    """Every register runs a circuit as fused blocks of at most 4 qubits;
+    ``apply_gate``, one gate at a time, is the reference."""
 
     @pytest.mark.parametrize("n", [2, 3, 5, 9, 12, 13])
     def test_matches_gate_by_gate(self, n):
@@ -477,7 +507,9 @@ class TestFusedRun:
         states = []
         for gate_set in GateSet:
             c = trotterize(h, 1.0, TrotterPlan.fixed_n(1), gate_set).circuit
-            assert len(c.blocks) == 11  # one block per bond of the chain
+            # one 4-qubit block per two neighbouring bonds of a layer, and a
+            # lone (10, 11): (1-4), (5-8), (9-12), (2-5), (6-9), (10, 11)
+            assert len(c.blocks) == 6
             states.append(run_circuit(product_state(12, "010011010110"), c).amplitudes)
         for other in states[1:]:
             assert abs(np.vdot(states[0], other)) >= 1.0 - 1e-10
@@ -492,10 +524,39 @@ class TestFusedRun:
 
         monkeypatch.setattr(compiler, "fuse", counting)
         h = heisenberg_chain(n, 1.0, 0.5)
-        result = trotterize(h, 0.6, TrotterPlan.fixed_n(4), GateSet.S1)
-        assert result.n_steps_used == 4 and result.folded_step is None
+        result = trotterize(h, 0.6, TrotterPlan.fixed_n(2), GateSet.S1)
         state = evolve(product_state(n, "0" * (n // 2) + "1" * (n - n // 2)), result)
         # once for the step, once for the prefix of hoisted field rotations
         assert [ops is result.step.ops for ops in calls] == [False, True]
+        assert result.n_steps_used == 2 and result.folded_step is None
         evolve(state, result)
         assert len(calls) == 2
+
+    # at the head of the register and at its tail, where the kernel takes
+    # GEMMs; 16 qubits and up span more than one of the kernel's chunks
+    @pytest.mark.parametrize("register", ["12", "13", "half-13", "16", "half-17"])
+    @pytest.mark.parametrize("case", list(MERGE_CASES))
+    def test_neighbour_merge(self, case, register):
+        specs, want = MERGE_CASES[case]
+        half = register.startswith("half")
+        width = int(register.split("-")[-1])
+        n = width - 1 if half else width
+        for offset in (0, n - 8):
+            c = Circuit(n, [_op(kind, *(q + offset for q in qs)) for kind, *qs in specs])
+            assert [t for t, _ in c.blocks] == [tuple(q + offset for q in t) for t in want]
+            amps = _random_amplitudes(width)
+            state = StateVector(width, amps.copy())
+            run_circuit(_half(state, 1) if half else state, c)
+            want_state = _gate_by_gate(StateVector(n, (amps[1::2] if half else amps).copy()), c)
+            got = state.amplitudes[1::2] if half else state.amplitudes
+            assert np.max(np.abs(got - want_state.amplitudes)) <= 1e-12
+            if half:
+                assert np.array_equal(state.amplitudes[0::2], amps[0::2])
+
+    def test_twenty_qubit_step_runs_in_ten_blocks(self):
+        h = heisenberg_chain(20, list(RNG.uniform(0.5, 1.5, 19)), 0.5)
+        for gate_set in GateSet:
+            result = trotterize(h, 1.0, TrotterPlan.fixed_n(1), gate_set)
+            # each layer of bonds as 4-qubit blocks of two neighbouring bonds:
+            # (1-4) ... (17-20), then (2-5) ... (14-17) and a lone (18, 19)
+            assert len(result.step.blocks) == len(result.circuit.blocks) == 10
