@@ -6,9 +6,9 @@ Series points (time or theta) are independent; each evaluation owns its
 StateVector, so grids can be distributed across workers if desired.  Results
 are always assembled in grid order.
 
-The correlation routes take U(t) as one in-place function per time
-(``evolutions=``), so compiled Trotter results or the exact evolvers of one
-diagonalization are shared across routes instead of rebuilt by each.
+The caller makes U(t) and the routes only apply it: one in-place evolver per
+time for a correlation, and a function compiling Q at theta for a spectrum.
+So one compilation or diagonalization serves every route.
 
 The ancilla protocols put one extra qubit after the system qubits.  An
 operation controlled on it runs as the plain operation on the amplitudes with
@@ -17,18 +17,16 @@ the ancilla at 1 (:func:`_half`), not as a controlled gate circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .compiler import GateSet
 from .errors import InputError
 from .gates import PAULI
 from .pauli import PauliHamiltonian
 from .statevector import StateVector, apply_dense_unitary, product_state
-from .trotter import EvolutionResult, Evolver, TrotterCompiler, TrotterPlan, evolve, exact_evolvers
+from .trotter import EvolutionResult, Evolver, evolve
 
 
 # a half row shorter than this many floats is summed _SHORT_ROW floats at a time
@@ -61,9 +59,9 @@ def magnetization(state: StateVector, site: int) -> float:
 class CorrelationSpec:
     """Inputs of a dynamical correlation C_VW(t) = <V^dag(t) W> on |initial>.
 
-    ``v``/``w`` are Pauli letters (I allowed) acting on sites ``vq``/``wq``;
-    ``evolution`` is "exact" or "trotter" (then ``plan`` and ``gate_set`` are
-    used for the propagator circuit).
+    ``v``/``w`` are Pauli letters (I allowed) acting on sites ``vq``/``wq`` of
+    the ``len(initial)`` system qubits.  The times, and how U(t) is made, are
+    the evolvers the correlation routes are given.
     """
 
     v: str
@@ -71,44 +69,14 @@ class CorrelationSpec:
     vq: int
     wq: int
     initial: str
-    hamiltonian: PauliHamiltonian
-    times: tuple[float, ...]
-    evolution: str = "exact"
-    plan: TrotterPlan = field(default_factory=lambda: TrotterPlan.fixed_n(5))
-    gate_set: GateSet = GateSet.S1
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        n = self.hamiltonian.n_qubits
+        n = len(self.initial)
         if self.v not in PAULI or self.w not in PAULI:
             raise InputError(f"V/W must be Pauli letters, got {self.v!r}, {self.w!r}")
         for q, name in ((self.vq, "V"), (self.wq, "W")):
             if not 1 <= q <= n:
                 raise InputError(f"{name} site {q} out of range for {n} qubits")
-        if len(self.initial) != n:
-            raise InputError(
-                f"initial state {self.initial!r} does not match {n} qubits"
-            )
-        if self.evolution not in ("exact", "trotter"):
-            raise InputError(f"evolution must be exact or trotter, got {self.evolution}")
-
-
-def _evolvers(spec, evolutions: Sequence[Evolver] | None) -> Iterable[Evolver]:
-    """One function per time of the spec's grid, applying U(t) to a state in place.
-
-    Each U(t) is compiled once, when its function is made, however many states
-    it is applied to.  ``evolutions``, if given, are those functions already
-    made for the grid, used in place of making them from the spec.
-    """
-    if evolutions is not None:
-        if len(evolutions) != len(spec.times):
-            raise InputError(f"{len(evolutions)} evolutions for {len(spec.times)} times")
-        return evolutions
-    h = spec.hamiltonian
-    if spec.evolution == "trotter":
-        compile_at = TrotterCompiler(h, spec.plan, spec.gate_set)
-        return (partial(evolve, result=compile_at(t)) for t in spec.times)
-    return exact_evolvers(h, spec.times)
 
 
 def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> None:
@@ -116,19 +84,16 @@ def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> None:
         apply_dense_unitary(state, PAULI[letter], (site,))
 
 
-def correlation_direct(
-    spec: CorrelationSpec, *, evolutions: Sequence[Evolver] | None = None
-) -> np.ndarray:
-    """C_VW(t) by pure statevector algebra: <V U psi | U W psi>.
+def correlation_direct(spec: CorrelationSpec, evolutions: Iterable[Evolver]) -> np.ndarray:
+    """C_VW(t) by pure statevector algebra: <V U psi | U W psi>, one value per evolver.
 
-    ``evolutions``, if given, replaces the route the spec names: one function
-    per time of ``spec.times`` applying U(t) in place, such as
+    Each of ``evolutions`` applies one U(t) to a state in place, such as
     ``partial(evolve, result=r)`` for a compiled Trotter result ``r`` or one
-    of :func:`~spinsim.trotter.exact_evolvers`.
+    of :func:`~spinsim.trotter.exact_evolvers`; each is applied to two states.
     """
-    n = spec.hamiltonian.n_qubits
+    n = len(spec.initial)
     out = []
-    for evolve_t in _evolvers(spec, evolutions):
+    for evolve_t in evolutions:
         right = product_state(n, spec.initial)
         _apply_pauli_letter(right, spec.w, spec.wq)
         evolve_t(right)
@@ -152,20 +117,18 @@ def _ancilla_readout(state: StateVector) -> complex:
     return complex(2 * np.vdot(_half(state, 0).amplitudes, _half(state, 1).amplitudes))
 
 
-def correlation_ancilla(
-    spec: CorrelationSpec, *, evolutions: Sequence[Evolver] | None = None
-) -> np.ndarray:
+def correlation_ancilla(spec: CorrelationSpec, evolutions: Iterable[Evolver]) -> np.ndarray:
     """C_VW(t) via the ancilla protocol (Somma et al., PRA 65, 042323 (2002)).
 
     One ancilla in |+> follows the system qubits.  W runs on the ancilla's one
     half (controlled), U(t) on the system, V on the zero half (anti-controlled),
     and C is read off the ancilla as <sigma_x> + i <sigma_y>, exactly: there is
-    no shot sampling.  ``evolutions`` is as for :func:`correlation_direct`; its
-    functions act on the leading system qubits of the widened register.
+    no shot sampling.  ``evolutions`` is as for :func:`correlation_direct`; each
+    acts on the leading system qubits of the widened register.
     """
-    n = spec.hamiltonian.n_qubits
+    n = len(spec.initial)
     out = []
-    for evolve_t in _evolvers(spec, evolutions):
+    for evolve_t in evolutions:
         state = product_state(n + 1, spec.initial + "+")
         _apply_pauli_letter(_half(state, 1), spec.w, spec.wq)
         # U(t) acts on the system qubits 1..n, which lead the extended register
@@ -184,31 +147,23 @@ def spin_correlation(series: np.ndarray) -> np.ndarray:
 class SpectrumSpec:
     """Inputs for spectrum extraction of a Hermitian operator Q.
 
-    The series <U_Q(theta)> is measured on the grid theta_k = k * dtheta for
+    The series <U_Q(theta)> is measured on the grid theta_k = k * spacing() for
     k = 0..m-1 via the ancilla protocol with W = U_Q(theta) and no time
-    evolution; ``dtheta = None`` picks a spacing whose Nyquist range covers
-    1.5x the sum of |coefficients| of Q (a spectral bound), so no builder
-    Hamiltonian can alias.
+    evolution.  The spacing's Nyquist range covers 1.5x the sum of
+    |coefficients| of Q (a spectral bound), so no builder Hamiltonian can alias.
     """
 
     operator: PauliHamiltonian
     initial: str
     m: int = 1024
-    dtheta: float | None = None
-    plan: TrotterPlan = field(default_factory=lambda: TrotterPlan.fixed_eps(0.1))
-    gate_set: GateSet = GateSet.S1
 
     def __post_init__(self):
         if self.m < 2 or self.m & (self.m - 1):
             raise InputError(f"m must be a power of two, got {self.m}")
-        if self.dtheta is not None and self.dtheta <= 0:
-            raise InputError(f"dtheta must be positive, got {self.dtheta}")
         if len(self.initial) != self.operator.n_qubits:
             raise InputError("initial state does not match operator register")
 
     def spacing(self) -> float:
-        if self.dtheta is not None:
-            return self.dtheta
         bound = sum(abs(t.coef.real) for t in self.operator.terms)
         if bound <= 0:
             return 2 * np.pi / self.m
@@ -216,18 +171,15 @@ class SpectrumSpec:
 
 
 def unitary_expectation_series(
-    spec: SpectrumSpec, *, compile_at: Callable[[float], EvolutionResult] | None = None
+    spec: SpectrumSpec, compile_at: Callable[[float], EvolutionResult]
 ) -> np.ndarray:
     """<psi| exp(-i Q theta) |psi> over the theta grid, via the ancilla route.
 
-    For each theta, Q is trotterized at phase theta and the compiled evolution,
+    For each theta, ``compile_at(theta)`` compiles Q at phase theta, such as a
+    :class:`~spinsim.trotter.TrotterCompiler` of Q.  The compiled evolution,
     global phase included, runs on the ancilla-one half of |psi>|+>: that is
     exp(-i Q theta) controlled on the ancilla, on any gate set.
-    ``compile_at``, if given, compiles Q at theta in place of a
-    :class:`~spinsim.trotter.TrotterCompiler` of the spec's plan and gate set.
     """
-    if compile_at is None:
-        compile_at = TrotterCompiler(spec.operator, spec.plan, spec.gate_set)
     dtheta = spec.spacing()
     start = product_state(spec.operator.n_qubits + 1, spec.initial + "+")
     out = np.empty(spec.m, dtype=complex)

@@ -53,8 +53,9 @@ class ExperimentConfig:
 
     ``plan=None`` is ``fixed_eps(0.1)`` for a spectrum run, whose steps grow with
     theta, else ``fixed_n(5)``.  An evolution run reads every field.  A fidelity
-    sweep reads only the plan's order (its observables set the schedules), and a
-    spectrum run not ``t_max`` or ``points``; neither takes ``heis2_variant``.
+    sweep reads only the plan's order (its observables set the schedules).  A
+    spectrum run reads neither ``t_max`` nor ``points``, and its parsed config
+    refuses the ``[time]`` keys; neither takes ``heis2_variant``.
     """
 
     model: str
@@ -115,14 +116,10 @@ class ExperimentConfig:
                         f"{path}.bits: {bits!r} is not a {self.n_qubits}-bit string"
                     )
             elif o.kind == "correlation":
-                v, w, i, j = o.args
-                if v not in gates.PAULI or w not in gates.PAULI:
-                    raise InputError(f"{path}: V/W must be Pauli letters, got {v} {w}")
-                for site, nm in ((i, "i"), (j, "j")):
-                    if not 1 <= site <= self.n_qubits:
-                        raise InputError(
-                            f"{path}.{nm}: site {site} out of range for {self.n_qubits} qubits"
-                        )
+                try:
+                    observables.CorrelationSpec(*o.args, self.initial)
+                except InputError as exc:
+                    raise InputError(f"{path}: {exc}") from exc
             elif o.kind == "spectrum":
                 m = o.args[0]
                 if m < 2 or m & (m - 1):
@@ -298,7 +295,8 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     variant = _single(evo, "variant", "evolution.variant", default=None)
 
-    time_entries = sec.get("time", [])
+    # a spectrum run reads no time keys (so refuses them): its theta grid is its own
+    time_entries = [] if kinds == {"spectrum"} else sec.get("time", [])
     t_max = _number(time_entries, "max", "time.max", str(math.pi))
     points = _int(_single(time_entries, "points", "time.points", default="61"), "time.points")
 
@@ -532,7 +530,7 @@ def run(cfg: ExperimentConfig) -> str:
     exact = trotter.exact_evolvers(h, times)
     if cfg.run_kind == "fidelity":
         return _run_fidelity(cfg, compile_at, times, exact, header)
-    return _run_evolution(cfg, h, compile_at, times, exact, header)
+    return _run_evolution(cfg, compile_at, times, exact, header)
 
 
 def _check_run_budget(cfg, h, compile_at):
@@ -582,24 +580,19 @@ def _run_fidelity(cfg, compile_at, deltas, exact, header) -> str:
 
 
 def _spectrum_spec(cfg, h) -> observables.SpectrumSpec:
-    return observables.SpectrumSpec(
-        operator=h, initial=cfg.initial, m=cfg.observables[0].args[0],
-        plan=cfg.plan, gate_set=cfg.gate_set,
-    )
+    return observables.SpectrumSpec(h, cfg.initial, cfg.observables[0].args[0])
 
 
 def _run_spectrum(cfg, h, compile_at, header) -> str:
     spec = _spectrum_spec(cfg, h)
-    series = observables.unitary_expectation_series(
-        spec, compile_at=partial(compile_at, plan=cfg.plan)
-    )
+    series = observables.unitary_expectation_series(spec, partial(compile_at, plan=cfg.plan))
     peaks = observables.spectrum_from_series(series, spec.spacing())
     header.append(f"# theta grid: m={spec.m} dtheta={_fmt(spec.spacing())}")
     rows = ["q,weight"] + [f"{_fmt(q)},{_fmt(w)}" for q, w in peaks]
     return "\n".join(header + rows) + "\n"
 
 
-def _run_evolution(cfg, h, compile_at, times, exact, header) -> str:
+def _run_evolution(cfg, compile_at, times, exact, header) -> str:
     scalar_obs = [o for o in cfg.observables if o.kind != "correlation"]
     corr_obs = [o for o in cfg.observables if o.kind == "correlation"]
 
@@ -636,20 +629,10 @@ def _run_evolution(cfg, h, compile_at, times, exact, header) -> str:
         routes = [compile_at(float(t), cfg.plan) for t in times]
     trotterized = [partial(trotter.evolve, result=r) for r in routes]
     for o in corr_obs:
-        v, w, i, j = o.args
-        spec = observables.CorrelationSpec(
-            v=v, w=w, vq=i, wq=j, initial=cfg.initial, hamiltonian=h,
-            times=tuple(float(t) for t in times),
-        )
-        qs = observables.spin_correlation(
-            observables.correlation_ancilla(spec, evolutions=trotterized)
-        )
-        direct = observables.spin_correlation(
-            observables.correlation_direct(spec, evolutions=trotterized)
-        )
-        exact_c = observables.spin_correlation(
-            observables.correlation_direct(spec, evolutions=exact)
-        )
+        spec = observables.CorrelationSpec(*o.args, cfg.initial)
+        qs = observables.spin_correlation(observables.correlation_ancilla(spec, trotterized))
+        direct = observables.spin_correlation(observables.correlation_direct(spec, trotterized))
+        exact_c = observables.spin_correlation(observables.correlation_direct(spec, exact))
         table[:, col + 0], table[:, col + 1] = qs.real, qs.imag
         table[:, col + 2], table[:, col + 3] = direct.real, direct.imag
         table[:, col + 4], table[:, col + 5] = exact_c.real, exact_c.imag

@@ -5,6 +5,7 @@ summary lines and timings.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from spinsim import (
     CorrelationSpec,
     GateSet,
     SpectrumSpec,
+    TrotterCompiler,
     TrotterPlan,
     basis_state,
     correlation_ancilla,
     correlation_direct,
     digital_fidelity,
+    evolve,
     heisenberg_chain,
     hubbard_2site,
     jordan_wigner,
@@ -39,7 +42,7 @@ from spinsim.gates import GateOp, PAULI, gate_matrix, pauli_pair_exponential
 from spinsim.pauli import FermionHamiltonian, FermionTerm, jw_ladder, string_matrix
 from spinsim.runner import figure_preset, run
 from spinsim.statevector import StateVector, apply_gate
-from spinsim.trotter import exact_propagator
+from spinsim.trotter import exact_evolvers, exact_propagator
 
 RNG = np.random.default_rng(123456)
 
@@ -225,21 +228,20 @@ def test_criterion_6_fig6_correlations():
     """
     with Stopwatch(30.0) as sw:
         h = heisenberg_chain(3, [1.0, 1.0], 20.0)
-        times = tuple(np.linspace(0.0, np.pi, 41))
+        times = np.linspace(0.0, np.pi, 41)
+        n5 = TrotterCompiler(h, TrotterPlan.fixed_n(5))
+        n64 = TrotterCompiler(h, TrotterPlan.fixed_n(64, order=2))
+        trotter5 = [partial(evolve, result=n5(t)) for t in times]
+        trotter64 = [partial(evolve, result=n64(t)) for t in times]
+        exact_t = exact_evolvers(h, times)
         for site in (1, 2, 3):
-            base = dict(v="X", w="X", vq=site, wq=1, initial="111", hamiltonian=h, times=times)
-            spec5 = CorrelationSpec(evolution="trotter", plan=TrotterPlan.fixed_n(5), **base)
-            direct5 = spinsim.spin_correlation(correlation_direct(spec5))
-            ancilla5 = spinsim.spin_correlation(correlation_ancilla(spec5))
+            spec = CorrelationSpec(v="X", w="X", vq=site, wq=1, initial="111")
+            direct5 = spinsim.spin_correlation(correlation_direct(spec, trotter5))
+            ancilla5 = spinsim.spin_correlation(correlation_ancilla(spec, trotter5))
             assert np.max(np.abs(direct5 - ancilla5)) <= 1e-10
-            spec64 = CorrelationSpec(
-                evolution="trotter", plan=TrotterPlan.fixed_n(64, order=2), **base
-            )
-            exact = spinsim.spin_correlation(
-                correlation_direct(CorrelationSpec(evolution="exact", **base))
-            )
-            d64 = spinsim.spin_correlation(correlation_direct(spec64))
-            a64 = spinsim.spin_correlation(correlation_ancilla(spec64))
+            exact = spinsim.spin_correlation(correlation_direct(spec, exact_t))
+            d64 = spinsim.spin_correlation(correlation_direct(spec, trotter64))
+            a64 = spinsim.spin_correlation(correlation_ancilla(spec, trotter64))
             assert np.max(np.abs(d64 - exact)) <= 2e-3
             assert np.max(np.abs(a64 - exact)) <= 2e-3
     sw.check("6 (fig6 correlation routes)")
@@ -312,7 +314,7 @@ def test_criterion_8_spectrum_extraction():
     with Stopwatch(10.0) as sw:
         h = heisenberg_chain(2, [1.0], 0.0)
         spec = SpectrumSpec(operator=h, initial="01", m=1024)
-        series = unitary_expectation_series(spec)
+        series = unitary_expectation_series(spec, TrotterCompiler(h, TrotterPlan.fixed_eps(0.1)))
         peaks = spectrum_from_series(series, spec.spacing())
         bin_width = 2 * np.pi / (spec.m * spec.spacing())
         assert len(peaks) == 2

@@ -23,6 +23,7 @@ from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_c
 from spinsim.statevector import StateVector, basis_state, pauli_expectation, product_state
 from spinsim.trotter import (
     EvolutionResult,
+    TrotterCompiler,
     TrotterPlan,
     evolve,
     exact_evolvers,
@@ -35,6 +36,17 @@ RNG = np.random.default_rng(60)
 
 def fig6_system():
     return heisenberg_chain(3, [1.0, 1.0], 20.0)
+
+
+def trotter_evolvers(h, times, plan, gate_set=GateSet.S1):
+    """U(t) under ``plan`` for each of ``times``, as in-place evolvers."""
+    compile_at = TrotterCompiler(h, plan, gate_set)
+    return [partial(evolve, result=compile_at(t)) for t in times]
+
+
+def series_of(spec, plan=TrotterPlan.fixed_eps(0.1), gate_set=GateSet.S1):
+    """The spec's expectation series, Q compiled under ``plan`` on ``gate_set``."""
+    return unitary_expectation_series(spec, TrotterCompiler(spec.operator, plan, gate_set))
 
 
 class TestMagnetization:
@@ -78,41 +90,29 @@ class TestMagnetization:
 
 class TestCorrelationDirect:
     def test_identity_pair_is_one(self):
-        spec = CorrelationSpec(
-            v="I", w="I", vq=1, wq=1, initial="111",
-            hamiltonian=fig6_system(), times=np.linspace(0, 2, 5),
-        )
-        assert np.allclose(correlation_direct(spec), 1.0)
+        spec = CorrelationSpec(v="I", w="I", vq=1, wq=1, initial="111")
+        exact = exact_evolvers(fig6_system(), np.linspace(0, 2, 5))
+        assert np.allclose(correlation_direct(spec, exact), 1.0)
 
     def test_equal_time_xx_autocorrelation(self):
-        spec = CorrelationSpec(
-            v="X", w="X", vq=1, wq=1, initial="111",
-            hamiltonian=fig6_system(), times=[0.0],
-        )
-        raw = correlation_direct(spec)
+        spec = CorrelationSpec(v="X", w="X", vq=1, wq=1, initial="111")
+        raw = correlation_direct(spec, exact_evolvers(fig6_system(), [0.0]))
         assert raw[0] == pytest.approx(1.0)
         assert spin_correlation(raw)[0] == pytest.approx(0.25)
 
     def test_hermitian_symmetry(self):
         # C_VV(-t) = conj(C_VV(t)) under exact evolution
         ts = np.linspace(0.1, 1.5, 6)
-        fwd = CorrelationSpec(
-            v="X", w="X", vq=2, wq=2, initial="111",
-            hamiltonian=fig6_system(), times=ts,
-        )
-        bwd = CorrelationSpec(
-            v="X", w="X", vq=2, wq=2, initial="111",
-            hamiltonian=fig6_system(), times=-ts,
-        )
-        assert np.max(np.abs(correlation_direct(bwd) - np.conj(correlation_direct(fwd)))) <= 1e-10
+        spec = CorrelationSpec(v="X", w="X", vq=2, wq=2, initial="111")
+        fwd = correlation_direct(spec, exact_evolvers(fig6_system(), ts))
+        bwd = correlation_direct(spec, exact_evolvers(fig6_system(), -ts))
+        assert np.max(np.abs(bwd - np.conj(fwd))) <= 1e-10
 
     def test_bounded_by_one(self):
+        exact = exact_evolvers(fig6_system(), np.linspace(0, 3, 7))
         for v, w in (("X", "Y"), ("Z", "X"), ("Y", "Y")):
-            spec = CorrelationSpec(
-                v=v, w=w, vq=1, wq=3, initial="100",
-                hamiltonian=fig6_system(), times=np.linspace(0, 3, 7),
-            )
-            assert np.all(np.abs(correlation_direct(spec)) <= 1.0 + 1e-12)
+            spec = CorrelationSpec(v=v, w=w, vq=1, wq=3, initial="100")
+            assert np.all(np.abs(correlation_direct(spec, exact)) <= 1.0 + 1e-12)
 
     def test_conservation_witness(self):
         # <s_z1 + s_z2> constant under the 2-qubit Heisenberg evolution
@@ -127,150 +127,130 @@ class TestCorrelationDirect:
 
 class TestRouteEquivalence:
     def test_ancilla_identity_pair(self):
-        spec = CorrelationSpec(
-            v="I", w="I", vq=1, wq=1, initial="111",
-            hamiltonian=fig6_system(), times=np.linspace(0, 2, 4),
-            evolution="trotter", plan=TrotterPlan.fixed_n(5),
-        )
-        assert np.allclose(correlation_ancilla(spec), 1.0)
+        spec = CorrelationSpec(v="I", w="I", vq=1, wq=1, initial="111")
+        compiled = trotter_evolvers(fig6_system(), np.linspace(0, 2, 4), TrotterPlan.fixed_n(5))
+        assert np.allclose(correlation_ancilla(spec, compiled), 1.0)
 
     def test_fig6_autocorrelation_t0(self):
-        spec = CorrelationSpec(
-            v="X", w="X", vq=1, wq=1, initial="111",
-            hamiltonian=fig6_system(), times=[0.0],
-            evolution="trotter", plan=TrotterPlan.fixed_n(5),
+        spec = CorrelationSpec(v="X", w="X", vq=1, wq=1, initial="111")
+        compiled = trotter_evolvers(fig6_system(), [0.0], TrotterPlan.fixed_n(5))
+        assert spin_correlation(correlation_ancilla(spec, compiled))[0] == pytest.approx(
+            0.25, abs=1e-10
         )
-        assert spin_correlation(correlation_ancilla(spec))[0] == pytest.approx(0.25, abs=1e-10)
 
     @pytest.mark.parametrize("v", "XYZ")
     @pytest.mark.parametrize("w", "XYZ")
     def test_all_pauli_pairs_all_sites(self, v, w):
-        times = np.linspace(0.0, 1.4, 8)
-        h = fig6_system()
+        compiled = trotter_evolvers(fig6_system(), np.linspace(0.0, 1.4, 8), TrotterPlan.fixed_n(5))
         for vq in (1, 2, 3):
             for wq in (1, 2, 3):
-                spec = CorrelationSpec(
-                    v=v, w=w, vq=vq, wq=wq, initial="111",
-                    hamiltonian=h, times=times,
-                    evolution="trotter", plan=TrotterPlan.fixed_n(5),
-                )
-                direct = correlation_direct(spec)
-                ancilla = correlation_ancilla(spec)
+                spec = CorrelationSpec(v=v, w=w, vq=vq, wq=wq, initial="111")
+                direct = correlation_direct(spec, compiled)
+                ancilla = correlation_ancilla(spec, compiled)
                 assert np.max(np.abs(direct - ancilla)) <= 1e-10
 
     def test_exact_evolution_routes_agree(self):
-        spec_kwargs = dict(
-            v="Y", w="X", vq=3, wq=1, initial="111",
-            hamiltonian=fig6_system(), times=np.linspace(0, 2, 5),
-        )
-        d = correlation_direct(CorrelationSpec(evolution="exact", **spec_kwargs))
-        a = correlation_ancilla(CorrelationSpec(evolution="exact", **spec_kwargs))
+        spec = CorrelationSpec(v="Y", w="X", vq=3, wq=1, initial="111")
+        exact = exact_evolvers(fig6_system(), np.linspace(0, 2, 5))
+        d = correlation_direct(spec, exact)
+        a = correlation_ancilla(spec, exact)
         assert np.max(np.abs(d - a)) <= 1e-10
 
 
 class TestGivenEvolutions:
-    """``evolutions=`` carries per-time in-place evolvers for either route."""
+    """Either route applies the in-place evolvers it is given, one value per evolver."""
 
-    def spec(self, evolution, times=np.linspace(0, 2, 5)):
-        return CorrelationSpec(
-            v="Y", w="X", vq=3, wq=1, initial="101", hamiltonian=fig6_system(),
-            times=times, evolution=evolution, plan=TrotterPlan.fixed_n(3),
-        )
+    SPEC = CorrelationSpec(v="Y", w="X", vq=3, wq=1, initial="101")
+    TIMES = np.linspace(0, 2, 5)
+    PLAN = TrotterPlan.fixed_n(3)
 
-    def test_exact_evolvers_replace_the_trotter_route(self):
-        exact = exact_evolvers(fig6_system(), self.spec("exact").times)
+    def test_exact_evolvers_serve_both_routes(self):
+        # one list of evolvers, applied by both routes, gives what fresh ones give
+        exact = exact_evolvers(fig6_system(), self.TIMES)
         for route in (correlation_direct, correlation_ancilla):
-            assert np.array_equal(
-                route(self.spec("trotter"), evolutions=exact), route(self.spec("exact"))
-            )
+            fresh = exact_evolvers(fig6_system(), self.TIMES)
+            assert np.array_equal(route(self.SPEC, exact), route(self.SPEC, fresh))
 
-    def test_trotter_evolvers_replace_the_exact_route(self):
-        spec = self.spec("trotter")
-        compiled = [
-            partial(evolve, result=trotterize(spec.hamiltonian, t, spec.plan))
-            for t in spec.times
-        ]
+    def test_trotterize_evolvers_match_the_compiler(self):
+        h = fig6_system()
+        compiled = [partial(evolve, result=trotterize(h, t, self.PLAN)) for t in self.TIMES]
+        compiler_route = trotter_evolvers(h, self.TIMES, self.PLAN)
         for route in (correlation_direct, correlation_ancilla):
-            assert np.array_equal(
-                route(self.spec("exact"), evolutions=compiled), route(spec)
-            )
+            assert np.array_equal(route(self.SPEC, compiled), route(self.SPEC, compiler_route))
+
+    @pytest.mark.parametrize("route", [correlation_direct, correlation_ancilla],
+                             ids=["direct", "ancilla"])
+    def test_generator_gives_one_value_per_evolver(self, route):
+        h = fig6_system()
+        compile_at = TrotterCompiler(h, self.PLAN)
+        got = route(self.SPEC, (partial(evolve, result=compile_at(t)) for t in self.TIMES))
+        assert got.shape == (len(self.TIMES),)
+        assert np.array_equal(got, route(self.SPEC, trotter_evolvers(h, self.TIMES, self.PLAN)))
 
     def test_exact_route_against_dense_oracle(self):
-        spec = self.spec("exact")
+        h = fig6_system()
         want = []
-        for t in spec.times:
-            u = exact_propagator(spec.hamiltonian, t)
+        for t in self.TIMES:
+            u = exact_propagator(h, t)
             psi = product_state(3, "101").amplitudes
             x1 = np.kron(PAULI["X"], np.eye(4))
             y3 = np.kron(np.eye(4), PAULI["Y"])
             want.append(np.vdot(y3 @ u @ psi, u @ x1 @ psi))
-        assert np.max(np.abs(correlation_direct(spec) - np.array(want))) <= 1e-12
-
-    def test_count_must_match_grid(self):
-        spec = self.spec("exact")
-        exact = exact_evolvers(spec.hamiltonian, spec.times[:-1])
-        with pytest.raises(InputError):
-            correlation_direct(spec, evolutions=exact)
+        got = correlation_direct(self.SPEC, exact_evolvers(h, self.TIMES))
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_exact_route_rejects_non_finite_time(self, bad):
         with pytest.raises(InputError):
-            correlation_direct(self.spec("exact", times=[0.0, 1.0, bad]))
+            correlation_direct(self.SPEC, exact_evolvers(fig6_system(), [0.0, 1.0, bad]))
 
 
 class TestSpecValidation:
     def test_bad_letter(self):
         with pytest.raises(InputError):
-            CorrelationSpec(
-                v="Q", w="X", vq=1, wq=1, initial="111",
-                hamiltonian=fig6_system(), times=[0.0],
-            )
+            CorrelationSpec(v="Q", w="X", vq=1, wq=1, initial="111")
 
     def test_bad_site(self):
         with pytest.raises(InputError):
-            CorrelationSpec(
-                v="X", w="X", vq=4, wq=1, initial="111",
-                hamiltonian=fig6_system(), times=[0.0],
-            )
+            CorrelationSpec(v="X", w="X", vq=4, wq=1, initial="111")
 
     def test_bad_initial(self):
+        # two system qubits under a three-qubit evolution
+        spec = CorrelationSpec(v="X", w="X", vq=1, wq=1, initial="11")
         with pytest.raises(InputError):
-            CorrelationSpec(
-                v="X", w="X", vq=1, wq=1, initial="11",
-                hamiltonian=fig6_system(), times=[0.0],
-            )
+            correlation_direct(spec, exact_evolvers(fig6_system(), [0.0]))
 
 
 class TestUnitaryExpectationSeries:
     def test_sigma_z_on_plus_gives_cosine(self):
         q = PauliHamiltonian(1, [PauliString(1.0, "Z")])
-        spec = SpectrumSpec(operator=q, initial="+", m=64, dtheta=0.1)
-        series = unitary_expectation_series(spec)
-        thetas = np.arange(64) * 0.1
+        spec = SpectrumSpec(operator=q, initial="+", m=64)
+        series = series_of(spec)
+        thetas = np.arange(64) * spec.spacing()
         assert np.max(np.abs(series - np.cos(thetas))) <= 1e-10
 
     def test_eigenstate_pure_phase(self):
         # |00> is an eigenstate of Z1 + Z2 with eigenvalue 2
         q = PauliHamiltonian(2, [PauliString(1.0, "ZI"), PauliString(1.0, "IZ")])
-        spec = SpectrumSpec(operator=q, initial="00", m=32, dtheta=0.05)
-        series = unitary_expectation_series(spec)
-        thetas = np.arange(32) * 0.05
+        spec = SpectrumSpec(operator=q, initial="00", m=32)
+        series = series_of(spec)
+        thetas = np.arange(32) * spec.spacing()
         assert np.max(np.abs(series - np.exp(-2j * thetas))) <= 1e-10
 
     def test_theta_zero_is_one(self):
         q = heisenberg_chain(2, [1.0], 0.0)
-        spec = SpectrumSpec(operator=q, initial="01", m=16, dtheta=0.3)
-        series = unitary_expectation_series(spec)
+        spec = SpectrumSpec(operator=q, initial="01", m=16)
+        series = series_of(spec)
         assert series[0] == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("gate_set", list(GateSet), ids=lambda g: g.value)
     def test_matches_dense_oracle(self, gate_set):
         q = heisenberg_chain(2, [1.0], 0.0)
-        spec = SpectrumSpec(operator=q, initial="01", m=16, dtheta=0.22, gate_set=gate_set)
-        series = unitary_expectation_series(spec)
+        spec = SpectrumSpec(operator=q, initial="01", m=16)
+        series = series_of(spec, gate_set=gate_set)
         psi = product_state(2, "01").amplitudes
         for k in range(16):
-            u = exact_propagator(q, k * 0.22)
+            u = exact_propagator(q, k * spec.spacing())
             assert series[k] == pytest.approx(complex(np.vdot(psi, u @ psi)), abs=1e-10)
 
 
@@ -319,7 +299,7 @@ def controlled_correlation(spec: CorrelationSpec, evolutions) -> np.ndarray:
     W is controlled on the ancilla and V anti-controlled (X on the ancilla on
     either side of the controlled V).
     """
-    n = spec.hamiltonian.n_qubits
+    n = len(spec.initial)
     a = n + 1
     ctrl_w = controlled_circuit(pauli_circuit(n, spec.w, spec.wq), a)
     ctrl_v = controlled_circuit(pauli_circuit(n, spec.v, spec.vq), a)
@@ -380,14 +360,14 @@ class TestAncillaHalfAgainstControlledCircuit:
                              ids=lambda g: g.value)
     def test_expectation_series(self, gate_set):
         q = tim_chain(3, [0.7, 0.7, 0.7], 1.0)
-        spec = SpectrumSpec(operator=q, initial="0+1", m=8, plan=TrotterPlan.fixed_eps(0.05),
-                            gate_set=gate_set)
+        spec = SpectrumSpec(operator=q, initial="0+1", m=8)
+        plan = TrotterPlan.fixed_eps(0.05)
         want = []
         for k in range(spec.m):
-            result = trotterize(q, k * spec.spacing(), spec.plan, gate_set)
+            result = trotterize(q, k * spec.spacing(), plan, gate_set)
             state = product_state(4, "0+1+")
             want.append(ancilla_readout(evolve(state, controlled_evolution(result, 4))))
-        assert np.max(np.abs(unitary_expectation_series(spec) - np.array(want))) <= 1e-12
+        assert np.max(np.abs(series_of(spec, plan, gate_set) - np.array(want))) <= 1e-12
 
     @pytest.mark.parametrize("letter", "XYZ")
     def test_pauli_circuits(self, letter):
@@ -398,19 +378,15 @@ class TestAncillaHalfAgainstControlledCircuit:
     @pytest.mark.parametrize("w", "IXYZ")
     def test_correlation(self, v, w, evolution):
         h = heisenberg_chain(3, [1.0, 0.7], 0.9)
+        times = np.linspace(-0.5, 1.5, 5)
+        evolvers = (
+            exact_evolvers(h, times) if evolution == "exact"
+            else trotter_evolvers(h, times, TrotterPlan.fixed_n(4, order=2), GateSet.S2)
+        )
         for vq, wq in ((1, 1), (1, 3), (2, 1)):
-            spec = CorrelationSpec(
-                v=v, w=w, vq=vq, wq=wq, initial="0+1", hamiltonian=h,
-                times=np.linspace(-0.5, 1.5, 5), evolution=evolution,
-                plan=TrotterPlan.fixed_n(4, order=2), gate_set=GateSet.S2,
-            )
-            evolvers = (
-                exact_evolvers(h, spec.times) if evolution == "exact"
-                else [partial(evolve, result=trotterize(h, t, spec.plan, spec.gate_set))
-                      for t in spec.times]
-            )
+            spec = CorrelationSpec(v=v, w=w, vq=vq, wq=wq, initial="0+1")
             want = controlled_correlation(spec, evolvers)
-            assert np.max(np.abs(correlation_ancilla(spec) - want)) <= 1e-12
+            assert np.max(np.abs(correlation_ancilla(spec, evolvers) - want)) <= 1e-12
 
 
 ANCILLA_CONFIG = """
@@ -424,27 +400,25 @@ state = 0+1
 gateset = {gateset}
 schedule = fixed_eps
 eps = 0.1
-[time]
-max = 1.0
-points = 4
-[observables]
+{time}[observables]
 {observables}
 """
 
 
 @pytest.mark.parametrize("gateset", ["S1", "S4"])
-@pytest.mark.parametrize("observables, column", [
-    ("observable = spectrum 16", "q,weight"),
-    ("observable = correlation X Y 1 3\nobservable = correlation Z Z 2 2", "czz_2_2_re_qs"),
+@pytest.mark.parametrize("time, observables, column", [
+    ("", "observable = spectrum 16", "q,weight"),
+    ("[time]\nmax = 1.0\npoints = 4\n",
+     "observable = correlation X Y 1 3\nobservable = correlation Z Z 2 2", "czz_2_2_re_qs"),
 ], ids=["spectrum", "correlation"])
-def test_ancilla_runs_build_no_controlled_circuit(monkeypatch, gateset, observables, column):
+def test_ancilla_runs_build_no_controlled_circuit(monkeypatch, gateset, time, observables, column):
     def refuse(*args, **kwargs):
         raise AssertionError("a controlled circuit was built")
 
     for module, name in ((compiler, "controlled_circuit"), (compiler, "_controlled_op"),
                          (spinsim, "controlled_circuit")):
         monkeypatch.setattr(module, name, refuse)
-    text = ANCILLA_CONFIG.format(gateset=gateset, observables=observables)
+    text = ANCILLA_CONFIG.format(gateset=gateset, time=time, observables=observables)
     assert column in runner.run(runner.parse_config(text))
 
 
@@ -475,7 +449,7 @@ class TestSpectrumFromSeries:
         # |01> splits evenly over the eigenvalues -3J and +J
         q = heisenberg_chain(2, [1.0], 0.0)
         spec = SpectrumSpec(operator=q, initial="01", m=1024)
-        series = unitary_expectation_series(spec)
+        series = series_of(spec)
         peaks = spectrum_from_series(series, spec.spacing())
         assert len(peaks) == 2
         bin_width = 2 * np.pi / (spec.m * spec.spacing())
@@ -494,7 +468,7 @@ class TestSpectrumFromSeries:
         psi = product_state(2, "01").amplitudes
         exact_weights = np.abs(vecs.conj().T @ psi) ** 2
         spec = SpectrumSpec(operator=h, initial="01", m=1024)
-        peaks = spectrum_from_series(unitary_expectation_series(spec), spec.spacing())
+        peaks = spectrum_from_series(series_of(spec), spec.spacing())
         bin_width = 2 * np.pi / (spec.m * spec.spacing())
         for ev, ew in zip(w, exact_weights):
             if ew < 0.05:

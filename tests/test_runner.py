@@ -429,13 +429,11 @@ class TestRun:
         )
 
     @pytest.mark.parametrize("variant", ["", "variant = 3cnot\n"], ids=["plan", "3cnot"])
-    def test_correlation_routes_get_their_evolvers(self, monkeypatch, variant):
-        # the runner compiles every route's U(t) itself, under a fixed variant too
-        def refuse(*args, **kwargs):
-            raise AssertionError("a correlation route compiled its own evolution")
-
-        monkeypatch.setattr(observables, "TrotterCompiler", refuse)
-        monkeypatch.setattr(observables, "exact_evolvers", refuse)
+    def test_correlation_routes_get_their_evolvers(self, variant):
+        # the runner compiles every route's U(t), under a fixed variant too:
+        # observables has nothing to compile or diagonalize with
+        assert not hasattr(observables, "TrotterCompiler")
+        assert not hasattr(observables, "exact_evolvers")
         cfg = parse_config(
             "[model]\nkind = heisenberg\nn_qubits = 2\n[evolution]\n" + variant
             + "[time]\npoints = 3\n[observables]\nobservable = correlation X Y 1 2\n"
@@ -515,6 +513,13 @@ class TestCli:
         rc = cli_main(["run", str(cfgfile)])
         assert rc == 2
         assert "observables[1].site" in capsys.readouterr().err
+
+    def test_spectrum_time_keys_exit_2(self, tmp_path, capsys):
+        # a spectrum run has its own theta grid, so it reads no [time] keys
+        cfgfile = tmp_path / "spectrum.cfg"
+        cfgfile.write_text(SPECTRUM_CONFIG + "[time]\nmax = 7.0\npoints = 3\n")
+        assert cli_main(["run", str(cfgfile)]) == 2
+        assert "time.max" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self):
         assert cli_main(["run", "/nonexistent/exp.cfg"]) == 2
