@@ -90,6 +90,8 @@ def correlation_direct(spec: CorrelationSpec, evolutions: Iterable[Evolver]) -> 
     Each of ``evolutions`` applies one U(t) to a state in place, such as
     ``partial(evolve, result=r)`` for a compiled Trotter result ``r`` or one
     of :func:`~spinsim.trotter.exact_evolvers`; each is applied to two states.
+    An evolver wider than ``len(spec.initial)`` qubits is refused.  Any iterable
+    serves, but a generator is used up by one route: give each route its own.
     """
     n = len(spec.initial)
     out = []
@@ -123,16 +125,18 @@ def correlation_ancilla(spec: CorrelationSpec, evolutions: Iterable[Evolver]) ->
     One ancilla in |+> follows the system qubits.  W runs on the ancilla's one
     half (controlled), U(t) on the system, V on the zero half (anti-controlled),
     and C is read off the ancilla as <sigma_x> + i <sigma_y>, exactly: there is
-    no shot sampling.  ``evolutions`` is as for :func:`correlation_direct`; each
-    acts on the leading system qubits of the widened register.
+    no shot sampling.  ``evolutions`` is as for :func:`correlation_direct`;
+    each is applied to the two halves of the register.
     """
     n = len(spec.initial)
     out = []
     for evolve_t in evolutions:
         state = product_state(n + 1, spec.initial + "+")
         _apply_pauli_letter(_half(state, 1), spec.w, spec.wq)
-        # U(t) acts on the system qubits 1..n, which lead the extended register
-        evolve_t(state)
+        # U(t) acts on the system qubits alone, so it runs on each half: an
+        # evolver wider than the system is refused rather than reach the ancilla
+        evolve_t(_half(state, 0))
+        evolve_t(_half(state, 1))
         _apply_pauli_letter(_half(state, 0), spec.v, spec.vq)
         out.append(_ancilla_readout(state))
     return np.array(out, dtype=complex)

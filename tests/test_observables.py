@@ -214,11 +214,18 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             CorrelationSpec(v="X", w="X", vq=4, wq=1, initial="111")
 
-    def test_bad_initial(self):
+    @pytest.mark.parametrize("route", [correlation_direct, correlation_ancilla])
+    @pytest.mark.parametrize("trotterized", [False, True])
+    def test_bad_initial(self, route, trotterized):
         # two system qubits under a three-qubit evolution
         spec = CorrelationSpec(v="X", w="X", vq=1, wq=1, initial="11")
+        h = fig6_system()
+        if trotterized:
+            evolutions = trotter_evolvers(h, [0.5], TrotterPlan.fixed_n(2))
+        else:
+            evolutions = exact_evolvers(h, [0.0])
         with pytest.raises(InputError):
-            correlation_direct(spec, exact_evolvers(fig6_system(), [0.0]))
+            route(spec, evolutions)
 
 
 class TestUnitaryExpectationSeries:
