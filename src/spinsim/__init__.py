@@ -11,8 +11,7 @@ from .compiler import (
     GateSet,
     circuit_unitary,
     controlled_circuit,
-    decompose_multi_pauli,
-    decompose_pauli_pair,
+    decompose_pauli,
     dumps_circuit,
     equal_up_to_global_phase,
     heisenberg2_circuit,

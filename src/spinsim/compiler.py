@@ -207,13 +207,23 @@ class PauliLowering(NamedTuple):
     changes, CNOT ladders, pi flips) are built :class:`GateOp` values, shared
     by every d; the rest are :data:`AngleSlot` entries.  ``phase(d)`` is the
     circuit's global phase, and None stands for 0.
+
+    ``negative`` is the form a negative angle takes instead, or None where
+    every angle takes this one; only an S3 pair has one.  :meth:`at` is that
+    sign rule and :meth:`circuit` follows it; :meth:`ops` builds one form's
+    gates as they stand.
     """
 
     slots: tuple[GateOp | AngleSlot, ...]
     phase: Callable[[float], float] | None = None
+    negative: "PauliLowering | None" = None
 
-    def ops(self, d: float, make: Callable[..., GateOp] = GateOp) -> list[GateOp]:
-        """The gates at angle ``d``; ``make`` builds each angle-carrying one.
+    def at(self, d: float) -> "PauliLowering":
+        """The form angle ``d`` takes: ``negative`` for d < 0 (not -0.0) where set."""
+        return self.negative if d < 0.0 and self.negative is not None else self
+
+    def ops(self, d: float) -> list[GateOp]:
+        """This form's gates at angle ``d``.
 
         A slot that recurs (S2's two ``Uxy(d/2)``, the two-CPhase S3 form's
         CPhase) is built once and emitted at each of its places.
@@ -221,11 +231,13 @@ class PauliLowering(NamedTuple):
         built = {}
         for s in self.slots:
             if type(s) is not GateOp and id(s) not in built:
-                built[id(s)] = make(s[0], s[1](d), s[2])
+                built[id(s)] = GateOp._at_angle(s[0], s[1](d), s[2])
         return [built.get(id(s), s) for s in self.slots]
 
     def circuit(self, d: float, n_qubits: int) -> Circuit:
-        return Circuit(n_qubits, self.ops(d), self.phase(d) if self.phase else 0.0)
+        """exp(-i d P) on ``n_qubits`` qubits, in the form :meth:`at` picks for d."""
+        form = self.at(d)
+        return Circuit(n_qubits, form.ops(d), form.phase(d) if form.phase else 0.0)
 
 
 def _rot_slot(axis: str, q: int, gate_set: GateSet) -> AngleSlot:
@@ -235,22 +247,23 @@ def _rot_slot(axis: str, q: int, gate_set: GateSet) -> AngleSlot:
 
 
 def pauli_lowering(
-    axes: Sequence[str], qubits: tuple[int, ...], gate_set: GateSet, s3_single: bool = True
+    axes: Sequence[str], qubits: tuple[int, ...], gate_set: GateSet
 ) -> PauliLowering:
     """exp(-i d sigma_axes[0] (x) sigma_axes[1] ...) on ``qubits``, for any angle d.
 
+    This is the one place that decides how such an exponential is spelled.
     One qubit is a rotation.  Two qubits rotate the pair into the set's zz
-    (S1, S3) or xx (S2, S4) frame around the set's entangler; ``s3_single``
-    picks the single-CPhase S3 form over the two-CPhase one.  Three or more
-    qubits, in S1 only, fold the parity onto the last qubit with a CNOT
-    ladder, apply Rz(2 d) there and undo the ladder.  The axes and qubits are
-    the caller's to check.
+    (S1, S3) or xx (S2, S4) frame around the set's entangler.  S3 has two
+    forms: one CPhase, and for a negative angle (``negative``) two, which need
+    only positive hardware phases.  Three or more qubits, in S1 only, fold the
+    parity onto the last qubit with a CNOT ladder, apply Rz(2 d) there and
+    undo the ladder.  The axes and qubits are the caller's to check.
     """
     if len(qubits) == 1:
         return PauliLowering((_rot_slot(axes[0], qubits[0], gate_set),))
     before = [op for a, q in zip(axes, qubits) for op in _frame_ops(a, q, True, gate_set)]
     after = [op for a, q in zip(axes, qubits) for op in _frame_ops(a, q, False, gate_set)]
-    phase = None
+    phase = negative = None
     if gate_set is GateSet.S1:
         ladder = [GateOp("CNOT", (), pair) for pair in zip(qubits, qubits[1:])]
         core = ladder + [_rot_slot("z", qubits[-1], gate_set)] + ladder[::-1]
@@ -261,16 +274,14 @@ def pauli_lowering(
         )
     elif gate_set is GateSet.S3:
         i, j = qubits
-        if s3_single:
-            # ZZ(d) = e^{i d} (Rz(2d) x Rz(2d)) CPhase(-4d)
-            core = [("CPhase", lambda d: (-4 * d,), qubits),
-                    _rot_slot("z", i, gate_set), _rot_slot("z", j, gate_set)]
-        else:
-            # ZZ(d) = e^{i d} CPhase(-2d) (X x X) CPhase(-2d) (X x X)
-            flips = [_rot("x", np.pi, i), _rot("x", np.pi, j)]
-            cphase = ("CPhase", lambda d: (-2 * d,), qubits)
-            core = flips + [cphase] + flips + [cphase]
         phase = lambda d: 0.0 + d  # a phase of 0.0, not -0.0, at d = -0.0
+        # ZZ(d) = e^{i d} CPhase(-2d) (X x X) CPhase(-2d) (X x X)
+        flips = [_rot("x", np.pi, i), _rot("x", np.pi, j)]
+        cphase = ("CPhase", lambda d: (-2 * d,), qubits)
+        negative = PauliLowering(tuple(before + flips + [cphase] + flips + [cphase] + after), phase)
+        # ZZ(d) = e^{i d} (Rz(2d) x Rz(2d)) CPhase(-4d)
+        core = [("CPhase", lambda d: (-4 * d,), qubits),
+                _rot_slot("z", i, gate_set), _rot_slot("z", j, gate_set)]
     elif gate_set is GateSet.S2:
         # XX(d) = e^{i pi} Uxy(d/2) (I x Rx(pi)) Uxy(d/2) (I x Rx(pi))
         flip = _rot("x", np.pi, qubits[1])
@@ -281,45 +292,23 @@ def pauli_lowering(
         core = [("MS_T4", lambda d: (d, 0.0), qubits)]
     else:
         raise InputError(f"unsupported gate set {gate_set}")
-    return PauliLowering(tuple(before + core + after), phase)
+    return PauliLowering(tuple(before + core + after), phase, negative)
 
 
-def decompose_pauli_pair(
-    alpha: str,
-    beta: str,
-    delta: float,
-    qubits: tuple[int, int],
-    gate_set: GateSet = GateSet.S1,
-    s3_phase_floor: float = 0.0,
+def decompose_pauli(
+    axes: Sequence[str], delta: float, qubits: tuple[int, ...], gate_set: GateSet = GateSet.S1
 ) -> Circuit:
-    """Circuit for exp(-i delta sigma_alpha^(i) sigma_beta^(j)) in the given set.
+    """Circuit for exp(-i delta sigma_axes[0] (x) sigma_axes[1] ...) on ``qubits``.
 
-    The S3 route uses the single-CPhase form unless ``delta`` lies below
-    ``s3_phase_floor`` (default 0: negative angles switch to the two-CPhase
-    form, which only needs positive hardware phases).
+    The gates are :func:`pauli_lowering`'s, in the form its sign rule picks
+    for ``delta`` (:meth:`PauliLowering.at`), on a register of ``max(qubits)``
+    qubits.  The axes are checked, and the qubits must be distinct.
     """
-    check_axes(alpha, beta)
-    i, j = qubits
-    if i == j:
-        raise InputError("pauli pair needs two distinct qubits")
-    lowering = pauli_lowering((alpha, beta), (i, j), gate_set, delta >= s3_phase_floor)
-    return lowering.circuit(delta, max(i, j))
-
-
-def decompose_multi_pauli(
-    axes: list[str],
-    delta: float,
-    qubits: tuple[int, ...],
-    gate_set: GateSet = GateSet.S1,
-) -> Circuit:
-    """CNOT-ladder circuit for exp(-i delta tensor_i sigma_{axes[i]}) (:func:`pauli_lowering`)."""
-    if len(qubits) < 3:
-        raise InputError("use decompose_pauli_pair for fewer than 3 qubits")
-    if len(axes) != len(qubits):
+    if not axes or len(axes) != len(qubits):
         raise InputError(f"{len(axes)} axes for {len(qubits)} qubits")
+    check_axes(*axes)
     if len(set(qubits)) != len(qubits):
         raise InputError(f"duplicate qubits {qubits}")
-    check_axes(*axes)
     return pauli_lowering(axes, tuple(qubits), gate_set).circuit(delta, max(qubits))
 
 
@@ -352,7 +341,7 @@ def heisenberg2_circuit(
     if variant == "6cnot":
         c = Circuit(n, ())
         for axis in ("x", "y", "z"):
-            c = c + decompose_pauli_pair(axis, axis, delta, qubits, GateSet.S1)
+            c = c + decompose_pauli((axis, axis), delta, qubits, GateSet.S1)
         return c
     if variant == "3cnot":
         a = 2 * delta + np.pi / 2
@@ -454,7 +443,7 @@ def _ctrl_pair_core(
     # controlled exp(-i d sigma sigma): frames and CNOT conjugation cancel when
     # the control is off, so only the central Rz of the S1 form needs the control
     ops: list[GateOp] = []
-    for op in decompose_pauli_pair(alpha, beta, delta, (i, j), GateSet.S1).ops:
+    for op in decompose_pauli((alpha, beta), delta, (i, j), GateSet.S1).ops:
         ops += _ctrl_rz(op.params[0], c, j) if op.kind == "Rz" else [op]
     return ops
 

@@ -90,7 +90,7 @@ def correlation_direct(spec: CorrelationSpec, evolutions: Iterable[Evolver]) -> 
     Each of ``evolutions`` applies one U(t) to a state in place, such as
     ``partial(evolve, result=r)`` for a compiled Trotter result ``r`` or one
     of :func:`~spinsim.trotter.exact_evolvers`; each is applied to two states.
-    An evolver wider than ``len(spec.initial)`` qubits is refused.  Any iterable
+    An evolver not on ``len(spec.initial)`` qubits is refused.  Any iterable
     serves, but a generator is used up by one route: give each route its own.
     """
     n = len(spec.initial)
@@ -134,7 +134,7 @@ def correlation_ancilla(spec: CorrelationSpec, evolutions: Iterable[Evolver]) ->
         state = product_state(n + 1, spec.initial + "+")
         _apply_pauli_letter(_half(state, 1), spec.w, spec.wq)
         # U(t) acts on the system qubits alone, so it runs on each half: an
-        # evolver wider than the system is refused rather than reach the ancilla
+        # evolver on another register is refused rather than reach the ancilla
         evolve_t(_half(state, 0))
         evolve_t(_half(state, 1))
         _apply_pauli_letter(_half(state, 0), spec.v, spec.vq)

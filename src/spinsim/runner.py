@@ -538,6 +538,8 @@ def _check_run_budget(cfg, h, compile_at):
 
     No point of the grid costs more than its last, largest time: the gates of
     each compiled evolution it runs there, plus one application per exact one.
+    A correlation column evolves two states on each of its three routes: two
+    exact and four compiled evolutions, as the ancilla route evolves each half.
     """
     if cfg.run_kind == "spectrum":
         m = cfg.observables[0].args[0]
@@ -550,8 +552,8 @@ def _check_run_budget(cfg, h, compile_at):
         per_point = 0
         if n_corr < len(cfg.observables):  # scalar columns: one exact, one digital evolution
             per_point += 1 + _digital_evolution(cfg, compile_at, cfg.t_max).gate_applications
-        if n_corr:  # each: two exact and three Trotter evolutions
-            per_point += n_corr * (2 + 3 * compile_at(cfg.t_max, cfg.plan).gate_applications)
+        if n_corr:  # each: two exact and four compiled evolutions
+            per_point += n_corr * (2 + 4 * compile_at(cfg.t_max, cfg.plan).gate_applications)
         total = cfg.points * per_point
     if total > gates.GATE_BUDGET:
         raise ResourceError(f"the run plans {total} gate applications, over the budget "
@@ -733,7 +735,7 @@ def verify_suite() -> list[CheckResult]:
         for beta in "xyz":
             for gs in GateSet:
                 for d in rng.uniform(-np.pi, np.pi, 6):
-                    circ = compiler.decompose_pauli_pair(alpha, beta, float(d), (1, 2), gs)
+                    circ = compiler.decompose_pauli((alpha, beta), float(d), (1, 2), gs)
                     u = compiler.circuit_unitary(circ)
                     target = gates.pauli_pair_exponential(alpha, beta, float(d))
                     err = max(err, phase_distance(u, target))
@@ -758,11 +760,10 @@ def verify_suite() -> list[CheckResult]:
 
     # S3 single- vs two-CPhase forms
     err = 0.0
+    lowering = compiler.pauli_lowering(("z", "z"), (1, 2), GateSet.S3)
     for d in rng.uniform(0.05, np.pi, 6):
-        single = compiler.decompose_pauli_pair("z", "z", float(d), (1, 2), GateSet.S3)
-        double = compiler.decompose_pauli_pair(
-            "z", "z", float(d), (1, 2), GateSet.S3, s3_phase_floor=2 * np.pi
-        )
+        single = lowering.circuit(float(d), 2)
+        double = lowering.negative.circuit(float(d), 2)
         err = max(
             err,
             phase_distance(compiler.circuit_unitary(single), compiler.circuit_unitary(double)),
@@ -775,7 +776,7 @@ def verify_suite() -> list[CheckResult]:
         for a2 in "xyz":
             for a3 in "xyz":
                 for d in rng.uniform(-np.pi, np.pi, 2):
-                    circ = compiler.decompose_multi_pauli([a1, a2, a3], float(d), (1, 2, 3))
+                    circ = compiler.decompose_pauli((a1, a2, a3), float(d), (1, 2, 3))
                     gen = gates.string_matrix((a1 + a2 + a3).upper())
                     target = gates.hermitian_expm(float(d) * gen)
                     err = max(err, phase_distance(compiler.circuit_unitary(circ), target))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -183,12 +183,11 @@ def evolve(state: StateVector, result: EvolutionResult) -> StateVector:
 
     Runs the prefix, the step ``n_steps_used`` times (as one power of its
     folded matrix where there is one) and the global phase once.  The state
-    may be wider than the evolution's register, e.g. with an ancilla after the
-    system qubits; the extra qubits are left alone.
+    must be on the evolution's own register.
     """
-    if result.step.n_qubits > state.n_qubits:
+    if result.step.n_qubits != state.n_qubits:
         raise InputError(
-            f"evolution needs {result.step.n_qubits} qubits, register has {state.n_qubits}"
+            f"evolution acts on {result.step.n_qubits} qubits, state has {state.n_qubits}"
         )
     if not result.mirrored:
         run_circuit(state, result.prefix)
@@ -197,7 +196,6 @@ def evolve(state: StateVector, result: EvolutionResult) -> StateVector:
         for _ in range(result.n_steps_used):
             run_circuit(state, result.step)
     else:
-        # qubits 1..N are the leading bits of the amplitude index
         out = state.amplitudes.reshape(len(u), -1)
         out = np.linalg.matrix_power(u, result.n_steps_used) @ out
         state.amplitudes[:] = out.reshape(-1)
@@ -303,22 +301,13 @@ class TrotterCompiler:
         layers = disjoint_layers(rest)
         forward = [term for layer in layers for term in layer]
         backward = [term for layer in reversed(layers) for term in reversed(layer)]
-        # each term as (coefficient, lowering at angles d >= 0, the lowering at d < 0)
-        lowered = {term: (term.coef.real, *self._lower(term)) for term in forward}
+        lowered = {term: (term.coef.real, self._lower(term)) for term in forward}
         orders = [forward] if plan.order == 1 or all_commute else [forward, backward]
         self._sequences = [[lowered[term] for term in seq] for seq in orders]
 
-    def _lower(self, term: PauliString) -> tuple[PauliLowering, Callable[[], PauliLowering]]:
+    def _lower(self, term: PauliString) -> PauliLowering:
         sites = tuple(sorted(term.support))
-        axes = [term.letters[q - 1].lower() for q in sites]
-        at_nonnegative = pauli_lowering(axes, sites, self.gate_set)
-        if len(sites) == 2 and self.gate_set is GateSet.S3:
-            # decompose_pauli_pair's default floor: a negative angle takes the
-            # two-CPhase form (an angle of -0.0 does not), built on first use
-            return at_nonnegative, cache(
-                partial(pauli_lowering, axes, sites, self.gate_set, s3_single=False)
-            )
-        return at_nonnegative, lambda: at_nonnegative
+        return pauli_lowering([term.letters[q - 1].lower() for q in sites], sites, self.gate_set)
 
     def __call__(self, t: float) -> EvolutionResult:
         """exp(-i H t) compiled; a non-finite t or angle is an ``InputError``.
@@ -365,11 +354,11 @@ class TrotterCompiler:
         step: list[GateOp] = []
         term_phases: list[float] = []
         for seq in self._sequences:
-            for coef, at_nonnegative, at_negative in seq:
+            for coef, lowering in seq:
                 d = coef * dt
-                lowering = at_nonnegative if d >= 0.0 else at_negative()
-                step += lowering.ops(d, GateOp._at_angle)
-                ph = lowering.phase(d) if lowering.phase else 0.0
+                form = lowering.at(d)
+                step += form.ops(d)
+                ph = form.phase(d) if form.phase else 0.0
                 if ph:
                     term_phases.append(ph)
         if n * len(step) > GATE_BUDGET:
@@ -431,8 +420,7 @@ def exact_evolvers(h: PauliHamiltonian, times: Iterable[float]) -> list[Evolver]
     """exp(-i H t) for each of ``times``, as functions evolving a state in place.
 
     Diagonalizes the dense Hamiltonian once, H = V diag(w) V^dag.  The function
-    for t applies V e^{-iwt} V^dag to the leading N qubits of a state, which may
-    be widened by trailing qubits (an ancilla) as in :func:`evolve`.
+    for t applies V e^{-iwt} V^dag to a state on H's register.
     """
     w, v = _eigh(h)
 
@@ -440,7 +428,7 @@ def exact_evolvers(h: PauliHamiltonian, times: Iterable[float]) -> list[Evolver]
         phases = _exact_phases(w, t)
 
         def apply(state: StateVector) -> StateVector:
-            if h.n_qubits > state.n_qubits:
+            if h.n_qubits != state.n_qubits:
                 raise InputError(f"state has {state.n_qubits} qubits, H acts on {h.n_qubits}")
             x = state.amplitudes.reshape(len(w), -1)
             # V^dag x as conj(V^T conj(x)): no conjugated copy of V

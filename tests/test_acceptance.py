@@ -33,7 +33,7 @@ from spinsim import (
 )
 from spinsim.compiler import (
     circuit_unitary,
-    decompose_pauli_pair,
+    decompose_pauli,
     embed_unitary,
     equal_up_to_global_phase,
     heisenberg2_circuit,
@@ -87,7 +87,7 @@ def test_criterion_1_decomposition_soundness():
                 }
                 for gs in GateSet:
                     for d in deltas:
-                        c = decompose_pauli_pair(alpha, beta, float(d), (1, 2), gs)
+                        c = decompose_pauli((alpha, beta), float(d), (1, 2), gs)
                         assert equal_up_to_global_phase(
                             circuit_unitary(c), target[float(d)], 1e-10
                         )

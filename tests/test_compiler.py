@@ -6,8 +6,7 @@ from spinsim.compiler import (
     GateSet,
     circuit_unitary,
     controlled_circuit,
-    decompose_multi_pauli,
-    decompose_pauli_pair,
+    decompose_pauli,
     dumps_circuit,
     embed_unitary,
     equal_up_to_global_phase,
@@ -116,7 +115,7 @@ class TestEqualUpToGlobalPhase:
 
 class TestDecomposePauliPair:
     def test_s1_zz_structure(self):
-        c = decompose_pauli_pair("z", "z", 0.3, (1, 2), GateSet.S1)
+        c = decompose_pauli(("z", "z"), 0.3, (1, 2), GateSet.S1)
         kinds = [op.kind for op in c.ops]
         assert kinds == ["CNOT", "Rz", "CNOT"]
         assert c.ops[1].params == (0.6,)
@@ -127,19 +126,19 @@ class TestDecomposePauliPair:
     @pytest.mark.parametrize("beta", "xyz")
     def test_soundness_all_sets(self, gs, alpha, beta):
         for d in RNG.uniform(-np.pi, np.pi, 5):
-            c = decompose_pauli_pair(alpha, beta, float(d), (1, 2), gs)
+            c = decompose_pauli((alpha, beta), float(d), (1, 2), gs)
             target = pauli_pair_exponential(alpha, beta, float(d))
             assert equal_up_to_global_phase(circuit_unitary(c), target, 1e-10)
 
     def test_delta_zero_identity(self):
         for gs in GateSet:
-            c = decompose_pauli_pair("z", "z", 0.0, (1, 2), gs)
+            c = decompose_pauli(("z", "z"), 0.0, (1, 2), gs)
             assert equal_up_to_global_phase(circuit_unitary(c), np.eye(4), 1e-10)
 
     def test_nonadjacent_and_reversed_qubits(self):
         for qubits in ((1, 3), (3, 1), (2, 1)):
             n = max(qubits)
-            c = decompose_pauli_pair("x", "y", 0.7, qubits, GateSet.S1)
+            c = decompose_pauli(("x", "y"), 0.7, qubits, GateSet.S1)
             i, j = qubits
             gen = np.zeros((2**n, 2**n), dtype=complex)
             letters = ["I"] * n
@@ -151,48 +150,48 @@ class TestDecomposePauliPair:
             assert equal_up_to_global_phase(circuit_unitary(c), target, 1e-10)
 
     def test_s2_gate_budget(self):
-        c = decompose_pauli_pair("x", "x", 0.9, (1, 2), GateSet.S2)
+        c = decompose_pauli(("x", "x"), 0.9, (1, 2), GateSet.S2)
         assert c.two_qubit_count("Uxy") == 2
         assert c.two_qubit_count() == 2
 
-    def test_s3_single_cphase_exact_with_phase(self):
+    def test_s3_one_cphase_exact_with_phase(self):
         # elementwise equality once the accumulated global phase is included
         d = 0.42
-        c = decompose_pauli_pair("z", "z", d, (1, 2), GateSet.S3)
+        c = decompose_pauli(("z", "z"), d, (1, 2), GateSet.S3)
         assert c.two_qubit_count("CPhase") == 1
         assert np.max(np.abs(circuit_unitary(c) - pauli_pair_exponential("z", "z", d))) <= 1e-12
 
     def test_s3_negative_delta_uses_two_cphase_with_positive_angles(self):
         d = -0.42
-        c = decompose_pauli_pair("z", "z", d, (1, 2), GateSet.S3)
+        c = decompose_pauli(("z", "z"), d, (1, 2), GateSet.S3)
         cps = [op for op in c.ops if op.kind == "CPhase"]
         assert len(cps) == 2
         assert all(op.params[0] > 0 for op in cps)
         assert np.max(np.abs(circuit_unitary(c) - pauli_pair_exponential("z", "z", d))) <= 1e-12
 
     def test_s4_single_collective(self):
-        c = decompose_pauli_pair("y", "z", 0.31, (1, 2), GateSet.S4)
+        c = decompose_pauli(("y", "z"), 0.31, (1, 2), GateSet.S4)
         assert c.two_qubit_count("MS_T4") == 1
         assert all(op.kind.startswith("MS_") for op in c.ops)
 
     def test_same_qubit_rejected(self):
         with pytest.raises(InputError):
-            decompose_pauli_pair("x", "x", 0.1, (2, 2), GateSet.S1)
+            decompose_pauli(("x", "x"), 0.1, (2, 2), GateSet.S1)
 
     def test_bad_axis(self):
         with pytest.raises(InputError):
-            decompose_pauli_pair("a", "x", 0.1, (1, 2), GateSet.S1)
+            decompose_pauli(("a", "x"), 0.1, (1, 2), GateSet.S1)
 
 
 class TestDecomposeMultiPauli:
     def test_s1_pair_core_is_the_two_qubit_ladder(self):
-        c = decompose_pauli_pair("z", "z", 0.3, (3, 1), GateSet.S1)
+        c = decompose_pauli(("z", "z"), 0.3, (3, 1), GateSet.S1)
         assert [(op.kind, op.params, op.targets) for op in c.ops] == [
             ("CNOT", (), (3, 1)), ("Rz", (0.6,), (1,)), ("CNOT", (), (3, 1)),
         ]
 
     def test_zzz_structure(self):
-        c = decompose_multi_pauli(["z", "z", "z"], 0.2, (1, 2, 3))
+        c = decompose_pauli(("z", "z", "z"), 0.2, (1, 2, 3))
         assert c.two_qubit_count("CNOT") == 4
         rz = [op for op in c.ops if op.kind == "Rz"]
         assert len(rz) == 1 and rz[0].params == (0.4,)
@@ -200,7 +199,7 @@ class TestDecomposeMultiPauli:
     @pytest.mark.parametrize("axes", [("z", "z", "z"), ("x", "y", "z"), ("y", "y", "x")])
     def test_oracle_equality(self, axes):
         for d in RNG.uniform(-np.pi, np.pi, 5):
-            c = decompose_multi_pauli(list(axes), float(d), (1, 2, 3))
+            c = decompose_pauli(axes, float(d), (1, 2, 3))
             gen = np.eye(1, dtype=complex)
             for a in axes:
                 gen = np.kron(gen, PAULI[a.upper()])
@@ -209,7 +208,7 @@ class TestDecomposeMultiPauli:
             )
 
     def test_four_qubits(self):
-        c = decompose_multi_pauli(["x", "z", "z", "y"], 0.37, (1, 2, 3, 4))
+        c = decompose_pauli(("x", "z", "z", "y"), 0.37, (1, 2, 3, 4))
         gen = np.eye(1, dtype=complex)
         for a in "XZZY":
             gen = np.kron(gen, PAULI[a])
@@ -217,16 +216,34 @@ class TestDecomposeMultiPauli:
         assert c.two_qubit_count("CNOT") == 6
 
     def test_delta_zero(self):
-        c = decompose_multi_pauli(["x", "y", "z"], 0.0, (1, 2, 3))
+        c = decompose_pauli(("x", "y", "z"), 0.0, (1, 2, 3))
         assert equal_up_to_global_phase(circuit_unitary(c), np.eye(8), 1e-10)
-
-    def test_too_few_qubits(self):
-        with pytest.raises(InputError):
-            decompose_multi_pauli(["z", "z"], 0.1, (1, 2))
 
     def test_non_s1_rejected(self):
         with pytest.raises(InputError):
-            decompose_multi_pauli(["z", "z", "z"], 0.1, (1, 2, 3), GateSet.S4)
+            decompose_pauli(("z", "z", "z"), 0.1, (1, 2, 3), GateSet.S4)
+
+
+class TestDecomposePauli:
+    @pytest.mark.parametrize("gs", list(GateSet))
+    @pytest.mark.parametrize("axis", "xyz")
+    def test_one_qubit_is_the_sets_rotation(self, gs, axis):
+        # exp(-i d sigma) is R_axis(2 d), spelled as the set spells it
+        for d in (0.37, -1.2):
+            c = decompose_pauli((axis,), d, (2,), gs)
+            assert c.ops == (compiler._rot(axis, 2 * d, 2, gs),)
+            assert (c.n_qubits, c.global_phase) == (2, 0.0)
+            want = embed_unitary(hermitian_expm(d * PAULI[axis.upper()]), (2,), 2)
+            assert np.max(np.abs(circuit_unitary(c) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("axes, qubits", [((), ()), (("z",), (1, 2)), (("z", "z"), (1,))])
+    def test_axes_must_match_qubits(self, axes, qubits):
+        with pytest.raises(InputError, match="axes for"):
+            decompose_pauli(axes, 0.1, qubits)
+
+    def test_duplicate_qubits(self):
+        with pytest.raises(InputError, match="duplicate qubits"):
+            decompose_pauli(("z", "x", "z"), 0.1, (1, 3, 1))
 
 
 class TestHeisenberg2Variants:

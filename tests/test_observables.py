@@ -227,8 +227,29 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             route(spec, evolutions)
 
+    @pytest.mark.parametrize("route", [correlation_direct, correlation_ancilla])
+    @pytest.mark.parametrize("trotterized", [False, True])
+    def test_narrow_evolution(self, route, trotterized):
+        # three system qubits under a two-qubit evolution, which would act on
+        # the leading two alone
+        spec = CorrelationSpec(v="X", w="X", vq=3, wq=1, initial="010")
+        h = heisenberg_chain(2, 1.0, 0.5)
+        if trotterized:
+            evolutions = trotter_evolvers(h, [0.3, 0.7], TrotterPlan.fixed_n(2))
+        else:
+            evolutions = exact_evolvers(h, [0.3, 0.7])
+        with pytest.raises(InputError):
+            route(spec, evolutions)
+
 
 class TestUnitaryExpectationSeries:
+    def test_narrow_compiler_rejected(self):
+        # Q on three qubits, compiled as a two-qubit operator
+        spec = SpectrumSpec(operator=tim_chain(3, [0.7, 0.7, 0.7], 1.0), initial="0+1", m=8)
+        compile_at = TrotterCompiler(tim_chain(2, [0.7, 0.7], 1.0), TrotterPlan.fixed_n(2))
+        with pytest.raises(InputError):
+            unitary_expectation_series(spec, compile_at)
+
     def test_sigma_z_on_plus_gives_cosine(self):
         q = PauliHamiltonian(1, [PauliString(1.0, "Z")])
         spec = SpectrumSpec(operator=q, initial="+", m=64)
@@ -304,7 +325,8 @@ def controlled_correlation(spec: CorrelationSpec, evolutions) -> np.ndarray:
     """The ancilla protocol run as controlled gate circuits.
 
     W is controlled on the ancilla and V anti-controlled (X on the ancilla on
-    either side of the controlled V).
+    either side of the controlled V).  U(t) (x) I runs U(t) on a copy of the
+    system amplitudes at each ancilla value.
     """
     n = len(spec.initial)
     a = n + 1
@@ -316,7 +338,9 @@ def controlled_correlation(spec: CorrelationSpec, evolutions) -> np.ndarray:
     for evolve_t in evolutions:
         state = product_state(a, spec.initial + "+")
         run_circuit(state, ctrl_w)
-        evolve_t(state)
+        columns = state.amplitudes.reshape(-1, 2)
+        for b in (0, 1):
+            columns[:, b] = evolve_t(StateVector(n, columns[:, b].copy())).amplitudes
         run_circuit(state, anti_v)
         out.append(ancilla_readout(state))
     return np.array(out)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from spinsim import runner, trotter
+from spinsim import observables, runner, trotter
 from spinsim.compiler import (
     Circuit,
     GateSet,
     circuit_unitary,
+    decompose_pauli,
     equal_up_to_global_phase,
     run_circuit,
 )
@@ -253,6 +254,18 @@ class TestTrotterCompiler:
             run_circuit(random_state(2), compile_at(t).step)
         assert _cached_matrix.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("coef", [-0.8, 0.8])
+    def test_s3_sign_rule_matches_decompose_pauli(self, coef):
+        # one ZZ term takes one exact step, spelled as decompose_pauli spells it
+        h = PauliHamiltonian(2, [PauliString(coef, "ZZ")])
+        t = 0.6
+        res = trotter.TrotterCompiler(h, TrotterPlan.fixed_n(3), GateSet.S3)(t)
+        want = decompose_pauli(("z", "z"), coef * t, (1, 2), GateSet.S3)
+        assert res.n_steps_used == 1 and not res.prefix.ops
+        assert res.step.ops == want.ops
+        assert res.global_phase == want.global_phase
+        assert want.two_qubit_count("CPhase") == (2 if coef < 0 else 1)
+
     def test_compiler_is_reusable_across_times(self):
         h = heisenberg_chain(3, [1.0, 0.7], 3.0)
         plan = TrotterPlan.fixed_eps(0.05, "linear", order=2)
@@ -290,11 +303,13 @@ class TestStepAndRepeat:
     )
     @pytest.mark.parametrize("extra_qubits", [0, 1])
     def test_folded_step_matches_gates(self, h, plan, gate_set, t, extra_qubits):
+        # with an extra qubit, the state is the half of the wider register at 1
         res = trotterize(h, t, plan, gate_set)
         assert res.folded_step is not None
         state = random_state(h.n_qubits + extra_qubits)
-        by_gates = run_circuit(state.copy(), res.circuit)
-        folded = evolve(state, res)
+        target = _half(state, 1) if extra_qubits else state
+        by_gates = run_circuit(StateVector(h.n_qubits, target.amplitudes.copy()), res.circuit)
+        folded = evolve(target, res)
         assert np.max(np.abs(folded.amplitudes - by_gates.amplitudes)) <= 1e-12
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
@@ -378,6 +393,12 @@ class TestStepAndRepeat:
         with pytest.raises(InputError):
             evolve(random_state(2), res)
 
+    def test_evolve_rejects_wide_register(self):
+        # a 2-qubit evolution does not act on the leading qubits of 3
+        res = trotterize(heisenberg_chain(2, [1.0], 0.5), 1.0, TrotterPlan.fixed_n(2))
+        with pytest.raises(InputError, match="evolution acts on 2 qubits, state has 3"):
+            evolve(random_state(3), res)
+
 
 def test_fig2_compiles_once_per_delta_and_plan(monkeypatch):
     calls, compilers = [], set()
@@ -455,6 +476,37 @@ class TestGateBudget:
                    for fid in runner.FIGURE_IDS}
         assert planned["fig2"] == max(planned.values()) == 2_381_696
         assert GATE_BUDGET >= 40 * max(planned.values())
+
+    @pytest.mark.parametrize("fid", runner.FIGURE_IDS)
+    def test_run_budget_covers_the_evolutions_run(self, monkeypatch, fid):
+        # every evolution the run applies, counted as the budget prices it: a
+        # compiled one by its gate applications, an exact one as one
+        cfg = runner.figure_preset(fid)
+        planned = self._planned(monkeypatch, cfg)
+        counted = []
+        original_evolve, original_exact = trotter.evolve, trotter.exact_evolvers
+
+        def counting_evolve(state, result):
+            counted.append(result.gate_applications)
+            return original_evolve(state, result)
+
+        def counting_exact(h, times):
+            def counting(apply):
+                def counted_apply(state):
+                    counted.append(1)
+                    return apply(state)
+                return counted_apply
+            return [counting(apply) for apply in original_exact(h, times)]
+
+        monkeypatch.setattr(trotter, "evolve", counting_evolve)
+        monkeypatch.setattr(observables, "evolve", counting_evolve)
+        monkeypatch.setattr(trotter, "exact_evolvers", counting_exact)
+        runner.run(cfg)
+        assert planned >= sum(counted) > 0
+        if cfg.run_kind == "evolution":
+            # a fixed-n plan costs the same at every point, so nothing is spare
+            assert cfg.plan.n_steps is not None
+            assert planned == sum(counted)
 
     def test_run_budget_is_the_planned_total(self, monkeypatch):
         cfg = runner.figure_preset("fig4c")
@@ -555,14 +607,6 @@ class TestExactEvolvers:
             assert np.max(np.abs(evolve_t(psi).amplitudes - want)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_trailing_ancilla(self, n):
-        h = random_real_pauli_hamiltonian(n)
-        for t, evolve_t in zip(self.TIMES, exact_evolvers(h, self.TIMES)):
-            psi = random_state(n + 1)
-            want = np.kron(exact_propagator(h, t), np.eye(2)) @ psi.amplitudes
-            assert np.max(np.abs(evolve_t(psi).amplitudes - want)) <= 1e-12
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_strided_amplitudes_updated_in_place(self, n):
         # a state over every other entry of a larger array, reversed, is
         # updated through that array
@@ -597,6 +641,11 @@ class TestExactEvolvers:
         (evolve_t,) = exact_evolvers(heisenberg_chain(3, 1.0), [0.5])
         with pytest.raises(InputError):
             evolve_t(random_state(2))
+
+    def test_wide_register_rejected(self):
+        (evolve_t,) = exact_evolvers(heisenberg_chain(2, 1.0), [0.5])
+        with pytest.raises(InputError, match="state has 3 qubits, H acts on 2"):
+            evolve_t(random_state(3))
 
 
 class TestTrotterScaling:
