@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -99,24 +99,18 @@ class GateOp:
         """An op whose kind and targets were checked where its spelling was built.
 
         Only ``params`` (floats), which carry a time or an angle, are checked
-        here: finite, as :class:`GateOp` requires.
+        here: finite, as :class:`GateOp` requires.  Its matrix waits for first use.
         """
         if not all(map(math.isfinite, params)):
             raise InputError(f"{kind} parameters must be finite, got {params}")
         op = object.__new__(cls)
         op.__dict__.update(kind=kind, params=params, targets=targets)
-        # its own matrix: an angle seldom recurs, so it stays out of the shared cache
-        op.__dict__["matrix"] = gate_matrix(op)
         return op
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """:func:`gate_matrix` of the op, kept with it after first use.
-
-        Ops of equal kind and parameters share one matrix through a bounded
-        cache, so a frame rotation or CNOT spelled on every bond is built once.
-        """
-        return _cached_matrix(self.kind, self.params, len(self.targets))
+        """:func:`gate_matrix` of the op, built on first use and kept with it."""
+        return gate_matrix(self)
 
 
 def u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -247,12 +241,6 @@ def gate_matrix(op: GateOp) -> np.ndarray:
         phi = p[1] if len(p) > 1 else 0.0
         return hermitian_expm(ms_generator(k, theta, phi, len(op.targets)))
     raise InputError(f"unknown gate kind {k!r}")
-
-
-@lru_cache(maxsize=8192)
-def _cached_matrix(kind: str, params: tuple, k_targets: int) -> np.ndarray:
-    # the dense matrix is independent of which qubits the gate addresses
-    return gate_matrix(GateOp(kind, params, tuple(range(1, k_targets + 1))))
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:

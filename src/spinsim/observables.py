@@ -197,6 +197,7 @@ def unitary_expectation_series(
 # the peak refinement's starting samples per window, and its most Newton steps
 _PEAK_SAMPLES = 13
 _NEWTON_STEPS = 32
+_LINE_THRESHOLD = 0.01  # the weakest line reported, relative to the strongest
 
 
 def _refine_peak(series: np.ndarray, dtheta: float, q0: float, half_width: float) -> float:
@@ -232,12 +233,12 @@ def _refine_peak(series: np.ndarray, dtheta: float, q0: float, half_width: float
 
 
 def spectrum_from_series(
-    series: Sequence[complex], dtheta: float, threshold: float = 0.01
+    series: Sequence[complex], dtheta: float
 ) -> list[tuple[float, float]]:
     """Eigenvalue/weight estimates from an expectation series.
 
-    FFT peaks above ``threshold`` (relative to the strongest bin) are merged
-    into clusters of adjacent bins and reported at their modulus-weighted
+    FFT peaks above ``_LINE_THRESHOLD`` of the strongest bin are merged into
+    clusters of adjacent bins and reported at their modulus-weighted
     centroids.  Weights come from a joint least-squares fit of complex
     exponentials at the detected lines, with each line's location refined
     against the residual of the others; for a noiseless series of isolated
@@ -264,7 +265,7 @@ def spectrum_from_series(
     for _ in range(64):
         mags = np.abs(np.fft.fft(residual)) / m
         k = int(np.argmax(mags))
-        if mags[k] < threshold * base:
+        if mags[k] < _LINE_THRESHOLD * base:
             break
         q_hat = _refine_peak(residual, dtheta, float(qvals[k]), 1.5 * bin_width)
         amp = np.sum(residual * np.exp(1j * q_hat * thetas)) / m
@@ -297,7 +298,7 @@ def spectrum_from_series(
             else:
                 merged.append((q, a))
         wmax = max(abs(a) for _, a in merged)
-        q_hat = [q for q, a in merged if abs(a) >= threshold * wmax]
+        q_hat = [q for q, a in merged if abs(a) >= _LINE_THRESHOLD * wmax]
         amps = fit(q_hat)
         for _ in range(2):
             for l in range(len(q_hat)):

@@ -453,7 +453,10 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _scalar_value(obs: ObservableSpec, state: StateVector) -> float:
+def _scalar_value(obs: ObservableSpec, state: StateVector, exact: StateVector) -> float:
+    """``obs`` read on ``state``; a fidelity is its overlap with the ``exact`` state."""
+    if obs.kind == "fidelity":
+        return abs(inner_product(exact, state))
     if obs.kind == "magnetization":
         return observables.magnetization(state, obs.args[0])
     if obs.kind == "total_magnetization":
@@ -464,6 +467,8 @@ def _scalar_value(obs: ObservableSpec, state: StateVector) -> float:
 
 
 def _scalar_name(obs: ObservableSpec) -> str:
+    if obs.kind == "fidelity":
+        return f"fid_fixed{obs.args[1]}" if obs.args[0] == "fixed_n" else f"fid_{obs.args[2]}"
     if obs.kind == "magnetization":
         return f"mz{obs.args[0]}"
     if obs.kind == "total_magnetization":
@@ -508,6 +513,13 @@ def _digital_evolution(cfg, compile_at, t: float) -> trotter.EvolutionResult:
     )
 
 
+def _digital_evolutions(cfg, compile_at, t: float) -> list[trotter.EvolutionResult]:
+    """The digital evolutions a point runs: one per fidelity column, else one."""
+    if cfg.run_kind == "fidelity":
+        return [compile_at(t, _fidelity_plan(o, cfg.plan.order)) for o in cfg.observables]
+    return [_digital_evolution(cfg, compile_at, t)]
+
+
 def run(cfg: ExperimentConfig) -> str:
     """Execute a config, valid by construction; returns the CSV text (comments prefixed #)."""
     header = [f"# spinsim run: model={cfg.model} n_qubits={cfg.n_qubits}"]
@@ -528,9 +540,7 @@ def run(cfg: ExperimentConfig) -> str:
     # one time grid and one diagonalization of H for every exact column
     times = np.linspace(0.0, cfg.t_max, cfg.points)
     exact = trotter.exact_evolvers(h, times)
-    if cfg.run_kind == "fidelity":
-        return _run_fidelity(cfg, compile_at, times, exact, header)
-    return _run_evolution(cfg, compile_at, times, exact, header)
+    return _run_grid(cfg, compile_at, times, exact, header)
 
 
 def _check_run_budget(cfg, h, compile_at):
@@ -538,47 +548,26 @@ def _check_run_budget(cfg, h, compile_at):
 
     No point of the grid costs more than its last, largest time: the gates of
     each compiled evolution it runs there, plus one application per exact one.
-    A correlation column evolves two states on each of its three routes: two
-    exact and four compiled evolutions, as the ancilla route evolves each half.
+    The scalar columns (fidelities too) share one exact evolution and the
+    point's digital ones (:func:`_digital_evolutions`).  A correlation column
+    evolves two states on each of its three routes: two exact and four
+    compiled evolutions, as the ancilla route evolves each half.
     """
     if cfg.run_kind == "spectrum":
         m = cfg.observables[0].args[0]
         total = m * compile_at(_last_point(cfg, h), cfg.plan).gate_applications
-    elif cfg.run_kind == "fidelity":  # one exact evolution, shared by the columns
-        plans = [_fidelity_plan(o, cfg.plan.order) for o in cfg.observables]
-        total = cfg.points * (1 + sum(compile_at(cfg.t_max, p).gate_applications for p in plans))
     else:
         n_corr = sum(o.kind == "correlation" for o in cfg.observables)
         per_point = 0
-        if n_corr < len(cfg.observables):  # scalar columns: one exact, one digital evolution
-            per_point += 1 + _digital_evolution(cfg, compile_at, cfg.t_max).gate_applications
-        if n_corr:  # each: two exact and four compiled evolutions
+        if n_corr < len(cfg.observables):
+            digital = _digital_evolutions(cfg, compile_at, cfg.t_max)
+            per_point += 1 + sum(r.gate_applications for r in digital)
+        if n_corr:
             per_point += n_corr * (2 + 4 * compile_at(cfg.t_max, cfg.plan).gate_applications)
         total = cfg.points * per_point
     if total > gates.GATE_BUDGET:
         raise ResourceError(f"the run plans {total} gate applications, over the budget "
                             f"of {gates.GATE_BUDGET}")
-
-
-def _run_fidelity(cfg, compile_at, deltas, exact, header) -> str:
-    psi0 = product_state(cfg.n_qubits, cfg.initial)
-    names = [f"fid_fixed{o.args[1]}" if o.args[0] == "fixed_n" else f"fid_{o.args[2]}"
-             for o in cfg.observables]
-    plans = [_fidelity_plan(o, cfg.plan.order) for o in cfg.observables]
-    rows = ["delta," + ",".join(names)]
-    steps_used: list[list[int]] = [[] for _ in plans]
-    for d, exact_d in zip(deltas, exact):
-        exact_state = exact_d(psi0.copy())
-        vals = []
-        for k, plan in enumerate(plans):
-            result = compile_at(float(d), plan)
-            digital = trotter.evolve(psi0.copy(), result)
-            vals.append(abs(inner_product(exact_state, digital)))
-            steps_used[k].append(result.n_steps_used)
-        rows.append(",".join([_fmt(d)] + [_fmt(v) for v in vals]))
-    for name, ns in zip(names, steps_used):
-        header.append(f"# n_steps_used[{name}]: {' '.join(str(n) for n in ns)}")
-    return "\n".join(header + rows) + "\n"
 
 
 def _spectrum_spec(cfg, h) -> observables.SpectrumSpec:
@@ -594,42 +583,45 @@ def _run_spectrum(cfg, h, compile_at, header) -> str:
     return "\n".join(header + rows) + "\n"
 
 
-def _run_evolution(cfg, compile_at, times, exact, header) -> str:
+def _run_grid(cfg, compile_at, times, exact, header) -> str:
+    """The CSV of a fidelity sweep or an evolution run, over the time grid ``times``.
+
+    A point's scalar columns read its states: the exact one (index 0), then
+    those of :func:`_digital_evolutions`.
+    """
+    fidelity = cfg.run_kind == "fidelity"
     scalar_obs = [o for o in cfg.observables if o.kind != "correlation"]
     corr_obs = [o for o in cfg.observables if o.kind == "correlation"]
-
-    columns: list[str] = []
-    for o in scalar_obs:
-        columns += [_scalar_name(o), _scalar_name(o) + "_qs"]
+    # (column, observable, index of the state it reads)
+    if fidelity:  # each column reads its own digital state against the exact one
+        reads = [(_scalar_name(o), o, k + 1) for k, o in enumerate(scalar_obs)]
+    else:  # each scalar reads the exact state, then (_qs) the digital one
+        reads = [(_scalar_name(o) + suffix, o, k)
+                 for o in scalar_obs for suffix, k in (("", 0), ("_qs", 1))]
+    columns = [name for name, _, _ in reads]
     for o in corr_obs:
         v, w, i, j = o.args
-        base = f"c{v.lower()}{w.lower()}_{i}_{j}"
-        columns += [
-            f"{base}_re_qs", f"{base}_im_qs",
-            f"{base}_re_digital", f"{base}_im_digital",
-            f"{base}_re_exact", f"{base}_im_exact",
-        ]
+        columns += [f"c{v.lower()}{w.lower()}_{i}_{j}_{part}_{route}"
+                    for route in ("qs", "digital", "exact") for part in ("re", "im")]
     if corr_obs:
         header.append("# correlation columns carry the spin scaling <s s> = <sigma sigma>/4")
         header.append("# qs: ancilla route (trotter); digital: direct route (trotter); exact: direct route (exact propagator)")
 
     table = np.zeros((len(times), len(columns)))
-    col = 0
-    digital = [_digital_evolution(cfg, compile_at, float(t)) for t in times]
-    if scalar_obs:
-        for k, (exact_t, result) in enumerate(zip(exact, digital)):
-            exact_state = exact_t(product_state(cfg.n_qubits, cfg.initial))
-            digital_state = trotter.evolve(product_state(cfg.n_qubits, cfg.initial), result)
-            for m, o in enumerate(scalar_obs):
-                table[k, col + 2 * m] = _scalar_value(o, exact_state)
-                table[k, col + 2 * m + 1] = _scalar_value(o, digital_state)
-        col += 2 * len(scalar_obs)
-    # the correlation routes always run the Trotter plan; a fixed variant
-    # replaces it in the scalar columns only
-    routes = digital
-    if corr_obs and cfg.heis2_variant is not None:
-        routes = [compile_at(float(t), cfg.plan) for t in times]
+    psi0 = product_state(cfg.n_qubits, cfg.initial)
+    steps_used, routes = [], []
+    for row, t, exact_t in zip(table, times, exact):
+        results = _digital_evolutions(cfg, compile_at, float(t))
+        steps_used.append([r.n_steps_used for r in results])
+        if reads:
+            states = [exact_t(psi0.copy())] + [trotter.evolve(psi0.copy(), r) for r in results]
+            row[:len(reads)] = [_scalar_value(o, states[k], states[0]) for _, o, k in reads]
+        # the correlation routes always run the Trotter plan; a fixed variant
+        # replaces it in the scalar columns only
+        if corr_obs:
+            routes.append(compile_at(float(t), cfg.plan) if cfg.heis2_variant else results[0])
     trotterized = [partial(trotter.evolve, result=r) for r in routes]
+    col = len(reads)
     for o in corr_obs:
         spec = observables.CorrelationSpec(*o.args, cfg.initial)
         qs = observables.spin_correlation(observables.correlation_ancilla(spec, trotterized))
@@ -641,8 +633,9 @@ def _run_evolution(cfg, compile_at, times, exact, header) -> str:
         col += 6
     # a fixed variant takes one step, as does the Trotter plan on its commuting
     # two-qubit model
-    header.append(f"# n_steps_used: {' '.join(str(r.n_steps_used) for r in digital)}")
-    rows = ["t," + ",".join(columns)]
+    for k, label in enumerate([f"[{name}]" for name in columns] if fidelity else [""]):
+        header.append(f"# n_steps_used{label}: {' '.join(str(n[k]) for n in steps_used)}")
+    rows = [("delta," if fidelity else "t,") + ",".join(columns)]
     for k, t in enumerate(times):
         rows.append(",".join([_fmt(t)] + [_fmt(x) for x in table[k]]))
     return "\n".join(header + rows) + "\n"

@@ -41,7 +41,6 @@ from .compiler import (
     inverse_circuit,
     pauli_lowering,
     run_circuit,
-    _rot_spelling,
     _su2_ops,
 )
 from .errors import InputError, ResourceError
@@ -238,31 +237,6 @@ def _sum_commutator_is_zero(fields: list[PauliString], rest: list[PauliString]) 
     return all(abs(v) < 1e-12 for v in acc.values())
 
 
-def _field_circuit(
-    fields: list[PauliString], t: float, n_qubits: int, gate_set: GateSet
-) -> Circuit:
-    """Exact evolution of mutually-disjoint single-qubit field terms."""
-    by_qubit: dict[int, dict[str, float]] = {}
-    for f in fields:
-        q = next(iter(f.support))
-        axis = f.letters[q - 1].lower()
-        by_qubit.setdefault(q, {})[axis] = by_qubit.setdefault(q, {}).get(axis, 0.0) + f.coef.real
-    ops: list[GateOp] = []
-    phase = 0.0
-    for q in sorted(by_qubit):
-        comps = by_qubit[q]
-        if len(comps) == 1:
-            ((axis, h),) = comps.items()
-            kind, params = _rot_spelling(axis, gate_set)
-            ops.append(GateOp._at_angle(kind, params(2 * h * t), (q,)))
-        else:
-            gen = sum(h * PAULI[a.upper()] for a, h in comps.items())
-            sub, ph = _su2_ops(hermitian_expm(t * gen), q, gate_set)
-            ops += sub
-            phase += ph
-    return Circuit(n_qubits, ops, phase)
-
-
 class TrotterCompiler:
     """exp(-i H t) under one plan and gate set, compiled for any t by calling it.
 
@@ -272,7 +246,9 @@ class TrotterCompiler:
     scaled and cut into disjoint layers, each term lowered to its gates with
     the angle left open.  A call works out the step count and emits the step:
     the gates that carry the term angles, and the frame changes and CNOTs,
-    which every call shares.  The hoisted field prefix is made per call.
+    which every call shares.  The hoisted field prefix is grouped by qubit once
+    and spelled per call: one field axis by its ``pauli_lowering``, several
+    as exp(-i t G) in Euler angles.
     """
 
     def __init__(self, h: PauliHamiltonian, plan: TrotterPlan, gate_set: GateSet = GateSet.S1):
@@ -286,17 +262,32 @@ class TrotterCompiler:
         all_commute = all(
             commutes(a, b) for k, a in enumerate(working) for b in working[k + 1:]
         )
-        self._hoisted: list[PauliString] = []
+        hoisted: list[PauliString] = []
         rest = working
         if not all_commute:
             fields = [term for term in working if len(term.support) == 1]
             others = [term for term in working if len(term.support) > 1]
             if fields and others and _sum_commutator_is_zero(fields, others):
-                self._hoisted, rest = fields, others
+                hoisted, rest = fields, others
                 all_commute = all(
                     commutes(a, b) for k, a in enumerate(rest) for b in rest[k + 1:]
                 )
         self._all_commute = all_commute
+        by_qubit: dict[int, dict[str, float]] = {}
+        for f in hoisted:
+            q = next(iter(f.support))
+            axes = by_qubit.setdefault(q, {})
+            axis = f.letters[q - 1].lower()
+            axes[axis] = axes.get(axis, 0.0) + f.coef.real
+        # per qubit: its rotation's lowering and field, or None and its fields' generator
+        self._fields: list[tuple[int, PauliLowering | None, float | np.ndarray]] = []
+        for q, axes in sorted(by_qubit.items()):
+            if len(axes) == 1:
+                ((axis, field),) = axes.items()
+                self._fields.append((q, pauli_lowering((axis,), (q,), gate_set), field))
+            else:
+                gen = sum(c * PAULI[a.upper()] for a, c in axes.items())
+                self._fields.append((q, None, gen))
         self._scale = max((abs(term.coef.real) for term in rest), default=0.0)
         layers = disjoint_layers(rest)
         forward = [term for layer in layers for term in layer]
@@ -344,11 +335,16 @@ class TrotterCompiler:
         else:
             n = steps_for_phase(delta, plan.eps, plan.growth)
 
-        prefix: tuple[GateOp, ...] = ()
-        if self._hoisted:
-            fc = _field_circuit(self._hoisted, t, n_q, self.gate_set)
-            prefix = fc.ops
-            phase += fc.global_phase
+        prefix: list[GateOp] = []
+        field_phase = 0.0
+        for q, lowering, field in self._fields:
+            if lowering is not None:
+                prefix += lowering.ops(field * t)
+            else:
+                sub, ph = _su2_ops(hermitian_expm(t * field), q, self.gate_set)
+                prefix += sub
+                field_phase += ph
+        phase += field_phase
 
         dt = t / n if len(self._sequences) == 1 else t / (2 * n)
         step: list[GateOp] = []

@@ -11,12 +11,16 @@ to emit its closed-form circuit instead of a numerical KAK synthesis.  A
 change that moves any of them has changed what the program computes, not only
 how fast.
 
-The ``run-*.csv`` files were written by the program as it stood before the
-exact reference was diagonalized once per run, from the configs in
-``RUN_CONFIGS``: run shapes the presets do not reach (five qubits under a
-fixed-eps second-order plan with scalar and correlation columns, a fixed
-Heisenberg bond variant whose correlation columns run the Trotter plan, and
-a Jordan-Wigner fidelity sweep).
+The ``run-*.csv`` files hold the output of the configs in ``RUN_CONFIGS``:
+run shapes the presets do not reach.  Three were written by the program as it
+stood before the exact reference was diagonalized once per run (five qubits
+under a fixed-eps second-order plan with scalar and correlation columns, a
+fixed Heisenberg bond variant whose correlation columns run the Trotter plan,
+and a Jordan-Wigner fidelity sweep).  ``heis3-s3-corr-first`` (a correlation
+listed before the scalar columns, on S3 with negative couplings and hoisted
+fields) and ``heis3-s4-fidelity1`` (a fidelity sweep of one column) were
+written by the program as it stood before fidelity sweeps and evolution runs
+shared one time-grid loop.
 
 The ``spectrum-*.csv`` files, and the ``spectrum-*.series`` expectation
 series they were fitted to (one ``re,im`` line per theta), were written by the
@@ -114,6 +118,46 @@ points = 11
 observable = fidelity fixed_n 3
 observable = fidelity fixed_eps 0.1 linear
 observable = fidelity fixed_eps 0.2 quadratic
+""",
+    # a correlation before the scalar columns, on S3 with negative couplings
+    # (its two-CPhase form) and hoisted z fields
+    "heis3-s3-corr-first": """
+[model]
+kind = heisenberg
+n_qubits = 3
+j = -0.8 0.6
+bg = 0.5
+[initial]
+state = 1+0
+[evolution]
+gateset = S3
+steps = 4
+[time]
+max = 2.0
+points = 9
+[observables]
+observable = correlation Z X 1 3
+observable = total_magnetization
+observable = correlation Y Y 2 2
+observable = probability 100
+""",
+    # a fidelity sweep with a single digital evolution
+    "heis3-s4-fidelity1": """
+[model]
+kind = heisenberg
+n_qubits = 3
+j = 1.0 0.7
+bg = 0.3
+[initial]
+state = 010
+[evolution]
+gateset = S4
+order = 2
+[time]
+max = 2.5
+points = 6
+[observables]
+observable = fidelity fixed_eps 0.05 linear
 """,
 }
 

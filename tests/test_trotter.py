@@ -11,7 +11,7 @@ from spinsim.compiler import (
     run_circuit,
 )
 from spinsim.errors import InputError, ResourceError
-from spinsim.gates import GATE_BUDGET, _cached_matrix
+from spinsim.gates import GATE_BUDGET
 from spinsim.observables import _half
 from spinsim.pauli import (
     PauliHamiltonian,
@@ -32,6 +32,7 @@ from spinsim.trotter import (
     steps_for_phase,
     trotterize,
 )
+from test_golden import RUN_CONFIGS
 
 RNG = np.random.default_rng(314)
 
@@ -244,15 +245,6 @@ class TestTrotterCompiler:
         shared = [x is y for x, y in zip(a, b)]
         assert shared == [x == y for x, y in zip(a, b)]
         assert any(shared) and not all(shared)
-
-    def test_angle_matrices_stay_out_of_the_shared_cache(self):
-        # a gate made for one angle builds its own matrix; the CNOTs, which
-        # every time shares, go through the cache once
-        _cached_matrix.cache_clear()
-        compile_at = trotter.TrotterCompiler(fig2_hamiltonian(), TrotterPlan.fixed_n(1))
-        for t in np.linspace(0.1, 3.0, 30):
-            run_circuit(random_state(2), compile_at(t).step)
-        assert _cached_matrix.cache_info().currsize == 1
 
     @pytest.mark.parametrize("coef", [-0.8, 0.8])
     def test_s3_sign_rule_matches_decompose_pauli(self, coef):
@@ -477,11 +469,22 @@ class TestGateBudget:
         assert planned["fig2"] == max(planned.values()) == 2_381_696
         assert GATE_BUDGET >= 40 * max(planned.values())
 
-    @pytest.mark.parametrize("fid", runner.FIGURE_IDS)
-    def test_run_budget_covers_the_evolutions_run(self, monkeypatch, fid):
+    # what a fixed-n evolution run plans beyond what it applies: nothing, but
+    # at t = 0, where heis3-s3-corr-first's negative couplings (d = -0.0) take
+    # S3's one-CPhase form, 36 gates shorter than the two-CPhase form of every
+    # other point, in each of the point's nine compiled evolutions (one for the
+    # scalar columns, four for each correlation)
+    _SPARE_AT_T0 = {"heis3-s3-corr-first": 9 * 36}
+
+    @pytest.mark.parametrize("name", runner.FIGURE_IDS + tuple(RUN_CONFIGS))
+    def test_run_budget_covers_the_evolutions_run(self, monkeypatch, name):
         # every evolution the run applies, counted as the budget prices it: a
-        # compiled one by its gate applications, an exact one as one
-        cfg = runner.figure_preset(fid)
+        # compiled one by its gate applications, an exact one as one; the
+        # figure presets and the golden run configs
+        if name in runner.FIGURE_IDS:
+            cfg = runner.figure_preset(name)
+        else:
+            cfg = runner.parse_config(RUN_CONFIGS[name])
         planned = self._planned(monkeypatch, cfg)
         counted = []
         original_evolve, original_exact = trotter.evolve, trotter.exact_evolvers
@@ -503,10 +506,11 @@ class TestGateBudget:
         monkeypatch.setattr(trotter, "exact_evolvers", counting_exact)
         runner.run(cfg)
         assert planned >= sum(counted) > 0
-        if cfg.run_kind == "evolution":
-            # a fixed-n plan costs the same at every point, so nothing is spare
+        if name in runner.FIGURE_IDS and cfg.run_kind == "evolution":
             assert cfg.plan.n_steps is not None
-            assert planned == sum(counted)
+        if cfg.run_kind == "evolution" and cfg.plan.n_steps is not None:
+            # a fixed-n plan costs the same at every point but t = 0 (above)
+            assert planned == sum(counted) + self._SPARE_AT_T0.get(name, 0)
 
     def test_run_budget_is_the_planned_total(self, monkeypatch):
         cfg = runner.figure_preset("fig4c")
