@@ -22,7 +22,11 @@ construction; all functions here are pure.
 
 ``run_circuit`` is the one circuit executor.  On every register it runs the
 circuit's ``blocks``, its gates fused into blocks of at most 4 qubits, which
-each circuit builds once and keeps.
+each circuit builds once and keeps.  A :class:`CircuitTemplate` is a circuit
+whose angle gates are left open: its blocks are laid out and its constant
+gates multiplied once, and each fill multiplies in only the angle gates'
+matrices.  The circuit it fills in runs its blocks as they are, and builds its
+gates only where they are read (a dump, a count, an unrolled evolution).
 """
 
 from __future__ import annotations
@@ -37,8 +41,24 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .gates import DENSE_QUBIT_LIMIT, GateOp, check_axes, gate_matrix, zyz_angles
-from .statevector import Block, StateVector, _apply_matrix, fuse
+from .gates import (
+    DENSE_QUBIT_LIMIT,
+    GateOp,
+    check_axes,
+    check_finite,
+    gate_matrix,
+    kind_matrix,
+    zyz_angles,
+)
+from .statevector import (
+    Block,
+    StateVector,
+    _apply_matrix,
+    embed_left,
+    fuse,
+    join_parts,
+    plan_blocks,
+)
 
 
 class GateSet(enum.Enum):
@@ -49,6 +69,12 @@ class GateSet(enum.Enum):
 
 
 TWO_QUBIT_KINDS = ("CNOT", "CPhase", "ZZ", "XX", "YY", "Uxy", "MS_T4")
+
+
+def _check_register(kind: str, targets: tuple[int, ...], n_qubits: int):
+    for q in targets:
+        if not 1 <= q <= n_qubits:
+            raise InputError(f"gate {kind} targets qubit {q}, register has {n_qubits}")
 
 
 @dataclass(frozen=True)
@@ -62,12 +88,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
-            for q in op.targets:
-                if not 1 <= q <= self.n_qubits:
-                    raise InputError(
-                        f"gate {op.kind} targets qubit {q}, register has "
-                        f"{self.n_qubits}"
-                    )
+            _check_register(op.kind, op.targets, self.n_qubits)
 
     def two_qubit_count(self, kind: str | None = None) -> int:
         if kind is not None:
@@ -75,11 +96,17 @@ class Circuit:
         return sum(1 for op in self.ops if op.kind in TWO_QUBIT_KINDS)
 
     @cached_property
+    def n_gates(self) -> int:
+        """``len(ops)``, which a circuit filled from a template knows without building them."""
+        return len(self.ops)
+
+    @cached_property
     def blocks(self) -> tuple[Block, ...]:
         """The ops fused into blocks of at most 4 qubits (:func:`statevector.fuse`).
 
-        Built on first use and kept with the circuit, so a step that repeats
-        is fused once.
+        Built on first use and kept with the circuit, so a circuit that runs
+        again is fused once.  A circuit filled from a :class:`CircuitTemplate`
+        comes with its blocks.
         """
         return fuse(self.ops)
 
@@ -91,6 +118,23 @@ class Circuit:
             self.ops + other.ops,
             self.global_phase + other.global_phase,
         )
+
+
+class _LazyCircuit(Circuit):
+    """A circuit given by its fused blocks, with its ops built on first access.
+
+    ``build()`` returns the ops; their targets were checked against the
+    register where the blocks were made.
+    """
+
+    def __init__(self, n_qubits: int, blocks: tuple[Block, ...], n_gates: int,
+                 build: Callable[[], Sequence[GateOp]], global_phase: float = 0.0):
+        self.__dict__.update(n_qubits=n_qubits, blocks=blocks, n_gates=n_gates,
+                             global_phase=global_phase, _build=build)
+
+    @cached_property
+    def ops(self) -> tuple[GateOp, ...]:
+        return tuple(self._build())
 
 
 def run_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -295,6 +339,88 @@ def pauli_lowering(
     return PauliLowering(tuple(before + core + after), phase, negative)
 
 
+class CircuitTemplate:
+    """A circuit whose angle gates are left open, fused once and filled in per set of angles.
+
+    ``members`` are its gates in time order: a built :class:`GateOp`, which
+    every fill shares, or ``(slot, k)``, the :data:`AngleSlot` at the fill's
+    ``angles[k]``.  The same slot under the same k is one gate at each of its
+    places, as in :meth:`PauliLowering.ops`.  The template lays out its blocks
+    once (:func:`statevector.plan_blocks`) and keeps each as its runs of
+    constant gates, each run multiplied into one matrix, with the slots
+    between them.
+    """
+
+    def __init__(self, n_qubits: int, members: Sequence[GateOp | tuple[AngleSlot, int]]):
+        self.n_qubits = n_qubits
+        self._members = tuple(members)
+        index: dict[tuple[AngleSlot, int], int] = {}
+        self._keys: list[int | None] = []  # per member: its slot's index, None if built
+        targets = []
+        for m in self._members:
+            if type(m) is GateOp:
+                kind, ts, key = m.kind, m.targets, None
+            else:
+                (kind, _, ts), _ = m
+                key = index.setdefault(m, len(index))
+            _check_register(kind, ts, n_qubits)
+            targets.append(ts)
+            self._keys.append(key)
+        self._slots = list(index)
+        # per block: its targets and, per part, its width, the constant run
+        # before its first slot, and each slot (index, positions) with the
+        # constant run after it
+        self._blocks = []
+        for parts in plan_blocks(targets):
+            laid_out = []
+            for part_targets, plan in parts:
+                k = len(part_targets)
+                runs: list[np.ndarray | None] = [None]
+                slots = []
+                for i, positions in plan:
+                    if self._keys[i] is None:
+                        runs[-1] = embed_left(runs[-1], k, positions, self._members[i].matrix)
+                    else:
+                        slots.append((self._keys[i], positions))
+                        runs.append(None)
+                laid_out.append((k, runs[0], tuple(zip(slots, runs[1:]))))
+            block_targets = sum((part_targets for part_targets, _ in parts), ())
+            self._blocks.append((block_targets, tuple(laid_out)))
+
+    def fill(self, angles: Sequence[float]) -> Circuit:
+        """The circuit at ``angles``: its blocks filled in, its gates built on first access.
+
+        Each slot's matrix is its gate's (:func:`gates.kind_matrix`, as
+        :func:`gate_matrix` gives it), computed once.  Non-finite parameters are
+        an ``InputError``, as :class:`GateOp` refuses them.
+        """
+        params = []
+        matrices = []
+        for (kind, at, targets), k in self._slots:
+            p = at(angles[k])
+            check_finite(kind, p)
+            params.append(p)
+            matrices.append(kind_matrix(kind, p, len(targets)))
+        blocks = []
+        for targets, parts in self._blocks:
+            products = []
+            for k, m, slots in parts:
+                for (s, positions), after in slots:
+                    m = embed_left(m, k, positions, matrices[s])
+                    if after is not None:
+                        m = after.dot(m)
+                products.append(m)
+            blocks.append((targets, join_parts(products)))
+        return _LazyCircuit(self.n_qubits, tuple(blocks), len(self._members),
+                            lambda: self._ops(params, matrices))
+
+    def _ops(self, params: list[tuple[float, ...]], matrices: list[np.ndarray]) -> list[GateOp]:
+        """The gates at the filled parameters, each keeping the matrix the fill computed."""
+        built = [GateOp._at_angle(kind, p, targets, u)
+                 for ((kind, _, targets), _), p, u in zip(self._slots, params, matrices)]
+        return [m if k is None else built[k] for m, k in zip(self._members, self._keys)]
+
+
 def decompose_pauli(
     axes: Sequence[str], delta: float, qubits: tuple[int, ...], gate_set: GateSet = GateSet.S1
 ) -> Circuit:
@@ -388,10 +514,16 @@ def _inverse_op(op: GateOp) -> GateOp:
 
 
 def inverse_circuit(c: Circuit) -> Circuit:
-    """Exact inverse: reversed op order, negated angles and global phase."""
-    return Circuit(
+    """Exact inverse: reversed op order, negated angles and global phase.
+
+    It runs the adjoints of ``c``'s blocks in reverse order, and builds its
+    ops on first access.
+    """
+    return _LazyCircuit(
         c.n_qubits,
-        tuple(_inverse_op(op) for op in reversed(c.ops)),
+        tuple((targets, u.conj().T) for targets, u in reversed(c.blocks)),
+        c.n_gates,
+        lambda: [_inverse_op(op) for op in reversed(c.ops)],
         -c.global_phase,
     )
 

@@ -78,8 +78,7 @@ class GateOp:
             raise InputError(
                 f"{self.kind} takes {n_params} parameter(s), got {len(self.params)}"
             )
-        if not all(map(math.isfinite, self.params)):
-            raise InputError(f"{self.kind} parameters must be finite, got {self.params}")
+        check_finite(self.kind, self.params)
         if n_targets is None:
             if len(self.targets) < 1:
                 raise InputError(f"{self.kind} needs at least one target")
@@ -95,22 +94,32 @@ class GateOp:
             raise InputError(f"qubit indices are 1-based, got {self.targets}")
 
     @classmethod
-    def _at_angle(cls, kind: str, params: tuple[float, ...], targets: tuple[int, ...]) -> "GateOp":
+    def _at_angle(cls, kind: str, params: tuple[float, ...], targets: tuple[int, ...],
+                  matrix: np.ndarray | None = None) -> "GateOp":
         """An op whose kind and targets were checked where its spelling was built.
 
         Only ``params`` (floats), which carry a time or an angle, are checked
-        here: finite, as :class:`GateOp` requires.  Its matrix waits for first use.
+        here: finite, as :class:`GateOp` requires.  ``matrix``, where given, is
+        its :func:`kind_matrix`, already computed; otherwise the matrix waits
+        for first use.
         """
-        if not all(map(math.isfinite, params)):
-            raise InputError(f"{kind} parameters must be finite, got {params}")
+        check_finite(kind, params)
         op = object.__new__(cls)
         op.__dict__.update(kind=kind, params=params, targets=targets)
+        if matrix is not None:
+            op.__dict__["matrix"] = matrix
         return op
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """:func:`gate_matrix` of the op, built on first use and kept with it."""
         return gate_matrix(self)
+
+
+def check_finite(kind: str, params: tuple[float, ...]):
+    """Refuse a gate whose parameters are not all finite."""
+    if not all(map(math.isfinite, params)):
+        raise InputError(f"{kind} parameters must be finite, got {params}")
 
 
 def u3(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -215,8 +224,11 @@ def ms_generator(kind: str, theta: float, phi: float, n: int) -> np.ndarray:
 
 def gate_matrix(op: GateOp) -> np.ndarray:
     """Dense unitary of ``op`` on its own targets, ordered as ``op.targets``."""
-    k = op.kind
-    p = op.params
+    return kind_matrix(op.kind, op.params, len(op.targets))
+
+
+def kind_matrix(k: str, p: tuple[float, ...], n_targets: int) -> np.ndarray:
+    """Dense unitary of a ``k`` gate with parameters ``p`` on ``n_targets`` qubits."""
     if k == "U3":
         return u3(*p)
     if k == "H":
@@ -239,7 +251,7 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     if k.startswith("MS_"):
         theta = p[0]
         phi = p[1] if len(p) > 1 else 0.0
-        return hermitian_expm(ms_generator(k, theta, phi, len(op.targets)))
+        return hermitian_expm(ms_generator(k, theta, phi, n_targets))
     raise InputError(f"unknown gate kind {k!r}")
 
 

@@ -10,8 +10,11 @@ Gates and fused blocks apply in place over strided views of the amplitudes.
 ``compiler.run_circuit`` fuses a circuit into blocks of at most 4 qubits
 (:func:`fuse`, in the style of qsim's gate fusion) and applies one matrix of
 at most 16x16 per block, on every register, so a run of gates costs one pass
-over the state.  :func:`apply_gate` applies a single gate, with strided fast
-paths for diagonal and permutation gates.
+over the state.  Fusion is two parts: :func:`plan_blocks` lays the blocks out
+from the gates' targets alone, and :func:`embed_left` multiplies a gate into a
+block's matrix, so a circuit whose angles change keeps its plan.
+:func:`apply_gate` applies a single gate, with strided fast paths for diagonal
+and permutation gates.
 A StateVector is a single-writer value: at most one mutating operation at a
 time.  Distinct instances are independent and safe on different threads.
 """
@@ -157,12 +160,6 @@ def _apply_run(amps: np.ndarray, n: int, q: int, u: np.ndarray):
             np.copyto(block, out)
 
 
-def _swap_qubits(u: np.ndarray) -> np.ndarray:
-    """A 4x4 two-qubit matrix with its two qubits exchanged."""
-    perm = [0, 2, 1, 3]
-    return u[np.ix_(perm, perm)]
-
-
 def _apply_dense(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarray):
     k = len(targets)
     tensor = amps.reshape((2,) * n)
@@ -181,88 +178,131 @@ def _apply_matrix(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndar
         _apply_dense(amps, n, targets, u)
 
 
-_I2 = np.eye(2, dtype=complex)
-
 Block = tuple[tuple[int, ...], np.ndarray]  # target qubits, 2^k x 2^k matrix
 
+#: one of the parts a block is joined from (:func:`plan_blocks`): its target
+#: qubits, and its ops in time order, each as its index in the op list and the
+#: positions of its targets among the part's
+BlockPart = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
 
-def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
-    """``ops`` (time order) merged into ``(targets, matrix)`` blocks of at most 4 qubits.
 
-    Walking the ops in order, each qubit has at most one open block.  A 1q gate
-    multiplies into its qubit's open block.  A 2q gate on the pair of an open
-    2q block multiplies into that block; any other 2q gate opens a block on
-    its pair (targets ascending) that absorbs the open 1q blocks of its two
-    qubits and closes any other block holding one of them.  A gate on more
-    than 2 qubits closes the blocks it touches and is a block of its own.
-    Blocks are listed as they close, so applying them in order equals applying
-    the ops in order.  Last, a block whose targets are a run of adjacent
-    qubits that continues, above or below, the run of the block listed just
-    before it joins that block as their kron product, up to ``_MAX_RUN``
-    qubits: the two share no qubit, so they commute.  A step listed layer by
-    layer, bonds (1,2), (3,4), ... then (2,3), (4,5), ..., so runs in half as
-    many blocks.
+def plan_blocks(op_targets: Sequence[tuple[int, ...]]) -> tuple[tuple[BlockPart, ...], ...]:
+    """How ops with these targets (time order) fuse into blocks of at most 4 qubits.
+
+    The plan depends on the targets alone, so ops that differ only in their
+    angles share it.  Walking the ops in order, each qubit has at most one
+    open block.  A 1q op joins its qubit's open block.  A 2q op on the pair of
+    an open 2q block joins that block; any other 2q op opens a block on its
+    pair (targets ascending) that absorbs the open 1q blocks of its two qubits
+    and closes any other block holding one of them.  An op on more than 2
+    qubits closes the blocks it touches and is a block of its own.  Blocks are
+    listed as they close, so applying them in order equals applying the ops in
+    order.  Last, a block whose targets are a run of adjacent qubits that
+    continues, above or below, the run of the block listed just before it
+    joins that block, up to ``_MAX_RUN`` qubits: the two share no qubit, so
+    they commute, and the joined block is the kron product of its parts, in
+    qubit order.  A step listed layer by layer, bonds (1,2), (3,4), ... then
+    (2,3), (4,5), ..., so runs in half as many blocks.
     """
     blocks = []
-    open_blocks: dict[int, list] = {}  # qubit -> [targets, matrix], shared by a pair
+    open_blocks: dict[int, list] = {}  # qubit -> [targets, op indices], shared by a pair
 
     def close(q: int):
         block = open_blocks.get(q)
         if block is not None:
             for t in block[0]:
                 del open_blocks[t]
-            blocks.append(tuple(block))
+            blocks.append(block)
 
-    for op in ops:
-        targets = op.targets
-        u = op.matrix
+    for i, targets in enumerate(op_targets):
         if len(targets) == 1:
             block = open_blocks.get(targets[0])
             if block is None:
-                open_blocks[targets[0]] = [targets, u]
-                continue
-            m = block[1]
-            if len(block[0]) == 1:
-                block[1] = u.dot(m)
-            elif targets[0] == block[0][0]:  # (u x I) m: u on the high bit of the row index
-                block[1] = u.dot(m.reshape(2, 8)).reshape(4, 4)
-            else:  # (I x u) m: u on the low bit of the row index
-                block[1] = (u @ m.reshape(2, 2, 4)).reshape(4, 4)
+                open_blocks[targets[0]] = [targets, [i]]
+            else:
+                block[1].append(i)
         elif len(targets) == 2:
             pair = tuple(sorted(targets))
-            if pair != targets:
-                u = _swap_qubits(u)
             block = open_blocks.get(pair[0])
             if block is not None and block[0] == pair:
-                block[1] = u.dot(block[1])
+                block[1].append(i)
                 continue
-            before = []
+            members = []
             for q in pair:
                 block = open_blocks.get(q)
                 if block is not None and len(block[0]) == 1:
                     del open_blocks[q]
-                    before.append(block[1])
+                    members += block[1]
                 else:
                     close(q)
-                    before.append(_I2)
-            open_blocks[pair[0]] = open_blocks[pair[1]] = [pair, u.dot(kron_factors(before))]
+            open_blocks[pair[0]] = open_blocks[pair[1]] = [pair, sorted(members) + [i]]
         else:
             for q in targets:
                 close(q)
-            blocks.append((targets, u))
+            blocks.append([targets, [i]])
     for q in sorted(open_blocks):
         close(q)
-    merged: list[Block] = []
+    joined: list[tuple[tuple[int, ...], list]] = []  # (targets, parts)
     for block in blocks:
-        if merged:
-            last = merged[-1]
-            (lo, u_lo), (hi, u_hi) = (last, block) if last[0][0] < block[0][0] else (block, last)
+        if joined:
+            last, parts = joined[-1]
+            below = block[0][0] < last[0]
+            lo, hi = (block[0], last) if below else (last, block[0])
             if (lo[-1] + 1 == hi[0] and len(lo) + len(hi) <= _MAX_RUN
                     and _is_run(lo) and _is_run(hi)):
-                merged[-1] = (lo + hi, kron_factors((u_lo, u_hi)))
+                joined[-1] = (lo + hi, [block] + parts if below else parts + [block])
                 continue
-        merged.append(block)
-    return tuple(merged)
+        joined.append((block[0], [block]))
+    return tuple(
+        tuple((targets, tuple((i, tuple(map(targets.index, op_targets[i]))) for i in members))
+              for targets, members in parts)
+        for _, parts in joined
+    )
+
+
+def join_parts(products: Sequence[np.ndarray]) -> np.ndarray:
+    """A block's matrix from its parts' (:func:`plan_blocks`): their kron product."""
+    return products[0] if len(products) == 1 else kron_factors(products)
+
+
+_I4 = np.eye(4, dtype=complex)
+_SWAP = [0, 2, 1, 3]  # the basis of two qubits with the qubits exchanged
+
+
+def embed_left(m: np.ndarray | None, k: int, positions: tuple[int, ...], u: np.ndarray) -> np.ndarray:
+    """E m, for E the matrix of ``u`` on ``positions`` (0 the high bit) of a part of k qubits.
+
+    ``m`` None stands for the identity; neither ``m`` nor ``u`` is changed.
+    An op of a part (:func:`plan_blocks`) acts on the whole part, a 2q op
+    perhaps on its qubits swapped, or is a 1q op on one qubit of a 2q part.
+    """
+    if len(positions) == k:
+        if positions == (1, 0):
+            u = u[np.ix_(_SWAP, _SWAP)]
+        return u if m is None else u.dot(m)
+    if m is None:
+        m = _I4
+    if positions == (0,):  # (u x I) m: u on the high bit of the row index
+        return u.dot(m.reshape(2, 8)).reshape(4, 4)
+    return np.matmul(u, m.reshape(2, 2, 4)).reshape(4, 4)  # (I x u) m
+
+
+def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
+    """``ops`` (time order) merged into ``(targets, matrix)`` blocks, as :func:`plan_blocks` lays them out.
+
+    Each part's matrix is the product of its ops' matrices, and a block's the
+    kron product of its parts'.
+    """
+    blocks = []
+    for parts in plan_blocks([op.targets for op in ops]):
+        products = []
+        for targets, members in parts:
+            m = None
+            for i, positions in members:
+                m = embed_left(m, len(targets), positions, ops[i].matrix)
+            products.append(m)
+        blocks.append((sum((targets for targets, _ in parts), ()), join_parts(products)))
+    return tuple(blocks)
 
 
 def _apply_diag_1q(amps, n, q, d0, d1):

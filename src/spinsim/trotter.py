@@ -10,9 +10,13 @@ Trotter loop and applied once with the full angle.
 A :class:`TrotterCompiler` is built once per Hamiltonian, plan and gate set.
 It does the analysis that does not depend on the time: the commutation checks
 and the hoisting decision, the coupling scale, the disjoint layers, and each
-term's gates with its angle left open.  Called at a time t, it works out the
-step count and builds only the gates whose angles depend on t; the frame
-changes and CNOTs are shared by every call.  ``trotterize`` is one such call.
+term's gates with its angle left open.  The step is laid out as a
+:class:`~spinsim.compiler.CircuitTemplate` once per pattern of term forms
+(S3's negative angles take a second form, so t = 0 and t > 0 can differ):
+its fused blocks, with the frame changes and CNOTs multiplied in and the
+angle gates left as slots.  Called at a time t, the compiler works out the
+step count and fills in only the slots; the step's gates are built only if
+they are read.  ``trotterize`` is one such call.
 
 A compiled evolution is one Trotter step and its repeat count, not the
 unrolled gate list: ``evolve`` applies the hoisted prefix, then the step n
@@ -36,6 +40,7 @@ import numpy as np
 
 from .compiler import (
     Circuit,
+    CircuitTemplate,
     GateSet,
     PauliLowering,
     inverse_circuit,
@@ -119,7 +124,10 @@ class EvolutionResult:
     A ``mirrored`` result is the exact inverse of a forward one (t < 0): the
     inverted step repeats first and the inverted prefix runs last.
 
-    ``circuit`` unrolls all of this into the one flat circuit it stands for.
+    A compiled ``step`` comes with its blocks, filled in from the compiler's
+    template, and ``evolve`` and :attr:`folds` read only those; its gates are
+    built on first access.  ``circuit`` unrolls all of this into the one flat
+    circuit it stands for.
     """
 
     prefix: Circuit
@@ -137,8 +145,8 @@ class EvolutionResult:
 
     @property
     def gate_applications(self) -> int:
-        """The gates ``circuit`` applies, counted without unrolling it."""
-        return len(self.prefix.ops) + self.n_steps_used * len(self.step.ops)
+        """The gates ``circuit`` applies, counted without unrolling it or building its ops."""
+        return self.prefix.n_gates + self.n_steps_used * self.step.n_gates
 
     @property
     def folds(self) -> bool:
@@ -166,9 +174,9 @@ class EvolutionResult:
     def folded_step(self) -> np.ndarray | None:
         """The step as one dense 2^N x 2^N matrix where it :attr:`folds`, else None.
 
-        The matrix is the step run through the gate kernels on the 2^N identity
-        columns, which together form one 2N-qubit vector.  It is built once per
-        result, on first use.
+        The matrix is the step's blocks run on the 2^N identity columns, which
+        together form one 2N-qubit vector.  It is built once per result, on
+        first use.
         """
         if not self.folds:
             return None
@@ -244,11 +252,14 @@ class TrotterCompiler:
     terms are set apart, the commutation checks decide whether the field terms
     are hoisted and whether the splitting is exact, and the remaining terms are
     scaled and cut into disjoint layers, each term lowered to its gates with
-    the angle left open.  A call works out the step count and emits the step:
-    the gates that carry the term angles, and the frame changes and CNOTs,
-    which every call shares.  The hoisted field prefix is grouped by qubit once
-    and spelled per call: one field axis by its ``pauli_lowering``, several
-    as exp(-i t G) in Euler angles.
+    the angle left open.  The step's template (its fused blocks, with the
+    frame changes and CNOTs multiplied in) is built on the first call that
+    needs its pattern of term forms, at most two in practice.  A call works
+    out the step count and fills in the template: it builds only the gates
+    whose angles depend on t, as matrices, and their :class:`GateOp` values
+    only where the step's ops are read.  The hoisted field prefix is grouped
+    by qubit once and spelled per call, as a circuit of its own: one field
+    axis by its ``pauli_lowering``, several as exp(-i t G) in Euler angles.
     """
 
     def __init__(self, h: PauliHamiltonian, plan: TrotterPlan, gate_set: GateSet = GateSet.S1):
@@ -294,11 +305,26 @@ class TrotterCompiler:
         backward = [term for layer in reversed(layers) for term in reversed(layer)]
         lowered = {term: (term.coef.real, self._lower(term)) for term in forward}
         orders = [forward] if plan.order == 1 or all_commute else [forward, backward]
-        self._sequences = [[lowered[term] for term in seq] for seq in orders]
+        self._sweeps = len(orders)
+        # the step's terms in order, and those whose lowering has a second form
+        self._terms = [lowered[term] for seq in orders for term in seq]
+        self._signed = [k for k, (_, lowering) in enumerate(self._terms)
+                        if lowering.negative is not None]
+        # the step's template for each pattern of forms, keyed by which of
+        # _signed take their negative form
+        self._templates: dict[tuple[bool, ...], CircuitTemplate] = {}
+        self._no_prefix = Circuit(self.n_qubits, ())
 
     def _lower(self, term: PauliString) -> PauliLowering:
         sites = tuple(sorted(term.support))
         return pauli_lowering([term.letters[q - 1].lower() for q in sites], sites, self.gate_set)
+
+    def _template(self, angles: list[float]) -> CircuitTemplate:
+        """The step's gates in the forms these angles take, with each angle left open."""
+        members: list = []
+        for k, ((_, lowering), d) in enumerate(zip(self._terms, angles)):
+            members += [s if type(s) is GateOp else (s, k) for s in lowering.at(d).slots]
+        return CircuitTemplate(self.n_qubits, members)
 
     def __call__(self, t: float) -> EvolutionResult:
         """exp(-i H t) compiled; a non-finite t or angle is an ``InputError``.
@@ -322,9 +348,8 @@ class TrotterCompiler:
         for coef in self._identity:
             phase += -coef * t
         n_q = self.n_qubits
-        if not self._sequences[0]:
-            empty = Circuit(n_q, ())
-            return EvolutionResult(empty, empty, 1, 0.0, phase)
+        if not self._terms:
+            return EvolutionResult(self._no_prefix, self._no_prefix, 1, 0.0, phase)
 
         plan = self.plan
         delta = self._scale * t
@@ -346,26 +371,30 @@ class TrotterCompiler:
                 field_phase += ph
         phase += field_phase
 
-        dt = t / n if len(self._sequences) == 1 else t / (2 * n)
-        step: list[GateOp] = []
+        dt = t / (self._sweeps * n)
+        angles = [coef * dt for coef, _ in self._terms]
+        forms = tuple(angles[k] < 0.0 for k in self._signed)
+        template = self._templates.get(forms)
+        if template is None:
+            template = self._templates[forms] = self._template(angles)
+        step = template.fill(angles)
         term_phases: list[float] = []
-        for seq in self._sequences:
-            for coef, lowering in seq:
-                d = coef * dt
-                form = lowering.at(d)
-                step += form.ops(d)
-                ph = form.phase(d) if form.phase else 0.0
-                if ph:
-                    term_phases.append(ph)
-        if n * len(step) > GATE_BUDGET:
-            raise ResourceError(f"{n} Trotter steps of {len(step)} gates are {n * len(step)} "
-                                f"gate applications, over the budget of {GATE_BUDGET}")
+        for d, (_, lowering) in zip(angles, self._terms):
+            form = lowering.at(d)
+            ph = form.phase(d) if form.phase else 0.0
+            if ph:
+                term_phases.append(ph)
+        if n * step.n_gates > GATE_BUDGET:
+            raise ResourceError(f"{n} Trotter steps of {step.n_gates} gates are "
+                                f"{n * step.n_gates} gate applications, over the budget "
+                                f"of {GATE_BUDGET}")
         # one addition per term and step, as the unrolled circuit accumulates it
         for _ in range(n if term_phases else 0):
             for ph in term_phases:
                 phase += ph
 
-        return EvolutionResult(Circuit(n_q, prefix), Circuit(n_q, step), n, delta, phase)
+        prefix_circuit = Circuit(n_q, prefix) if prefix else self._no_prefix
+        return EvolutionResult(prefix_circuit, step, n, delta, phase)
 
 
 def trotterize(

@@ -16,12 +16,12 @@ from spinsim.compiler import (
     phase_distance,
     run_circuit,
 )
-from spinsim import compiler
+from spinsim import compiler, trotter
 from spinsim.errors import InputError, ResourceError
 from spinsim.gates import GATE_SIGNATURES, GateOp, PAULI, gate_matrix, hadamard, hermitian_expm, pauli_pair_exponential
 from spinsim.observables import _half
 from spinsim.pauli import heisenberg_chain
-from spinsim.statevector import StateVector, apply_gate, basis_state, fuse, product_state
+from spinsim.statevector import StateVector, apply_gate, basis_state, fuse, plan_blocks, product_state
 from spinsim.trotter import TrotterPlan, evolve, trotterize
 
 RNG = np.random.default_rng(2024)
@@ -330,6 +330,20 @@ class TestInverseCircuit:
             uinv = circuit_unitary(inverse_circuit(c))
             assert np.max(np.abs(uinv - u.conj().T)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_inverse_runs_the_adjoint_blocks(self, n):
+        # the inverse runs c's blocks' adjoints in reverse order, not its own ops fused
+        c = _random_fusion_circuit(n, 60)
+        inverse = inverse_circuit(c)
+        assert [t for t, _ in inverse.blocks] == [t for t, _ in reversed(c.blocks)]
+        amps = _random_amplitudes(n)
+        back = run_circuit(run_circuit(StateVector(n, amps.copy()), c), inverse)
+        assert np.max(np.abs(back.amplitudes - amps)) <= 1e-12
+        by_ops = Circuit(n, inverse.ops, inverse.global_phase)
+        want = run_circuit(StateVector(n, amps.copy()), by_ops).amplitudes
+        got = run_circuit(StateVector(n, amps.copy()), inverse).amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12
+
 
 class TestControlledCircuit:
     @pytest.mark.parametrize(
@@ -532,22 +546,31 @@ class TestFusedRun:
             assert abs(np.vdot(states[0], other)) >= 1.0 - 1e-10
 
     @pytest.mark.parametrize("n", [4, 12])
-    def test_evolve_fuses_each_circuit_once(self, monkeypatch, n):
-        calls = []
+    def test_compiler_plans_its_step_once(self, monkeypatch, n):
+        planned, fused = [], []
 
-        def counting(ops):
-            calls.append(ops)
+        def counting_plan(targets):
+            planned.append(targets)
+            return plan_blocks(targets)
+
+        def counting_fuse(ops):
+            fused.append(ops)
             return fuse(ops)
 
-        monkeypatch.setattr(compiler, "fuse", counting)
+        monkeypatch.setattr(compiler, "plan_blocks", counting_plan)
+        monkeypatch.setattr(compiler, "fuse", counting_fuse)
         h = heisenberg_chain(n, 1.0, 0.5)
-        result = trotterize(h, 0.6, TrotterPlan.fixed_n(2), GateSet.S1)
-        state = evolve(product_state(n, "0" * (n // 2) + "1" * (n - n // 2)), result)
-        # once for the step, once for the prefix of hoisted field rotations
-        assert [ops is result.step.ops for ops in calls] == [False, True]
-        assert result.n_steps_used == 2 and result.folded_step is None
-        evolve(state, result)
-        assert len(calls) == 2
+        compile_at = trotter.TrotterCompiler(h, TrotterPlan.fixed_n(2), GateSet.S1)
+        state = product_state(n, "0" * (n // 2) + "1" * (n - n // 2))
+        results = [compile_at(t) for t in (0.6, 0.9, -0.6)]
+        for result in results:
+            evolve(state, result)
+            evolve(state, result)
+        # the step is planned by the compiler once; each result's prefix of
+        # hoisted field rotations is fused once, the mirrored one as the
+        # adjoint of the forward one
+        assert len(planned) == 1 and len(fused) == 3
+        assert all(r.n_steps_used == 2 and r.folded_step is None for r in results)
 
     # at the head of the register and at its tail, where the kernel takes
     # GEMMs; 16 qubits and up span more than one of the kernel's chunks

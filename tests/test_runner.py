@@ -8,7 +8,7 @@ from spinsim import compiler, observables
 from spinsim.cli import main as cli_main
 from spinsim.compiler import GateSet, loads_circuit
 from spinsim.errors import InputError, ResourceError
-from spinsim.gates import GATE_BUDGET
+from spinsim.gates import GATE_BUDGET, GateOp
 from spinsim.pauli import heisenberg_chain, parse_hamiltonian, tim_chain
 from spinsim.runner import (
     ExperimentConfig,
@@ -51,6 +51,19 @@ observable = magnetization 1
 SPECTRUM_CONFIG = (
     "[model]\nkind = heisenberg\nn_qubits = 2\n[observables]\nobservable = spectrum 16\n"
 )
+
+# the spectrum-heis2 benchmark workload's config (bench/workloads.py)
+SPECTRUM_HEIS2 = """\
+[model]
+kind = heisenberg
+n_qubits = 2
+j = 1.0
+bg = 0.0
+[initial]
+state = 01
+[observables]
+observable = spectrum 1024
+"""
 
 
 def parse_csv(text):
@@ -448,6 +461,27 @@ class TestRun:
             "[evolution]\norder = 2\n[observables]\nobservable = spectrum 16\n"
         ))
         assert " plan=TrotterPlan(order=2, n_steps=None, eps=0.1, growth='quadratic')\n" in text
+
+    def test_spectrum_run_plans_its_step_at_most_twice(self, monkeypatch):
+        # 1024 thetas fill the angles of one or two planned steps (the t = 0
+        # and the t > 0 forms), and build no gate that carries an angle
+        planned, built = [], []
+        plan_blocks = compiler.plan_blocks
+        at_angle = GateOp._at_angle
+
+        def counting_plan(targets):
+            planned.append(targets)
+            return plan_blocks(targets)
+
+        def counting_at_angle(cls, *args):
+            built.append(args)
+            return at_angle(*args)
+
+        monkeypatch.setattr(compiler, "plan_blocks", counting_plan)
+        monkeypatch.setattr(GateOp, "_at_angle", classmethod(counting_at_angle))
+        header, rows = parse_csv(run(parse_config(SPECTRUM_HEIS2)))
+        assert 1 <= len(planned) <= 2 and built == []
+        assert header == ["q", "weight"] and len(rows) == 2
 
     def test_spectrum_run(self):
         cfg = ExperimentConfig(

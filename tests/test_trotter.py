@@ -228,7 +228,8 @@ class TestTrotterCompiler:
         (tim_chain(2, [1.0, 1.0], 1.0), 6e307, GateSet.S3, "CPhase"),    # -4 d
         (tim_chain(2, [0.5, 0.5], 4.0), 1e308, GateSet.S4, "MS_T4"),     # d itself
         (heisenberg_chain(2, [1.0], 2.0), 1e308, GateSet.S1, "Rz"),       # the hoisted field
-    ], ids=["S1-rotation", "S3-negative", "S3-positive", "S4-d", "field-prefix"])
+        (PauliHamiltonian(2, [PauliString(4.0, "XX")]), 1e308, GateSet.S2, "Uxy"),  # d/2, twice
+    ], ids=["S1-rotation", "S3-negative", "S3-positive", "S4-d", "field-prefix", "S2-recurring"])
     def test_fixed_n_overflowing_angle_rejected(self, h, t, gate_set, kind):
         for sign in (1, -1):
             with pytest.raises(InputError, match=f"{kind} parameters must be finite"):

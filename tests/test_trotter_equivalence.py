@@ -13,14 +13,16 @@ float hex) and the sha256 of ``dumps_circuit`` of the prefix and of the step,
 so a match is bit for bit.  A case the compiler refuses records its error.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinsim import trotter
-from spinsim.compiler import GateSet, dumps_circuit
+from spinsim.compiler import Circuit, GateSet, dumps_circuit, run_circuit
 from spinsim.errors import InputError
 from spinsim.pauli import (
     PauliHamiltonian,
@@ -31,6 +33,7 @@ from spinsim.pauli import (
     tim_chain,
     xyz_chain,
 )
+from spinsim.statevector import StateVector, fuse
 from spinsim.trotter import TrotterPlan, trotterize
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "trotterize-grid.json"
@@ -135,3 +138,59 @@ def test_grid_covers_the_s3_sign_switch(golden):
             step = trotterize(HAMILTONIANS[h_name](), t, plan, gate_set).step
             assert step.two_qubit_count("CPhase") == (2 if t == 0 else 4)
     assert sum(r.startswith("InputError") for r in golden.values()) == 3 * len(PLANS) * len(TIMES)
+
+
+COMPILED_CASES = [case for case in grid_cases()
+                  if not json.loads(GOLDEN.read_text())[case[0]].startswith("InputError")]
+
+
+@pytest.mark.parametrize("case, h_name, plan, gate_set, t", COMPILED_CASES,
+                         ids=[case[0] for case in COMPILED_CASES])
+def test_filled_step_runs_as_its_gates(case, h_name, plan, gate_set, t):
+    # the compiler's filled blocks against the step's gates fused anew; a
+    # mirrored step runs the forward blocks' adjoints in reverse order
+    h = HAMILTONIANS[h_name]()
+    r = trotterize(h, t, plan, gate_set)
+    gates = fuse(r.step.ops)
+    if r.mirrored:
+        forward = fuse(trotterize(h, -t, plan, gate_set).step.ops)
+        want = [targets for targets, _ in reversed(forward)]
+    else:
+        want = [targets for targets, _ in gates]
+    assert [targets for targets, _ in r.step.blocks] == want
+    assert len(r.step.blocks) == len(gates)
+    n = h.n_qubits
+    rng = np.random.default_rng(18)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    filled = run_circuit(StateVector(n, amps.copy()), r.step)
+    by_gates = run_circuit(StateVector(n, amps.copy()), Circuit(n, r.step.ops))
+    assert np.max(np.abs(filled.amplitudes - by_gates.amplitudes)) <= 1e-12
+    assert r.folds is dataclasses.replace(r, step=Circuit(n, r.step.ops)).folds
+
+
+def _recurs(ops, kind: str) -> bool:
+    """Whether one ``kind`` gate stands at two places of ``ops`` (a recurring slot)."""
+    same = [op for op in ops if op.kind == kind]
+    return len({id(op) for op in same}) < len(same)
+
+
+def test_grid_covers_every_slot_form():
+    # S3's negative angles take the form with one CPhase slot at two places,
+    # mirrored at t < 0, and the one-CPhase form at t = 0 (d = -0.0); S2's
+    # Uxy(d/2) slot recurs; S4 spells its pairs and rotations as MS_T4, T1, T3
+    s3, forms = {}, set()
+    for case, h_name, plan, gate_set, t in COMPILED_CASES:
+        ops = trotterize(HAMILTONIANS[h_name](), t, plan, gate_set).step.ops
+        if gate_set is GateSet.S3:
+            s3[h_name, plan, t] = (_recurs(ops, "CPhase"), sum(op.kind == "CPhase" for op in ops))
+        if gate_set is GateSet.S2:
+            forms.add(("S2 recurring Uxy", _recurs(ops, "Uxy")))
+        if gate_set is GateSet.S4:
+            forms.update(("S4", op.kind) for op in ops)
+    two_cphase = [(h_name, plan) for (h_name, plan, t), (recurs, _) in s3.items() if recurs]
+    assert {h_name for h_name, _ in two_cphase} == {"heis3", "heis3-tilted", "tim3", "xyz3"}
+    for h_name, plan in two_cphase:
+        at = {t: s3[h_name, plan, t] for t in TIMES}
+        assert at[0.7][0] and not at[0.0][0]
+        assert at[0.0][1] < at[0.7][1] == at[-0.7][1]
+    assert {("S2 recurring Uxy", True), ("S4", "MS_T4"), ("S4", "MS_T1"), ("S4", "MS_T3")} <= forms
