@@ -21,11 +21,15 @@ possible where an identity is exact.  Circuits are immutable values after
 construction; all functions here are pure.
 
 ``run_circuit`` is the one circuit executor.  On every register it runs the
-circuit's ``blocks``, its gates fused into blocks of at most 4 qubits, which
-each circuit builds once and keeps.  A :class:`CircuitTemplate` is a circuit
-whose angle gates are left open: its blocks are laid out and its constant
-gates multiplied once, and each fill multiplies in only the angle gates'
-matrices.  The circuit it fills in runs its blocks as they are, and builds its
+circuit's ``blocks``, its gates fused into blocks of at most 4 qubits (in the
+style of qsim's gate fusion), which each circuit builds once and keeps.
+:func:`plan_blocks` lays the blocks out from the gates' targets alone, and
+:func:`embed_left` multiplies a gate into a block's matrix.  A
+:class:`CircuitTemplate` is a circuit whose angle gates are left open: its
+blocks are laid out and its constant gates multiplied once, and each fill
+multiplies in only the angle gates' matrices.  Its product loop is the only
+one: a plain circuit's blocks are those of a template with no open angles.
+The circuit a template fills in runs its blocks as they are, and builds its
 gates only where they are read (a dump, a count, an unrolled evolution).
 """
 
@@ -48,17 +52,10 @@ from .gates import (
     check_finite,
     gate_matrix,
     kind_matrix,
+    kron_factors,
     zyz_angles,
 )
-from .statevector import (
-    Block,
-    StateVector,
-    _apply_matrix,
-    embed_left,
-    fuse,
-    join_parts,
-    plan_blocks,
-)
+from .statevector import _MAX_RUN, StateVector, _apply_matrix, _is_run, check_targets
 
 
 class GateSet(enum.Enum):
@@ -69,12 +66,6 @@ class GateSet(enum.Enum):
 
 
 TWO_QUBIT_KINDS = ("CNOT", "CPhase", "ZZ", "XX", "YY", "Uxy", "MS_T4")
-
-
-def _check_register(kind: str, targets: tuple[int, ...], n_qubits: int):
-    for q in targets:
-        if not 1 <= q <= n_qubits:
-            raise InputError(f"gate {kind} targets qubit {q}, register has {n_qubits}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
-            _check_register(op.kind, op.targets, self.n_qubits)
+            check_targets(self.n_qubits, op.targets)
 
     def two_qubit_count(self, kind: str | None = None) -> int:
         if kind is not None:
@@ -102,13 +93,15 @@ class Circuit:
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
-        """The ops fused into blocks of at most 4 qubits (:func:`statevector.fuse`).
+        """The ops fused into blocks of at most 4 qubits.
 
-        Built on first use and kept with the circuit, so a circuit that runs
-        again is fused once.  A circuit filled from a :class:`CircuitTemplate`
-        comes with its blocks.
+        They are the blocks of a :class:`CircuitTemplate` with no angle slots,
+        so every circuit is laid out by :func:`plan_blocks` and multiplied by
+        the one product loop, :meth:`CircuitTemplate.blocks`.  Built on first
+        use and kept with the circuit, so a circuit that runs again is fused
+        once.  A circuit filled from a template comes with its blocks.
         """
-        return fuse(self.ops)
+        return CircuitTemplate(self.n_qubits, self.ops).blocks(())
 
     def __add__(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
@@ -123,8 +116,8 @@ class Circuit:
 class _LazyCircuit(Circuit):
     """A circuit given by its fused blocks, with its ops built on first access.
 
-    ``build()`` returns the ops; their targets were checked against the
-    register where the blocks were made.
+    ``build()`` returns the ops, on the targets the blocks were made from,
+    which the maker of the blocks checked against the register.
     """
 
     def __init__(self, n_qubits: int, blocks: tuple[Block, ...], n_gates: int,
@@ -339,6 +332,112 @@ def pauli_lowering(
     return PauliLowering(tuple(before + core + after), phase, negative)
 
 
+# --- fused blocks ---------------------------------------------------------------
+
+Block = tuple[tuple[int, ...], np.ndarray]  # target qubits, 2^k x 2^k matrix
+
+#: one of the parts a block is joined from (:func:`plan_blocks`): its target
+#: qubits, and its ops in time order, each as its index in the op list and the
+#: positions of its targets among the part's
+BlockPart = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
+
+
+def plan_blocks(op_targets: Sequence[tuple[int, ...]]) -> tuple[tuple[BlockPart, ...], ...]:
+    """How ops with these targets (time order) fuse into blocks of at most 4 qubits.
+
+    The plan depends on the targets alone, so ops that differ only in their
+    angles share it.  Walking the ops in order, each qubit has at most one
+    open block.  A 1q op joins its qubit's open block.  A 2q op on the pair of
+    an open 2q block joins that block; any other 2q op opens a block on its
+    pair (targets ascending) that absorbs the open 1q blocks of its two qubits
+    and closes any other block holding one of them.  An op on more than 2
+    qubits closes the blocks it touches and is a block of its own.  Blocks are
+    listed as they close, so applying them in order equals applying the ops in
+    order.  Last, a block whose targets are a run of adjacent qubits that
+    continues, above or below, the run of the block listed just before it
+    joins that block, up to ``_MAX_RUN`` qubits: the two share no qubit, so
+    they commute, and the joined block is the kron product of its parts, in
+    qubit order.  A step listed layer by layer, bonds (1,2), (3,4), ... then
+    (2,3), (4,5), ..., so runs in half as many blocks.
+    """
+    blocks = []
+    open_blocks: dict[int, list] = {}  # qubit -> [targets, op indices], shared by a pair
+
+    def close(q: int):
+        block = open_blocks.get(q)
+        if block is not None:
+            for t in block[0]:
+                del open_blocks[t]
+            blocks.append(block)
+
+    for i, targets in enumerate(op_targets):
+        if len(targets) == 1:
+            block = open_blocks.get(targets[0])
+            if block is None:
+                open_blocks[targets[0]] = [targets, [i]]
+            else:
+                block[1].append(i)
+        elif len(targets) == 2:
+            pair = tuple(sorted(targets))
+            block = open_blocks.get(pair[0])
+            if block is not None and block[0] == pair:
+                block[1].append(i)
+                continue
+            members = []
+            for q in pair:
+                block = open_blocks.get(q)
+                if block is not None and len(block[0]) == 1:
+                    del open_blocks[q]
+                    members += block[1]
+                else:
+                    close(q)
+            open_blocks[pair[0]] = open_blocks[pair[1]] = [pair, sorted(members) + [i]]
+        else:
+            for q in targets:
+                close(q)
+            blocks.append([targets, [i]])
+    for q in sorted(open_blocks):
+        close(q)
+    joined: list[tuple[tuple[int, ...], list]] = []  # (targets, parts)
+    for block in blocks:
+        if joined:
+            last, parts = joined[-1]
+            below = block[0][0] < last[0]
+            lo, hi = (block[0], last) if below else (last, block[0])
+            if (lo[-1] + 1 == hi[0] and len(lo) + len(hi) <= _MAX_RUN
+                    and _is_run(lo) and _is_run(hi)):
+                joined[-1] = (lo + hi, [block] + parts if below else parts + [block])
+                continue
+        joined.append((block[0], [block]))
+    return tuple(
+        tuple((targets, tuple((i, tuple(map(targets.index, op_targets[i]))) for i in members))
+              for targets, members in parts)
+        for _, parts in joined
+    )
+
+
+_I4 = np.eye(4, dtype=complex)
+_SWAP = [0, 2, 1, 3]  # the basis of two qubits with the qubits exchanged
+
+
+def embed_left(m: np.ndarray | None, k: int, positions: tuple[int, ...], u: np.ndarray) -> np.ndarray:
+    """E m, for E the matrix of ``u`` on ``positions`` (0 the high bit) of a part of k qubits.
+
+    ``m`` None stands for the identity; neither ``m`` nor ``u`` is changed.
+    An op of a part (:func:`plan_blocks`) acts on the whole part, a 2q op
+    perhaps on its qubits swapped, or is a 1q op on one qubit of a 2q part.
+    """
+    if len(positions) == k:
+        if positions == (1, 0):
+            u = u[np.ix_(_SWAP, _SWAP)]
+        return u if m is None else u.dot(m)
+    if m is None:
+        m = _I4
+    if positions == (0,):  # (u x I) m: u on the high bit of the row index
+        return u.dot(m.reshape(2, 8)).reshape(4, 4)
+    return np.matmul(u, m.reshape(2, 2, 4)).reshape(4, 4)  # (I x u) m
+
+
 class CircuitTemplate:
     """A circuit whose angle gates are left open, fused once and filled in per set of angles.
 
@@ -346,27 +445,24 @@ class CircuitTemplate:
     every fill shares, or ``(slot, k)``, the :data:`AngleSlot` at the fill's
     ``angles[k]``.  The same slot under the same k is one gate at each of its
     places, as in :meth:`PauliLowering.ops`.  The template lays out its blocks
-    once (:func:`statevector.plan_blocks`) and keeps each as its runs of
-    constant gates, each run multiplied into one matrix, with the slots
-    between them.
+    once (:func:`plan_blocks`) and keeps each as its runs of constant gates,
+    each run multiplied into one matrix, with the slots between them.  Its
+    members' targets are the caller's to check: a :class:`Circuit` checked
+    its ops when it was built, and a Trotter step's lie on its Hamiltonian's
+    sites.  A template with no slots is a plain circuit's fusion
+    (:attr:`Circuit.blocks`), so :meth:`blocks` is the one loop that
+    multiplies gates into blocks.
     """
 
     def __init__(self, n_qubits: int, members: Sequence[GateOp | tuple[AngleSlot, int]]):
         self.n_qubits = n_qubits
         self._members = tuple(members)
         index: dict[tuple[AngleSlot, int], int] = {}
-        self._keys: list[int | None] = []  # per member: its slot's index, None if built
-        targets = []
-        for m in self._members:
-            if type(m) is GateOp:
-                kind, ts, key = m.kind, m.targets, None
-            else:
-                (kind, _, ts), _ = m
-                key = index.setdefault(m, len(index))
-            _check_register(kind, ts, n_qubits)
-            targets.append(ts)
-            self._keys.append(key)
+        # per member: its slot's index, None if built
+        self._keys = [None if type(m) is GateOp else index.setdefault(m, len(index))
+                      for m in self._members]
         self._slots = list(index)
+        targets = [m.targets if k is None else m[0][2] for m, k in zip(self._members, self._keys)]
         # per block: its targets and, per part, its width, the constant run
         # before its first slot, and each slot (index, positions) with the
         # constant run after it
@@ -387,6 +483,20 @@ class CircuitTemplate:
             block_targets = sum((part_targets for part_targets, _ in parts), ())
             self._blocks.append((block_targets, tuple(laid_out)))
 
+    def blocks(self, matrices: Sequence[np.ndarray]) -> tuple[Block, ...]:
+        """The blocks with ``matrices[s]`` in slot s, each the kron product of its parts'."""
+        blocks = []
+        for targets, parts in self._blocks:
+            products = []
+            for k, m, slots in parts:
+                for (s, positions), after in slots:
+                    m = embed_left(m, k, positions, matrices[s])
+                    if after is not None:
+                        m = after.dot(m)
+                products.append(m)
+            blocks.append((targets, products[0] if len(products) == 1 else kron_factors(products)))
+        return tuple(blocks)
+
     def fill(self, angles: Sequence[float]) -> Circuit:
         """The circuit at ``angles``: its blocks filled in, its gates built on first access.
 
@@ -401,17 +511,7 @@ class CircuitTemplate:
             check_finite(kind, p)
             params.append(p)
             matrices.append(kind_matrix(kind, p, len(targets)))
-        blocks = []
-        for targets, parts in self._blocks:
-            products = []
-            for k, m, slots in parts:
-                for (s, positions), after in slots:
-                    m = embed_left(m, k, positions, matrices[s])
-                    if after is not None:
-                        m = after.dot(m)
-                products.append(m)
-            blocks.append((targets, join_parts(products)))
-        return _LazyCircuit(self.n_qubits, tuple(blocks), len(self._members),
+        return _LazyCircuit(self.n_qubits, self.blocks(matrices), len(self._members),
                             lambda: self._ops(params, matrices))
 
     def _ops(self, params: list[tuple[float, ...]], matrices: list[np.ndarray]) -> list[GateOp]:

@@ -6,27 +6,21 @@ Conventions:
   index, so ``|b_1 b_2 ... b_N>`` sits at index ``sum(b_i * 2**(N-i))``.
 * ``|0> = |up>`` with ``sigma_z |0> = +|0>``.
 
-Gates and fused blocks apply in place over strided views of the amplitudes.
-``compiler.run_circuit`` fuses a circuit into blocks of at most 4 qubits
-(:func:`fuse`, in the style of qsim's gate fusion) and applies one matrix of
-at most 16x16 per block, on every register, so a run of gates costs one pass
-over the state.  Fusion is two parts: :func:`plan_blocks` lays the blocks out
-from the gates' targets alone, and :func:`embed_left` multiplies a gate into a
-block's matrix, so a circuit whose angles change keeps its plan.
-:func:`apply_gate` applies a single gate, with strided fast paths for diagonal
-and permutation gates.
+Gates apply in place over strided views of the amplitudes.  The kernels
+take one matrix on a run of at most ``_MAX_RUN`` adjacent qubits in
+cache-sized chunks, or on any targets through a transpose; ``compiler`` plans
+a circuit's blocks to these run widths.  :func:`apply_gate` applies a single
+gate, with strided fast paths for diagonal and permutation gates.
 A StateVector is a single-writer value: at most one mutating operation at a
 time.  Distinct instances are independent and safe on different threads.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .gates import PAULI, GateOp, hadamard, is_unitary, kron_factors
+from .gates import PAULI, GateOp, hadamard, is_unitary
 from .pauli import PauliString
 
 _DENSE_LIMIT = 26  # 2**26 complex amplitudes == 1 GiB
@@ -74,14 +68,20 @@ class StateVector:
 
 def basis_state(n_qubits: int, bits: str) -> StateVector:
     """Computational basis state |b_1 b_2 ... b_N> (qubit 1 leftmost)."""
+    index = _basis_index(n_qubits, bits)
+    state = StateVector(n_qubits)
+    state.amplitudes[0] = 0.0
+    state.amplitudes[index] = 1.0
+    return state
+
+
+def _basis_index(n_qubits: int, bits: str) -> int:
+    """The amplitude index of |bits>; any other length or character than 0/1 is an InputError."""
     if len(bits) != n_qubits:
         raise InputError(f"bitstring {bits!r} does not match {n_qubits} qubits")
     if any(b not in "01" for b in bits):
         raise InputError(f"bitstring may contain only 0/1, got {bits!r}")
-    state = StateVector(n_qubits)
-    state.amplitudes[0] = 0.0
-    state.amplitudes[int(bits, 2)] = 1.0
-    return state
+    return int(bits, 2)
 
 
 def product_state(n_qubits: int, spec: str) -> StateVector:
@@ -99,7 +99,8 @@ def product_state(n_qubits: int, spec: str) -> StateVector:
     return state
 
 
-def _check_targets(n_qubits: int, targets: tuple[int, ...]):
+def check_targets(n_qubits: int, targets: tuple[int, ...]):
+    """Refuse targets outside qubits 1..``n_qubits``, or a qubit named twice."""
     for q in targets:
         if not 1 <= q <= n_qubits:
             raise InputError(f"qubit {q} out of range for {n_qubits}-qubit register")
@@ -178,133 +179,6 @@ def _apply_matrix(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndar
         _apply_dense(amps, n, targets, u)
 
 
-Block = tuple[tuple[int, ...], np.ndarray]  # target qubits, 2^k x 2^k matrix
-
-#: one of the parts a block is joined from (:func:`plan_blocks`): its target
-#: qubits, and its ops in time order, each as its index in the op list and the
-#: positions of its targets among the part's
-BlockPart = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
-
-
-def plan_blocks(op_targets: Sequence[tuple[int, ...]]) -> tuple[tuple[BlockPart, ...], ...]:
-    """How ops with these targets (time order) fuse into blocks of at most 4 qubits.
-
-    The plan depends on the targets alone, so ops that differ only in their
-    angles share it.  Walking the ops in order, each qubit has at most one
-    open block.  A 1q op joins its qubit's open block.  A 2q op on the pair of
-    an open 2q block joins that block; any other 2q op opens a block on its
-    pair (targets ascending) that absorbs the open 1q blocks of its two qubits
-    and closes any other block holding one of them.  An op on more than 2
-    qubits closes the blocks it touches and is a block of its own.  Blocks are
-    listed as they close, so applying them in order equals applying the ops in
-    order.  Last, a block whose targets are a run of adjacent qubits that
-    continues, above or below, the run of the block listed just before it
-    joins that block, up to ``_MAX_RUN`` qubits: the two share no qubit, so
-    they commute, and the joined block is the kron product of its parts, in
-    qubit order.  A step listed layer by layer, bonds (1,2), (3,4), ... then
-    (2,3), (4,5), ..., so runs in half as many blocks.
-    """
-    blocks = []
-    open_blocks: dict[int, list] = {}  # qubit -> [targets, op indices], shared by a pair
-
-    def close(q: int):
-        block = open_blocks.get(q)
-        if block is not None:
-            for t in block[0]:
-                del open_blocks[t]
-            blocks.append(block)
-
-    for i, targets in enumerate(op_targets):
-        if len(targets) == 1:
-            block = open_blocks.get(targets[0])
-            if block is None:
-                open_blocks[targets[0]] = [targets, [i]]
-            else:
-                block[1].append(i)
-        elif len(targets) == 2:
-            pair = tuple(sorted(targets))
-            block = open_blocks.get(pair[0])
-            if block is not None and block[0] == pair:
-                block[1].append(i)
-                continue
-            members = []
-            for q in pair:
-                block = open_blocks.get(q)
-                if block is not None and len(block[0]) == 1:
-                    del open_blocks[q]
-                    members += block[1]
-                else:
-                    close(q)
-            open_blocks[pair[0]] = open_blocks[pair[1]] = [pair, sorted(members) + [i]]
-        else:
-            for q in targets:
-                close(q)
-            blocks.append([targets, [i]])
-    for q in sorted(open_blocks):
-        close(q)
-    joined: list[tuple[tuple[int, ...], list]] = []  # (targets, parts)
-    for block in blocks:
-        if joined:
-            last, parts = joined[-1]
-            below = block[0][0] < last[0]
-            lo, hi = (block[0], last) if below else (last, block[0])
-            if (lo[-1] + 1 == hi[0] and len(lo) + len(hi) <= _MAX_RUN
-                    and _is_run(lo) and _is_run(hi)):
-                joined[-1] = (lo + hi, [block] + parts if below else parts + [block])
-                continue
-        joined.append((block[0], [block]))
-    return tuple(
-        tuple((targets, tuple((i, tuple(map(targets.index, op_targets[i]))) for i in members))
-              for targets, members in parts)
-        for _, parts in joined
-    )
-
-
-def join_parts(products: Sequence[np.ndarray]) -> np.ndarray:
-    """A block's matrix from its parts' (:func:`plan_blocks`): their kron product."""
-    return products[0] if len(products) == 1 else kron_factors(products)
-
-
-_I4 = np.eye(4, dtype=complex)
-_SWAP = [0, 2, 1, 3]  # the basis of two qubits with the qubits exchanged
-
-
-def embed_left(m: np.ndarray | None, k: int, positions: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-    """E m, for E the matrix of ``u`` on ``positions`` (0 the high bit) of a part of k qubits.
-
-    ``m`` None stands for the identity; neither ``m`` nor ``u`` is changed.
-    An op of a part (:func:`plan_blocks`) acts on the whole part, a 2q op
-    perhaps on its qubits swapped, or is a 1q op on one qubit of a 2q part.
-    """
-    if len(positions) == k:
-        if positions == (1, 0):
-            u = u[np.ix_(_SWAP, _SWAP)]
-        return u if m is None else u.dot(m)
-    if m is None:
-        m = _I4
-    if positions == (0,):  # (u x I) m: u on the high bit of the row index
-        return u.dot(m.reshape(2, 8)).reshape(4, 4)
-    return np.matmul(u, m.reshape(2, 2, 4)).reshape(4, 4)  # (I x u) m
-
-
-def fuse(ops: Sequence[GateOp]) -> tuple[Block, ...]:
-    """``ops`` (time order) merged into ``(targets, matrix)`` blocks, as :func:`plan_blocks` lays them out.
-
-    Each part's matrix is the product of its ops' matrices, and a block's the
-    kron product of its parts'.
-    """
-    blocks = []
-    for parts in plan_blocks([op.targets for op in ops]):
-        products = []
-        for targets, members in parts:
-            m = None
-            for i, positions in members:
-                m = embed_left(m, len(targets), positions, ops[i].matrix)
-            products.append(m)
-        blocks.append((sum((targets for targets, _ in parts), ()), join_parts(products)))
-    return tuple(blocks)
-
-
 def _apply_diag_1q(amps, n, q, d0, d1):
     view = amps.reshape(2 ** (q - 1), 2, 2 ** (n - q))
     if d0 != 1.0:
@@ -347,7 +221,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """
     n = state.n_qubits
     amps = state.amplitudes
-    _check_targets(n, gate.targets)
+    check_targets(n, gate.targets)
     kind = gate.kind
     if kind == "Rz":
         half = 0.5j * gate.params[0]
@@ -393,7 +267,7 @@ def apply_dense_unitary(
     state: StateVector, u: np.ndarray, targets: tuple[int, ...]
 ) -> StateVector:
     """Apply an explicit 2^k x 2^k unitary to the given target qubits, in place."""
-    _check_targets(state.n_qubits, targets)
+    check_targets(state.n_qubits, targets)
     if u.shape != (2 ** len(targets), 2 ** len(targets)):
         raise InputError(f"matrix shape {u.shape} does not match {len(targets)} targets")
     if not is_unitary(u):
@@ -412,10 +286,8 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 
 def probability(state: StateVector, bits: str) -> float:
-    """|<bits|state>|^2."""
-    if len(bits) != state.n_qubits:
-        raise InputError(f"bitstring {bits!r} does not match register size")
-    return float(abs(state.amplitudes[int(bits, 2)]) ** 2)
+    """|<bits|state>|^2; ``bits`` as :func:`basis_state` takes it."""
+    return float(abs(state.amplitudes[_basis_index(state.n_qubits, bits)]) ** 2)
 
 
 def pauli_expectation(state: StateVector, p: PauliString) -> float:

@@ -21,7 +21,7 @@ from spinsim.errors import InputError, ResourceError
 from spinsim.gates import GATE_SIGNATURES, GateOp, PAULI, gate_matrix, hadamard, hermitian_expm, pauli_pair_exponential
 from spinsim.observables import _half
 from spinsim.pauli import heisenberg_chain
-from spinsim.statevector import StateVector, apply_gate, basis_state, fuse, plan_blocks, product_state
+from spinsim.statevector import StateVector, apply_dense_unitary, apply_gate, basis_state, product_state
 from spinsim.trotter import TrotterPlan, evolve, trotterize
 
 RNG = np.random.default_rng(2024)
@@ -434,6 +434,22 @@ class TestSerialization:
             loads_circuit("qubits 2\nnot a gate line\n")
 
 
+@pytest.mark.parametrize("route", ["Circuit", "loads_circuit", "apply_gate", "apply_dense_unitary"])
+def test_out_of_range_target_refused(route):
+    # every way a gate reaches a register goes through the one range check
+    gate = GateOp("CNOT", (), (1, 3))
+    reach = {
+        "Circuit": lambda: Circuit(2, (gate,)),
+        "loads_circuit": lambda: loads_circuit("qubits 2\nCNOT() 1 3\n"),
+        "apply_gate": lambda: apply_gate(basis_state(2, "00"), gate),
+        "apply_dense_unitary": lambda: apply_dense_unitary(
+            basis_state(2, "00"), gate.matrix, gate.targets
+        ),
+    }[route]
+    with pytest.raises(InputError, match="qubit 3 out of range for 2-qubit register"):
+        reach()
+
+
 class TestRunCircuit:
     def test_matches_unitary(self):
         c = heisenberg2_circuit(0.9, (1, 2), "6cnot")
@@ -547,18 +563,14 @@ class TestFusedRun:
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_compiler_plans_its_step_once(self, monkeypatch, n):
-        planned, fused = [], []
+        planned = []
+        plan_blocks = compiler.plan_blocks
 
         def counting_plan(targets):
             planned.append(targets)
             return plan_blocks(targets)
 
-        def counting_fuse(ops):
-            fused.append(ops)
-            return fuse(ops)
-
         monkeypatch.setattr(compiler, "plan_blocks", counting_plan)
-        monkeypatch.setattr(compiler, "fuse", counting_fuse)
         h = heisenberg_chain(n, 1.0, 0.5)
         compile_at = trotter.TrotterCompiler(h, TrotterPlan.fixed_n(2), GateSet.S1)
         state = product_state(n, "0" * (n // 2) + "1" * (n - n // 2))
@@ -567,9 +579,9 @@ class TestFusedRun:
             evolve(state, result)
             evolve(state, result)
         # the step is planned by the compiler once; each result's prefix of
-        # hoisted field rotations is fused once, the mirrored one as the
+        # hoisted field rotations is planned once, the mirrored one as the
         # adjoint of the forward one
-        assert len(planned) == 1 and len(fused) == 3
+        assert len(planned) == 1 + 3
         assert all(r.n_steps_used == 2 and r.folded_step is None for r in results)
 
     # at the head of the register and at its tail, where the kernel takes

@@ -228,9 +228,14 @@ class TestProbability:
     def test_orthogonal(self):
         assert probability(basis_state(3, "100"), "001") == 0.0
 
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            probability(basis_state(2, "00"), "000")
+    # a wrong length, and strings int(bits, 2) would read: "-1" as index -1,
+    # "1_0" as 2; "2a" is no number at all
+    @pytest.mark.parametrize(
+        "state, bits", [("00", "000"), ("11", "-1"), ("010", "1_0"), ("00", "2a")]
+    )
+    def test_malformed_bitstring(self, state, bits):
+        with pytest.raises(InputError, match="bitstring"):
+            probability(basis_state(len(state), state), bits)
 
 
 class TestProductState:

@@ -33,7 +33,7 @@ from spinsim.pauli import (
     tim_chain,
     xyz_chain,
 )
-from spinsim.statevector import StateVector, fuse
+from spinsim.statevector import StateVector
 from spinsim.trotter import TrotterPlan, trotterize
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "trotterize-grid.json"
@@ -151,15 +151,15 @@ def test_filled_step_runs_as_its_gates(case, h_name, plan, gate_set, t):
     # mirrored step runs the forward blocks' adjoints in reverse order
     h = HAMILTONIANS[h_name]()
     r = trotterize(h, t, plan, gate_set)
-    gates = fuse(r.step.ops)
+    n = h.n_qubits
+    gates = Circuit(n, r.step.ops).blocks
     if r.mirrored:
-        forward = fuse(trotterize(h, -t, plan, gate_set).step.ops)
+        forward = Circuit(n, trotterize(h, -t, plan, gate_set).step.ops).blocks
         want = [targets for targets, _ in reversed(forward)]
     else:
         want = [targets for targets, _ in gates]
     assert [targets for targets, _ in r.step.blocks] == want
     assert len(r.step.blocks) == len(gates)
-    n = h.n_qubits
     rng = np.random.default_rng(18)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     filled = run_circuit(StateVector(n, amps.copy()), r.step)
