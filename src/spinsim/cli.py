@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"one circuit per {compiles}"
                 )
             h = runner.build_hamiltonian(cfg)
-            circ = runner._digital_evolution(cfg, runner._compiler(cfg, h), cfg.t_max).circuit
+            circ = next(runner._digital_grids(cfg, runner._compilers(cfg, h), [cfg.t_max])[0]).circuit
             _emit(compiler.dumps_circuit(circ), args.out)
         else:
             _emit(runner.run(cfg), args.out)

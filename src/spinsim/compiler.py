@@ -26,11 +26,13 @@ style of qsim's gate fusion), which each circuit builds once and keeps.
 :func:`plan_blocks` lays the blocks out from the gates' targets alone, and
 :func:`embed_left` multiplies a gate into a block's matrix.  A
 :class:`CircuitTemplate` is a circuit whose angle gates are left open: its
-blocks are laid out and its constant gates multiplied once, and each fill
-multiplies in only the angle gates' matrices.  Its product loop is the only
-one: a plain circuit's blocks are those of a template with no open angles.
-The circuit a template fills in runs its blocks as they are, and builds its
-gates only where they are read (a dump, a count, an unrolled evolution).
+blocks are laid out and its constant gates multiplied once, and a fill
+multiplies in only the angle gates' matrices, for a whole stack of angle rows
+at once: each slot's matrices and each block are stacks with one matrix per
+row.  Its product loop is the only one: a plain circuit's blocks are those of
+a template with no open angles.  Each circuit a fill gives runs its row of the
+stacked blocks as they are, and builds its gates only where they are read (a
+dump, a count, an unrolled evolution).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -99,7 +101,8 @@ class Circuit:
         so every circuit is laid out by :func:`plan_blocks` and multiplied by
         the one product loop, :meth:`CircuitTemplate.blocks`.  Built on first
         use and kept with the circuit, so a circuit that runs again is fused
-        once.  A circuit filled from a template comes with its blocks.
+        once.  A circuit filled from a template takes its row of the fill's
+        stacked blocks instead.
         """
         return CircuitTemplate(self.n_qubits, self.ops).blocks(())
 
@@ -114,16 +117,21 @@ class Circuit:
 
 
 class _LazyCircuit(Circuit):
-    """A circuit given by its fused blocks, with its ops built on first access.
+    """A circuit whose fused blocks and ops are made on first access.
 
-    ``build()`` returns the ops, on the targets the blocks were made from,
-    which the maker of the blocks checked against the register.
+    ``blocks()`` and ``build()`` return them; the ops are on the targets the
+    blocks were made from, which the maker of the blocks checked against the
+    register.
     """
 
-    def __init__(self, n_qubits: int, blocks: tuple[Block, ...], n_gates: int,
+    def __init__(self, n_qubits: int, n_gates: int, blocks: Callable[[], tuple[Block, ...]],
                  build: Callable[[], Sequence[GateOp]], global_phase: float = 0.0):
-        self.__dict__.update(n_qubits=n_qubits, blocks=blocks, n_gates=n_gates,
-                             global_phase=global_phase, _build=build)
+        self.__dict__.update(n_qubits=n_qubits, n_gates=n_gates, global_phase=global_phase,
+                             _blocks=blocks, _build=build)
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        return self._blocks()
 
     @cached_property
     def ops(self) -> tuple[GateOp, ...]:
@@ -426,28 +434,38 @@ def embed_left(m: np.ndarray | None, k: int, positions: tuple[int, ...], u: np.n
     ``m`` None stands for the identity; neither ``m`` nor ``u`` is changed.
     An op of a part (:func:`plan_blocks`) acts on the whole part, a 2q op
     perhaps on its qubits swapped, or is a 1q op on one qubit of a 2q part.
+    Either matrix may be a stack, and the product broadcasts over the leading
+    axes: a stack of g matrices gives g products, each bit-equal to its own.
     """
     if len(positions) == k:
         if positions == (1, 0):
-            u = u[np.ix_(_SWAP, _SWAP)]
-        return u if m is None else u.dot(m)
+            u = u.take(_SWAP, -2).take(_SWAP, -1)
+        return u if m is None else _dot(u, m)
     if m is None:
         m = _I4
     if positions == (0,):  # (u x I) m: u on the high bit of the row index
-        return u.dot(m.reshape(2, 8)).reshape(4, 4)
-    return np.matmul(u, m.reshape(2, 2, 4)).reshape(4, 4)  # (I x u) m
+        out = _dot(u, m.reshape(m.shape[:-2] + (2, 8)))
+        return out.reshape(out.shape[:-2] + (4, 4))
+    # (I x u) m: u on each half of the rows
+    out = np.matmul(u if u.ndim == 2 else u[..., None, :, :], m.reshape(m.shape[:-2] + (2, 2, 4)))
+    return out.reshape(out.shape[:-3] + (4, 4))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a b of two matrices, or of stacks of them over their leading axes."""
+    return a.dot(b) if a.ndim == b.ndim == 2 else np.matmul(a, b)
 
 
 class CircuitTemplate:
-    """A circuit whose angle gates are left open, fused once and filled in per set of angles.
+    """A circuit whose angle gates are left open, fused once and filled in per row of angles.
 
     ``members`` are its gates in time order: a built :class:`GateOp`, which
-    every fill shares, or ``(slot, k)``, the :data:`AngleSlot` at the fill's
-    ``angles[k]``.  The same slot under the same k is one gate at each of its
-    places, as in :meth:`PauliLowering.ops`.  The template lays out its blocks
-    once (:func:`plan_blocks`) and keeps each as its runs of constant gates,
-    each run multiplied into one matrix, with the slots between them.  Its
-    members' targets are the caller's to check: a :class:`Circuit` checked
+    every fill shares, or ``(slot, k)``, the :data:`AngleSlot` at column k of
+    the fill's angle rows.  The same slot under the same k is one gate at each
+    of its places, as in :meth:`PauliLowering.ops`.  The template lays out its
+    blocks once (:func:`plan_blocks`) and keeps each as its runs of constant
+    gates, each run multiplied into one matrix, with the slots between them.
+    Its members' targets are the caller's to check: a :class:`Circuit` checked
     its ops when it was built, and a Trotter step's lie on its Hamiltonian's
     sites.  A template with no slots is a plain circuit's fusion
     (:attr:`Circuit.blocks`), so :meth:`blocks` is the one loop that
@@ -484,7 +502,12 @@ class CircuitTemplate:
             self._blocks.append((block_targets, tuple(laid_out)))
 
     def blocks(self, matrices: Sequence[np.ndarray]) -> tuple[Block, ...]:
-        """The blocks with ``matrices[s]`` in slot s, each the kron product of its parts'."""
+        """The blocks with ``matrices[s]`` in slot s, each the kron product of its parts'.
+
+        A slot's matrices may be a stack of g, one per fill row; then every
+        block that holds a slot is a stack of g as well, and a block without
+        one is its single constant matrix.
+        """
         blocks = []
         for targets, parts in self._blocks:
             products = []
@@ -492,33 +515,68 @@ class CircuitTemplate:
                 for (s, positions), after in slots:
                     m = embed_left(m, k, positions, matrices[s])
                     if after is not None:
-                        m = after.dot(m)
+                        m = _dot(after, m)
                 products.append(m)
             blocks.append((targets, products[0] if len(products) == 1 else kron_factors(products)))
         return tuple(blocks)
 
-    def fill(self, angles: Sequence[float]) -> Circuit:
-        """The circuit at ``angles``: its blocks filled in, its gates built on first access.
+    def fill(self, rows: np.ndarray) -> list[Circuit]:
+        """One circuit per row of ``rows`` (g x columns), with the row's angles in the slots.
 
-        Each slot's matrix is its gate's (:func:`gates.kind_matrix`, as
-        :func:`gate_matrix` gives it), computed once.  Non-finite parameters are
-        an ``InputError``, as :class:`GateOp` refuses them.
+        The slots of one kind and width, whose other parameters are the same
+        constants, get their matrices from one stacked call for all rows
+        (:func:`gates.kind_matrix`, each bit-equal to what :func:`gate_matrix`
+        gives its gate), which are multiplied into stacked blocks; a circuit's
+        blocks are its row of those stacks, and its gates are built on first
+        access.  A non-finite parameter is an ``InputError``, as
+        :class:`GateOp` refuses it, named for the first row that has one.
         """
-        params = []
-        matrices = []
-        for (kind, at, targets), k in self._slots:
-            p = at(angles[k])
-            check_finite(kind, p)
-            params.append(p)
-            matrices.append(kind_matrix(kind, p, len(targets)))
-        return _LazyCircuit(self.n_qubits, self.blocks(matrices), len(self._members),
-                            lambda: self._ops(params, matrices))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            params = [at(rows[:, k]) for (_, at, _), k in self._slots]
+        kinds: dict[tuple, list[int]] = {}
+        for s, (((kind, _, targets), _), p) in enumerate(zip(self._slots, params)):
+            kinds.setdefault((kind, len(targets)) + p[1:], []).append(s)
+        # per kind: its slots' first parameters, one row per slot
+        firsts = [np.array([params[s][0] for s in slots]) for slots in kinds.values()]
+        finite = np.ones(len(rows), dtype=bool)
+        for key, first in zip(kinds, firsts):
+            finite &= np.isfinite(first).all(axis=0) & np.isfinite(key[2:]).all()
+        if not finite.all():
+            row = int(np.argmin(finite))
+            for ((kind, _, _), _), p in zip(self._slots, params):
+                check_finite(kind, _at_row(p, row))
+        matrices = [None] * len(params)
+        for ((kind, width, *constants), slots), first in zip(kinds.items(), firsts):
+            for s, m in zip(slots, kind_matrix(kind, (first, *constants), width)):
+                matrices[s] = m
+        filled = _Fill(self, params, matrices, self.blocks(matrices))
+        return [_LazyCircuit(self.n_qubits, len(self._members), partial(filled.blocks_at, row),
+                             partial(filled.ops_at, row))
+                for row in range(len(rows))]
 
-    def _ops(self, params: list[tuple[float, ...]], matrices: list[np.ndarray]) -> list[GateOp]:
-        """The gates at the filled parameters, each keeping the matrix the fill computed."""
-        built = [GateOp._at_angle(kind, p, targets, u)
-                 for ((kind, _, targets), _), p, u in zip(self._slots, params, matrices)]
-        return [m if k is None else built[k] for m, k in zip(self._members, self._keys)]
+
+class _Fill(NamedTuple):
+    """A template filled at a stack of angle rows: each slot's parameters and matrices, and the blocks."""
+
+    template: CircuitTemplate
+    params: list[tuple]  # per slot, its parameters: a column per row, or a constant
+    matrices: list[np.ndarray]  # per slot, a stack of one matrix per row
+    blocks: tuple[Block, ...]  # a stack of one matrix per row, or a constant block
+
+    def blocks_at(self, row: int) -> tuple[Block, ...]:
+        return tuple((targets, u if u.ndim == 2 else u[row]) for targets, u in self.blocks)
+
+    def ops_at(self, row: int) -> list[GateOp]:
+        """The gates of row ``row``, each keeping the matrix the fill computed."""
+        t = self.template
+        built = [GateOp._at_angle(kind, _at_row(p, row), targets, u[row])
+                 for ((kind, _, targets), _), p, u in zip(t._slots, self.params, self.matrices)]
+        return [m if k is None else built[k] for m, k in zip(t._members, t._keys)]
+
+
+def _at_row(params: tuple, row: int) -> tuple[float, ...]:
+    """One fill row's parameters, from a slot's columns (arrays) and constants (floats)."""
+    return tuple(float(p[row]) if np.ndim(p) else p for p in params)
 
 
 def decompose_pauli(
@@ -621,8 +679,8 @@ def inverse_circuit(c: Circuit) -> Circuit:
     """
     return _LazyCircuit(
         c.n_qubits,
-        tuple((targets, u.conj().T) for targets, u in reversed(c.blocks)),
         c.n_gates,
+        lambda: tuple((targets, u.conj().T) for targets, u in reversed(c.blocks)),
         lambda: [_inverse_op(op) for op in reversed(c.ops)],
         -c.global_phase,
     )

@@ -147,11 +147,12 @@ def check_axes(*axes: str):
             raise InputError(f"axis must be one of {AXES}, got {a!r}")
 
 
-def rotation(axis: str, theta: float) -> np.ndarray:
-    """R_axis(theta) = exp(-i theta sigma_axis / 2)."""
+def rotation(axis: str, theta: float | np.ndarray) -> np.ndarray:
+    """R_axis(theta) = exp(-i theta sigma_axis / 2); a stack of them for an array of thetas."""
     check_axes(axis)
     sigma = PAULI[axis.upper()]
-    return math.cos(theta / 2) * PAULI["I"] - 1j * math.sin(theta / 2) * sigma
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.multiply.outer(c, PAULI["I"]) - np.multiply.outer(1j * s, sigma)
 
 
 def cnot() -> np.ndarray:
@@ -161,22 +162,27 @@ def cnot() -> np.ndarray:
     )
 
 
-def cphase(delta: float) -> np.ndarray:
-    """Controlled phase: diag(1, 1, 1, e^{i delta})."""
-    return np.diag([1, 1, 1, np.exp(1j * delta)])
+def cphase(delta: float | np.ndarray) -> np.ndarray:
+    """Controlled phase: diag(1, 1, 1, e^{i delta}); a stack of them for an array of deltas."""
+    out = np.zeros(np.shape(delta) + (4, 4), dtype=complex)
+    out[..., [0, 1, 2], [0, 1, 2]] = 1
+    out[..., 3, 3] = np.exp(1j * delta)
+    return out
 
 
 def kron_factors(factors: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of per-qubit factors, qubit 1 first; ``eye(1)`` for none.
 
     Each step is one broadcast outer product, the same products ``np.kron``
-    forms without its per-call overhead.
+    forms without its per-call overhead.  Factors may be stacks of matrices,
+    which broadcast over their leading axes.
     """
     factors = iter(factors)
     out = np.array(next(factors, [[1.0]]), dtype=complex)
     for f in factors:
-        (r1, c1), (r2, c2) = out.shape, f.shape
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(r1 * r2, c1 * c2)
+        (r1, c1), (r2, c2) = out.shape[-2:], f.shape[-2:]
+        out = out[..., :, None, :, None] * f[..., None, :, None, :]
+        out = out.reshape(out.shape[:-4] + (r1 * r2, c1 * c2))
     return out
 
 
@@ -186,9 +192,9 @@ def string_matrix(letters: str) -> np.ndarray:
 
 
 def hermitian_expm(generator: np.ndarray) -> np.ndarray:
-    """exp(-i G) for Hermitian G, via eigendecomposition."""
+    """exp(-i G) for Hermitian G, via eigendecomposition; G may be a stack of them."""
     w, v = np.linalg.eigh(generator)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def pauli_pair_exponential(alpha: str, beta: str, delta: float) -> np.ndarray:
@@ -197,13 +203,16 @@ def pauli_pair_exponential(alpha: str, beta: str, delta: float) -> np.ndarray:
     return hermitian_expm(delta * string_matrix((alpha + beta).upper()))
 
 
-def uxy(delta: float) -> np.ndarray:
+def uxy(delta: float | np.ndarray) -> np.ndarray:
     """exp(-i delta (XX + YY)); acts nontrivially only on span{|01>, |10>}."""
-    return hermitian_expm(delta * (string_matrix("XX") + string_matrix("YY")))
+    return hermitian_expm(np.multiply.outer(delta, string_matrix("XX") + string_matrix("YY")))
 
 
-def ms_generator(kind: str, theta: float, phi: float, n: int) -> np.ndarray:
-    """Hermitian generator G of the collective gate exp(-i G) on n addressed qubits."""
+def ms_generator(kind: str, theta: float | np.ndarray, phi: float, n: int) -> np.ndarray:
+    """Hermitian generator G of the collective gate exp(-i G) on n addressed qubits.
+
+    An array of thetas gives a stack of generators, all at the one ``phi``.
+    """
     if kind == "MS_T4":
         if n < 2:
             raise InputError("MS_T4 needs at least two addressed qubits")
@@ -219,7 +228,7 @@ def ms_generator(kind: str, theta: float, phi: float, n: int) -> np.ndarray:
     gen = np.zeros((2**n, 2**n), dtype=complex)
     for group in groups:
         gen += kron_factors(single if k in group else PAULI["I"] for k in range(n))
-    return theta * gen
+    return np.multiply.outer(theta, gen)
 
 
 def gate_matrix(op: GateOp) -> np.ndarray:
@@ -228,7 +237,12 @@ def gate_matrix(op: GateOp) -> np.ndarray:
 
 
 def kind_matrix(k: str, p: tuple[float, ...], n_targets: int) -> np.ndarray:
-    """Dense unitary of a ``k`` gate with parameters ``p`` on ``n_targets`` qubits."""
+    """Dense unitary of a ``k`` gate with parameters ``p`` on ``n_targets`` qubits.
+
+    For the kinds a Trotter step leaves open (Rx, Ry, Rz, CPhase, Uxy and the
+    MS gates), an array for the first parameter gives a stack of unitaries, one
+    per entry, each bit-equal to its own call's; an MS gate's phi stays one float.
+    """
     if k == "U3":
         return u3(*p)
     if k == "H":

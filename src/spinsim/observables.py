@@ -7,8 +7,9 @@ StateVector, so grids can be distributed across workers if desired.  Results
 are always assembled in grid order.
 
 The caller makes U(t) and the routes only apply it: one in-place evolver per
-time for a correlation, and a function compiling Q at theta for a spectrum.
-So one compilation or diagonalization serves every route.
+time for a correlation, and a compiler of Q, which compiles the theta grid a
+chunk at a time, for a spectrum.  So one compilation or diagonalization
+serves every route.
 
 The ancilla protocols put one extra qubit after the system qubits.  An
 operation controlled on it runs as the plain operation on the amplitudes with
@@ -18,7 +19,7 @@ the ancilla at 1 (:func:`_half`), not as a controlled gate circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +27,10 @@ from .errors import InputError
 from .gates import PAULI
 from .pauli import PauliHamiltonian
 from .statevector import StateVector, apply_dense_unitary, product_state
-from .trotter import EvolutionResult, Evolver, evolve
+from .trotter import Evolver, evolve
+
+if TYPE_CHECKING:
+    from .trotter import TrotterCompiler
 
 
 # a half row shorter than this many floats is summed _SHORT_ROW floats at a time
@@ -174,22 +178,23 @@ class SpectrumSpec:
         return float(np.pi / (1.5 * bound))
 
 
-def unitary_expectation_series(
-    spec: SpectrumSpec, compile_at: Callable[[float], EvolutionResult]
-) -> np.ndarray:
+def unitary_expectation_series(spec: SpectrumSpec, compiler: TrotterCompiler) -> np.ndarray:
     """<psi| exp(-i Q theta) |psi> over the theta grid, via the ancilla route.
 
-    For each theta, ``compile_at(theta)`` compiles Q at phase theta, such as a
-    :class:`~spinsim.trotter.TrotterCompiler` of Q.  The compiled evolution,
-    global phase included, runs on the ancilla-one half of |psi>|+>: that is
+    ``compiler`` compiles Q, such as a :class:`~spinsim.trotter.TrotterCompiler`
+    of Q; its ``iter_grid`` compiles the thetas a chunk at a time, each chunk
+    in one call that fills the step's angle slots for all its thetas at once,
+    so memory does not grow with the grid.  Each compiled evolution, global
+    phase included, runs on the ancilla-one half of |psi>|+>: that is
     exp(-i Q theta) controlled on the ancilla, on any gate set.
     """
     dtheta = spec.spacing()
     start = product_state(spec.operator.n_qubits + 1, spec.initial + "+")
     out = np.empty(spec.m, dtype=complex)
-    for k in range(spec.m):
+    thetas = [k * dtheta for k in range(spec.m)]
+    for k, result in enumerate(compiler.iter_grid(thetas)):
         state = start.copy()
-        evolve(_half(state, 1), compile_at(k * dtheta))
+        evolve(_half(state, 1), result)
         out[k] = _ancilla_readout(state)
     return out
 

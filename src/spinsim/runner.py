@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
+from typing import Iterator
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from . import compiler, gates, observables, pauli, trotter
 from .compiler import Circuit, GateSet, phase_distance
 from .errors import InputError, ResourceError
 from .statevector import StateVector, check_register, inner_product, probability, product_state
+from .statevector import _basis_index
 from .trotter import TrotterPlan
 
 MODELS = ("heisenberg", "xyz", "xy", "tim", "hubbard2", "pauli-file")
@@ -110,11 +112,10 @@ class ExperimentConfig:
                         f"{path}.site: site {site} out of range for {self.n_qubits} qubits"
                     )
             elif o.kind == "probability":
-                bits = o.args[0]
-                if len(bits) != self.n_qubits or any(b not in "01" for b in bits):
-                    raise InputError(
-                        f"{path}.bits: {bits!r} is not a {self.n_qubits}-bit string"
-                    )
+                try:
+                    _basis_index(self.n_qubits, o.args[0])
+                except InputError as exc:
+                    raise InputError(f"{path}.bits: {exc}") from exc
             elif o.kind == "correlation":
                 try:
                     observables.CorrelationSpec(*o.args, self.initial)
@@ -484,27 +485,14 @@ def _last_point(cfg, h) -> float:
     return cfg.t_max
 
 
-def _compiler(cfg, h):
-    """U(t) under a plan on the config's gate set: ``compile_at(t, plan)``.
-
-    Each plan gets one :class:`~spinsim.trotter.TrotterCompiler`, and keeps
-    what it compiles at the grid's last point: the budget check compiles that
-    point first, and the run reuses it there.
-    """
-    compilers = cache(lambda plan: trotter.TrotterCompiler(h, plan, cfg.gate_set))
-    t_last = _last_point(cfg, h)
-    at_last = cache(lambda plan: compilers(plan)(t_last))
-
-    def compile_at(t: float, plan: TrotterPlan) -> trotter.EvolutionResult:
-        return at_last(plan) if t == t_last else compilers(plan)(t)
-
-    return compile_at
+def _compilers(cfg, h):
+    """``compilers(plan)``: the plan's :class:`~spinsim.trotter.TrotterCompiler` on the
+    config's gate set, built once per plan."""
+    return cache(lambda plan: trotter.TrotterCompiler(h, plan, cfg.gate_set))
 
 
-def _digital_evolution(cfg, compile_at, t: float) -> trotter.EvolutionResult:
-    """U(t) on the circuit route: the fixed Heisenberg variant, or the Trotter plan."""
-    if cfg.heis2_variant is None:
-        return compile_at(t, cfg.plan)
+def _variant_evolution(cfg, t: float) -> trotter.EvolutionResult:
+    """U(t) as the config's fixed Heisenberg variant circuit."""
     j = cfg.couplings["j"][0]
     circ = compiler.heisenberg2_circuit(j * t, (1, 2), cfg.heis2_variant)
     return trotter.EvolutionResult(
@@ -513,11 +501,19 @@ def _digital_evolution(cfg, compile_at, t: float) -> trotter.EvolutionResult:
     )
 
 
-def _digital_evolutions(cfg, compile_at, t: float) -> list[trotter.EvolutionResult]:
-    """The digital evolutions a point runs: one per fidelity column, else one."""
+def _digital_grids(cfg, compilers, times) -> list[Iterator[trotter.EvolutionResult]]:
+    """The digital evolutions at each of ``times``: one grid per fidelity column, else one.
+
+    Each grid is an iterator over the points.  A Trotter plan compiles its
+    grid a chunk of points per call (:meth:`~spinsim.trotter.TrotterCompiler.iter_grid`);
+    a fixed Heisenberg variant spells its circuit per point.
+    """
     if cfg.run_kind == "fidelity":
-        return [compile_at(t, _fidelity_plan(o, cfg.plan.order)) for o in cfg.observables]
-    return [_digital_evolution(cfg, compile_at, t)]
+        return [compilers(_fidelity_plan(o, cfg.plan.order)).iter_grid(times)
+                for o in cfg.observables]
+    if cfg.heis2_variant is None:
+        return [compilers(cfg.plan).iter_grid(times)]
+    return [(_variant_evolution(cfg, float(t)) for t in times)]
 
 
 def run(cfg: ExperimentConfig) -> str:
@@ -533,37 +529,39 @@ def run(cfg: ExperimentConfig) -> str:
         header.append(f"# assumption: {a}")
 
     h = build_hamiltonian(cfg)
-    compile_at = _compiler(cfg, h)
-    _check_run_budget(cfg, h, compile_at)
+    compilers = _compilers(cfg, h)
+    _check_run_budget(cfg, h, compilers)
     if cfg.run_kind == "spectrum":
-        return _run_spectrum(cfg, h, compile_at, header)
+        return _run_spectrum(cfg, h, compilers(cfg.plan), header)
     # one time grid and one diagonalization of H for every exact column
     times = np.linspace(0.0, cfg.t_max, cfg.points)
     exact = trotter.exact_evolvers(h, times)
-    return _run_grid(cfg, compile_at, times, exact, header)
+    return _run_grid(cfg, compilers, times, exact, header)
 
 
-def _check_run_budget(cfg, h, compile_at):
+def _check_run_budget(cfg, h, compilers):
     """Refuse a run of over ``GATE_BUDGET`` planned gate applications, before its grid is made.
 
     No point of the grid costs more than its last, largest time: the gates of
     each compiled evolution it runs there, plus one application per exact one.
-    The scalar columns (fidelities too) share one exact evolution and the
-    point's digital ones (:func:`_digital_evolutions`).  A correlation column
-    evolves two states on each of its three routes: two exact and four
-    compiled evolutions, as the ancilla route evolves each half.
+    That point is compiled here on its own, so a grid too long to run is
+    refused without being filled.  The scalar columns (fidelities too) share
+    one exact evolution and the point's digital ones (:func:`_digital_grids`).
+    A correlation column evolves two states on each of its three routes: two
+    exact and four compiled evolutions, as the ancilla route evolves each half.
     """
+    last = _last_point(cfg, h)
     if cfg.run_kind == "spectrum":
         m = cfg.observables[0].args[0]
-        total = m * compile_at(_last_point(cfg, h), cfg.plan).gate_applications
+        total = m * compilers(cfg.plan)(last).gate_applications
     else:
         n_corr = sum(o.kind == "correlation" for o in cfg.observables)
         per_point = 0
         if n_corr < len(cfg.observables):
-            digital = _digital_evolutions(cfg, compile_at, cfg.t_max)
-            per_point += 1 + sum(r.gate_applications for r in digital)
+            digital = _digital_grids(cfg, compilers, [last])
+            per_point += 1 + sum(next(grid).gate_applications for grid in digital)
         if n_corr:
-            per_point += n_corr * (2 + 4 * compile_at(cfg.t_max, cfg.plan).gate_applications)
+            per_point += n_corr * (2 + 4 * compilers(cfg.plan)(last).gate_applications)
         total = cfg.points * per_point
     if total > gates.GATE_BUDGET:
         raise ResourceError(f"the run plans {total} gate applications, over the budget "
@@ -574,20 +572,21 @@ def _spectrum_spec(cfg, h) -> observables.SpectrumSpec:
     return observables.SpectrumSpec(h, cfg.initial, cfg.observables[0].args[0])
 
 
-def _run_spectrum(cfg, h, compile_at, header) -> str:
+def _run_spectrum(cfg, h, compile_q, header) -> str:
     spec = _spectrum_spec(cfg, h)
-    series = observables.unitary_expectation_series(spec, partial(compile_at, plan=cfg.plan))
+    series = observables.unitary_expectation_series(spec, compile_q)
     peaks = observables.spectrum_from_series(series, spec.spacing())
     header.append(f"# theta grid: m={spec.m} dtheta={_fmt(spec.spacing())}")
     rows = ["q,weight"] + [f"{_fmt(q)},{_fmt(w)}" for q, w in peaks]
     return "\n".join(header + rows) + "\n"
 
 
-def _run_grid(cfg, compile_at, times, exact, header) -> str:
+def _run_grid(cfg, compilers, times, exact, header) -> str:
     """The CSV of a fidelity sweep or an evolution run, over the time grid ``times``.
 
-    A point's scalar columns read its states: the exact one (index 0), then
-    those of :func:`_digital_evolutions`.
+    Each plan's grid is compiled a chunk at a time as the points are run
+    (:func:`_digital_grids`).  A point's scalar columns read its states: the
+    exact one (index 0), then its digital ones, one per grid.
     """
     fidelity = cfg.run_kind == "fidelity"
     scalar_obs = [o for o in cfg.observables if o.kind != "correlation"]
@@ -610,16 +609,17 @@ def _run_grid(cfg, compile_at, times, exact, header) -> str:
     table = np.zeros((len(times), len(columns)))
     psi0 = product_state(cfg.n_qubits, cfg.initial)
     steps_used, routes = [], []
-    for row, t, exact_t in zip(table, times, exact):
-        results = _digital_evolutions(cfg, compile_at, float(t))
+    for row, exact_t, results in zip(table, exact, zip(*_digital_grids(cfg, compilers, times))):
         steps_used.append([r.n_steps_used for r in results])
         if reads:
             states = [exact_t(psi0.copy())] + [trotter.evolve(psi0.copy(), r) for r in results]
             row[:len(reads)] = [_scalar_value(o, states[k], states[0]) for _, o, k in reads]
-        # the correlation routes always run the Trotter plan; a fixed variant
-        # replaces it in the scalar columns only
         if corr_obs:
-            routes.append(compile_at(float(t), cfg.plan) if cfg.heis2_variant else results[0])
+            routes.append(results[0])
+    # the correlation routes always run the Trotter plan; a fixed variant
+    # replaces it in the scalar columns only
+    if corr_obs and cfg.heis2_variant:
+        routes = list(compilers(cfg.plan).iter_grid(times))
     trotterized = [partial(trotter.evolve, result=r) for r in routes]
     col = len(reads)
     for o in corr_obs:

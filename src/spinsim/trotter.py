@@ -14,9 +14,16 @@ term's gates with its angle left open.  The step is laid out as a
 :class:`~spinsim.compiler.CircuitTemplate` once per pattern of term forms
 (S3's negative angles take a second form, so t = 0 and t > 0 can differ):
 its fused blocks, with the frame changes and CNOTs multiplied in and the
-angle gates left as slots.  Called at a time t, the compiler works out the
-step count and fills in only the slots; the step's gates are built only if
-they are read.  ``trotterize`` is one such call.
+angle gates left as slots.  A single-axis hoisted field prefix is a template
+of rotation slots too.  The compiler compiles a whole grid of times at once
+(:meth:`TrotterCompiler.grid`): it works out each point's step count, groups
+the points by form, and fills each group's template once from the stack of
+their angle rows, so each slot's matrices and each block are computed as one
+stack for the group; a point's blocks are its row of those stacks.  A long
+grid is compiled a chunk of points at a time (:meth:`TrotterCompiler.iter_grid`),
+so its memory does not grow with its length.  The step's gates are built
+only if they are read.  Calling the compiler at one time t is the one-point
+grid, and ``trotterize`` is one such call.
 
 A compiled evolution is one Trotter step and its repeat count, not the
 unrolled gate list: ``evolve`` applies the hoisted prefix, then the step n
@@ -34,7 +41,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -245,21 +252,28 @@ def _sum_commutator_is_zero(fields: list[PauliString], rest: list[PauliString]) 
     return all(abs(v) < 1e-12 for v in acc.values())
 
 
+# the points one stacked fill compiles when a grid is iterated (:meth:`TrotterCompiler.iter_grid`):
+# a 1024-theta spectrum is one fill, and a chunk's blocks and results stay near a megabyte
+GRID_CHUNK = 1024
+
+
 class TrotterCompiler:
-    """exp(-i H t) under one plan and gate set, compiled for any t by calling it.
+    """exp(-i H t) under one plan and gate set, compiled for a grid of times (:meth:`grid`)
+    or for one t by calling it.
 
     What does not depend on t is done once, when it is built: the identity
     terms are set apart, the commutation checks decide whether the field terms
     are hoisted and whether the splitting is exact, and the remaining terms are
     scaled and cut into disjoint layers, each term lowered to its gates with
     the angle left open.  The step's template (its fused blocks, with the
-    frame changes and CNOTs multiplied in) is built on the first call that
-    needs its pattern of term forms, at most two in practice.  A call works
-    out the step count and fills in the template: it builds only the gates
-    whose angles depend on t, as matrices, and their :class:`GateOp` values
-    only where the step's ops are read.  The hoisted field prefix is grouped
-    by qubit once and spelled per call, as a circuit of its own: one field
-    axis by its ``pauli_lowering``, several as exp(-i t G) in Euler angles.
+    frame changes and CNOTs multiplied in) is built on the first grid that
+    needs its pattern of term forms, at most two in practice.  A grid fills
+    each form's template once for all its points: it builds only the gates
+    whose angles depend on t, as stacks of matrices, and their
+    :class:`GateOp` values only where a step's ops are read.  The hoisted
+    field prefix is grouped by qubit once.  With one field axis per qubit it
+    is a template of rotation slots, filled once per grid; with several axes
+    on a qubit it is spelled per point, as exp(-i t G) in Euler angles.
     """
 
     def __init__(self, h: PauliHamiltonian, plan: TrotterPlan, gate_set: GateSet = GateSet.S1):
@@ -299,6 +313,14 @@ class TrotterCompiler:
             else:
                 gen = sum(c * PAULI[a.upper()] for a, c in axes.items())
                 self._fields.append((q, None, gen))
+        # the prefix as a template of rotation slots where each qubit has one
+        # field axis, the slot of field k at column k of its fill
+        self._prefix = self._field_values = None
+        if self._fields and all(lowering is not None for _, lowering, _ in self._fields):
+            self._prefix = CircuitTemplate(self.n_qubits, [
+                (lowering.slots[0], k) for k, (_, lowering, _) in enumerate(self._fields)
+            ])
+            self._field_values = np.array([field for _, _, field in self._fields])
         self._scale = max((abs(term.coef.real) for term in rest), default=0.0)
         layers = disjoint_layers(rest)
         forward = [term for layer in layers for term in layer]
@@ -310,6 +332,9 @@ class TrotterCompiler:
         self._terms = [lowered[term] for seq in orders for term in seq]
         self._signed = [k for k, (_, lowering) in enumerate(self._terms)
                         if lowering.negative is not None]
+        self._coefs = np.array([coef for coef, _ in self._terms])
+        self._phased = any(form.phase for _, lowering in self._terms
+                           for form in (lowering, lowering.negative) if form is not None)
         # the step's template for each pattern of forms, keyed by which of
         # _signed take their negative form
         self._templates: dict[tuple[bool, ...], CircuitTemplate] = {}
@@ -327,74 +352,142 @@ class TrotterCompiler:
         return CircuitTemplate(self.n_qubits, members)
 
     def __call__(self, t: float) -> EvolutionResult:
-        """exp(-i H t) compiled; a non-finite t or angle is an ``InputError``.
+        """exp(-i H t) compiled: the one-point :meth:`grid`."""
+        return self.grid((t,))[0]
 
-        A plan over ``GATE_BUDGET`` gate applications raises ``ResourceError``.
+    def iter_grid(self, times: Sequence[float]) -> Iterator[EvolutionResult]:
+        """:meth:`grid` over ``times``, compiled lazily ``GRID_CHUNK`` points at a time.
+
+        Each result is let go once the caller has moved past it, and a long
+        grid holds at most one chunk of stacked blocks at a time.
         """
-        t = float(t)
-        if not math.isfinite(t):
-            raise InputError(f"time must be finite, got {t}")
-        if t < 0:
-            fwd = self(-t)
-            return EvolutionResult(
-                inverse_circuit(fwd.prefix),
-                inverse_circuit(fwd.step),
-                fwd.n_steps_used,
-                fwd.phase,
-                -fwd.global_phase,
-                mirrored=True,
-            )
-        phase = 0.0
-        for coef in self._identity:
-            phase += -coef * t
-        n_q = self.n_qubits
-        if not self._terms:
-            return EvolutionResult(self._no_prefix, self._no_prefix, 1, 0.0, phase)
+        for start in range(0, len(times), GRID_CHUNK):
+            chunk = self.grid(times[start:start + GRID_CHUNK])
+            chunk.reverse()
+            while chunk:
+                yield chunk.pop()
 
-        plan = self.plan
-        delta = self._scale * t
-        if self._all_commute:
-            n = 1
-        elif plan.n_steps is not None:
-            n = plan.n_steps
+    def grid(self, times: Sequence[float]) -> list[EvolutionResult]:
+        """exp(-i H t) compiled at each of ``times``, one result per time.
+
+        Each point's step count and phase are worked out as for that time
+        alone.  The points are then grouped by their pattern of term forms (at
+        most two: t = 0 and t > 0), and each group's template is filled once,
+        from the stack of its points' angle rows: a point's step runs its row
+        of the stacked blocks.  A single-axis hoisted prefix is filled the
+        same way, in one fill for every point.  A point at t < 0 is the mirror
+        of the one at -t.
+
+        A non-finite time or angle is an ``InputError``, and a point over
+        ``GATE_BUDGET`` gate applications a ``ResourceError``.  The checks run
+        in the order a single call makes them (the time, the step count, the
+        prefix's angles, the step's angles, the budget), each over every point
+        before the next; the first point that fails one raises.
+        """
+        times = [float(t) for t in times]
+        for t in times:
+            if not math.isfinite(t):
+                raise InputError(f"time must be finite, got {t}")
+        forward = [-t if t < 0 else t for t in times]
+        phases = []
+        for t in forward:
+            phase = 0.0
+            for coef in self._identity:
+                phase += -coef * t
+            phases.append(phase)
+        if self._terms and forward:
+            results = self._compile(forward, phases)
         else:
-            n = steps_for_phase(delta, plan.eps, plan.growth)
+            results = [EvolutionResult(self._no_prefix, self._no_prefix, 1, 0.0, phase)
+                       for phase in phases]
+        return [_mirror(r) if t < 0 else r for t, r in zip(times, results)]
 
-        prefix: list[GateOp] = []
-        field_phase = 0.0
-        for q, lowering, field in self._fields:
-            if lowering is not None:
-                prefix += lowering.ops(field * t)
+    def _compile(self, forward: list[float], phases: list[float]) -> list[EvolutionResult]:
+        """The results at the times ``forward`` (none negative), whose identity phases are ``phases``."""
+        plan = self.plan
+        ns, deltas = [], []
+        for t in forward:
+            delta = self._scale * t
+            if self._all_commute:
+                n = 1
+            elif plan.n_steps is not None:
+                n = plan.n_steps
             else:
-                sub, ph = _su2_ops(hermitian_expm(t * field), q, self.gate_set)
-                prefix += sub
-                field_phase += ph
-        phase += field_phase
+                n = steps_for_phase(delta, plan.eps, plan.growth)
+            ns.append(n)
+            deltas.append(delta)
+        prefixes = self._prefixes(forward, phases)
 
-        dt = t / (self._sweeps * n)
-        angles = [coef * dt for coef, _ in self._terms]
-        forms = tuple(angles[k] < 0.0 for k in self._signed)
-        template = self._templates.get(forms)
-        if template is None:
-            template = self._templates[forms] = self._template(angles)
-        step = template.fill(angles)
-        term_phases: list[float] = []
-        for d, (_, lowering) in zip(angles, self._terms):
-            form = lowering.at(d)
-            ph = form.phase(d) if form.phase else 0.0
-            if ph:
-                term_phases.append(ph)
-        if n * step.n_gates > GATE_BUDGET:
-            raise ResourceError(f"{n} Trotter steps of {step.n_gates} gates are "
-                                f"{n * step.n_gates} gate applications, over the budget "
-                                f"of {GATE_BUDGET}")
-        # one addition per term and step, as the unrolled circuit accumulates it
-        for _ in range(n if term_phases else 0):
-            for ph in term_phases:
-                phase += ph
+        dts = [t / (self._sweeps * n) for t, n in zip(forward, ns)]
+        with np.errstate(over="ignore"):  # a non-finite angle is refused by the fill
+            rows = np.multiply.outer(dts, self._coefs)
+        groups: dict[tuple[bool, ...], list[int]] = {}
+        for i, negative in enumerate((rows[:, self._signed] < 0.0).tolist()):
+            groups.setdefault(tuple(negative), []).append(i)
+        steps: list = [None] * len(forward)
+        for forms, points in groups.items():
+            template = self._templates.get(forms)
+            if template is None:
+                template = self._templates[forms] = self._template(rows[points[0]].tolist())
+            for i, step in zip(points, template.fill(rows[points])):
+                steps[i] = step
 
-        prefix_circuit = Circuit(n_q, prefix) if prefix else self._no_prefix
-        return EvolutionResult(prefix_circuit, step, n, delta, phase)
+        for n, step in zip(ns, steps):
+            if n * step.n_gates > GATE_BUDGET:
+                raise ResourceError(f"{n} Trotter steps of {step.n_gates} gates are "
+                                    f"{n * step.n_gates} gate applications, over the budget "
+                                    f"of {GATE_BUDGET}")
+        results = []
+        for i, (n, step) in enumerate(zip(ns, steps)):
+            phase = phases[i]
+            if self._phased:
+                term_phases: list[float] = []
+                for d, (_, lowering) in zip(rows[i].tolist(), self._terms):
+                    form = lowering.at(d)
+                    ph = form.phase(d) if form.phase else 0.0
+                    if ph:
+                        term_phases.append(ph)
+                # one addition per term and step, as the unrolled circuit accumulates it
+                for _ in range(n if term_phases else 0):
+                    for ph in term_phases:
+                        phase += ph
+            results.append(EvolutionResult(prefixes[i], step, n, deltas[i], phase))
+        return results
+
+    def _prefixes(self, forward: list[float], phases: list[float]) -> list[Circuit]:
+        """The hoisted field prefix at each time; an Euler-angle prefix adds its phase to ``phases``.
+
+        With one field axis on every hoisted qubit, the prefix is the fill of
+        its template of rotation slots at angles field * t.  Otherwise each
+        point spells it qubit by qubit: one axis by its ``pauli_lowering``,
+        several as exp(-i t G) in Euler angles.
+        """
+        if not self._fields:
+            return [self._no_prefix] * len(forward)
+        if self._prefix is not None:
+            with np.errstate(over="ignore"):  # a non-finite angle is refused by the fill
+                rows = np.multiply.outer(forward, self._field_values)
+            return self._prefix.fill(rows)
+        prefixes = []
+        for i, t in enumerate(forward):
+            prefix: list[GateOp] = []
+            field_phase = 0.0
+            for q, lowering, field in self._fields:
+                if lowering is not None:
+                    prefix += lowering.ops(field * t)
+                else:
+                    sub, ph = _su2_ops(hermitian_expm(t * field), q, self.gate_set)
+                    prefix += sub
+                    field_phase += ph
+            phases[i] += field_phase
+            prefixes.append(Circuit(self.n_qubits, prefix) if prefix else self._no_prefix)
+        return prefixes
+
+
+def _mirror(fwd: EvolutionResult) -> EvolutionResult:
+    """The exact inverse of a forward evolution: the evolution at -t."""
+    return EvolutionResult(inverse_circuit(fwd.prefix), inverse_circuit(fwd.step),
+                           fwd.n_steps_used, fwd.phase, -fwd.global_phase, mirrored=True)
 
 
 def trotterize(
@@ -406,8 +499,8 @@ def trotterize(
     """Compile exp(-i H t) per the plan's splitting and schedule.
 
     The step is compiled once; the result repeats it ``n_steps_used`` times.
-    This is one call of a :class:`TrotterCompiler`, which a caller compiling
-    H at many times should build once and keep.
+    This is one call of a :class:`TrotterCompiler`; a caller compiling H at
+    many times should build one and compile the times as one grid.
     """
     return TrotterCompiler(h, plan, gate_set)(t)
 

@@ -578,10 +578,10 @@ class TestFusedRun:
         for result in results:
             evolve(state, result)
             evolve(state, result)
-        # the step is planned by the compiler once; each result's prefix of
-        # hoisted field rotations is planned once, the mirrored one as the
-        # adjoint of the forward one
-        assert len(planned) == 1 + 3
+        # the step and the prefix of hoisted field rotations are each planned
+        # once, as the compiler's templates; every result, the mirrored one
+        # too (the adjoints of the forward blocks), runs filled blocks
+        assert len(planned) == 1 + 1
         assert all(r.n_steps_used == 2 and r.folded_step is None for r in results)
 
     # at the head of the register and at its tail, where the kernel takes

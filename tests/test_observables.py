@@ -1,10 +1,11 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
 import spinsim
-from spinsim import compiler, runner
+from spinsim import compiler, runner, trotter
 from spinsim.compiler import Circuit, GateSet, circuit_unitary, controlled_circuit, run_circuit
 from spinsim.errors import InputError
 from spinsim.gates import PAULI, GateOp
@@ -243,6 +244,26 @@ class TestSpecValidation:
 
 
 class TestUnitaryExpectationSeries:
+    def test_memory_flat_in_grid_length(self):
+        # the thetas are compiled a chunk at a time, so a grid holds one
+        # chunk's stacked blocks, not every point's.  XX, YY and ZZ commute, so
+        # every theta takes one step.  Past the theta list and the series
+        # (about 50 bytes a point), the peak does not grow with m; a grid
+        # compiled whole grows by about 1.8 kB a point here.
+        q = heisenberg_chain(2, [1.0], 0.0)
+        peaks = {}
+        for m in (2 * trotter.GRID_CHUNK, 8 * trotter.GRID_CHUNK):
+            spec = SpectrumSpec(operator=q, initial="01", m=m)
+            compile_q = TrotterCompiler(q, TrotterPlan.fixed_eps(0.01))
+            tracemalloc.start()
+            try:
+                unitary_expectation_series(spec, compile_q)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (m1, p1), (m2, p2) = peaks.items()
+        assert (p2 - p1) / (m2 - m1) < 200
+
     def test_narrow_compiler_rejected(self):
         # Q on three qubits, compiled as a two-qubit operator
         spec = SpectrumSpec(operator=tim_chain(3, [0.7, 0.7, 0.7], 1.0), initial="0+1", m=8)

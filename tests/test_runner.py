@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinsim import compiler, observables
+from spinsim import compiler, observables, trotter
 from spinsim.cli import main as cli_main
 from spinsim.compiler import GateSet, loads_circuit
 from spinsim.errors import InputError, ResourceError
@@ -280,6 +280,24 @@ class TestValidation:
                 **{**cfg.__dict__, "observables": (ObservableSpec("probability", ("10",)),)}
             )
 
+    @pytest.mark.parametrize("n, bits, message", [
+        (3, "1_0", "bitstring may contain only 0/1"),  # int(bits, 2) would read it as 2
+        (2, "2a", "bitstring may contain only 0/1"),
+        (3, "10", "does not match 3 qubits"),
+    ])
+    def test_probability_bitstring_names_field(self, tmp_path, capsys, n, bits, message):
+        # one bitstring check (the one probability itself runs), under the
+        # observable's path, where the config is built and on the command line
+        text = _model(f"kind = tim\nn_qubits = {n}\nh = 1").replace(
+            "magnetization 1", f"probability {bits}")
+        with pytest.raises(InputError, match=rf"^observables\[0\]\.bits: .*{message}"):
+            parse_config(text)
+        cfgfile = tmp_path / "bits.cfg"
+        cfgfile.write_text(text)
+        assert cli_main(["run", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: observables[0].bits: ") and message in err
+
     def test_spectrum_exclusive(self):
         cfg = parse_config(SAMPLE_CONFIG)
         with pytest.raises(InputError, match="spectrum"):
@@ -462,9 +480,24 @@ class TestRun:
         ))
         assert " plan=TrotterPlan(order=2, n_steps=None, eps=0.1, growth='quadratic')\n" in text
 
+    @staticmethod
+    def _counting_fills(monkeypatch) -> list:
+        """Records each template fill as (template, number of angle rows)."""
+        fills = []
+        fill = compiler.CircuitTemplate.fill
+
+        def counting_fill(self, rows):
+            fills.append((self, len(rows)))
+            return fill(self, rows)
+
+        monkeypatch.setattr(compiler.CircuitTemplate, "fill", counting_fill)
+        return fills
+
     def test_spectrum_run_plans_its_step_at_most_twice(self, monkeypatch):
         # 1024 thetas fill the angles of one or two planned steps (the t = 0
-        # and the t > 0 forms), and build no gate that carries an angle
+        # and the t > 0 forms) in at most two fills: the budget check's of the
+        # last theta, and the grid's of every theta in one form; and build no
+        # gate that carries an angle
         planned, built = [], []
         plan_blocks = compiler.plan_blocks
         at_angle = GateOp._at_angle
@@ -479,9 +512,32 @@ class TestRun:
 
         monkeypatch.setattr(compiler, "plan_blocks", counting_plan)
         monkeypatch.setattr(GateOp, "_at_angle", classmethod(counting_at_angle))
+        fills = self._counting_fills(monkeypatch)
         header, rows = parse_csv(run(parse_config(SPECTRUM_HEIS2)))
         assert 1 <= len(planned) <= 2 and built == []
+        assert len(fills) <= 2 and sorted(n for _, n in fills) == [1, 1024]
         assert header == ["q", "weight"] and len(rows) == 2
+
+    def test_fig2_fills_each_plan_at_most_twice(self, monkeypatch):
+        # one grid per plan, each in at most two forms; with the budget check's
+        # fill of the last delta, at most two fills per plan
+        fills = self._counting_fills(monkeypatch)
+        grids = []
+        grid = trotter.TrotterCompiler.grid
+
+        def counting_grid(self, times):
+            grids.append((self, len(times)))
+            return grid(self, times)
+
+        monkeypatch.setattr(trotter.TrotterCompiler, "grid", counting_grid)
+        cfg = figure_preset("fig2")
+        run(cfg)
+        compilers = {c for c, _ in grids}
+        assert len(compilers) == len(cfg.observables)
+        for c in compilers:
+            assert sorted(n for g, n in grids if g is c) == [1, cfg.points]
+            own = [n for t, n in fills if t in c._templates.values()]
+            assert len(own) <= 2 and sum(own) == 1 + cfg.points
 
     def test_spectrum_run(self):
         cfg = ExperimentConfig(

@@ -231,9 +231,13 @@ class TestTrotterCompiler:
         (PauliHamiltonian(2, [PauliString(4.0, "XX")]), 1e308, GateSet.S2, "Uxy"),  # d/2, twice
     ], ids=["S1-rotation", "S3-negative", "S3-positive", "S4-d", "field-prefix", "S2-recurring"])
     def test_fixed_n_overflowing_angle_rejected(self, h, t, gate_set, kind):
+        compile_at = trotter.TrotterCompiler(h, TrotterPlan.fixed_n(1), gate_set)
         for sign in (1, -1):
             with pytest.raises(InputError, match=f"{kind} parameters must be finite"):
                 trotterize(h, sign * t, TrotterPlan.fixed_n(1), gate_set)
+            # in a grid, behind a point that compiles
+            with pytest.raises(InputError, match=f"{kind} parameters must be finite"):
+                compile_at.grid([0.0, 0.3, sign * t])
 
     @pytest.mark.parametrize("gate_set", list(GateSet))
     def test_calls_share_the_gates_without_an_angle(self, gate_set):
@@ -393,39 +397,44 @@ class TestStepAndRepeat:
             evolve(random_state(3), res)
 
 
-def test_fig2_compiles_once_per_delta_and_plan(monkeypatch):
+def _counting_grids(monkeypatch) -> tuple[list, set]:
+    """Records each ``TrotterCompiler.grid`` call's (plan, times), and the compilers called."""
     calls, compilers = [], set()
-    original = trotter.TrotterCompiler.__call__
+    original = trotter.TrotterCompiler.grid
 
-    def counting(self, t):
-        calls.append((t, self.plan))
+    def counting(self, times):
+        calls.append((self.plan, tuple(times)))
         compilers.add(self)
-        return original(self, t)
+        return original(self, times)
 
-    monkeypatch.setattr(trotter.TrotterCompiler, "__call__", counting)
+    monkeypatch.setattr(trotter.TrotterCompiler, "grid", counting)
+    return calls, compilers
+
+
+def test_fig2_compiles_one_grid_per_plan(monkeypatch):
+    # each plan compiles its 46 deltas in one grid, after the budget check
+    # compiles its last delta on its own
+    calls, compilers = _counting_grids(monkeypatch)
     cfg = runner.figure_preset("fig2")
     runner.run(cfg)
-    assert len(calls) == len(set(calls)) == cfg.points * len(cfg.observables) == 138
-    # one compiler object per plan
-    assert len(compilers) == len(cfg.observables)
+    deltas = tuple(np.linspace(0.0, cfg.t_max, cfg.points))
+    plans = {plan for plan, _ in calls}
+    assert len(plans) == len(compilers) == len(cfg.observables) == 3
+    assert sorted(calls, key=str) == sorted(
+        [(plan, (cfg.t_max,)) for plan in plans] + [(plan, deltas) for plan in plans], key=str
+    )
 
 
-def test_spectrum_compiles_each_theta_once(monkeypatch):
-    # the budget check compiles the largest theta, and the series reuses it
-    calls, compilers = [], set()
-    original = trotter.TrotterCompiler.__call__
-
-    def counting(self, t):
-        calls.append(t)
-        compilers.add(self)
-        return original(self, t)
-
-    monkeypatch.setattr(trotter.TrotterCompiler, "__call__", counting)
+def test_spectrum_compiles_its_theta_grid_once(monkeypatch):
+    # the series compiles its 64 thetas in one grid; the budget check compiles
+    # the largest on its own, so that a grid too long to run is never filled
+    calls, compilers = _counting_grids(monkeypatch)
     runner.run(runner.parse_config(
         "[model]\nkind = tim\nn_qubits = 2\nh = 0.7\n[initial]\nstate = 0+\n"
         "[observables]\nobservable = spectrum 64\n"
     ))
-    assert len(calls) == len(set(calls)) == 64
+    (_, last), (_, thetas) = calls
+    assert len(thetas) == len(set(thetas)) == 64 and last == thetas[-1:]
     assert len(compilers) == 1
 
 
@@ -438,17 +447,19 @@ class TestGateBudget:
         for t in (1.0, -1.0):
             with pytest.raises(ResourceError, match=f"are {11 * gates} gate applications"):
                 trotterize(h, t, TrotterPlan.fixed_n(11))
+        with pytest.raises(ResourceError, match=f"are {11 * gates} gate applications"):
+            trotter.TrotterCompiler(h, TrotterPlan.fixed_n(11)).grid([0.5, 1.0])
 
     def test_budget_far_above_the_largest_preset_plan(self, monkeypatch):
         counts = []
-        original = trotter.TrotterCompiler.__call__
+        original = trotter.TrotterCompiler.grid
 
-        def counting(self, t):
-            result = original(self, t)
-            counts.append(result.n_steps_used * len(result.step.ops))
-            return result
+        def counting(self, times):
+            results = original(self, times)
+            counts.extend(r.n_steps_used * len(r.step.ops) for r in results)
+            return results
 
-        monkeypatch.setattr(trotter.TrotterCompiler, "__call__", counting)
+        monkeypatch.setattr(trotter.TrotterCompiler, "grid", counting)
         runner.run(runner.figure_preset("fig2"))
         # fig2's quadratic fixed-eps column at delta = 45
         assert max(counts) == 50_625

@@ -24,6 +24,7 @@ import pytest
 from spinsim import trotter
 from spinsim.compiler import Circuit, GateSet, dumps_circuit, run_circuit
 from spinsim.errors import InputError
+from spinsim.gates import GateOp, gate_matrix
 from spinsim.pauli import (
     PauliHamiltonian,
     PauliString,
@@ -194,3 +195,79 @@ def test_grid_covers_every_slot_form():
         assert at[0.7][0] and not at[0.0][0]
         assert at[0.0][1] < at[0.7][1] == at[-0.7][1]
     assert {("S2 recurring Uxy", True), ("S4", "MS_T4"), ("S4", "MS_T1"), ("S4", "MS_T3")} <= forms
+
+
+GRID_TIMES = (0.0, 0.35, 0.7, -0.7)
+
+
+def _blocks_bytes(circuit) -> list:
+    return [(targets, u.shape, u.tobytes()) for targets, u in circuit.blocks]
+
+
+def _scalar_blocks(templates, circuit) -> list | None:
+    """The blocks of the template ``circuit`` was filled from, at one matrix per slot.
+
+    Each slot's matrix is the 2-D one a rebuilt :class:`GateOp` of the
+    circuit's gate gives (the scalar ``gate_matrix`` path), and the template
+    multiplies them in 2-D, not as stacks.  None for a circuit no template
+    filled: a plain one, whose blocks take that path already.
+    """
+    ops = circuit.ops
+    for template in templates:
+        if len(template._members) != len(ops):
+            continue
+        slots = {}
+        for member, k, op in zip(template._members, template._keys, ops):
+            if k is None and member is not op or k is not None and template._slots[k][0][0] != op.kind:
+                break
+            if k is not None:
+                slots.setdefault(k, gate_matrix(GateOp(op.kind, op.params, op.targets)))
+        else:
+            blocks = template.blocks([slots[k] for k in range(len(slots))])
+            return [(targets, u.shape, u.tobytes()) for targets, u in blocks]
+    return None
+
+
+# the (H, plan, gate set) of every compiled case of the golden grid
+COMPILERS = sorted({case[0].rsplit("/", 1)[0]: case[1:4] for case in COMPILED_CASES}.items())
+
+
+@pytest.mark.parametrize("h_name, plan, gate_set", [c for _, c in COMPILERS],
+                         ids=[name for name, _ in COMPILERS])
+def test_grid_matches_one_call_per_time(h_name, plan, gate_set):
+    # one stacked fill per form over the grid, against a fresh compiler called
+    # once per time: every value a point carries, its blocks bit for bit; and
+    # a filled point's blocks against its template's 2-D product of the
+    # scalar gate matrices, so the stacked path is pinned on every platform
+    h = HAMILTONIANS[h_name]()
+    compile_grid = trotter.TrotterCompiler(h, plan, gate_set)
+    grid = compile_grid.grid(GRID_TIMES)
+    templates = [t for t in (*compile_grid._templates.values(), compile_grid._prefix)
+                 if t is not None]
+    single = trotter.TrotterCompiler(h, plan, gate_set)
+    filled = 0
+    for t, got in zip(GRID_TIMES, grid):
+        want = single(t)
+        assert (got.n_steps_used, got.phase.hex(), got.global_phase.hex(), got.mirrored) == (
+            want.n_steps_used, want.phase.hex(), want.global_phase.hex(), want.mirrored)
+        for part in ("prefix", "step"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert _blocks_bytes(g) == _blocks_bytes(w), (t, part)
+            assert g.ops == w.ops and dumps_circuit(g) == dumps_circuit(w), (t, part)
+            assert g.n_gates == len(g.ops)
+            scalar = None if got.mirrored else _scalar_blocks(templates, g)
+            if scalar is not None:
+                assert _blocks_bytes(g) == scalar, (t, part)
+                filled += 1
+    assert filled >= 3  # the step at each forward time
+
+
+@pytest.mark.parametrize("plan_name", list(PLANS))
+def test_s3_grid_holds_both_forms(plan_name):
+    # negative couplings on S3: t = 0 takes the one-CPhase form of each
+    # negative pair and t > 0 the two-CPhase form, filled in one grid
+    compile_at = trotter.TrotterCompiler(HAMILTONIANS["tim3"](), PLANS[plan_name], GateSet.S3)
+    grid = compile_at.grid(GRID_TIMES)
+    pairs = [r.step.two_qubit_count("CPhase") for r in grid]
+    assert pairs[0] < pairs[1] == pairs[2] == pairs[3]
+    assert len(compile_at._templates) == 2
