@@ -832,6 +832,7 @@ def loads_circuit(text: str) -> Circuit:
     n_qubits = None
     phase = 0.0
     ops: list[GateOp] = []
+    headers: set[str] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -840,6 +841,9 @@ def loads_circuit(text: str) -> Circuit:
         if words[0] in ("qubits", "phase"):
             if len(words) != 2:
                 raise InputError(f"line {ln}: expected `{words[0]} <number>`, got {raw!r}")
+            if words[0] in headers:
+                raise InputError(f"line {ln}: `{words[0]}` given more than once")
+            headers.add(words[0])
             if words[0] == "qubits":
                 n_qubits = _parse_word(int, words[1], ln, raw)
                 if n_qubits < 1:

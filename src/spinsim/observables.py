@@ -2,14 +2,11 @@
 dynamical correlation functions (direct statevector route and the ancilla
 protocol), and operator spectra via FFT of a phase-swept expectation series.
 
-Series points (time or theta) are independent; each evaluation owns its
-StateVector, so grids can be distributed across workers if desired.  Results
-are always assembled in grid order.
-
-The caller makes U(t) and the routes only apply it: one in-place evolver per
-time for a correlation, and a compiler of Q, which compiles the theta grid a
-chunk at a time, for a spectrum.  So one compilation or diagonalization
-serves every route.
+The caller makes U(t) and the routes only apply it.  A correlation route
+reads one time point: it is given that point's in-place evolver and returns
+one value, so a run walks its time grid once and lets each point go.  A
+spectrum is given a compiler of Q, which compiles the theta grid a chunk at a
+time.  So one compilation or diagonalization serves every route.
 
 The ancilla protocols put one extra qubit after the system qubits.  An
 operation controlled on it runs as the plain operation on the amplitudes with
@@ -19,14 +16,14 @@ the ancilla at 1 (:func:`_half`), not as a controlled gate circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .gates import PAULI
 from .pauli import PauliHamiltonian
-from .statevector import StateVector, apply_dense_unitary, product_state
+from .statevector import StateVector, _apply_matrix, product_state
 from .trotter import Evolver, evolve
 
 if TYPE_CHECKING:
@@ -64,8 +61,7 @@ class CorrelationSpec:
     """Inputs of a dynamical correlation C_VW(t) = <V^dag(t) W> on |initial>.
 
     ``v``/``w`` are Pauli letters (I allowed) acting on sites ``vq``/``wq`` of
-    the ``len(initial)`` system qubits.  The times, and how U(t) is made, are
-    the evolvers the correlation routes are given.
+    the ``len(initial)`` system qubits.  U(t) is the evolver each route is given.
     """
 
     v: str
@@ -84,30 +80,27 @@ class CorrelationSpec:
 
 
 def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> None:
+    # no checks: CorrelationSpec put the site on the register the route builds
     if letter != "I":
-        apply_dense_unitary(state, PAULI[letter], (site,))
+        _apply_matrix(state.amplitudes, state.n_qubits, (site,), PAULI[letter])
 
 
-def correlation_direct(spec: CorrelationSpec, evolutions: Iterable[Evolver]) -> np.ndarray:
-    """C_VW(t) by pure statevector algebra: <V U psi | U W psi>, one value per evolver.
+def correlation_direct(spec: CorrelationSpec, evolve_t: Evolver) -> complex:
+    """C_VW(t) by pure statevector algebra: <V U psi | U W psi> at one time t.
 
-    Each of ``evolutions`` applies one U(t) to a state in place, such as
+    ``evolve_t`` applies U(t) to a state in place, such as
     ``partial(evolve, result=r)`` for a compiled Trotter result ``r`` or one
-    of :func:`~spinsim.trotter.exact_evolvers`; each is applied to two states.
-    An evolver not on ``len(spec.initial)`` qubits is refused.  Any iterable
-    serves, but a generator is used up by one route: give each route its own.
+    of :func:`~spinsim.trotter.exact_evolvers`; it is applied to two states.
+    An evolver not on ``len(spec.initial)`` qubits is refused.
     """
     n = len(spec.initial)
-    out = []
-    for evolve_t in evolutions:
-        right = product_state(n, spec.initial)
-        _apply_pauli_letter(right, spec.w, spec.wq)
-        evolve_t(right)
-        left = product_state(n, spec.initial)
-        evolve_t(left)
-        _apply_pauli_letter(left, spec.v, spec.vq)
-        out.append(np.vdot(left.amplitudes, right.amplitudes))
-    return np.array(out, dtype=complex)
+    right = product_state(n, spec.initial)
+    _apply_pauli_letter(right, spec.w, spec.wq)
+    evolve_t(right)
+    left = product_state(n, spec.initial)
+    evolve_t(left)
+    _apply_pauli_letter(left, spec.v, spec.vq)
+    return complex(np.vdot(left.amplitudes, right.amplitudes))
 
 
 def _half(state: StateVector, bit: int) -> StateVector:
@@ -123,27 +116,23 @@ def _ancilla_readout(state: StateVector) -> complex:
     return complex(2 * np.vdot(_half(state, 0).amplitudes, _half(state, 1).amplitudes))
 
 
-def correlation_ancilla(spec: CorrelationSpec, evolutions: Iterable[Evolver]) -> np.ndarray:
-    """C_VW(t) via the ancilla protocol (Somma et al., PRA 65, 042323 (2002)).
+def correlation_ancilla(spec: CorrelationSpec, evolve_t: Evolver) -> complex:
+    """C_VW(t) at one time t via the ancilla protocol (Somma et al., PRA 65, 042323 (2002)).
 
     One ancilla in |+> follows the system qubits.  W runs on the ancilla's one
     half (controlled), U(t) on the system, V on the zero half (anti-controlled),
     and C is read off the ancilla as <sigma_x> + i <sigma_y>, exactly: there is
-    no shot sampling.  ``evolutions`` is as for :func:`correlation_direct`;
-    each is applied to the two halves of the register.
+    no shot sampling.  ``evolve_t`` is as for :func:`correlation_direct`; it
+    is applied to the two halves of the register.
     """
-    n = len(spec.initial)
-    out = []
-    for evolve_t in evolutions:
-        state = product_state(n + 1, spec.initial + "+")
-        _apply_pauli_letter(_half(state, 1), spec.w, spec.wq)
-        # U(t) acts on the system qubits alone, so it runs on each half: an
-        # evolver on another register is refused rather than reach the ancilla
-        evolve_t(_half(state, 0))
-        evolve_t(_half(state, 1))
-        _apply_pauli_letter(_half(state, 0), spec.v, spec.vq)
-        out.append(_ancilla_readout(state))
-    return np.array(out, dtype=complex)
+    state = product_state(len(spec.initial) + 1, spec.initial + "+")
+    _apply_pauli_letter(_half(state, 1), spec.w, spec.wq)
+    # U(t) acts on the system qubits alone, so it runs on each half: an
+    # evolver on another register is refused rather than reach the ancilla
+    evolve_t(_half(state, 0))
+    evolve_t(_half(state, 1))
+    _apply_pauli_letter(_half(state, 0), spec.v, spec.vq)
+    return _ancilla_readout(state)
 
 
 def spin_correlation(series: np.ndarray) -> np.ndarray:

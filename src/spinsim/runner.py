@@ -535,8 +535,7 @@ def run(cfg: ExperimentConfig) -> str:
         return _run_spectrum(cfg, h, compilers(cfg.plan), header)
     # one time grid and one diagonalization of H for every exact column
     times = np.linspace(0.0, cfg.t_max, cfg.points)
-    exact = trotter.exact_evolvers(h, times)
-    return _run_grid(cfg, compilers, times, exact, header)
+    return _run_grid(cfg, compilers, times, trotter.exact_evolvers(h, times), header)
 
 
 def _check_run_budget(cfg, h, compilers):
@@ -584,13 +583,15 @@ def _run_spectrum(cfg, h, compile_q, header) -> str:
 def _run_grid(cfg, compilers, times, exact, header) -> str:
     """The CSV of a fidelity sweep or an evolution run, over the time grid ``times``.
 
-    Each plan's grid is compiled a chunk at a time as the points are run
-    (:func:`_digital_grids`).  A point's scalar columns read its states: the
+    One pass: at each point its exact evolver (the iterator ``exact``) and its
+    compiled evolutions (:func:`_digital_grids`) run, every column reads them,
+    and the point is let go.  The scalar columns read the point's states: the
     exact one (index 0), then its digital ones, one per grid.
     """
     fidelity = cfg.run_kind == "fidelity"
     scalar_obs = [o for o in cfg.observables if o.kind != "correlation"]
-    corr_obs = [o for o in cfg.observables if o.kind == "correlation"]
+    specs = [observables.CorrelationSpec(*o.args, cfg.initial)
+             for o in cfg.observables if o.kind == "correlation"]
     # (column, observable, index of the state it reads)
     if fidelity:  # each column reads its own digital state against the exact one
         reads = [(_scalar_name(o), o, k + 1) for k, o in enumerate(scalar_obs)]
@@ -598,46 +599,41 @@ def _run_grid(cfg, compilers, times, exact, header) -> str:
         reads = [(_scalar_name(o) + suffix, o, k)
                  for o in scalar_obs for suffix, k in (("", 0), ("_qs", 1))]
     columns = [name for name, _, _ in reads]
-    for o in corr_obs:
-        v, w, i, j = o.args
-        columns += [f"c{v.lower()}{w.lower()}_{i}_{j}_{part}_{route}"
+    for s in specs:
+        columns += [f"c{s.v.lower()}{s.w.lower()}_{s.vq}_{s.wq}_{part}_{route}"
                     for route in ("qs", "digital", "exact") for part in ("re", "im")]
-    if corr_obs:
+    if specs:
         header.append("# correlation columns carry the spin scaling <s s> = <sigma sigma>/4")
         header.append("# qs: ancilla route (trotter); digital: direct route (trotter); exact: direct route (exact propagator)")
 
+    grids = _digital_grids(cfg, compilers, times)
+    n_grids = len(grids)
+    # correlations run the Trotter plan (the last grid), a fixed variant only the scalars
+    if specs and cfg.heis2_variant:
+        grids.append(compilers(cfg.plan).iter_grid(times))
     table = np.zeros((len(times), len(columns)))
+    corr = np.zeros((len(times), len(specs), 3), dtype=complex)
     psi0 = product_state(cfg.n_qubits, cfg.initial)
-    steps_used, routes = [], []
-    for row, exact_t, results in zip(table, exact, zip(*_digital_grids(cfg, compilers, times))):
-        steps_used.append([r.n_steps_used for r in results])
+    steps_used = []
+    for k, (exact_t, results) in enumerate(zip(exact, zip(*grids))):
+        steps_used.append([r.n_steps_used for r in results[:n_grids]])
         if reads:
-            states = [exact_t(psi0.copy())] + [trotter.evolve(psi0.copy(), r) for r in results]
-            row[:len(reads)] = [_scalar_value(o, states[k], states[0]) for _, o, k in reads]
-        if corr_obs:
-            routes.append(results[0])
-    # the correlation routes always run the Trotter plan; a fixed variant
-    # replaces it in the scalar columns only
-    if corr_obs and cfg.heis2_variant:
-        routes = list(compilers(cfg.plan).iter_grid(times))
-    trotterized = [partial(trotter.evolve, result=r) for r in routes]
-    col = len(reads)
-    for o in corr_obs:
-        spec = observables.CorrelationSpec(*o.args, cfg.initial)
-        qs = observables.spin_correlation(observables.correlation_ancilla(spec, trotterized))
-        direct = observables.spin_correlation(observables.correlation_direct(spec, trotterized))
-        exact_c = observables.spin_correlation(observables.correlation_direct(spec, exact))
-        table[:, col + 0], table[:, col + 1] = qs.real, qs.imag
-        table[:, col + 2], table[:, col + 3] = direct.real, direct.imag
-        table[:, col + 4], table[:, col + 5] = exact_c.real, exact_c.imag
-        col += 6
+            states = [exact_t(psi0.copy())] + [trotter.evolve(psi0.copy(), r)
+                                               for r in results[:n_grids]]
+            table[k, :len(reads)] = [_scalar_value(o, states[i], states[0]) for _, o, i in reads]
+        if specs:
+            trotterized = partial(trotter.evolve, result=results[-1])
+            corr[k] = [(observables.correlation_ancilla(spec, trotterized),
+                        observables.correlation_direct(spec, trotterized),
+                        observables.correlation_direct(spec, exact_t)) for spec in specs]
+    # each route's re and im, in that order, with the spin scaling
+    table[:, len(reads):] = observables.spin_correlation(corr).reshape(len(times), -1).view(float)
     # a fixed variant takes one step, as does the Trotter plan on its commuting
     # two-qubit model
     for k, label in enumerate([f"[{name}]" for name in columns] if fidelity else [""]):
         header.append(f"# n_steps_used{label}: {' '.join(str(n[k]) for n in steps_used)}")
     rows = [("delta," if fidelity else "t,") + ",".join(columns)]
-    for k, t in enumerate(times):
-        rows.append(",".join([_fmt(t)] + [_fmt(x) for x in table[k]]))
+    rows += [",".join(map(_fmt, (t, *row))) for t, row in zip(times, table)]
     return "\n".join(header + rows) + "\n"
 
 

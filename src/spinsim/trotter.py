@@ -40,8 +40,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -505,11 +505,14 @@ def trotterize(
     return TrotterCompiler(h, plan, gate_set)(t)
 
 
-def _exact_phases(w: np.ndarray, t: float) -> np.ndarray:
-    """e^{-i w t} for the eigenvalues ``w``; a non-finite time or phase is an InputError."""
+def _exact_phases(w: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    """e^{-i w t} for the eigenvalues ``w``, a row per t; a non-finite one is an InputError."""
+    times = np.asarray(times, dtype=float)
     with np.errstate(all="ignore"):  # a non-finite phase is rejected below
-        phases = np.exp(-1j * w * t)
-    if not np.isfinite(phases).all():
+        phases = np.exp(-1j * w * times[:, None])
+    finite = np.isfinite(phases).all(axis=1)
+    if not finite.all():
+        t = times[~finite][0]
         raise InputError(f"exact evolution needs a finite time and phase, got t = {t}")
     return phases
 
@@ -531,32 +534,32 @@ def _eigh(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
 def exact_propagator(h: PauliHamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) via Hermitian eigendecomposition of the dense Hamiltonian."""
     w, v = _eigh(h)
-    return (v * _exact_phases(w, t)) @ v.conj().T
+    return (v * _exact_phases(w, [t])[0]) @ v.conj().T
 
 
-def exact_evolvers(h: PauliHamiltonian, times: Iterable[float]) -> list[Evolver]:
+def exact_evolvers(h: PauliHamiltonian, times: Sequence[float]) -> Iterator[Evolver]:
     """exp(-i H t) for each of ``times``, as functions evolving a state in place.
 
-    Diagonalizes the dense Hamiltonian once, H = V diag(w) V^dag.  The function
-    for t applies V e^{-iwt} V^dag to a state on H's register.
+    Diagonalizes the dense Hamiltonian once, at the call, H = V diag(w) V^dag.
+    The function for t applies V e^{-iwt} V^dag to a state on H's register.
+    The iterator makes the phases of ``GRID_CHUNK`` amplitudes (one point or
+    more) at a time as it reaches them, so a grid holds one chunk's phases, not
+    every point's; a non-finite t is refused there.
     """
     w, v = _eigh(h)
 
-    def evolver(t: float) -> Evolver:
-        phases = _exact_phases(w, t)
+    def apply(phases: np.ndarray, state: StateVector) -> StateVector:
+        if h.n_qubits != state.n_qubits:
+            raise InputError(f"state has {state.n_qubits} qubits, H acts on {h.n_qubits}")
+        x = state.amplitudes.reshape(len(w), -1)
+        # V^dag x as conj(V^T conj(x)): no conjugated copy of V
+        coeffs = (v.T @ x.conj()).conj()
+        state.amplitudes[:] = (v @ (phases[:, None] * coeffs)).reshape(-1)
+        return state
 
-        def apply(state: StateVector) -> StateVector:
-            if h.n_qubits != state.n_qubits:
-                raise InputError(f"state has {state.n_qubits} qubits, H acts on {h.n_qubits}")
-            x = state.amplitudes.reshape(len(w), -1)
-            # V^dag x as conj(V^T conj(x)): no conjugated copy of V
-            coeffs = (v.T @ x.conj()).conj()
-            state.amplitudes[:] = (v @ (phases[:, None] * coeffs)).reshape(-1)
-            return state
-
-        return apply
-
-    return [evolver(float(t)) for t in times]
+    size = max(1, GRID_CHUNK // len(w))
+    return (partial(apply, phases) for k in range(0, len(times), size)
+            for phases in _exact_phases(w, times[k:k + size]))
 
 
 def digital_fidelity(
@@ -569,7 +572,7 @@ def digital_fidelity(
     """|<psi_exact(t) | psi_trotter(t)>| on the statevector backend."""
     if psi0.n_qubits != h.n_qubits:
         raise InputError("state and Hamiltonian register sizes differ")
-    exact = exact_evolvers(h, (t,))[0](psi0.copy())
+    exact = next(exact_evolvers(h, (t,)))(psi0.copy())
     digital = evolve(psi0.copy(), trotterize(h, t, plan, gate_set))
     return float(abs(inner_product(exact, digital)))
 

@@ -43,6 +43,7 @@ from spinsim.pauli import FermionHamiltonian, FermionTerm, jw_ladder, string_mat
 from spinsim.runner import figure_preset, run
 from spinsim.statevector import StateVector, apply_gate
 from spinsim.trotter import exact_evolvers, exact_propagator
+from test_observables import per_point
 
 RNG = np.random.default_rng(123456)
 
@@ -233,15 +234,15 @@ def test_criterion_6_fig6_correlations():
         n64 = TrotterCompiler(h, TrotterPlan.fixed_n(64, order=2))
         trotter5 = [partial(evolve, result=n5(t)) for t in times]
         trotter64 = [partial(evolve, result=n64(t)) for t in times]
-        exact_t = exact_evolvers(h, times)
+        exact_t = list(exact_evolvers(h, times))
         for site in (1, 2, 3):
             spec = CorrelationSpec(v="X", w="X", vq=site, wq=1, initial="111")
-            direct5 = spinsim.spin_correlation(correlation_direct(spec, trotter5))
-            ancilla5 = spinsim.spin_correlation(correlation_ancilla(spec, trotter5))
+            direct5 = spinsim.spin_correlation(per_point(correlation_direct, spec, trotter5))
+            ancilla5 = spinsim.spin_correlation(per_point(correlation_ancilla, spec, trotter5))
             assert np.max(np.abs(direct5 - ancilla5)) <= 1e-10
-            exact = spinsim.spin_correlation(correlation_direct(spec, exact_t))
-            d64 = spinsim.spin_correlation(correlation_direct(spec, trotter64))
-            a64 = spinsim.spin_correlation(correlation_ancilla(spec, trotter64))
+            exact = spinsim.spin_correlation(per_point(correlation_direct, spec, exact_t))
+            d64 = spinsim.spin_correlation(per_point(correlation_direct, spec, trotter64))
+            a64 = spinsim.spin_correlation(per_point(correlation_ancilla, spec, trotter64))
             assert np.max(np.abs(d64 - exact)) <= 2e-3
             assert np.max(np.abs(a64 - exact)) <= 2e-3
     sw.check("6 (fig6 correlation routes)")

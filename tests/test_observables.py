@@ -45,6 +45,11 @@ def trotter_evolvers(h, times, plan, gate_set=GateSet.S1):
     return [partial(evolve, result=compile_at(t)) for t in times]
 
 
+def per_point(route, spec, evolvers):
+    """A correlation route's value at each of ``evolvers``, as one array."""
+    return np.array([route(spec, u) for u in evolvers])
+
+
 def series_of(spec, plan=TrotterPlan.fixed_eps(0.1), gate_set=GateSet.S1):
     """The spec's expectation series, Q compiled under ``plan`` on ``gate_set``."""
     return unitary_expectation_series(spec, TrotterCompiler(spec.operator, plan, gate_set))
@@ -93,11 +98,11 @@ class TestCorrelationDirect:
     def test_identity_pair_is_one(self):
         spec = CorrelationSpec(v="I", w="I", vq=1, wq=1, initial="111")
         exact = exact_evolvers(fig6_system(), np.linspace(0, 2, 5))
-        assert np.allclose(correlation_direct(spec, exact), 1.0)
+        assert np.allclose(per_point(correlation_direct, spec, exact), 1.0)
 
     def test_equal_time_xx_autocorrelation(self):
         spec = CorrelationSpec(v="X", w="X", vq=1, wq=1, initial="111")
-        raw = correlation_direct(spec, exact_evolvers(fig6_system(), [0.0]))
+        raw = per_point(correlation_direct, spec, exact_evolvers(fig6_system(), [0.0]))
         assert raw[0] == pytest.approx(1.0)
         assert spin_correlation(raw)[0] == pytest.approx(0.25)
 
@@ -105,15 +110,15 @@ class TestCorrelationDirect:
         # C_VV(-t) = conj(C_VV(t)) under exact evolution
         ts = np.linspace(0.1, 1.5, 6)
         spec = CorrelationSpec(v="X", w="X", vq=2, wq=2, initial="111")
-        fwd = correlation_direct(spec, exact_evolvers(fig6_system(), ts))
-        bwd = correlation_direct(spec, exact_evolvers(fig6_system(), -ts))
+        fwd = per_point(correlation_direct, spec, exact_evolvers(fig6_system(), ts))
+        bwd = per_point(correlation_direct, spec, exact_evolvers(fig6_system(), -ts))
         assert np.max(np.abs(bwd - np.conj(fwd))) <= 1e-10
 
     def test_bounded_by_one(self):
-        exact = exact_evolvers(fig6_system(), np.linspace(0, 3, 7))
+        exact = list(exact_evolvers(fig6_system(), np.linspace(0, 3, 7)))
         for v, w in (("X", "Y"), ("Z", "X"), ("Y", "Y")):
             spec = CorrelationSpec(v=v, w=w, vq=1, wq=3, initial="100")
-            assert np.all(np.abs(correlation_direct(spec, exact)) <= 1.0 + 1e-12)
+            assert np.all(np.abs(per_point(correlation_direct, spec, exact)) <= 1.0 + 1e-12)
 
     def test_conservation_witness(self):
         # <s_z1 + s_z2> constant under the 2-qubit Heisenberg evolution
@@ -130,12 +135,12 @@ class TestRouteEquivalence:
     def test_ancilla_identity_pair(self):
         spec = CorrelationSpec(v="I", w="I", vq=1, wq=1, initial="111")
         compiled = trotter_evolvers(fig6_system(), np.linspace(0, 2, 4), TrotterPlan.fixed_n(5))
-        assert np.allclose(correlation_ancilla(spec, compiled), 1.0)
+        assert np.allclose(per_point(correlation_ancilla, spec, compiled), 1.0)
 
     def test_fig6_autocorrelation_t0(self):
         spec = CorrelationSpec(v="X", w="X", vq=1, wq=1, initial="111")
         compiled = trotter_evolvers(fig6_system(), [0.0], TrotterPlan.fixed_n(5))
-        assert spin_correlation(correlation_ancilla(spec, compiled))[0] == pytest.approx(
+        assert spin_correlation(per_point(correlation_ancilla, spec, compiled))[0] == pytest.approx(
             0.25, abs=1e-10
         )
 
@@ -146,20 +151,20 @@ class TestRouteEquivalence:
         for vq in (1, 2, 3):
             for wq in (1, 2, 3):
                 spec = CorrelationSpec(v=v, w=w, vq=vq, wq=wq, initial="111")
-                direct = correlation_direct(spec, compiled)
-                ancilla = correlation_ancilla(spec, compiled)
+                direct = per_point(correlation_direct, spec, compiled)
+                ancilla = per_point(correlation_ancilla, spec, compiled)
                 assert np.max(np.abs(direct - ancilla)) <= 1e-10
 
     def test_exact_evolution_routes_agree(self):
         spec = CorrelationSpec(v="Y", w="X", vq=3, wq=1, initial="111")
-        exact = exact_evolvers(fig6_system(), np.linspace(0, 2, 5))
-        d = correlation_direct(spec, exact)
-        a = correlation_ancilla(spec, exact)
+        exact = list(exact_evolvers(fig6_system(), np.linspace(0, 2, 5)))
+        d = per_point(correlation_direct, spec, exact)
+        a = per_point(correlation_ancilla, spec, exact)
         assert np.max(np.abs(d - a)) <= 1e-10
 
 
 class TestGivenEvolutions:
-    """Either route applies the in-place evolvers it is given, one value per evolver."""
+    """Either route applies the in-place evolver it is given and returns one value."""
 
     SPEC = CorrelationSpec(v="Y", w="X", vq=3, wq=1, initial="101")
     TIMES = np.linspace(0, 2, 5)
@@ -167,26 +172,29 @@ class TestGivenEvolutions:
 
     def test_exact_evolvers_serve_both_routes(self):
         # one list of evolvers, applied by both routes, gives what fresh ones give
-        exact = exact_evolvers(fig6_system(), self.TIMES)
+        exact = list(exact_evolvers(fig6_system(), self.TIMES))
         for route in (correlation_direct, correlation_ancilla):
             fresh = exact_evolvers(fig6_system(), self.TIMES)
-            assert np.array_equal(route(self.SPEC, exact), route(self.SPEC, fresh))
+            assert np.array_equal(per_point(route, self.SPEC, exact),
+                                  per_point(route, self.SPEC, fresh))
 
     def test_trotterize_evolvers_match_the_compiler(self):
         h = fig6_system()
         compiled = [partial(evolve, result=trotterize(h, t, self.PLAN)) for t in self.TIMES]
         compiler_route = trotter_evolvers(h, self.TIMES, self.PLAN)
         for route in (correlation_direct, correlation_ancilla):
-            assert np.array_equal(route(self.SPEC, compiled), route(self.SPEC, compiler_route))
+            assert np.array_equal(per_point(route, self.SPEC, compiled),
+                                  per_point(route, self.SPEC, compiler_route))
 
     @pytest.mark.parametrize("route", [correlation_direct, correlation_ancilla],
                              ids=["direct", "ancilla"])
-    def test_generator_gives_one_value_per_evolver(self, route):
+    def test_one_value_per_call(self, route):
         h = fig6_system()
         compile_at = TrotterCompiler(h, self.PLAN)
-        got = route(self.SPEC, (partial(evolve, result=compile_at(t)) for t in self.TIMES))
-        assert got.shape == (len(self.TIMES),)
-        assert np.array_equal(got, route(self.SPEC, trotter_evolvers(h, self.TIMES, self.PLAN)))
+        for t, evolve_t in zip(self.TIMES, trotter_evolvers(h, self.TIMES, self.PLAN)):
+            got = route(self.SPEC, partial(evolve, result=compile_at(t)))
+            assert isinstance(got, complex)
+            assert got == route(self.SPEC, evolve_t)
 
     def test_exact_route_against_dense_oracle(self):
         h = fig6_system()
@@ -197,13 +205,13 @@ class TestGivenEvolutions:
             x1 = np.kron(PAULI["X"], np.eye(4))
             y3 = np.kron(np.eye(4), PAULI["Y"])
             want.append(np.vdot(y3 @ u @ psi, u @ x1 @ psi))
-        got = correlation_direct(self.SPEC, exact_evolvers(h, self.TIMES))
+        got = per_point(correlation_direct, self.SPEC, exact_evolvers(h, self.TIMES))
         assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
     def test_exact_route_rejects_non_finite_time(self, bad):
         with pytest.raises(InputError):
-            correlation_direct(self.SPEC, exact_evolvers(fig6_system(), [0.0, 1.0, bad]))
+            per_point(correlation_direct, self.SPEC, exact_evolvers(fig6_system(), [0.0, 1.0, bad]))
 
 
 class TestSpecValidation:
@@ -226,7 +234,7 @@ class TestSpecValidation:
         else:
             evolutions = exact_evolvers(h, [0.0])
         with pytest.raises(InputError):
-            route(spec, evolutions)
+            per_point(route, spec, evolutions)
 
     @pytest.mark.parametrize("route", [correlation_direct, correlation_ancilla])
     @pytest.mark.parametrize("trotterized", [False, True])
@@ -240,7 +248,7 @@ class TestSpecValidation:
         else:
             evolutions = exact_evolvers(h, [0.3, 0.7])
         with pytest.raises(InputError):
-            route(spec, evolutions)
+            per_point(route, spec, evolutions)
 
 
 class TestUnitaryExpectationSeries:
@@ -432,13 +440,13 @@ class TestAncillaHalfAgainstControlledCircuit:
         h = heisenberg_chain(3, [1.0, 0.7], 0.9)
         times = np.linspace(-0.5, 1.5, 5)
         evolvers = (
-            exact_evolvers(h, times) if evolution == "exact"
+            list(exact_evolvers(h, times)) if evolution == "exact"
             else trotter_evolvers(h, times, TrotterPlan.fixed_n(4, order=2), GateSet.S2)
         )
         for vq, wq in ((1, 1), (1, 3), (2, 1)):
             spec = CorrelationSpec(v=v, w=w, vq=vq, wq=wq, initial="0+1")
             want = controlled_correlation(spec, evolvers)
-            assert np.max(np.abs(correlation_ancilla(spec, evolvers) - want)) <= 1e-12
+            assert np.max(np.abs(per_point(correlation_ancilla, spec, evolvers) - want)) <= 1e-12
 
 
 ANCILLA_CONFIG = """

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -227,6 +228,8 @@ MALFORMED = [
     pytest.param(loads_circuit, "CNOT() 1 1\n", id="target-repeated"),
     pytest.param(loads_circuit, "Foo(0.1) 1\n", id="unknown-kind"),
     pytest.param(loads_circuit, "qubits 1\nCNOT() 1 2\n", id="target-outside-register"),
+    pytest.param(loads_circuit, "qubits 2\nqubits 3\n", id="qubits-repeated"),
+    pytest.param(loads_circuit, "qubits 2\nphase 0.5\nphase 0.25\n", id="phase-repeated"),
     pytest.param(parse_hamiltonian, "one XX\n", id="coef-word"),
     pytest.param(parse_hamiltonian, "nan XX\n", id="coef-nan"),
     pytest.param(parse_hamiltonian, "-inf ZZ\n", id="coef-inf"),
@@ -242,6 +245,11 @@ MALFORMED = [
 def test_malformed_input_raises_input_error(parse, text):
     with pytest.raises(InputError):
         parse(text)
+
+
+def test_repeated_circuit_header_names_its_line():
+    with pytest.raises(InputError, match="line 3: `qubits` given more than once"):
+        loads_circuit("qubits 2\nphase 0.5\nqubits 3\nCNOT() 1 3\nphase 0.25\n")
 
 
 @pytest.mark.parametrize("text, field", [
@@ -471,6 +479,29 @@ class TestRun:
         )
         header, rows = parse_csv(run(cfg))
         assert rows.shape == (3, 7)
+
+    @pytest.mark.parametrize("observable", ["correlation X X 1 1", "magnetization 1"])
+    def test_memory_flat_in_grid_length(self, monkeypatch, observable):
+        # the grid is walked once and each point let go: its compiled result
+        # with the folded 64 x 64 step, and its exact phases.  Past the table
+        # and the CSV text, the peak does not grow with the points; kept for
+        # the whole grid, they grow it by about 85 kB and 1.6 kB a point here
+        monkeypatch.setattr(trotter, "GRID_CHUNK", 8)
+        peaks = {}
+        for points in (16, 64):
+            cfg = parse_config(
+                "[model]\nkind = heisenberg\nn_qubits = 6\nbg = 0.5\n"
+                "[initial]\nstate = 010011\n[evolution]\nschedule = fixed_n\nsteps = 64\n"
+                f"[time]\nmax = 2.0\npoints = {points}\n[observables]\nobservable = {observable}\n"
+            )
+            tracemalloc.start()
+            try:
+                run(cfg)
+                peaks[points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (n1, p1), (n2, p2) = peaks.items()
+        assert (p2 - p1) / (n2 - n1) < 500
 
     def test_spectrum_header_names_the_plan_that_ran(self):
         # a spectrum config's schedule defaults to fixed_eps(0.1), under the order it sets

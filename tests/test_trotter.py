@@ -636,6 +636,25 @@ class TestExactEvolvers:
             assert np.max(np.abs(backing[::-2] - want)) <= 1e-12
             assert np.all(backing[::2] == 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_phases_made_a_chunk_at_a_time(self, monkeypatch, n):
+        # 8 amplitudes a chunk: 4, 2 and 1 points, so the times cross chunks
+        monkeypatch.setattr(trotter, "GRID_CHUNK", 8)
+        h = random_real_pauli_hamiltonian(n)
+        times = np.linspace(-1.0, 2.0, 7)
+        for t, evolve_t in zip(times, exact_evolvers(h, times)):
+            psi = random_state(n)
+            want = exact_propagator(h, t) @ psi.amplitudes
+            assert np.max(np.abs(evolve_t(psi).amplitudes - want)) <= 1e-12
+
+    def test_non_finite_time_refused_when_reached(self, monkeypatch):
+        # one point a chunk: the points before the bad time are given first
+        monkeypatch.setattr(trotter, "GRID_CHUNK", 4)
+        evolvers = exact_evolvers(heisenberg_chain(2, 1.0, 0.5), [0.0, 0.5, float("nan")])
+        next(evolvers), next(evolvers)
+        with pytest.raises(InputError, match="finite time and phase, got t = nan"):
+            next(evolvers)
+
     def test_evolvers_reused_across_states(self):
         h = random_real_pauli_hamiltonian(3)
         (evolve_t,) = exact_evolvers(h, [0.8])
@@ -649,7 +668,7 @@ class TestExactEvolvers:
                              ids=["nan", "inf", "-inf", "phase-overflows"])
     def test_non_finite_time_or_phase_rejected(self, t):
         with pytest.raises(InputError, match="finite time and phase"):
-            exact_evolvers(heisenberg_chain(2, 1.0, 0.5), [0.0, t])
+            list(exact_evolvers(heisenberg_chain(2, 1.0, 0.5), [0.0, t]))
         with pytest.raises(InputError, match="finite time and phase"):
             exact_propagator(heisenberg_chain(2, 1.0, 0.5), t)
 
