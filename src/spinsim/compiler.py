@@ -31,8 +31,9 @@ multiplies in only the angle gates' matrices, for a whole stack of angle rows
 at once: each slot's matrices and each block are stacks with one matrix per
 row.  Its product loop is the only one: a plain circuit's blocks are those of
 a template with no open angles.  Each circuit a fill gives runs its row of the
-stacked blocks as they are, and builds its gates only where they are read (a
-dump, a count, an unrolled evolution).
+stacked blocks as they are, knows them (``Circuit.stack``) as its inverse
+does, and builds its gates only where they are read (a dump, a count, an
+unrolled evolution).
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ class Circuit:
     n_qubits: int
     ops: tuple[GateOp, ...]
     global_phase: float = 0.0
+    #: (stacked blocks, row, inverted) for the row of a fill or its inverse, else None
+    stack = None
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -121,13 +124,14 @@ class _LazyCircuit(Circuit):
 
     ``blocks()`` and ``build()`` return them; the ops are on the targets the
     blocks were made from, which the maker of the blocks checked against the
-    register.
+    register.  ``stack`` is as for :class:`Circuit`.
     """
 
     def __init__(self, n_qubits: int, n_gates: int, blocks: Callable[[], tuple[Block, ...]],
-                 build: Callable[[], Sequence[GateOp]], global_phase: float = 0.0):
+                 build: Callable[[], Sequence[GateOp]], global_phase: float = 0.0,
+                 stack: tuple | None = None):
         self.__dict__.update(n_qubits=n_qubits, n_gates=n_gates, global_phase=global_phase,
-                             _blocks=blocks, _build=build)
+                             _blocks=blocks, _build=build, stack=stack)
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -551,7 +555,7 @@ class CircuitTemplate:
                 matrices[s] = m
         filled = _Fill(self, params, matrices, self.blocks(matrices))
         return [_LazyCircuit(self.n_qubits, len(self._members), partial(filled.blocks_at, row),
-                             partial(filled.ops_at, row))
+                             partial(filled.ops_at, row), stack=(filled.blocks, row, False))
                 for row in range(len(rows))]
 
 
@@ -683,6 +687,7 @@ def inverse_circuit(c: Circuit) -> Circuit:
         lambda: tuple((targets, u.conj().T) for targets, u in reversed(c.blocks)),
         lambda: [_inverse_op(op) for op in reversed(c.ops)],
         -c.global_phase,
+        None if c.stack is None else (*c.stack[:2], not c.stack[2]),
     )
 
 

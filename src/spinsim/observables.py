@@ -6,7 +6,8 @@ The caller makes U(t) and the routes only apply it.  A correlation route
 reads one time point: it is given that point's in-place evolver and returns
 one value, so a run walks its time grid once and lets each point go.  A
 spectrum is given a compiler of Q, which compiles the theta grid a chunk at a
-time.  So one compilation or diagonalization serves every route.
+time and evolves it a stack of states at a time.  So one compilation or
+diagonalization serves every route.
 
 The ancilla protocols put one extra qubit after the system qubits.  An
 operation controlled on it runs as the plain operation on the amplitudes with
@@ -24,7 +25,7 @@ from .errors import InputError
 from .gates import PAULI
 from .pauli import PauliHamiltonian
 from .statevector import StateVector, _apply_matrix, product_state
-from .trotter import Evolver, evolve
+from .trotter import Evolver, evolve_stack, iter_stacks
 
 if TYPE_CHECKING:
     from .trotter import TrotterCompiler
@@ -111,11 +112,6 @@ def _half(state: StateVector, bit: int) -> StateVector:
     return StateVector(state.n_qubits - 1, state.amplitudes[bit::2])
 
 
-def _ancilla_readout(state: StateVector) -> complex:
-    """<2 sigma_+> = <sigma_x> + i <sigma_y> on the trailing ancilla."""
-    return complex(2 * np.vdot(_half(state, 0).amplitudes, _half(state, 1).amplitudes))
-
-
 def correlation_ancilla(spec: CorrelationSpec, evolve_t: Evolver) -> complex:
     """C_VW(t) at one time t via the ancilla protocol (Somma et al., PRA 65, 042323 (2002)).
 
@@ -132,7 +128,8 @@ def correlation_ancilla(spec: CorrelationSpec, evolve_t: Evolver) -> complex:
     evolve_t(_half(state, 0))
     evolve_t(_half(state, 1))
     _apply_pauli_letter(_half(state, 0), spec.v, spec.vq)
-    return _ancilla_readout(state)
+    # <2 sigma_+> = <sigma_x> + i <sigma_y> on the ancilla
+    return complex(2 * np.vdot(state.amplitudes[0::2], state.amplitudes[1::2]))
 
 
 def spin_correlation(series: np.ndarray) -> np.ndarray:
@@ -172,19 +169,26 @@ def unitary_expectation_series(spec: SpectrumSpec, compiler: TrotterCompiler) ->
 
     ``compiler`` compiles Q, such as a :class:`~spinsim.trotter.TrotterCompiler`
     of Q; its ``iter_grid`` compiles the thetas a chunk at a time, each chunk
-    in one call that fills the step's angle slots for all its thetas at once,
-    so memory does not grow with the grid.  Each compiled evolution, global
-    phase included, runs on the ancilla-one half of |psi>|+>: that is
-    exp(-i Q theta) controlled on the ancilla, on any gate set.
+    in one call that fills the step's angle slots for all its thetas at once.
+    Each compiled evolution, global phase included, runs on the ancilla-one
+    half of |psi>|+>: that is exp(-i Q theta) controlled on the ancilla, on
+    any gate set.  A stack of thetas (:func:`~spinsim.trotter.iter_stacks`)
+    evolves copies of that half as one (:func:`~spinsim.trotter.evolve_stack`),
+    each read against the ancilla-zero half, which no theta changes.
     """
+    n = spec.operator.n_qubits
+    start = product_state(n + 1, spec.initial + "+").amplitudes
+    # the zero half as a stride-2 view, so that each product below is the
+    # strided dot np.vdot takes on a register's two halves, bit for bit
+    zero = start.conj()[0::2]
     dtheta = spec.spacing()
-    start = product_state(spec.operator.n_qubits + 1, spec.initial + "+")
-    out = np.empty(spec.m, dtype=complex)
     thetas = [k * dtheta for k in range(spec.m)]
-    for k, result in enumerate(compiler.iter_grid(thetas)):
-        state = start.copy()
-        evolve(_half(state, 1), result)
-        out[k] = _ancilla_readout(state)
+    out = np.empty(spec.m, dtype=complex)
+    k = 0
+    for results in iter_stacks(compiler.iter_grid(thetas), n):
+        ones = evolve_stack(np.tile(start[1::2], (len(results), 1)), results)
+        out[k:k + len(results)] = 2 * np.matmul(zero, ones[:, :, None])[:, 0]
+        k += len(results)
     return out
 
 
@@ -242,8 +246,10 @@ def spectrum_from_series(
     m = len(series)
     if m < 2 or m & (m - 1):
         raise InputError(f"series length must be a power of two, got {m}")
-    if dtheta <= 0:
-        raise InputError(f"dtheta must be positive, got {dtheta}")
+    if not 0 < dtheta < np.inf:
+        raise InputError(f"dtheta must be positive and finite, got {dtheta}")
+    if not np.isfinite(series).all():
+        raise InputError("series entries must be finite")
     qvals = -2 * np.pi * np.fft.fftfreq(m, d=dtheta)
     bin_width = 2 * np.pi / (m * dtheta)
     thetas = np.arange(m) * dtheta

@@ -583,10 +583,11 @@ def _run_spectrum(cfg, h, compile_q, header) -> str:
 def _run_grid(cfg, compilers, times, exact, header) -> str:
     """The CSV of a fidelity sweep or an evolution run, over the time grid ``times``.
 
-    One pass: at each point its exact evolver (the iterator ``exact``) and its
-    compiled evolutions (:func:`_digital_grids`) run, every column reads them,
-    and the point is let go.  The scalar columns read the point's states: the
-    exact one (index 0), then its digital ones, one per grid.
+    One pass, a stack of points at a time: each grid's compiled evolutions
+    (:func:`_digital_grids`) evolve the stack's digital states as one.  Then at
+    each point its exact evolver (the iterator ``exact``) runs, every column
+    reads the point, and the point is let go.  The scalar columns read the
+    point's states: the exact one (index 0), then its digital ones, one per grid.
     """
     fidelity = cfg.run_kind == "fidelity"
     scalar_obs = [o for o in cfg.observables if o.kind != "correlation"]
@@ -615,17 +616,25 @@ def _run_grid(cfg, compilers, times, exact, header) -> str:
     corr = np.zeros((len(times), len(specs), 3), dtype=complex)
     psi0 = product_state(cfg.n_qubits, cfg.initial)
     steps_used = []
-    for k, (exact_t, results) in enumerate(zip(exact, zip(*grids))):
-        steps_used.append([r.n_steps_used for r in results[:n_grids]])
-        if reads:
-            states = [exact_t(psi0.copy())] + [trotter.evolve(psi0.copy(), r)
-                                               for r in results[:n_grids]]
-            table[k, :len(reads)] = [_scalar_value(o, states[i], states[0]) for _, o, i in reads]
-        if specs:
-            trotterized = partial(trotter.evolve, result=results[-1])
-            corr[k] = [(observables.correlation_ancilla(spec, trotterized),
-                        observables.correlation_direct(spec, trotterized),
-                        observables.correlation_direct(spec, exact_t)) for spec in specs]
+    for stacks in zip(*(trotter.iter_stacks(grid, cfg.n_qubits) for grid in grids)):
+        if reads:  # each grid's digital states at these points, evolved as one stack
+            digital = [trotter.evolve_stack(np.tile(psi0.amplitudes, (len(s), 1)), s)
+                       for s in stacks[:n_grids]]
+        for s in stacks:  # popped point by point, so each result is let go after its point
+            s.reverse()
+        for i, exact_t in zip(range(len(stacks[0])), exact):
+            k = len(steps_used)
+            results = [s.pop() for s in stacks]
+            steps_used.append([r.n_steps_used for r in results[:n_grids]])
+            if reads:
+                states = [exact_t(psi0.copy())] + [StateVector(cfg.n_qubits, d[i]) for d in digital]
+                table[k, :len(reads)] = [_scalar_value(o, states[j], states[0])
+                                         for _, o, j in reads]
+            if specs:
+                trotterized = partial(trotter.evolve, result=results[-1])
+                corr[k] = [(observables.correlation_ancilla(spec, trotterized),
+                            observables.correlation_direct(spec, trotterized),
+                            observables.correlation_direct(spec, exact_t)) for spec in specs]
     # each route's re and im, in that order, with the spin scaling
     table[:, len(reads):] = observables.spin_correlation(corr).reshape(len(times), -1).view(float)
     # a fixed variant takes one step, as does the Trotter plan on its commuting

@@ -9,7 +9,8 @@ Conventions:
 Gates apply in place over strided views of the amplitudes.  The kernels
 take one matrix on a run of at most ``_MAX_RUN`` adjacent qubits in
 cache-sized chunks, or on any targets through a transpose; ``compiler`` plans
-a circuit's blocks to these run widths.  :func:`apply_gate` applies a single
+a circuit's blocks to these run widths.  A stack of states in one chunk runs
+as one batched product (:func:`_apply_matrix`).  :func:`apply_gate` applies a single
 gate, with strided fast paths for diagonal and permutation gates.
 A StateVector is a single-writer value: at most one mutating operation at a
 time.  Distinct instances are independent and safe on different threads.
@@ -131,6 +132,10 @@ def _is_run(targets: tuple[int, ...]) -> bool:
 
 def _apply_run(amps: np.ndarray, n: int, q: int, u: np.ndarray):
     """``u`` on the k <= ``_MAX_RUN`` adjacent qubits q..q+k-1, qubit q its high bit."""
+    if amps.ndim == 2:  # a stack in one chunk: one batched product, as for one state below
+        view = amps.reshape(len(amps), 2 ** (q - 1), u.shape[-1], -1)
+        np.copyto(view, np.matmul(u if u.ndim == 2 else u[:, None], view))
+        return
     dim = len(u)
     left = 2 ** (q - 1)
     right = amps.size // (left * dim)
@@ -173,10 +178,18 @@ def _apply_dense(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarr
 
 
 def _apply_matrix(amps: np.ndarray, n: int, targets: tuple[int, ...], u: np.ndarray):
+    """``u`` on ``targets`` of one state's ``amps``, or of each row of a (g, 2^n) stack
+    with ``u`` one matrix or g: as one batched product where the stack fits one chunk
+    below ``_LARGE_REGISTER`` qubits, else row by row."""
     if len(targets) <= _MAX_RUN and _is_run(targets):
-        _apply_run(amps, n, targets[0], u)
-    else:
+        if amps.ndim == 1 or n < _LARGE_REGISTER and amps.size <= _CHUNK:
+            _apply_run(amps, n, targets[0], u)
+            return
+    elif amps.ndim == 1:
         _apply_dense(amps, n, targets, u)
+        return
+    for row, m in zip(amps, u if u.ndim == 3 else [u] * len(amps)):
+        _apply_matrix(row, n, targets, m)
 
 
 def _apply_diag_1q(amps, n, q, d0, d1):

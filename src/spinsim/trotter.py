@@ -26,10 +26,13 @@ only if they are read.  Calling the compiler at one time t is the one-point
 grid, and ``trotterize`` is one such call.
 
 A compiled evolution is one Trotter step and its repeat count, not the
-unrolled gate list: ``evolve`` applies the hoisted prefix, then the step n
-times, then the global phase once.  Where it is cheaper than the gates, the
-step is folded into one dense matrix U, and U^n, formed by repeated squaring
-in about log2(n) products, is applied once in place of n passes of its gates.
+unrolled gate list: it applies the hoisted prefix, then the step n times, then
+the global phase once.  :func:`evolve_stack` evolves a stack of states, such
+as one initial state at a stack of a grid's points (:func:`iter_stacks`), and
+``evolve`` one state.  Where it is cheaper than the gates, the step is folded
+into one dense matrix U, and U^n, formed by repeated squaring in about log2(n)
+products, is applied once in place of n passes of its gates; a stack builds
+and raises its rows' matrices together.
 
 Backward evolution (t < 0) is the exact mirror of the forward circuit, so a
 forward run followed by a backward run with the same plan is an exact identity.
@@ -41,18 +44,19 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .compiler import (
+    Block,
     Circuit,
     CircuitTemplate,
     GateSet,
     PauliLowering,
     inverse_circuit,
     pauli_lowering,
-    run_circuit,
     _su2_ops,
 )
 from .errors import InputError, ResourceError
@@ -65,7 +69,7 @@ from .pauli import (
     disjoint_layers,
     mul_masks,
 )
-from .statevector import StateVector, inner_product
+from .statevector import _CHUNK, StateVector, _apply_matrix, inner_product
 
 #: applies U(t) for one time t to a state in place and returns the state
 Evolver = Callable[[StateVector], StateVector]
@@ -143,6 +147,7 @@ class EvolutionResult:
     phase: float  # dimensionless delta = (coupling scale) * |t|
     global_phase: float = 0.0
     mirrored: bool = False
+    _power = None  # U^n where the step folds, kept by evolve_stack for a result run alone
 
     @property
     def circuit(self) -> Circuit:
@@ -169,10 +174,9 @@ class EvolutionResult:
         the constants rest on is in CHANGES.md.  The register must also be
         within the dense-matrix limit ``DENSE_QUBIT_LIMIT``.
         """
-        n = self.step.n_qubits
-        if n > DENSE_QUBIT_LIMIT:
+        n, reps = self.step.n_qubits, self.n_steps_used
+        if n > DENSE_QUBIT_LIMIT or reps == 1:  # one step costs less than its columns
             return False
-        reps = self.n_steps_used
         blocks = len(self.step.blocks)
         folded = (blocks + 2) * _pass_flops(2 * n) + math.log2(reps) * 8**n
         return folded < reps * blocks * _pass_flops(n)
@@ -182,42 +186,158 @@ class EvolutionResult:
         """The step as one dense 2^N x 2^N matrix where it :attr:`folds`, else None.
 
         The matrix is the step's blocks run on the 2^N identity columns, which
-        together form one 2N-qubit vector.  It is built once per result, on
-        first use.
+        together form one 2N-qubit vector (:func:`_step_matrices`).  It is
+        built once per result, on first use.
         """
         if not self.folds:
             return None
-        dim = 2**self.step.n_qubits
-        columns = StateVector(2 * self.step.n_qubits, np.eye(dim, dtype=complex).ravel())
-        return run_circuit(columns, self.step).amplitudes.reshape(dim, dim)
+        return _step_matrices(self.step.n_qubits, [self.step])[0]
 
 
 def evolve(state: StateVector, result: EvolutionResult) -> StateVector:
-    """Apply a compiled evolution to ``state`` in place; returns the state.
-
-    Runs the prefix, the step ``n_steps_used`` times (as one power of its
-    folded matrix where there is one) and the global phase once.  The state
-    must be on the evolution's own register.
-    """
-    if result.step.n_qubits != state.n_qubits:
-        raise InputError(
-            f"evolution acts on {result.step.n_qubits} qubits, state has {state.n_qubits}"
-        )
-    if not result.mirrored:
-        run_circuit(state, result.prefix)
-    u = result.folded_step
-    if u is None:
-        for _ in range(result.n_steps_used):
-            run_circuit(state, result.step)
-    else:
-        out = state.amplitudes.reshape(len(u), -1)
-        out = np.linalg.matrix_power(u, result.n_steps_used) @ out
-        state.amplitudes[:] = out.reshape(-1)
-    if result.mirrored:
-        run_circuit(state, result.prefix)
-    if result.global_phase != 0.0:
-        state.amplitudes *= np.exp(1j * result.global_phase)
+    """Apply a compiled evolution to ``state``, on its own register, in place; returns
+    the state.  The one-row case of :func:`evolve_stack`."""
+    evolve_stack(state.amplitudes[None], [result])
     return state
+
+
+def iter_stacks(
+    results: Iterable[EvolutionResult], n_qubits: int
+) -> Iterator[list[EvolutionResult]]:
+    """``results`` in lists of the points one stack of states on ``n_qubits`` holds:
+    ``_CHUNK`` amplitudes, at least one point and at most ``GRID_CHUNK``."""
+    points = iter(results)
+    while stack := list(islice(points, max(1, min(GRID_CHUNK, _CHUNK >> n_qubits)))):
+        yield stack
+
+
+def evolve_stack(states: np.ndarray, results: Sequence[EvolutionResult]) -> np.ndarray:
+    """Apply ``results[k]`` to row k of ``states``, a (g, 2^N) stack, in place; returns it.
+
+    Each row gets the bits that evolving it alone gives.  The rows whose
+    circuit is a row of one template fill run each block as one batched
+    product; those that repeat the step as gates, ordered by step count, so
+    that step k runs on a leading slice.  Folded rows build their step
+    matrices on their identity columns, ``_CHUNK`` amplitudes of them at a
+    time, and raise them together (:func:`_matrix_powers`); a result evolved
+    alone keeps its power, as the correlation routes evolve several states.
+    """
+    n = states.shape[-1].bit_length() - 1
+    before, steps, folded, after = [], [], [], []
+    for k, r in enumerate(results):
+        if 2**r.step.n_qubits != states.shape[-1]:
+            raise InputError(f"evolution acts on {r.step.n_qubits} qubits, state has {n}")
+        (after if r.mirrored else before).append((k, r.prefix, 1))
+        (folded if r._power is not None or r.folds else steps).append((k, r.step, r.n_steps_used))
+    _run_rows(states, n, before)
+    _run_rows(states, n, steps)
+    size = max(1, _CHUNK >> 2 * n)
+    for group in _groups(folded):
+        for part in (group[i:i + size] for i in range(0, len(group), size)):
+            powers = results[0]._power if len(results) == 1 else None
+            if powers is None:
+                mats = _step_matrices(n, [step for _, step, _ in part])
+                powers = _matrix_powers(mats, [reps for _, _, reps in part])
+                if len(results) == 1:
+                    object.__setattr__(results[0], "_power", powers)
+            _update(states, [k for k, _, _ in part], lambda sub: np.matmul(
+                powers[0] if sub.ndim == 1 else powers, sub[..., None])[..., 0])
+    _run_rows(states, n, after)
+    rows = [k for k, r in enumerate(results) if r.global_phase != 0.0]
+    if rows:
+        phases = np.exp(1j * np.array([results[k].global_phase for k in rows]))
+        _update(states, rows, lambda sub: sub * (phases[0] if sub.ndim == 1 else phases[:, None]))
+    return states
+
+
+def _index(rows: list[int]) -> int | slice | list[int]:
+    """Those rows of a stack as an index: one row as an int (one state), rows that run
+    up one by one as a slice (a view), others as a list (a copy)."""
+    if len(rows) == 1:
+        return rows[0]
+    return slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1)) else rows
+
+
+def _update(states: np.ndarray, rows: list[int], new: Callable[[np.ndarray], np.ndarray]):
+    """Set those rows of the stack to ``new`` of them; one row is given as one state."""
+    index = _index(rows)
+    states[index] = new(states[index])
+
+
+def _groups(items: list[tuple[int, Circuit, int]]) -> Iterable[list[tuple[int, Circuit, int]]]:
+    """The ``(row, circuit, repeats)`` items whose circuit has a gate or a phase, grouped
+    by the stacked blocks their circuits are rows of; a plain circuit is its own group."""
+    groups: dict = {}
+    for item in items:
+        c = item[1]
+        if c.n_gates or c.global_phase:
+            key = id(c) if c.stack is None else (id(c.stack[0]), c.stack[2])
+            groups.setdefault(key, []).append(item)
+    return groups.values()
+
+
+def _take(group: list[tuple[int, Circuit, int]]) -> tuple[Block, ...]:
+    """The blocks of a group's circuits, stacked in its order, or one circuit's own."""
+    c = group[0][1]
+    if c.stack is None or len(group) == 1:
+        return c.blocks
+    rows = _index([item[1].stack[1] for item in group])
+    taken = [(t, u if u.ndim == 2 else u[rows]) for t, u in c.stack[0]]
+    return [(t, u.conj().swapaxes(-1, -2)) for t, u in reversed(taken)] if c.stack[2] else taken
+
+
+def _run_rows(states: np.ndarray, n: int, items: list[tuple[int, Circuit, int]]):
+    """Each ``(row, circuit, repeats)``: the circuit run ``repeats`` times on its row;
+    most repeats first, so that the rows still repeating are a leading slice."""
+    for group in _groups(items):
+        group.sort(key=lambda item: -item[2])
+        index, blocks, done = _index([k for k, _, _ in group]), _take(group), 0
+        phase = group[0][1].global_phase
+        sub = states[index]
+        for live in range(len(group), 0, -1):
+            if group[live - 1][2] > done:
+                part = sub if sub.ndim == 1 else sub[:live]
+                live_blocks = [(t, u if u.ndim == 2 else u[:live]) for t, u in blocks]
+                for _ in range(group[live - 1][2] - done):
+                    for targets, u in live_blocks:
+                        _apply_matrix(part, n, targets, u)
+                    if phase != 0.0:
+                        part *= np.exp(1j * phase)
+                done = group[live - 1][2]
+        if isinstance(index, list):
+            states[index] = sub
+
+
+def _step_matrices(n: int, steps: list[Circuit]) -> np.ndarray:
+    """The dense 2^N x 2^N matrices of ``steps``: each run on the 2^N identity columns,
+    which form one 2N-qubit state."""
+    columns = np.zeros((len(steps), 4**n), dtype=complex)
+    columns[:, ::2**n + 1] = 1.0  # each row the flattened 2^N x 2^N identity
+    _run_rows(columns, 2 * n, [(k, step, 1) for k, step in enumerate(steps)])
+    return columns.reshape(-1, 2**n, 2**n)
+
+
+def _matrix_powers(a: np.ndarray, ns: list[int]) -> np.ndarray:
+    """``a[k]`` to the power ``ns[k]`` for a (g, d, d) stack, as np.linalg.matrix_power
+    multiplies it, bit for bit: n = 3 as (a a) a, any other n by its binary digits, lowest
+    first, squaring a at each and multiplying it into the result from the right at each set
+    one; each product here is one for all rows."""
+    if len(set(ns)) == 1:
+        return np.linalg.matrix_power(a, ns[0])
+    ns, out = np.array(ns), np.empty_like(a)
+    three = ns == 3
+    out[three] = a[three] @ a[three] @ a[three]
+    z, ns = a[~three], ns[~three]
+    result, have = np.empty_like(z), np.zeros(len(ns), dtype=bool)
+    while ns.any():
+        bit = (ns & 1).astype(bool)
+        result[bit & ~have] = z[bit & ~have]
+        result[bit & have] = result[bit & have] @ z[bit & have]
+        have |= bit
+        ns >>= 1
+        z[ns > 0] = z[ns > 0] @ z[ns > 0]
+    out[~three] = result
+    return out
 
 
 def steps_for_phase(delta: float, eps: float, growth: str = "quadratic") -> int:
@@ -447,10 +567,8 @@ class TrotterCompiler:
                     ph = form.phase(d) if form.phase else 0.0
                     if ph:
                         term_phases.append(ph)
-                # one addition per term and step, as the unrolled circuit accumulates it
-                for _ in range(n if term_phases else 0):
-                    for ph in term_phases:
-                        phase += ph
+                if term_phases:
+                    phase = _add_repeated(phase, term_phases, n)
             results.append(EvolutionResult(prefixes[i], step, n, deltas[i], phase))
         return results
 
@@ -482,6 +600,17 @@ class TrotterCompiler:
             phases[i] += field_phase
             prefixes.append(Circuit(self.n_qubits, prefix) if prefix else self._no_prefix)
         return prefixes
+
+
+def _add_repeated(start: float, terms: list[float], n: int) -> float:
+    """``start`` plus ``terms`` n times over, one addition at a time, in order, as the
+    unrolled circuit adds its phase; ``np.add.accumulate`` adds in that order."""
+    reps = max(1, _CHUNK // len(terms))
+    row = np.concatenate(([0.0], np.tile(terms, min(n, reps))))
+    for done in range(0, n, reps):
+        row[0] = start
+        start = float(np.add.accumulate(row[:1 + min(reps, n - done) * len(terms)])[-1])
+    return start
 
 
 def _mirror(fwd: EvolutionResult) -> EvolutionResult:

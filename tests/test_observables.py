@@ -548,6 +548,20 @@ class TestSpectrumFromSeries:
         with pytest.raises(InputError):
             spectrum_from_series(np.ones(100), 0.1)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                             ids=["nan", "inf", "-inf", "nan-imag"])
+    def test_non_finite_series_entry_rejected(self, entry):
+        series = np.ones(64, dtype=complex)
+        series[5] = entry
+        with pytest.raises(InputError, match="series entries must be finite"):
+            spectrum_from_series(series, 0.1)
+
+    @pytest.mark.parametrize("dtheta", [0.0, -0.1, np.nan, np.inf], ids=["0", "-0.1", "nan", "inf"])
+    def test_bad_dtheta_rejected(self, dtheta, capfd):
+        with pytest.raises(InputError, match="dtheta must be positive and finite"):
+            spectrum_from_series(np.ones(64), dtheta)
+        assert capfd.readouterr().err == ""  # refused before LAPACK can print to stderr
+
 
 class TestSpectrumSpecValidation:
     def test_power_of_two(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinsim import observables, runner, trotter
+from spinsim import observables, runner, statevector, trotter
 from spinsim.compiler import (
     Circuit,
     GateSet,
@@ -12,7 +12,7 @@ from spinsim.compiler import (
 )
 from spinsim.errors import InputError, ResourceError
 from spinsim.gates import GATE_BUDGET
-from spinsim.observables import _half
+from spinsim.observables import SpectrumSpec, _half, unitary_expectation_series
 from spinsim.pauli import (
     PauliHamiltonian,
     PauliString,
@@ -20,7 +20,7 @@ from spinsim.pauli import (
     heisenberg_chain,
     tim_chain,
 )
-from spinsim.statevector import StateVector, basis_state, inner_product
+from spinsim.statevector import StateVector, basis_state, inner_product, product_state
 from spinsim.trotter import (
     EvolutionResult,
     TrotterPlan,
@@ -338,17 +338,24 @@ class TestStepAndRepeat:
 
     @pytest.mark.parametrize("t", [1.0, -1.0])
     def test_folded_evolve_runs_only_the_prefix_as_gates(self, monkeypatch, t):
+        # on the 3-qubit state only the prefix's blocks run; the step's run
+        # once each, on the identity columns of its matrix (6 qubits)
         res = trotterize(heisenberg_chain(3, [1.0, 0.7], 3.0), t, TrotterPlan.fixed_n(64))
-        assert res.prefix.ops and res.folded_step is not None  # built before counting
+        assert res.prefix.ops and res.folded_step is not None
         ran = []
+        original = trotter._apply_matrix
 
-        def counting(state, circuit):
-            ran.append(circuit)
-            return run_circuit(state, circuit)
+        def counting(amps, n, targets, u):
+            ran.append((n, targets, u))
+            return original(amps, n, targets, u)
 
-        monkeypatch.setattr(trotter, "run_circuit", counting)
+        monkeypatch.setattr(trotter, "_apply_matrix", counting)
         evolve(random_state(3), res)
-        assert ran == [res.prefix]
+        on_state = [(targets, u) for n, targets, u in ran if n == 3]
+        assert [targets for targets, _ in on_state] == [targets for targets, _ in res.prefix.blocks]
+        assert all(np.array_equal(u, w) for (_, u), (_, w) in zip(on_state, res.prefix.blocks))
+        assert [(n, targets) for n, targets, _ in ran if n != 3] == [
+            (6, targets) for targets, _ in res.step.blocks]
 
     # (qubits, steps, folds) cells of the gates-vs-folded timing table, on both
     # sides of the crossover: Heisenberg chain with a field, first order, S1
@@ -438,6 +445,218 @@ def test_spectrum_compiles_its_theta_grid_once(monkeypatch):
     assert len(compilers) == 1
 
 
+def _per_point(states: np.ndarray, results) -> np.ndarray:
+    """Each row evolved on its own, by one ``evolve`` per point."""
+    out = states.copy()
+    for row, result in zip(out, results):
+        evolve(StateVector(row.size.bit_length() - 1, row), result)
+    return out
+
+
+def _signed_tim3():
+    # negative couplings: S3's t = 0 and t > 0 take different forms
+    return tim_chain(3, [0.7, -0.4, 0.5], -0.8)
+
+
+STACK_GRIDS = {
+    # z fields hoisted into a prefix template; steps repeat as gates
+    "heis3-hoisted": (lambda: heisenberg_chain(3, [1.0, 0.7], 3.0), TrotterPlan.fixed_n(3),
+                      GateSet.S1, np.linspace(0.0, 2.0, 9)),
+    # the same grid mirrored: every point at t < 0
+    "heis3-mirrored": (lambda: heisenberg_chain(3, [1.0, 0.7], 3.0), TrotterPlan.fixed_n(3),
+                       GateSet.S2, -np.linspace(0.0, 2.0, 9)),
+    # mixed step counts, folded and not, on both sides of t = 0
+    "tim3-eps-mixed": (lambda: tim_chain(3, [1.0, 0.6, 0.9], 0.8), TrotterPlan.fixed_eps(0.05),
+                       GateSet.S1, np.linspace(-2.5, 2.5, 21)),
+    # step counts 1 to 18 repeated as gates, in no order, mirrored and not
+    "tim7-eps-gates": (lambda: tim_chain(7, [0.9, 0.6, 0.8, 0.7, 1.1, 0.5, 0.9], 1.0),
+                       TrotterPlan.fixed_eps(0.05), GateSet.S1,
+                       [0.2, 0.9, 0.0, 0.6, -0.4, 1.2, 0.4, -1.0]),
+    # second order on the trapped-ion set, folding from two steps on
+    "heis3-eps2-s4": (lambda: heisenberg_chain(3, [1.0, 0.7], 3.0),
+                      TrotterPlan.fixed_eps(0.1, order=2), GateSet.S4, np.linspace(0.0, 3.0, 13)),
+    # S3 with negative couplings: t = 0 in one form, t > 0 in the other
+    "tim3-s3-forms": (_signed_tim3, TrotterPlan.fixed_n(20), GateSet.S3,
+                      np.linspace(0.0, 1.5, 7)),
+}
+
+
+class TestEvolveStack:
+    """``evolve_stack`` against one ``evolve`` per point, byte for byte."""
+
+    @pytest.mark.parametrize("name", STACK_GRIDS)
+    def test_grid_matches_one_evolve_per_point(self, name):
+        build, plan, gate_set, times = STACK_GRIDS[name]
+        h = build()
+        results = trotter.TrotterCompiler(h, plan, gate_set).grid(times)
+        states = np.array([random_state(h.n_qubits).amplitudes for _ in results])
+        want = _per_point(states, results)
+        assert np.array_equal(trotter.evolve_stack(states, results), want)
+        if name == "heis3-mirrored":
+            assert all(r.mirrored for r in results[1:])
+        if name == "tim3-eps-mixed":
+            assert len({r.n_steps_used for r in results}) > 5
+            assert {r.folds for r in results} == {True, False}
+        if name == "tim7-eps-gates":
+            assert not any(r.folds for r in results)
+            assert len({r.n_steps_used for r in results if not r.mirrored}) == 5
+        if name == "tim3-s3-forms":
+            assert len({id(r.step.stack[0]) for r in results}) == 2
+
+    def test_fig2_plans(self):
+        # fig2's three fidelity plans over its deltas: every point folds but
+        # the one step of each fixed-eps plan at delta 0
+        cfg = runner.figure_preset("fig2")
+        h = runner.build_hamiltonian(cfg)
+        deltas = np.linspace(0.0, cfg.t_max, cfg.points)
+        psi0 = basis_state(2, cfg.initial).amplitudes
+        folded = 0
+        for o in cfg.observables:
+            plan = runner._fidelity_plan(o, cfg.plan.order)
+            results = trotter.TrotterCompiler(h, plan, cfg.gate_set).grid(deltas)
+            folded += sum(r.folds for r in results)
+            states = np.tile(psi0, (len(results), 1))
+            want = _per_point(states, results)
+            assert np.array_equal(trotter.evolve_stack(states, results), want)
+        assert folded == 3 * len(deltas) - 2
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_folded_rows_every_repeat_count(self, monkeypatch, order):
+        # every row folds, with step counts 1, 2 and 3 (each its own order of
+        # products in np.linalg.matrix_power) and more, mirrored and not
+        monkeypatch.setattr(EvolutionResult, "folds", True)
+        h = _repeating_chain(3)
+        times = [0.0, 0.05, -0.1, 0.2, 0.3, -0.6, 1.1, 2.3]
+        results = trotter.TrotterCompiler(h, TrotterPlan.fixed_eps(0.02, order=order)).grid(times)
+        assert {1, 2, 3} < {r.n_steps_used for r in results}
+        assert max(r.n_steps_used for r in results) > 64
+        states = np.array([random_state(3).amplitudes for _ in results])
+        want = _per_point(states, results)
+        assert np.array_equal(trotter.evolve_stack(states, results), want)
+
+    def test_heis2_spectrum_series(self):
+        # the criterion 8 series, evolved a stack at a time and read by one
+        # product, against one evolve and one vdot of the halves per theta
+        spec = SpectrumSpec(heisenberg_chain(2, [1.0], 0.0), "01", m=1024)
+        compile_q = trotter.TrotterCompiler(spec.operator, TrotterPlan.fixed_eps(0.1))
+        start = product_state(3, "01+")
+        want = []
+        for result in compile_q.grid([k * spec.spacing() for k in range(spec.m)]):
+            state = start.copy()
+            evolve(_half(state, 1), result)
+            want.append(2 * np.vdot(state.amplitudes[0::2], state.amplitudes[1::2]))
+        assert np.array_equal(unitary_expectation_series(spec, compile_q), want)
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["gates", "folded"])
+    def test_strided_ancilla_halves(self, folded):
+        # a stack of ancilla-one halves, each a stride-2 view of its register
+        h = heisenberg_chain(3, [1.0, 0.7], 3.0)
+        plan = TrotterPlan.fixed_n(64 if folded else 2)
+        results = trotter.TrotterCompiler(h, plan, GateSet.S2).grid(np.linspace(-1.0, 1.0, 6))
+        assert all(r.folds is folded for r in results[:2])
+        registers = np.array([random_state(4).amplitudes for _ in results])
+        want = registers.copy()
+        for row, result in zip(want, results):
+            evolve(_half(StateVector(4, row), 1), result)
+        halves = registers[:, 1::2]
+        assert not halves.flags.c_contiguous
+        trotter.evolve_stack(halves, results)
+        assert np.array_equal(registers, want)
+
+    def test_one_row_keeps_its_power(self):
+        # a result evolved on its own makes its folded power once
+        res = trotterize(heisenberg_chain(3, [1.0, 0.7], 3.0), 1.0, TrotterPlan.fixed_n(64))
+        assert res.folds and res._power is None
+        first = evolve(random_state(3), res)
+        power = res._power
+        assert power is not None
+        evolve(first, res)
+        assert res._power is power
+
+    def test_stacks_stay_within_a_chunk(self, monkeypatch):
+        # N = 12: 16 thetas run in stacks of 8 = 2^15 / 2^12 states
+        stacks, calls = [], []
+        original_stack, original_apply = trotter.evolve_stack, trotter._apply_matrix
+
+        def recording_stack(states, results):
+            stacks.append(states.shape)
+            return original_stack(states, results)
+
+        def recording_apply(amps, n, targets, u):
+            calls.append(amps.size)
+            return original_apply(amps, n, targets, u)
+
+        monkeypatch.setattr(observables, "evolve_stack", recording_stack)
+        monkeypatch.setattr(trotter, "_apply_matrix", recording_apply)
+        q = heisenberg_chain(12, [1.0] * 11, 0.0)
+        spec = SpectrumSpec(q, "01" * 6, m=16)
+        unitary_expectation_series(spec, trotter.TrotterCompiler(q, TrotterPlan.fixed_n(1)))
+        assert stacks == [(8, 2**12), (8, 2**12)]
+        assert calls and max(calls) <= statevector._CHUNK
+        assert list(map(len, trotter.iter_stacks(range(20), 12))) == [8, 8, 4]
+        assert list(map(len, trotter.iter_stacks(range(3), 20))) == [1, 1, 1]
+        monkeypatch.setattr(trotter, "GRID_CHUNK", 4)
+        assert list(map(len, trotter.iter_stacks(range(10), 2))) == [4, 4, 2]
+
+    def test_rejects_another_register(self):
+        results = trotter.TrotterCompiler(heisenberg_chain(2, [1.0], 0.5),
+                                          TrotterPlan.fixed_n(2)).grid([0.5, 1.0])
+        with pytest.raises(InputError, match="evolution acts on 2 qubits, state has 3"):
+            trotter.evolve_stack(np.zeros((2, 8), dtype=complex), results)
+
+
+def _random_unitary(dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_batched_power_matches_matrix_power(dim):
+    # one stack of 70 unitaries to the powers 1..70, and one stack to one power
+    stack = np.array([_random_unitary(dim) for _ in range(70)])
+    ns = list(range(1, 71))
+    want = np.array([np.linalg.matrix_power(u, n) for u, n in zip(stack, ns)])
+    assert np.array_equal(trotter._matrix_powers(stack, ns), want)
+    cubes = np.array([np.linalg.matrix_power(u, 3) for u in stack[:5]])
+    assert np.array_equal(trotter._matrix_powers(stack[:5], [3] * 5), cubes)
+
+
+def _phase_by_loop(compile_at, t: float, n: int) -> float:
+    """The global phase as the unrolled circuit adds it: the identity terms, then one
+    addition per phased term and step."""
+    phase = 0.0
+    for coef in compile_at._identity:
+        phase += -coef * t
+    dt = t / (compile_at._sweeps * n)
+    term_phases = []
+    for coef, lowering in compile_at._terms:
+        d = dt * coef
+        form = lowering.at(d)
+        ph = form.phase(d) if form.phase else 0.0
+        if ph:
+            term_phases.append(ph)
+    for _ in range(n):
+        for ph in term_phases:
+            phase += ph
+    return phase
+
+
+@pytest.mark.parametrize("gate_set", [GateSet.S2, GateSet.S3], ids=lambda g: g.value)
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_global_phase_adds_term_by_term(monkeypatch, gate_set, chunk):
+    # up to 3000 steps, in one accumulation or (chunk 64) in many
+    if chunk is not None:
+        monkeypatch.setattr(trotter, "_CHUNK", chunk)
+    h = PauliHamiltonian(3, list(_signed_tim3().terms) + [PauliString(0.4, "III")])
+    for n in (1, 2, 7, 64, 1000, 3000):
+        compile_at = trotter.TrotterCompiler(h, TrotterPlan.fixed_n(n, order=2), gate_set)
+        assert compile_at._phased
+        for t in (0.0, 0.7, 2.9, -1.3):
+            got = compile_at(t).global_phase
+            want = _phase_by_loop(compile_at, abs(t), n)
+            assert got.hex() == (-want if t < 0 else want).hex(), (n, t)
+
+
 class TestGateBudget:
     def test_steps_times_gates_against_budget(self, monkeypatch):
         h = fig2_hamiltonian()
@@ -499,11 +718,11 @@ class TestGateBudget:
             cfg = runner.parse_config(RUN_CONFIGS[name])
         planned = self._planned(monkeypatch, cfg)
         counted = []
-        original_evolve, original_exact = trotter.evolve, trotter.exact_evolvers
+        original_stack, original_exact = trotter.evolve_stack, trotter.exact_evolvers
 
-        def counting_evolve(state, result):
-            counted.append(result.gate_applications)
-            return original_evolve(state, result)
+        def counting_stack(states, results):
+            counted.extend(result.gate_applications for result in results)
+            return original_stack(states, results)
 
         def counting_exact(h, times):
             def counting(apply):
@@ -513,8 +732,9 @@ class TestGateBudget:
                 return counted_apply
             return [counting(apply) for apply in original_exact(h, times)]
 
-        monkeypatch.setattr(trotter, "evolve", counting_evolve)
-        monkeypatch.setattr(observables, "evolve", counting_evolve)
+        # evolve is the one-row case of evolve_stack
+        monkeypatch.setattr(trotter, "evolve_stack", counting_stack)
+        monkeypatch.setattr(observables, "evolve_stack", counting_stack)
         monkeypatch.setattr(trotter, "exact_evolvers", counting_exact)
         runner.run(cfg)
         assert planned >= sum(counted) > 0
