@@ -26,6 +26,7 @@ from .observables import (
     SpectrumSpec,
     correlation_ancilla,
     correlation_direct,
+    correlation_rows,
     magnetization,
     spectrum_from_series,
     spin_correlation,

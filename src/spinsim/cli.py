@@ -100,8 +100,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"one circuit per {compiles}"
                 )
             h = runner.build_hamiltonian(cfg)
-            circ = next(runner._digital_grids(cfg, runner._compilers(cfg, h), [cfg.t_max])[0]).circuit
-            _emit(compiler.dumps_circuit(circ), args.out)
+            (grid, _), *_ = runner._digital_grids(cfg, runner._compilers(cfg, h), [cfg.t_max])
+            _emit(compiler.dumps_circuit(next(grid).circuit), args.out)
         else:
             _emit(runner.run(cfg), args.out)
     except InputError as exc:

@@ -2,12 +2,10 @@
 dynamical correlation functions (direct statevector route and the ancilla
 protocol), and operator spectra via FFT of a phase-swept expectation series.
 
-The caller makes U(t) and the routes only apply it.  A correlation route
-reads one time point: it is given that point's in-place evolver and returns
-one value, so a run walks its time grid once and lets each point go.  A
-spectrum is given a compiler of Q, which compiles the theta grid a chunk at a
-time and evolves it a stack of states at a time.  So one compilation or
-diagonalization serves every route.
+The caller makes U(t) and evolves the states: the :func:`correlation_rows` of
+a run's specs at each time point, with its other states, and a route reads one
+point's value from them.  A spectrum is given a compiler of Q, which compiles
+the theta grid a chunk at a time and evolves it a stack of states at a time.
 
 The ancilla protocols put one extra qubit after the system qubits.  An
 operation controlled on it runs as the plain operation on the amplitudes with
@@ -25,7 +23,7 @@ from .errors import InputError
 from .gates import PAULI
 from .pauli import PauliHamiltonian
 from .statevector import StateVector, _apply_matrix, product_state
-from .trotter import Evolver, evolve_stack, iter_stacks
+from .trotter import evolve_stack, iter_stacks
 
 if TYPE_CHECKING:
     from .trotter import TrotterCompiler
@@ -62,7 +60,7 @@ class CorrelationSpec:
     """Inputs of a dynamical correlation C_VW(t) = <V^dag(t) W> on |initial>.
 
     ``v``/``w`` are Pauli letters (I allowed) acting on sites ``vq``/``wq`` of
-    the ``len(initial)`` system qubits.  U(t) is the evolver each route is given.
+    the ``len(initial)`` system qubits.  The routes read C from evolved :func:`correlation_rows`.
     """
 
     v: str
@@ -86,24 +84,6 @@ def _apply_pauli_letter(state: StateVector, letter: str, site: int) -> None:
         _apply_matrix(state.amplitudes, state.n_qubits, (site,), PAULI[letter])
 
 
-def correlation_direct(spec: CorrelationSpec, evolve_t: Evolver) -> complex:
-    """C_VW(t) by pure statevector algebra: <V U psi | U W psi> at one time t.
-
-    ``evolve_t`` applies U(t) to a state in place, such as
-    ``partial(evolve, result=r)`` for a compiled Trotter result ``r`` or one
-    of :func:`~spinsim.trotter.exact_evolvers`; it is applied to two states.
-    An evolver not on ``len(spec.initial)`` qubits is refused.
-    """
-    n = len(spec.initial)
-    right = product_state(n, spec.initial)
-    _apply_pauli_letter(right, spec.w, spec.wq)
-    evolve_t(right)
-    left = product_state(n, spec.initial)
-    evolve_t(left)
-    _apply_pauli_letter(left, spec.v, spec.vq)
-    return complex(np.vdot(left.amplitudes, right.amplitudes))
-
-
 def _half(state: StateVector, bit: int) -> StateVector:
     """A view of the amplitudes of ``state`` with its trailing ancilla at ``bit``.
 
@@ -112,23 +92,53 @@ def _half(state: StateVector, bit: int) -> StateVector:
     return StateVector(state.n_qubits - 1, state.amplitudes[bit::2])
 
 
-def correlation_ancilla(spec: CorrelationSpec, evolve_t: Evolver) -> complex:
+def correlation_rows(specs: Sequence[CorrelationSpec]) -> np.ndarray:
+    """The states that ``specs``, all on one initial state psi0, evolve under U(t).
+
+    A (2 + 2k, 2^N) stack for k specs: psi0, the zero half of the ancilla
+    register |psi0>|+>, then for each spec W psi0 and that register's one half
+    with W applied.  The direct route reads even rows, the ancilla route odd ones.
+    """
+    if len({spec.initial for spec in specs}) != 1:
+        raise InputError("correlation rows need specs on one initial state")
+    psi0 = product_state(len(specs[0].initial), specs[0].initial)
+    register = product_state(psi0.n_qubits + 1, specs[0].initial + "+")
+    rows = [psi0.amplitudes, register.amplitudes[0::2]]
+    for spec in specs:
+        right, ancilla = psi0.copy(), register.copy()
+        _apply_pauli_letter(right, spec.w, spec.wq)
+        _apply_pauli_letter(_half(ancilla, 1), spec.w, spec.wq)
+        rows += [right.amplitudes, ancilla.amplitudes[1::2]]
+    return np.array(rows)
+
+
+def correlation_direct(spec: CorrelationSpec, psi_t: np.ndarray, w_psi_t: np.ndarray) -> complex:
+    """C_VW(t) by pure statevector algebra: <V U psi | U W psi> at one time t.
+
+    ``psi_t`` = U(t) psi0 and ``w_psi_t`` = U(t) W psi0 are the evolved rows 0 and
+    2 + 2j of :func:`correlation_rows` for spec j; rows on another register are refused.
+    """
+    n = len(spec.initial)
+    left, right = StateVector(n, np.array(psi_t, dtype=complex)), StateVector(n, w_psi_t)
+    _apply_pauli_letter(left, spec.v, spec.vq)
+    return complex(np.vdot(left.amplitudes, right.amplitudes))
+
+
+def correlation_ancilla(spec: CorrelationSpec, zero_t: np.ndarray, one_t: np.ndarray) -> complex:
     """C_VW(t) at one time t via the ancilla protocol (Somma et al., PRA 65, 042323 (2002)).
 
     One ancilla in |+> follows the system qubits.  W runs on the ancilla's one
     half (controlled), U(t) on the system, V on the zero half (anti-controlled),
     and C is read off the ancilla as <sigma_x> + i <sigma_y>, exactly: there is
-    no shot sampling.  ``evolve_t`` is as for :func:`correlation_direct`; it
-    is applied to the two halves of the register.
+    no shot sampling.  ``zero_t`` and ``one_t`` are the evolved halves, rows 1 and
+    3 + 2j of :func:`correlation_rows` for spec j; rows on another register are refused.
     """
-    state = product_state(len(spec.initial) + 1, spec.initial + "+")
-    _apply_pauli_letter(_half(state, 1), spec.w, spec.wq)
-    # U(t) acts on the system qubits alone, so it runs on each half: an
-    # evolver on another register is refused rather than reach the ancilla
-    evolve_t(_half(state, 0))
-    evolve_t(_half(state, 1))
+    n = len(spec.initial)
+    halves = [StateVector(n, row).amplitudes for row in (zero_t, one_t)]
+    state = StateVector(n + 1, np.stack(halves, axis=1).reshape(-1))
     _apply_pauli_letter(_half(state, 0), spec.v, spec.vq)
-    # <2 sigma_+> = <sigma_x> + i <sigma_y> on the ancilla
+    # <2 sigma_+> = <sigma_x> + i <sigma_y> on the ancilla, read from the
+    # stride-2 halves: OpenBLAS sums contiguous copies in another order
     return complex(2 * np.vdot(state.amplitudes[0::2], state.amplitudes[1::2]))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -477,14 +477,6 @@ def _scalar_name(obs: ObservableSpec) -> str:
     return f"p{obs.args[0]}"
 
 
-def _last_point(cfg, h) -> float:
-    """The largest time of the run's grid, or theta of its spectrum grid."""
-    if cfg.run_kind == "spectrum":
-        spec = _spectrum_spec(cfg, h)
-        return (spec.m - 1) * spec.spacing()
-    return cfg.t_max
-
-
 def _compilers(cfg, h):
     """``compilers(plan)``: the plan's :class:`~spinsim.trotter.TrotterCompiler` on the
     config's gate set, built once per plan."""
@@ -495,25 +487,33 @@ def _variant_evolution(cfg, t: float) -> trotter.EvolutionResult:
     """U(t) as the config's fixed Heisenberg variant circuit."""
     j = cfg.couplings["j"][0]
     circ = compiler.heisenberg2_circuit(j * t, (1, 2), cfg.heis2_variant)
-    return trotter.EvolutionResult(
-        Circuit(circ.n_qubits, circ.ops), Circuit(circ.n_qubits, ()), 1, abs(j * t),
-        circ.global_phase,
-    )
+    return trotter.EvolutionResult(Circuit(circ.n_qubits, circ.ops), Circuit(circ.n_qubits, ()),
+                                   1, abs(j * t), circ.global_phase)
 
 
-def _digital_grids(cfg, compilers, times) -> list[Iterator[trotter.EvolutionResult]]:
-    """The digital evolutions at each of ``times``: one grid per fidelity column, else one.
+def _digital_grids(cfg, compilers, times) -> list[tuple[Iterator[trotter.EvolutionResult], int]]:
+    """The digital evolutions at each of ``times``, as iterators over the points, each
+    with the number of rows it evolves at a point: a fidelity sweep's grids, one per
+    column, and an evolution run's first one evolve psi0 for the scalar columns.
 
-    Each grid is an iterator over the points.  A Trotter plan compiles its
-    grid a chunk of points per call (:meth:`~spinsim.trotter.TrotterCompiler.iter_grid`);
-    a fixed Heisenberg variant spells its circuit per point.
+    A Trotter plan compiles its grid a chunk of points per call
+    (:meth:`~spinsim.trotter.TrotterCompiler.iter_grid`); a fixed Heisenberg
+    variant spells its circuit per point.  Correlations run the plan on their
+    2 + 2k rows, psi0 first (:func:`~spinsim.observables.correlation_rows`): on
+    its one grid, or on a second beside a variant.
     """
     if cfg.run_kind == "fidelity":
-        return [compilers(_fidelity_plan(o, cfg.plan.order)).iter_grid(times)
+        return [(compilers(_fidelity_plan(o, cfg.plan.order)).iter_grid(times), 1)
                 for o in cfg.observables]
+    n_corr = sum(o.kind == "correlation" for o in cfg.observables)
+    rows = 2 + 2 * n_corr if n_corr else 1
     if cfg.heis2_variant is None:
-        return [compilers(cfg.plan).iter_grid(times)]
-    return [(_variant_evolution(cfg, float(t)) for t in times)]
+        return [(compilers(cfg.plan).iter_grid(times), rows)]
+    variant = (_variant_evolution(cfg, float(t)) for t in times)
+    grids = [(variant, int(n_corr < len(cfg.observables)))]
+    if n_corr:
+        grids.append((compilers(cfg.plan).iter_grid(times), rows))
+    return grids
 
 
 def run(cfg: ExperimentConfig) -> str:
@@ -542,26 +542,19 @@ def _check_run_budget(cfg, h, compilers):
     """Refuse a run of over ``GATE_BUDGET`` planned gate applications, before its grid is made.
 
     No point of the grid costs more than its last, largest time: the gates of
-    each compiled evolution it runs there, plus one application per exact one.
+    each compiled evolution times the rows it evolves (:func:`_digital_grids`),
+    plus one application per exact row, psi0 and each correlation's W psi0.
     That point is compiled here on its own, so a grid too long to run is
-    refused without being filled.  The scalar columns (fidelities too) share
-    one exact evolution and the point's digital ones (:func:`_digital_grids`).
-    A correlation column evolves two states on each of its three routes: two
-    exact and four compiled evolutions, as the ancilla route evolves each half.
+    refused without being filled.
     """
-    last = _last_point(cfg, h)
     if cfg.run_kind == "spectrum":
-        m = cfg.observables[0].args[0]
-        total = m * compilers(cfg.plan)(last).gate_applications
+        spec = _spectrum_spec(cfg, h)
+        total = spec.m * compilers(cfg.plan)((spec.m - 1) * spec.spacing()).gate_applications
     else:
         n_corr = sum(o.kind == "correlation" for o in cfg.observables)
-        per_point = 0
-        if n_corr < len(cfg.observables):
-            digital = _digital_grids(cfg, compilers, [last])
-            per_point += 1 + sum(next(grid).gate_applications for grid in digital)
-        if n_corr:
-            per_point += n_corr * (2 + 4 * compilers(cfg.plan)(last).gate_applications)
-        total = cfg.points * per_point
+        grids = _digital_grids(cfg, compilers, [cfg.t_max])
+        total = cfg.points * (1 + n_corr + sum(rows * next(grid).gate_applications
+                                               for grid, rows in grids))
     if total > gates.GATE_BUDGET:
         raise ResourceError(f"the run plans {total} gate applications, over the budget "
                             f"of {gates.GATE_BUDGET}")
@@ -583,11 +576,12 @@ def _run_spectrum(cfg, h, compile_q, header) -> str:
 def _run_grid(cfg, compilers, times, exact, header) -> str:
     """The CSV of a fidelity sweep or an evolution run, over the time grid ``times``.
 
-    One pass, a stack of points at a time: each grid's compiled evolutions
-    (:func:`_digital_grids`) evolve the stack's digital states as one.  Then at
-    each point its exact evolver (the iterator ``exact``) runs, every column
-    reads the point, and the point is let go.  The scalar columns read the
-    point's states: the exact one (index 0), then its digital ones, one per grid.
+    One pass, a stack of points at a time: each grid (:func:`_digital_grids`)
+    evolves its rows at the stack's points as one stack of states.  At each point
+    its exact evolver (the iterator ``exact``) runs once per exact row, every
+    column reads the point, and the point is let go.  So each state is evolved
+    once: the scalar columns read the exact psi0 (index 0), then each grid's
+    psi0, and the correlation routes read the rows they need.
     """
     fidelity = cfg.run_kind == "fidelity"
     scalar_obs = [o for o in cfg.observables if o.kind != "correlation"]
@@ -608,33 +602,36 @@ def _run_grid(cfg, compilers, times, exact, header) -> str:
         header.append("# qs: ancilla route (trotter); digital: direct route (trotter); exact: direct route (exact propagator)")
 
     grids = _digital_grids(cfg, compilers, times)
-    n_grids = len(grids)
-    # correlations run the Trotter plan (the last grid), a fixed variant only the scalars
-    if specs and cfg.heis2_variant:
-        grids.append(compilers(cfg.plan).iter_grid(times))
+    # psi0, then the correlations' rows: each grid evolves the first n of them
+    start = (observables.correlation_rows(specs) if specs
+             else product_state(cfg.n_qubits, cfg.initial).amplitudes[None])
     table = np.zeros((len(times), len(columns)))
     corr = np.zeros((len(times), len(specs), 3), dtype=complex)
-    psi0 = product_state(cfg.n_qubits, cfg.initial)
     steps_used = []
-    for stacks in zip(*(trotter.iter_stacks(grid, cfg.n_qubits) for grid in grids)):
-        if reads:  # each grid's digital states at these points, evolved as one stack
-            digital = [trotter.evolve_stack(np.tile(psi0.amplitudes, (len(s), 1)), s)
-                       for s in stacks[:n_grids]]
+    for stacks in zip(*(trotter.iter_stacks(grid, cfg.n_qubits) for grid, _ in grids)):
+        evolved = []  # each grid's rows at these points, as (point, row, amplitude)
+        for s, (_, n) in zip(stacks, grids):
+            results = s if n == 1 else [r for r in s for _ in range(n)]
+            states = trotter.evolve_stack(np.tile(start[:n], (len(s), 1)), results)
+            evolved.append(states.reshape(len(s), n, start.shape[1]))
         for s in stacks:  # popped point by point, so each result is let go after its point
             s.reverse()
         for i, exact_t in zip(range(len(stacks[0])), exact):
             k = len(steps_used)
-            results = [s.pop() for s in stacks]
-            steps_used.append([r.n_steps_used for r in results[:n_grids]])
+            steps_used.append([s.pop().n_steps_used for s in stacks])
+            # psi0, then W psi0 per correlation, one row at a time; a list copies psi0 alone faster
+            exact_rows = start[0::2].copy() if specs else [start[0].copy()]
+            exact_psi = [exact_t(StateVector(cfg.n_qubits, row)) for row in exact_rows][0]
             if reads:
-                states = [exact_t(psi0.copy())] + [StateVector(cfg.n_qubits, d[i]) for d in digital]
+                states = [exact_psi] + [StateVector(cfg.n_qubits, d[i, 0]) for d in evolved]
                 table[k, :len(reads)] = [_scalar_value(o, states[j], states[0])
                                          for _, o, j in reads]
             if specs:
-                trotterized = partial(trotter.evolve, result=results[-1])
-                corr[k] = [(observables.correlation_ancilla(spec, trotterized),
-                            observables.correlation_direct(spec, trotterized),
-                            observables.correlation_direct(spec, exact_t)) for spec in specs]
+                direct, halves = evolved[-1][i, 0::2], evolved[-1][i, 1::2]
+                corr[k] = [(observables.correlation_ancilla(spec, halves[0], halves[j]),
+                            observables.correlation_direct(spec, direct[0], direct[j]),
+                            observables.correlation_direct(spec, exact_rows[0], exact_rows[j]))
+                           for j, spec in enumerate(specs, 1)]
     # each route's re and im, in that order, with the spin scaling
     table[:, len(reads):] = observables.spin_correlation(corr).reshape(len(times), -1).view(float)
     # a fixed variant takes one step, as does the Trotter plan on its commuting

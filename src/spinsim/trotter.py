@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -70,9 +70,6 @@ from .pauli import (
     mul_masks,
 )
 from .statevector import _CHUNK, StateVector, _apply_matrix, inner_product
-
-#: applies U(t) for one time t to a state in place and returns the state
-Evolver = Callable[[StateVector], StateVector]
 
 # The cost of one fused block pass over 2^m amplitudes, in units of the flops
 # of a dense matrix product (8^N per squaring): _BLOCK_PASS_FLOPS up to 2^10
@@ -147,7 +144,6 @@ class EvolutionResult:
     phase: float  # dimensionless delta = (coupling scale) * |t|
     global_phase: float = 0.0
     mirrored: bool = False
-    _power = None  # U^n where the step folds, kept by evolve_stack for a result run alone
 
     @property
     def circuit(self) -> Circuit:
@@ -181,18 +177,6 @@ class EvolutionResult:
         folded = (blocks + 2) * _pass_flops(2 * n) + math.log2(reps) * 8**n
         return folded < reps * blocks * _pass_flops(n)
 
-    @cached_property
-    def folded_step(self) -> np.ndarray | None:
-        """The step as one dense 2^N x 2^N matrix where it :attr:`folds`, else None.
-
-        The matrix is the step's blocks run on the 2^N identity columns, which
-        together form one 2N-qubit vector (:func:`_step_matrices`).  It is
-        built once per result, on first use.
-        """
-        if not self.folds:
-            return None
-        return _step_matrices(self.step.n_qubits, [self.step])[0]
-
 
 def evolve(state: StateVector, result: EvolutionResult) -> StateVector:
     """Apply a compiled evolution to ``state``, on its own register, in place; returns
@@ -219,28 +203,35 @@ def evolve_stack(states: np.ndarray, results: Sequence[EvolutionResult]) -> np.n
     product; those that repeat the step as gates, ordered by step count, so
     that step k runs on a leading slice.  Folded rows build their step
     matrices on their identity columns, ``_CHUNK`` amplitudes of them at a
-    time, and raise them together (:func:`_matrix_powers`); a result evolved
-    alone keeps its power, as the correlation routes evolve several states.
+    time, and raise them together (:func:`_matrix_powers`); a run of rows of
+    one result is checked once and takes one power.
     """
     n = states.shape[-1].bit_length() - 1
     before, steps, folded, after = [], [], [], []
+    last = None
     for k, r in enumerate(results):
-        if 2**r.step.n_qubits != states.shape[-1]:
-            raise InputError(f"evolution acts on {r.step.n_qubits} qubits, state has {n}")
+        if r is not last:
+            if 2**r.step.n_qubits != states.shape[-1]:
+                raise InputError(f"evolution acts on {r.step.n_qubits} qubits, state has {n}")
+            last, folds = r, r.folds
+            if folds:  # (rows, step, repeats)
+                folded.append(([], r.step, r.n_steps_used))
         (after if r.mirrored else before).append((k, r.prefix, 1))
-        (folded if r._power is not None or r.folds else steps).append((k, r.step, r.n_steps_used))
+        if folds:
+            folded[-1][0].append(k)
+        else:
+            steps.append((k, r.step, r.n_steps_used))
     _run_rows(states, n, before)
     _run_rows(states, n, steps)
     size = max(1, _CHUNK >> 2 * n)
     for group in _groups(folded):
         for part in (group[i:i + size] for i in range(0, len(group), size)):
-            powers = results[0]._power if len(results) == 1 else None
-            if powers is None:
-                mats = _step_matrices(n, [step for _, step, _ in part])
-                powers = _matrix_powers(mats, [reps for _, _, reps in part])
-                if len(results) == 1:
-                    object.__setattr__(results[0], "_power", powers)
-            _update(states, [k for k, _, _ in part], lambda sub: np.matmul(
+            mats = _step_matrices(n, [step for _, step, _ in part])
+            powers = _matrix_powers(mats, [reps for _, _, reps in part])
+            rows = [k for ks, _, _ in part for k in ks]
+            if len(rows) > len(part):  # each row takes its result's power
+                powers = np.repeat(powers, [len(ks) for ks, _, _ in part], axis=0)
+            _update(states, rows, lambda sub: np.matmul(
                 powers[0] if sub.ndim == 1 else powers, sub[..., None])[..., 0])
     _run_rows(states, n, after)
     rows = [k for k, r in enumerate(results) if r.global_phase != 0.0]
@@ -264,9 +255,9 @@ def _update(states: np.ndarray, rows: list[int], new: Callable[[np.ndarray], np.
     states[index] = new(states[index])
 
 
-def _groups(items: list[tuple[int, Circuit, int]]) -> Iterable[list[tuple[int, Circuit, int]]]:
-    """The ``(row, circuit, repeats)`` items whose circuit has a gate or a phase, grouped
-    by the stacked blocks their circuits are rows of; a plain circuit is its own group."""
+def _groups(items: list[tuple]) -> Iterable[list[tuple]]:
+    """The ``(row or rows, circuit, repeats)`` items whose circuit has a gate or a phase,
+    grouped by the stacked blocks their circuits are rows of; a plain circuit alone."""
     groups: dict = {}
     for item in items:
         c = item[1]
@@ -666,7 +657,7 @@ def exact_propagator(h: PauliHamiltonian, t: float) -> np.ndarray:
     return (v * _exact_phases(w, [t])[0]) @ v.conj().T
 
 
-def exact_evolvers(h: PauliHamiltonian, times: Sequence[float]) -> Iterator[Evolver]:
+def exact_evolvers(h: PauliHamiltonian, times: Sequence[float]) -> Iterator[Callable]:
     """exp(-i H t) for each of ``times``, as functions evolving a state in place.
 
     Diagonalizes the dense Hamiltonian once, at the call, H = V diag(w) V^dag.

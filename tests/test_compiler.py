@@ -582,7 +582,7 @@ class TestFusedRun:
         # once, as the compiler's templates; every result, the mirrored one
         # too (the adjoints of the forward blocks), runs filled blocks
         assert len(planned) == 1 + 1
-        assert all(r.n_steps_used == 2 and r.folded_step is None for r in results)
+        assert all(r.n_steps_used == 2 and not r.folds for r in results)
 
     # at the head of the register and at its tail, where the kernel takes
     # GEMMs; 16 qubits and up span more than one of the kernel's chunks

@@ -15,6 +15,7 @@ from spinsim.observables import (
     _half,
     correlation_ancilla,
     correlation_direct,
+    correlation_rows,
     magnetization,
     spectrum_from_series,
     spin_correlation,
@@ -45,9 +46,21 @@ def trotter_evolvers(h, times, plan, gate_set=GateSet.S1):
     return [partial(evolve, result=compile_at(t)) for t in times]
 
 
+# the rows of correlation_rows([spec]) each route reads
+ROUTE_ROWS = {correlation_direct: (0, 2), correlation_ancilla: (1, 3)}
+
+
+def at_point(route, spec, evolve_t):
+    """A correlation route's value at one point: its rows evolved by ``evolve_t``, then read."""
+    rows = correlation_rows([spec])
+    n = len(spec.initial)
+    return route(spec, *(evolve_t(StateVector(n, rows[k].copy())).amplitudes
+                         for k in ROUTE_ROWS[route]))
+
+
 def per_point(route, spec, evolvers):
     """A correlation route's value at each of ``evolvers``, as one array."""
-    return np.array([route(spec, u) for u in evolvers])
+    return np.array([at_point(route, spec, u) for u in evolvers])
 
 
 def series_of(spec, plan=TrotterPlan.fixed_eps(0.1), gate_set=GateSet.S1):
@@ -164,7 +177,7 @@ class TestRouteEquivalence:
 
 
 class TestGivenEvolutions:
-    """Either route applies the in-place evolver it is given and returns one value."""
+    """Either route reads one value from its rows, evolved by a given in-place evolver."""
 
     SPEC = CorrelationSpec(v="Y", w="X", vq=3, wq=1, initial="101")
     TIMES = np.linspace(0, 2, 5)
@@ -192,9 +205,9 @@ class TestGivenEvolutions:
         h = fig6_system()
         compile_at = TrotterCompiler(h, self.PLAN)
         for t, evolve_t in zip(self.TIMES, trotter_evolvers(h, self.TIMES, self.PLAN)):
-            got = route(self.SPEC, partial(evolve, result=compile_at(t)))
+            got = at_point(route, self.SPEC, partial(evolve, result=compile_at(t)))
             assert isinstance(got, complex)
-            assert got == route(self.SPEC, evolve_t)
+            assert got == at_point(route, self.SPEC, evolve_t)
 
     def test_exact_route_against_dense_oracle(self):
         h = fig6_system()
@@ -249,6 +262,35 @@ class TestSpecValidation:
             evolutions = exact_evolvers(h, [0.3, 0.7])
         with pytest.raises(InputError):
             per_point(route, spec, evolutions)
+
+    @pytest.mark.parametrize("route", [correlation_direct, correlation_ancilla])
+    @pytest.mark.parametrize("qubits", [(4, 4), (3, 2)], ids=["wide", "one-short"])
+    def test_rows_off_the_register(self, route, qubits):
+        # rows that are not states on the spec's three system qubits
+        spec = CorrelationSpec(v="X", w="X", vq=1, wq=1, initial="111")
+        rows = [random_state(n).amplitudes for n in qubits]
+        with pytest.raises(InputError):
+            route(spec, *rows)
+
+
+class TestCorrelationRows:
+    def test_layout(self):
+        # psi0, the zero half of |psi0>|+>, then per spec W psi0 and the one
+        # half with W on it
+        specs = [CorrelationSpec("X", "Y", 1, 2, "0+1"), CorrelationSpec("Z", "I", 3, 3, "0+1")]
+        rows = correlation_rows(specs)
+        psi0 = product_state(3, "0+1").amplitudes
+        assert rows.shape == (6, 8)
+        assert np.array_equal(rows[0], psi0)
+        assert np.array_equal(rows[1], product_state(4, "0+1+").amplitudes[0::2])
+        w_psi0 = np.kron(np.eye(2), np.kron(PAULI["Y"], np.eye(2))) @ psi0
+        assert np.allclose(rows[2], w_psi0) and np.allclose(rows[3], w_psi0 / np.sqrt(2))
+        assert np.array_equal(rows[4], psi0) and np.array_equal(rows[5], rows[1])
+
+    @pytest.mark.parametrize("initials", [(), ("111", "110")], ids=["none", "two"])
+    def test_one_initial_state(self, initials):
+        with pytest.raises(InputError):
+            correlation_rows([CorrelationSpec("X", "X", 1, 1, i) for i in initials])
 
 
 class TestUnitaryExpectationSeries:
@@ -409,7 +451,7 @@ class TestAncillaHalfAgainstControlledCircuit:
         plan = TrotterPlan.fixed_n(20 if folded else 1, order=order)
         for t in (0.9, -0.6):
             result = trotterize(h, t, plan, gate_set)
-            assert (result.folded_step is not None) == folded
+            assert result.folds == folded
             psi = random_state(n + 1)
             want = evolve(psi.copy(), controlled_evolution(result, n + 1))
             got = psi.copy()

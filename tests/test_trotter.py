@@ -302,7 +302,7 @@ class TestStepAndRepeat:
     def test_folded_step_matches_gates(self, h, plan, gate_set, t, extra_qubits):
         # with an extra qubit, the state is the half of the wider register at 1
         res = trotterize(h, t, plan, gate_set)
-        assert res.folded_step is not None
+        assert res.folds
         state = random_state(h.n_qubits + extra_qubits)
         target = _half(state, 1) if extra_qubits else state
         by_gates = run_circuit(StateVector(h.n_qubits, target.amplitudes.copy()), res.circuit)
@@ -316,7 +316,7 @@ class TestStepAndRepeat:
         # every repeat count, folded or not by the rule, through the squaring
         monkeypatch.setattr(EvolutionResult, "folds", True)
         res = trotterize(_repeating_chain(n_qubits), 2.3, TrotterPlan.fixed_n(steps, order=2))
-        assert res.n_steps_used == steps and res.folded_step is not None
+        assert res.n_steps_used == steps and res.folds
         state = random_state(n_qubits + ancilla)
         before = state.amplitudes.copy()
         target = _half(state, 1) if ancilla else state
@@ -331,7 +331,7 @@ class TestStepAndRepeat:
         plan = TrotterPlan.fixed_n(1000)
         h = _repeating_chain(n_qubits)
         fwd, back = trotterize(h, 1.7, plan), trotterize(h, -1.7, plan)
-        assert back.mirrored and fwd.folded_step is not None and back.folded_step is not None
+        assert back.mirrored and fwd.folds and back.folds
         state = random_state(n_qubits)
         out = evolve(evolve(state.copy(), fwd), back)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) <= 1e-12
@@ -341,7 +341,7 @@ class TestStepAndRepeat:
         # on the 3-qubit state only the prefix's blocks run; the step's run
         # once each, on the identity columns of its matrix (6 qubits)
         res = trotterize(heisenberg_chain(3, [1.0, 0.7], 3.0), t, TrotterPlan.fixed_n(64))
-        assert res.prefix.ops and res.folded_step is not None
+        assert res.prefix.ops and res.folds
         ran = []
         original = trotter._apply_matrix
 
@@ -371,26 +371,27 @@ class TestStepAndRepeat:
         h = heisenberg_chain(n_qubits, [1.0] * (n_qubits - 1), 0.5)
         res = trotterize(h, 1.0, TrotterPlan.fixed_n(steps))
         assert res.folds is folds
-        assert (res.folded_step is None) is not folds
+        assert (not res.folds) is not folds
 
     def test_fold_rule(self):
         h = heisenberg_chain(3, [1.0, 0.7], 3.0)
         # building, setting up and applying the fold (4 passes over the 6-qubit
         # columns) is priced as 2 repeats of the 2 blocks: gate by gate
-        assert trotterize(h, 1.0, TrotterPlan.fixed_n(2)).folded_step is None
-        assert trotterize(h, 1.0, TrotterPlan.fixed_n(8)).folded_step is not None
+        assert not trotterize(h, 1.0, TrotterPlan.fixed_n(2)).folds
+        assert trotterize(h, 1.0, TrotterPlan.fixed_n(8)).folds
         # all terms commute: one exact step, nothing repeats
         h2 = heisenberg_chain(2, [1.0], 0.0)
-        assert trotterize(h2, 1.0, TrotterPlan.fixed_n(50)).folded_step is None
+        assert not trotterize(h2, 1.0, TrotterPlan.fixed_n(50)).folds
 
     def test_fold_respects_dense_limit(self, monkeypatch):
         h = heisenberg_chain(3, [1.0, 0.7], 3.0)
         monkeypatch.setattr(trotter, "DENSE_QUBIT_LIMIT", 2)
-        assert trotterize(h, 1.0, TrotterPlan.fixed_n(8)).folded_step is None
+        assert not trotterize(h, 1.0, TrotterPlan.fixed_n(8)).folds
 
     def test_folded_step_is_the_step_unitary(self):
         res = trotterize(fig2_hamiltonian(), 2.0, TrotterPlan.fixed_n(9))
-        assert np.max(np.abs(res.folded_step - circuit_unitary(res.step))) <= 1e-14
+        folded_step = trotter._step_matrices(res.step.n_qubits, [res.step])[0]
+        assert res.folds and np.max(np.abs(folded_step - circuit_unitary(res.step))) <= 1e-14
 
     def test_evolve_rejects_narrow_register(self):
         res = trotterize(heisenberg_chain(3, [1.0, 1.0], 0.0), 1.0, TrotterPlan.fixed_n(2))
@@ -563,15 +564,21 @@ class TestEvolveStack:
         trotter.evolve_stack(halves, results)
         assert np.array_equal(registers, want)
 
-    def test_one_row_keeps_its_power(self):
-        # a result evolved on its own makes its folded power once
-        res = trotterize(heisenberg_chain(3, [1.0, 0.7], 3.0), 1.0, TrotterPlan.fixed_n(64))
-        assert res.folds and res._power is None
-        first = evolve(random_state(3), res)
-        power = res._power
-        assert power is not None
-        evolve(first, res)
-        assert res._power is power
+    @pytest.mark.parametrize("name", ["tim3-eps-mixed", "heis3-mirrored"])
+    def test_runs_of_rows_of_one_result(self, monkeypatch, name):
+        # three rows a point, as a run's correlation rows: each row gets the
+        # bits it gets alone, and a folded result builds its step matrix once
+        build, plan, gate_set, times = STACK_GRIDS[name]
+        h = build()
+        grid = trotter.TrotterCompiler(h, plan, gate_set).grid(times)
+        results = [r for r in grid for _ in range(3)]
+        states = np.array([random_state(h.n_qubits).amplitudes for _ in results])
+        want = _per_point(states, results)
+        built, original = [], trotter._step_matrices
+        monkeypatch.setattr(trotter, "_step_matrices",
+                            lambda n, steps: built.extend(steps) or original(n, steps))
+        assert np.array_equal(trotter.evolve_stack(states, results), want)
+        assert len(built) == sum(r.folds for r in grid)
 
     def test_stacks_stay_within_a_chunk(self, monkeypatch):
         # N = 12: 16 thetas run in stacks of 8 = 2^15 / 2^12 states
@@ -703,9 +710,10 @@ class TestGateBudget:
     # what a fixed-n evolution run plans beyond what it applies: nothing, but
     # at t = 0, where heis3-s3-corr-first's negative couplings (d = -0.0) take
     # S3's one-CPhase form, 36 gates shorter than the two-CPhase form of every
-    # other point, in each of the point's nine compiled evolutions (one for the
-    # scalar columns, four for each correlation)
-    _SPARE_AT_T0 = {"heis3-s3-corr-first": 9 * 36}
+    # other point, in each of the point's six compiled rows (psi0, shared by
+    # the scalar columns and the direct route, the ancilla's zero half, and
+    # W psi0 and the one half for each of the two correlations)
+    _SPARE_AT_T0 = {"heis3-s3-corr-first": 6 * 36}
 
     @pytest.mark.parametrize("name", runner.FIGURE_IDS + tuple(RUN_CONFIGS))
     def test_run_budget_covers_the_evolutions_run(self, monkeypatch, name):
@@ -754,6 +762,38 @@ class TestGateBudget:
         monkeypatch.setattr(runner.gates, "GATE_BUDGET", planned - 1)
         with pytest.raises(ResourceError):
             runner.run(cfg)
+
+
+def test_each_state_a_point_needs_is_evolved_once(monkeypatch):
+    # heis5-eps2: scalar columns and a correlation on one psi0.  A point
+    # evolves psi0 once under each evolution, for the scalar columns and the
+    # direct routes alike: 1 + n_corr exact rows (psi0, then W psi0) and
+    # 2 + 2 n_corr compiled ones (psi0, the ancilla's zero half, then W psi0
+    # and the one half), each compiled row once
+    cfg = runner.parse_config(RUN_CONFIGS["heis5-eps2"])
+    n_corr = sum(o.kind == "correlation" for o in cfg.observables)
+    assert n_corr == 1 and n_corr < len(cfg.observables)
+    exact_rows, compiled_rows = [], []
+    original_stack, original_exact = trotter.evolve_stack, trotter.exact_evolvers
+
+    def counting_stack(states, results):
+        compiled_rows.append(len(results))
+        return original_stack(states, results)
+
+    def counting_exact(h, times):
+        def counting(apply):
+            def counted_apply(state):
+                exact_rows.append(1)
+                return apply(state)
+            return counted_apply
+        return (counting(apply) for apply in original_exact(h, times))
+
+    monkeypatch.setattr(trotter, "evolve_stack", counting_stack)
+    monkeypatch.setattr(observables, "evolve_stack", counting_stack)
+    monkeypatch.setattr(trotter, "exact_evolvers", counting_exact)
+    runner.run(cfg)
+    assert len(exact_rows) == cfg.points * (1 + n_corr)
+    assert sum(compiled_rows) == cfg.points * (2 + 2 * n_corr)
 
 
 def _count_dense_matrix(monkeypatch) -> list:
