@@ -61,9 +61,7 @@ from .trotter import (
     TrotterCompiler,
     TrotterPlan,
     commutator_error_bound,
-    digital_fidelity,
     evolve,
-    exact_propagator,
     steps_for_phase,
     trotterize,
 )

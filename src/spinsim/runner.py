@@ -533,9 +533,7 @@ def run(cfg: ExperimentConfig) -> str:
     _check_run_budget(cfg, h, compilers)
     if cfg.run_kind == "spectrum":
         return _run_spectrum(cfg, h, compilers(cfg.plan), header)
-    # one time grid and one diagonalization of H for every exact column
-    times = np.linspace(0.0, cfg.t_max, cfg.points)
-    return _run_grid(cfg, compilers, times, trotter.exact_evolvers(h, times), header)
+    return _run_grid(cfg, h, compilers, np.linspace(0.0, cfg.t_max, cfg.points), header)
 
 
 def _check_run_budget(cfg, h, compilers):
@@ -543,7 +541,7 @@ def _check_run_budget(cfg, h, compilers):
 
     No point of the grid costs more than its last, largest time: the gates of
     each compiled evolution times the rows it evolves (:func:`_digital_grids`),
-    plus one application per exact row, psi0 and each correlation's W psi0.
+    plus one per row of its exact stack: psi0 and each correlation's W psi0.
     That point is compiled here on its own, so a grid too long to run is
     refused without being filled.
     """
@@ -573,13 +571,14 @@ def _run_spectrum(cfg, h, compile_q, header) -> str:
     return "\n".join(header + rows) + "\n"
 
 
-def _run_grid(cfg, compilers, times, exact, header) -> str:
-    """The CSV of a fidelity sweep or an evolution run, over the time grid ``times``.
+def _run_grid(cfg, h, compilers, times, header) -> str:
+    """The CSV of a fidelity sweep or an evolution run of H, over the time grid ``times``.
 
     One pass, a stack of points at a time: each grid (:func:`_digital_grids`)
-    evolves its rows at the stack's points as one stack of states.  At each point
-    its exact evolver (the iterator ``exact``) runs once per exact row, every
-    column reads the point, and the point is let go.  So each state is evolved
+    evolves its rows at the stack's points as one stack of states, as do the
+    exact rows, psi0 then W psi0 per correlation, under one block
+    diagonalization of H (:func:`~spinsim.trotter.exact_stacks`).  Every column
+    reads a point's rows, and the point is let go.  So each state is evolved
     once: the scalar columns read the exact psi0 (index 0), then each grid's
     psi0, and the correlation routes read the rows they need.
     """
@@ -608,6 +607,7 @@ def _run_grid(cfg, compilers, times, exact, header) -> str:
     table = np.zeros((len(times), len(columns)))
     corr = np.zeros((len(times), len(specs), 3), dtype=complex)
     steps_used = []
+    exact = (rows for stack in trotter.exact_stacks(h, start[0::2], times) for rows in stack)
     for stacks in zip(*(trotter.iter_stacks(grid, cfg.n_qubits) for grid, _ in grids)):
         evolved = []  # each grid's rows at these points, as (point, row, amplitude)
         for s, (_, n) in zip(stacks, grids):
@@ -616,14 +616,12 @@ def _run_grid(cfg, compilers, times, exact, header) -> str:
             evolved.append(states.reshape(len(s), n, start.shape[1]))
         for s in stacks:  # popped point by point, so each result is let go after its point
             s.reverse()
-        for i, exact_t in zip(range(len(stacks[0])), exact):
+        for i, exact_rows in zip(range(len(stacks[0])), exact):
             k = len(steps_used)
             steps_used.append([s.pop().n_steps_used for s in stacks])
-            # psi0, then W psi0 per correlation, one row at a time; a list copies psi0 alone faster
-            exact_rows = start[0::2].copy() if specs else [start[0].copy()]
-            exact_psi = [exact_t(StateVector(cfg.n_qubits, row)) for row in exact_rows][0]
             if reads:
-                states = [exact_psi] + [StateVector(cfg.n_qubits, d[i, 0]) for d in evolved]
+                states = [StateVector(cfg.n_qubits, row)
+                          for row in (exact_rows[0], *(d[i, 0] for d in evolved))]
                 table[k, :len(reads)] = [_scalar_value(o, states[j], states[0])
                                          for _, o, j in reads]
             if specs:

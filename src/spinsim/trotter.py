@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -69,7 +68,7 @@ from .pauli import (
     disjoint_layers,
     mul_masks,
 )
-from .statevector import _CHUNK, StateVector, _apply_matrix, inner_product
+from .statevector import _CHUNK, StateVector, _apply_matrix
 
 # The cost of one fused block pass over 2^m amplitudes, in units of the flops
 # of a dense matrix product (8^N per squaring): _BLOCK_PASS_FLOPS up to 2^10
@@ -185,12 +184,10 @@ def evolve(state: StateVector, result: EvolutionResult) -> StateVector:
     return state
 
 
-def iter_stacks(
-    results: Iterable[EvolutionResult], n_qubits: int
-) -> Iterator[list[EvolutionResult]]:
-    """``results`` in lists of the points one stack of states on ``n_qubits`` holds:
-    ``_CHUNK`` amplitudes, at least one point and at most ``GRID_CHUNK``."""
-    points = iter(results)
+def iter_stacks(points: Iterable, n_qubits: int) -> Iterator[list]:
+    """``points`` (compiled results, or times) in lists of the points one stack of states
+    on ``n_qubits`` holds: ``_CHUNK`` amplitudes, at least one point and at most ``GRID_CHUNK``."""
+    points = iter(points)
     while stack := list(islice(points, max(1, min(GRID_CHUNK, _CHUNK >> n_qubits)))):
         yield stack
 
@@ -625,76 +622,80 @@ def trotterize(
     return TrotterCompiler(h, plan, gate_set)(t)
 
 
-def _exact_phases(w: np.ndarray, times: Sequence[float]) -> np.ndarray:
-    """e^{-i w t} for the eigenvalues ``w``, a row per t; a non-finite one is an InputError."""
-    times = np.asarray(times, dtype=float)
+def _exact_phases(w: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """e^{-i w t} for the eigenvalues ``w``, the times' axis first; a non-finite one is refused."""
     with np.errstate(all="ignore"):  # a non-finite phase is rejected below
-        phases = np.exp(-1j * w * times[:, None])
-    finite = np.isfinite(phases).all(axis=1)
+        phases = np.exp(-1j * np.multiply.outer(times, w))
+    finite = np.isfinite(phases).reshape(len(times), -1).all(axis=1)
     if not finite.all():
         t = times[~finite][0]
         raise InputError(f"exact evolution needs a finite time and phase, got t = {t}")
     return phases
 
 
-def _eigh(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and complex eigenvectors of the dense Hamiltonian.
+def conserved_blocks(h: PauliHamiltonian) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """H's blocks, each diagonalized once: ``(idx, w, v)`` for the K blocks of each size d.
 
-    A real matrix (Heisenberg, TIM, XYZ: an even number of Y per term) is
-    diagonalized as real, about 3x faster, and its eigenvectors are cast to
-    complex once, so products with complex states still run in BLAS.
+    A block is a connected component of the graph on basis states whose edges
+    are H's nonzero entries: a conserved total S_z (Heisenberg and XY chains
+    in a z field) splits H into many, TIM is one.  Each state takes its
+    neighbours' least label, mask by mask, then its label's label, until none
+    changes: a component is labelled by its least state.  H[idx_k, idx_k] =
+    v_k diag(w_k) v_k^dag.  A real block is diagonalized as real, and its
+    eigenvectors cast to complex once, for BLAS products with complex states.
+    The dense H is let go before the first ``eigh``.
     """
     m = dense_matrix(h)
-    if m.imag.any():
-        return np.linalg.eigh(m)
-    w, v = np.linalg.eigh(m.real)
-    return w, v.astype(complex)
+    # H's off-diagonal entries lie where a term's x mask flips a state j, at
+    # (j ^ x, j): a state has at most one neighbour per mask, the same both ways
+    j = np.arange(len(m))
+    flips = [(j[m[j ^ x, j] != 0], x) for x in {term.masks[0] for term in h.terms} - {0}]
+    label, old = j, None
+    while not np.array_equal(label, old):
+        old, label = label, label.copy()
+        for s, x in flips:
+            label[s] = np.minimum(label[s], label[s ^ x])
+        label = label[label]
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.diff(starts, append=len(m))
+    # a set, as np.unique would import numpy.ma (resident memory)
+    ids = [order[starts[sizes == d, None] + np.arange(d)] for d in sorted(set(sizes.tolist()))]
+    subs = [m[idx[:, :, None], idx[:, None, :]] for idx in ids]
+    del m
+    eighs = (np.linalg.eigh(sub if sub.imag.any() else sub.real) for sub in subs)
+    return [(idx, w, v.astype(complex, copy=False)) for idx, (w, v) in zip(ids, eighs)]
 
 
-def exact_propagator(h: PauliHamiltonian, t: float) -> np.ndarray:
-    """exp(-i H t) via Hermitian eigendecomposition of the dense Hamiltonian."""
-    w, v = _eigh(h)
-    return (v * _exact_phases(w, [t])[0]) @ v.conj().T
+def exact_stacks(
+    h: PauliHamiltonian, rows: np.ndarray, times: Sequence[float]
+) -> Iterator[np.ndarray]:
+    """exp(-i H t) applied to ``rows``, states on H's register, at each of ``times``.
 
-
-def exact_evolvers(h: PauliHamiltonian, times: Sequence[float]) -> Iterator[Callable]:
-    """exp(-i H t) for each of ``times``, as functions evolving a state in place.
-
-    Diagonalizes the dense Hamiltonian once, at the call, H = V diag(w) V^dag.
-    The function for t applies V e^{-iwt} V^dag to a state on H's register.
-    The iterator makes the phases of ``GRID_CHUNK`` amplitudes (one point or
-    more) at a time as it reaches them, so a grid holds one chunk's phases, not
-    every point's; a non-finite t is refused there.
+    H is diagonalized by blocks (:func:`conserved_blocks`) at the call, and
+    each row's coefficients in each block's eigenbasis, c = x V^*, are taken
+    then.  The iterator yields the evolved rows as (g, r, 2^N) stacks, each of
+    the points one stack of states holds (:func:`iter_stacks`): the rows of
+    each block size at those points are one product (e^{-iwt} c) V^T.  A
+    non-finite t or phase is refused when its stack is reached.
     """
-    w, v = _eigh(h)
+    rows = np.asarray(rows)
+    if rows.shape[-1] != 2**h.n_qubits:
+        raise InputError(f"state has {rows.shape[-1].bit_length() - 1} qubits, "
+                         f"H acts on {h.n_qubits}")
+    blocks = [(idx, w, v.swapaxes(-1, -2), np.matmul(rows[:, idx].swapaxes(0, 1), v.conj()))
+              for idx, w, v in conserved_blocks(h)]
 
-    def apply(phases: np.ndarray, state: StateVector) -> StateVector:
-        if h.n_qubits != state.n_qubits:
-            raise InputError(f"state has {state.n_qubits} qubits, H acts on {h.n_qubits}")
-        x = state.amplitudes.reshape(len(w), -1)
-        # V^dag x as conj(V^T conj(x)): no conjugated copy of V
-        coeffs = (v.T @ x.conj()).conj()
-        state.amplitudes[:] = (v @ (phases[:, None] * coeffs)).reshape(-1)
-        return state
+    def stacks():
+        for ts in map(np.array, iter_stacks(np.asarray(times, dtype=float), h.n_qubits)):
+            out = np.empty((len(ts), *rows.shape), dtype=complex)
+            for idx, w, vt, c in blocks:  # (K, g, r, d) as K products of (g r, d)
+                phased = _exact_phases(w, ts).swapaxes(0, 1)[:, :, None] * c[:, None]
+                evolved = np.matmul(phased.reshape(len(idx), -1, idx.shape[1]), vt)
+                out[:, :, idx] = evolved.reshape(phased.shape).transpose(1, 2, 0, 3)
+            yield out
 
-    size = max(1, GRID_CHUNK // len(w))
-    return (partial(apply, phases) for k in range(0, len(times), size)
-            for phases in _exact_phases(w, times[k:k + size]))
-
-
-def digital_fidelity(
-    psi0: StateVector,
-    h: PauliHamiltonian,
-    t: float,
-    plan: TrotterPlan,
-    gate_set: GateSet = GateSet.S1,
-) -> float:
-    """|<psi_exact(t) | psi_trotter(t)>| on the statevector backend."""
-    if psi0.n_qubits != h.n_qubits:
-        raise InputError("state and Hamiltonian register sizes differ")
-    exact = next(exact_evolvers(h, (t,)))(psi0.copy())
-    digital = evolve(psi0.copy(), trotterize(h, t, plan, gate_set))
-    return float(abs(inner_product(exact, digital)))
+    return stacks()
 
 
 def commutator_error_bound(

@@ -20,7 +20,6 @@ from spinsim import (
     basis_state,
     correlation_ancilla,
     correlation_direct,
-    digital_fidelity,
     evolve,
     heisenberg_chain,
     hubbard_2site,
@@ -42,7 +41,7 @@ from spinsim.gates import GateOp, PAULI, gate_matrix, pauli_pair_exponential
 from spinsim.pauli import FermionHamiltonian, FermionTerm, jw_ladder, string_matrix
 from spinsim.runner import figure_preset, run
 from spinsim.statevector import StateVector, apply_gate
-from spinsim.trotter import exact_evolvers, exact_propagator
+from oracles import digital_fidelity, exact_evolvers, exact_propagator
 from test_observables import per_point
 
 RNG = np.random.default_rng(123456)

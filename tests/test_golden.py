@@ -35,7 +35,11 @@ Preset values may move by float rounding (the folded step multiplies a dense
 matrix, and a fused block the matrices of its gates, instead of applying the
 gates one by one), so they are compared within 1e-9; every
 comment line, the column names, the ``verify`` report and the compiled
-circuits are compared byte for byte.
+circuits are compared byte for byte.  When the exact reference began to
+diagonalize H by its conserved blocks, instead of whole, values moved on
+fig6b (4 lines, by at most 6.4e-18), fig6c (2 lines, 2.9e-18), heis5-eps2
+(1 line, 2.4e-17) and heis3-s3-corr-first (6 lines, 5.6e-17); fig2, fig4a,
+fig4b, fig4c, fig6a and the other run configs kept their bytes.
 """
 
 import hashlib

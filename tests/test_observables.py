@@ -28,10 +28,9 @@ from spinsim.trotter import (
     TrotterCompiler,
     TrotterPlan,
     evolve,
-    exact_evolvers,
-    exact_propagator,
     trotterize,
 )
+from oracles import exact_evolvers, exact_propagator
 
 RNG = np.random.default_rng(60)
 

@@ -22,6 +22,7 @@ from spinsim.runner import (
     verify_suite,
 )
 from spinsim.trotter import TrotterPlan
+from oracles import exact_propagator
 
 SAMPLE_CONFIG = """
 # three-spin chain in a strong field
@@ -461,7 +462,7 @@ class TestRun:
 
         h = build_hamiltonian(cfg)
         t = rows[2, 0]
-        amps = spinsim.exact_propagator(h, t) @ spinsim.product_state(3, "100").amplitudes
+        amps = exact_propagator(h, t) @ spinsim.product_state(3, "100").amplitudes
         s = spinsim.StateVector(3, amps)
         assert rows[2, header.index("p100")] == pytest.approx(
             spinsim.probability(s, "100"), abs=1e-9
@@ -473,6 +474,7 @@ class TestRun:
         # observables has nothing to compile or diagonalize with
         assert not hasattr(observables, "TrotterCompiler")
         assert not hasattr(observables, "exact_evolvers")
+        assert not hasattr(observables, "exact_stacks")
         cfg = parse_config(
             "[model]\nkind = heisenberg\nn_qubits = 2\n[evolution]\n" + variant
             + "[time]\npoints = 3\n[observables]\nobservable = correlation X Y 1 2\n"

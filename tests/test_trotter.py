@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,19 +22,20 @@ from spinsim.pauli import (
     dense_matrix,
     heisenberg_chain,
     tim_chain,
+    xy_chain,
 )
 from spinsim.statevector import StateVector, basis_state, inner_product, product_state
 from spinsim.trotter import (
     EvolutionResult,
     TrotterPlan,
     commutator_error_bound,
-    digital_fidelity,
+    conserved_blocks,
     evolve,
-    exact_evolvers,
-    exact_propagator,
+    exact_stacks,
     steps_for_phase,
     trotterize,
 )
+from oracles import digital_fidelity, exact_propagator
 from test_golden import RUN_CONFIGS
 
 RNG = np.random.default_rng(314)
@@ -718,32 +722,29 @@ class TestGateBudget:
     @pytest.mark.parametrize("name", runner.FIGURE_IDS + tuple(RUN_CONFIGS))
     def test_run_budget_covers_the_evolutions_run(self, monkeypatch, name):
         # every evolution the run applies, counted as the budget prices it: a
-        # compiled one by its gate applications, an exact one as one; the
-        # figure presets and the golden run configs
+        # compiled one by its gate applications, an exact row of a stack as
+        # one; the figure presets and the golden run configs
         if name in runner.FIGURE_IDS:
             cfg = runner.figure_preset(name)
         else:
             cfg = runner.parse_config(RUN_CONFIGS[name])
         planned = self._planned(monkeypatch, cfg)
         counted = []
-        original_stack, original_exact = trotter.evolve_stack, trotter.exact_evolvers
+        original_stack, original_exact = trotter.evolve_stack, trotter.exact_stacks
 
         def counting_stack(states, results):
             counted.extend(result.gate_applications for result in results)
             return original_stack(states, results)
 
-        def counting_exact(h, times):
-            def counting(apply):
-                def counted_apply(state):
-                    counted.append(1)
-                    return apply(state)
-                return counted_apply
-            return [counting(apply) for apply in original_exact(h, times)]
+        def counting_exact(h, rows, times):
+            for stack in original_exact(h, rows, times):  # (points, rows, amplitudes)
+                counted.extend([1] * (stack.shape[0] * stack.shape[1]))
+                yield stack
 
         # evolve is the one-row case of evolve_stack
         monkeypatch.setattr(trotter, "evolve_stack", counting_stack)
         monkeypatch.setattr(observables, "evolve_stack", counting_stack)
-        monkeypatch.setattr(trotter, "exact_evolvers", counting_exact)
+        monkeypatch.setattr(trotter, "exact_stacks", counting_exact)
         runner.run(cfg)
         assert planned >= sum(counted) > 0
         if name in runner.FIGURE_IDS and cfg.run_kind == "evolution":
@@ -773,26 +774,24 @@ def test_each_state_a_point_needs_is_evolved_once(monkeypatch):
     cfg = runner.parse_config(RUN_CONFIGS["heis5-eps2"])
     n_corr = sum(o.kind == "correlation" for o in cfg.observables)
     assert n_corr == 1 and n_corr < len(cfg.observables)
-    exact_rows, compiled_rows = [], []
-    original_stack, original_exact = trotter.evolve_stack, trotter.exact_evolvers
+    exact_rows, compiled_rows = [], []  # exact rows per point, compiled rows per stack
+    original_stack, original_exact = trotter.evolve_stack, trotter.exact_stacks
 
     def counting_stack(states, results):
         compiled_rows.append(len(results))
         return original_stack(states, results)
 
-    def counting_exact(h, times):
-        def counting(apply):
-            def counted_apply(state):
-                exact_rows.append(1)
-                return apply(state)
-            return counted_apply
-        return (counting(apply) for apply in original_exact(h, times))
+    def counting_exact(h, rows, times):
+        for stack in original_exact(h, rows, times):  # (points, rows, amplitudes)
+            exact_rows.extend([stack.shape[1]] * stack.shape[0])
+            yield stack
 
     monkeypatch.setattr(trotter, "evolve_stack", counting_stack)
     monkeypatch.setattr(observables, "evolve_stack", counting_stack)
-    monkeypatch.setattr(trotter, "exact_evolvers", counting_exact)
+    monkeypatch.setattr(trotter, "exact_stacks", counting_exact)
     runner.run(cfg)
-    assert len(exact_rows) == cfg.points * (1 + n_corr)
+    assert sum(exact_rows) == cfg.points * (1 + n_corr)
+    assert exact_rows == [1 + n_corr] * cfg.points
     assert sum(compiled_rows) == cfg.points * (2 + 2 * n_corr)
 
 
@@ -869,78 +868,151 @@ def random_real_pauli_hamiltonian(n: int) -> PauliHamiltonian:
     return PauliHamiltonian(n, terms)
 
 
-class TestExactEvolvers:
-    """The evolvers of one diagonalization against the dense propagator."""
+def stacked_rows(h, rows, times) -> np.ndarray:
+    """``exact_stacks`` over ``times``, its stacks joined: (points, rows, amplitudes)."""
+    return np.concatenate(list(exact_stacks(h, rows, times)))
+
+
+def random_rows(n: int, count: int = 3) -> np.ndarray:
+    return np.array([random_state(n).amplitudes for _ in range(count)])
+
+
+def z_field(n: int, bg: float) -> list[PauliString]:
+    return tuple(PauliString(bg / 2, "I" * k + "Z" + "I" * (n - k - 1)) for k in range(n))
+
+
+# each against the dense oracle, with its size of block: many for the
+# chains whose total S_z is conserved, one for TIM and the random ones
+EXACT_HAMILTONIANS = {
+    "random-real": lambda: PauliHamiltonian(4, [
+        PauliString(float(RNG.normal()), "".join(RNG.choice(list("IXZ"), size=4)))
+        for _ in range(7)] + [PauliString(0.5, "ZZZZ")]),
+    "random-complex": lambda: PauliHamiltonian(4, random_real_pauli_hamiltonian(4).terms
+                                               + (PauliString(0.3, "YXZI"),)),
+    "heisenberg-field": lambda: heisenberg_chain(5, [1.0, 0.7, 1.3, 0.9], 0.5),
+    "xy-field": lambda: PauliHamiltonian(4, xy_chain(4, 1.0, 0.6).terms + z_field(4, 0.8)),
+    "hubbard2": lambda: runner.build_hamiltonian(
+        runner.parse_config(RUN_CONFIGS["hubbard2-fidelity"])),
+    "tim": lambda: tim_chain(3, [0.5, 1.0, 0.7], 1.0),
+    "one-by-one": lambda: PauliHamiltonian(3, (PauliString(1.0, "ZZI"), PauliString(0.4, "IZZ"))
+                                           + z_field(3, 0.6)),
+    "identity-only": lambda: PauliHamiltonian(3, [PauliString(0.8, "III")]),
+}
+
+
+class TestExactStacks:
+    """Rows evolved by one block diagonalization of H against the dense propagator."""
 
     TIMES = (0.0, 0.37, -1.3)
+
+    @pytest.mark.parametrize("name", EXACT_HAMILTONIANS)
+    def test_rows_match_dense_oracle(self, name):
+        h = EXACT_HAMILTONIANS[name]()
+        rows = random_rows(h.n_qubits)
+        times = np.linspace(-2.0, 3.0, 7)
+        got = stacked_rows(h, rows, times)
+        assert got.shape == (len(times), *rows.shape)
+        for t, evolved in zip(times, got):
+            want = (exact_propagator(h, t) @ rows.T).T
+            assert np.max(np.abs(evolved - want)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_plain_state(self, n):
         h = random_real_pauli_hamiltonian(n)
-        for t, evolve_t in zip(self.TIMES, exact_evolvers(h, self.TIMES)):
-            psi = random_state(n)
-            want = exact_propagator(h, t) @ psi.amplitudes
-            assert np.max(np.abs(evolve_t(psi).amplitudes - want)) <= 1e-12
+        psi = random_state(n).amplitudes
+        for t, (evolved,) in zip(self.TIMES, stacked_rows(h, psi[None], self.TIMES)):
+            assert np.max(np.abs(evolved - exact_propagator(h, t) @ psi)) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_strided_amplitudes_updated_in_place(self, n):
-        # a state over every other entry of a larger array, reversed, is
-        # updated through that array
+    def test_strided_rows_read_and_left_as_they_are(self, n):
+        # rows over every other entry of a larger array, reversed, are read
+        # through that array, which is not written
         h = random_real_pauli_hamiltonian(n)
-        for t, evolve_t in zip(self.TIMES, exact_evolvers(h, self.TIMES)):
-            base = random_state(n).amplitudes
-            backing = np.zeros(2 ** (n + 1), dtype=complex)
-            backing[::-2] = base
-            evolve_t(StateVector(n, backing[::-2]))
-            want = exact_propagator(h, t) @ base
-            assert np.max(np.abs(backing[::-2] - want)) <= 1e-12
-            assert np.all(backing[::2] == 0)
+        base = random_rows(n, 2)
+        backing = np.zeros((2, 2 ** (n + 1)), dtype=complex)
+        backing[:, ::-2] = base
+        kept = backing.copy()
+        for t, evolved in zip(self.TIMES, stacked_rows(h, backing[:, ::-2], self.TIMES)):
+            assert np.max(np.abs(evolved - (exact_propagator(h, t) @ base.T).T)) <= 1e-12
+        assert np.array_equal(backing, kept)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_phases_made_a_chunk_at_a_time(self, monkeypatch, n):
-        # 8 amplitudes a chunk: 4, 2 and 1 points, so the times cross chunks
+    def test_rows_made_a_stack_of_points_at_a_time(self, monkeypatch, n):
+        # at most 8 points a stack, as a stack of states holds: the times cross stacks
         monkeypatch.setattr(trotter, "GRID_CHUNK", 8)
         h = random_real_pauli_hamiltonian(n)
-        times = np.linspace(-1.0, 2.0, 7)
-        for t, evolve_t in zip(times, exact_evolvers(h, times)):
-            psi = random_state(n)
-            want = exact_propagator(h, t) @ psi.amplitudes
-            assert np.max(np.abs(evolve_t(psi).amplitudes - want)) <= 1e-12
+        times = np.linspace(-1.0, 2.0, 20)
+        rows = random_rows(n, 2)
+        stacks = list(exact_stacks(h, rows, times))
+        assert [len(s) for s in stacks] == [8, 8, 4]
+        for t, evolved in zip(times, np.concatenate(stacks)):
+            assert np.max(np.abs(evolved - (exact_propagator(h, t) @ rows.T).T)) <= 1e-12
 
     def test_non_finite_time_refused_when_reached(self, monkeypatch):
-        # one point a chunk: the points before the bad time are given first
-        monkeypatch.setattr(trotter, "GRID_CHUNK", 4)
-        evolvers = exact_evolvers(heisenberg_chain(2, 1.0, 0.5), [0.0, 0.5, float("nan")])
-        next(evolvers), next(evolvers)
+        # one point a stack: the points before the bad time are given first
+        monkeypatch.setattr(trotter, "GRID_CHUNK", 1)
+        stacks = exact_stacks(heisenberg_chain(2, 1.0, 0.5), random_rows(2),
+                              [0.0, 0.5, float("nan")])
+        next(stacks), next(stacks)
         with pytest.raises(InputError, match="finite time and phase, got t = nan"):
-            next(evolvers)
-
-    def test_evolvers_reused_across_states(self):
-        h = random_real_pauli_hamiltonian(3)
-        (evolve_t,) = exact_evolvers(h, [0.8])
-        u = exact_propagator(h, 0.8)
-        for _ in range(3):
-            psi = random_state(3)
-            want = u @ psi.amplitudes
-            assert np.max(np.abs(evolve_t(psi).amplitudes - want)) <= 1e-12
+            next(stacks)
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), 1e308],
                              ids=["nan", "inf", "-inf", "phase-overflows"])
     def test_non_finite_time_or_phase_rejected(self, t):
         with pytest.raises(InputError, match="finite time and phase"):
-            list(exact_evolvers(heisenberg_chain(2, 1.0, 0.5), [0.0, t]))
+            list(exact_stacks(heisenberg_chain(2, 1.0, 0.5), random_rows(2), [0.0, t]))
         with pytest.raises(InputError, match="finite time and phase"):
             exact_propagator(heisenberg_chain(2, 1.0, 0.5), t)
 
     def test_narrow_register_rejected(self):
-        (evolve_t,) = exact_evolvers(heisenberg_chain(3, 1.0), [0.5])
         with pytest.raises(InputError):
-            evolve_t(random_state(2))
+            exact_stacks(heisenberg_chain(3, 1.0), random_rows(2), [0.5])
 
     def test_wide_register_rejected(self):
-        (evolve_t,) = exact_evolvers(heisenberg_chain(2, 1.0), [0.5])
         with pytest.raises(InputError, match="state has 3 qubits, H acts on 2"):
-            evolve_t(random_state(3))
+            exact_stacks(heisenberg_chain(2, 1.0), random_rows(3), [0.5])
+
+    def test_heis9_blocks_are_the_total_sz_sectors(self):
+        # the benchmark's chain: per-bond couplings and a uniform z field
+        h = heisenberg_chain(9, [0.6, 1.4, 0.9, 1.2, 0.5, 1.1, 0.8, 1.3], 0.5)
+        blocks = conserved_blocks(h)
+        sizes = sorted(d for idx, _, _ in blocks for d in [idx.shape[1]] * len(idx))
+        assert sizes == sorted(math.comb(9, k) for k in range(10))
+        # each block is the states of one number of up spins
+        for idx, _, _ in blocks:
+            ups = ((idx[..., None] >> np.arange(9)) & 1).sum(axis=-1)
+            assert np.all(ups == ups[:, :1])
+        states = np.sort(np.concatenate([idx.ravel() for idx, _, _ in blocks]))
+        assert np.array_equal(states, np.arange(2**9))
+
+    @pytest.mark.parametrize("name, sizes", [("tim", [8]), ("identity-only", [1] * 8),
+                                             ("one-by-one", [1] * 8)])
+    def test_block_sizes(self, name, sizes):
+        blocks = conserved_blocks(EXACT_HAMILTONIANS[name]())
+        assert sorted(d for idx, _, _ in blocks for d in [idx.shape[1]] * len(idx)) == sizes
+
+    def test_blocks_diagonalize_h(self):
+        h = EXACT_HAMILTONIANS["xy-field"]()
+        m = dense_matrix(h)
+        for idx, w, v in conserved_blocks(h):
+            for k in range(len(idx)):
+                block = m[np.ix_(idx[k], idx[k])]
+                assert np.max(np.abs(block - (v[k] * w[k]) @ v[k].conj().T)) <= 1e-12
+
+    def test_memory_within_half_again_the_dense_h(self):
+        # the dense complex H of ten qubits is 16 MiB; its blocks, diagonalized
+        # once the dense H is let go, add little to it
+        h = heisenberg_chain(10, 1.0, 0.5)
+        rows = random_rows(10, 2)
+        tracemalloc.start()
+        try:
+            for _ in exact_stacks(h, rows, np.linspace(0.0, np.pi, 11)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * 4**10
 
 
 class TestTrotterScaling:
@@ -1046,7 +1118,7 @@ class TestPlanValidation:
     pytest.param(dense_matrix, id="dense_matrix"),
     pytest.param(lambda h: circuit_unitary(Circuit(h.n_qubits, ())), id="circuit_unitary"),
     pytest.param(lambda h: exact_propagator(h, 1.0), id="exact_propagator"),
-    pytest.param(lambda h: exact_evolvers(h, [1.0]), id="exact_evolvers"),
+    pytest.param(lambda h: exact_stacks(h, np.zeros((1, 2**13)), [1.0]), id="exact_stacks"),
 ])
 def test_dense_limit_at_13_qubits(dense):
     with pytest.raises(ResourceError):
