@@ -15,6 +15,7 @@ the ancilla at 1 (:func:`_half`), not as a controlled gate circuit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -53,6 +54,21 @@ def magnetization(state: StateVector, site: int) -> float:
         x = x.reshape(left // group, group, 2, width)
         sums = np.einsum("aijk,aijk->ijk", x, x).sum(axis=(0, 2))
     return float(0.5 * (sums[0] - sums[1]))
+
+
+def total_magnetization(state: StateVector) -> float:
+    """The sum of <s_z> over all sites: one pass over |psi|^2, basis state j
+    weighed by (N - 2 popcount(j)) / 2."""
+    x = np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, 2)
+    return float(np.einsum("ij,ij->i", x, x) @ _site_spin_sums(state.n_qubits))
+
+
+@cache
+def _site_spin_sums(n: int) -> np.ndarray:
+    sums = np.zeros(1)
+    for _ in range(n):
+        sums = np.concatenate([sums + 0.5, sums - 0.5])
+    return sums
 
 
 @dataclass(frozen=True)
@@ -208,20 +224,38 @@ _NEWTON_STEPS = 32
 _LINE_THRESHOLD = 0.01  # the weakest line reported, relative to the strongest
 
 
+def _sample_responses(series: np.ndarray, thetas: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """|S(q)| at evenly spaced ``samples`` as |sum y w^j|, y = x e^{i samples[0] theta}
+    and w = e^{i (samples[1] - samples[0]) theta}: two exponentials, then one
+    multiply per sample.  Its rounding is not a direct sum's; it only ranks."""
+    y = series * np.exp(1j * samples[0] * thetas)
+    w = np.exp(1j * (samples[1] - samples[0]) * thetas)
+    out = np.empty(len(samples))
+    for j in range(len(samples)):
+        out[j] = abs(y.sum())
+        y *= w
+    return out
+
+
 def _refine_peak(series: np.ndarray, dtheta: float, q0: float, half_width: float) -> float:
     """The q within ``half_width`` of ``q0`` that maximizes |S(q)|^2.
 
     S(q) = sum_k x_k e^{i q theta_k} is the series' matched-filter response.
     Newton's method finds the root of d|S|^2/dq = 2 Re(conj(S) S'), with S'
     and S'' in closed form as in single-tone estimation (Rife & Boorstyn,
-    IEEE Trans. Inf. Theory 20, 591 (1974)), starting from the best of a few
-    samples across the window.  It stops when a step no longer shrinks, or
-    would leave the window or the concave part of the peak.  The thetas are
-    centred on the grid, which leaves |S| alone and keeps S' small.
+    IEEE Trans. Inf. Theory 20, 591 (1974)), starting from the sample, of a
+    few across the window, with the largest :func:`_sample_responses`.  It
+    stops when a step no longer shrinks, or would leave the window or the
+    concave part of the peak.  The thetas are centred on the grid, which
+    leaves |S| alone and keeps S' small.  The series is first scaled by a
+    power of two, which scales every Newton quantity exactly and keeps them
+    finite on series near either end of the float range.
     """
+    parts = np.ascontiguousarray(series).view(float)
+    series = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
     thetas = (np.arange(len(series)) - (len(series) - 1) / 2) * dtheta
     samples = q0 + np.linspace(-half_width, half_width, _PEAK_SAMPLES)
-    q = float(max(samples, key=lambda q: abs(np.exp(1j * q * thetas) @ series)))
+    q = float(samples[np.argmax(_sample_responses(series, thetas, samples))])
     last_step = np.inf
     for _ in range(_NEWTON_STEPS):
         terms = series * np.exp(1j * q * thetas)
@@ -250,7 +284,9 @@ def spectrum_from_series(
     centroids.  Weights come from a joint least-squares fit of complex
     exponentials at the detected lines, with each line's location refined
     against the residual of the others; for a noiseless series of isolated
-    lines this recovers the exact weights.  Results are sorted by eigenvalue.
+    lines this recovers the exact weights.  The merge and refinement rounds
+    stop early once one leaves every line's bits unchanged.  Results are
+    sorted by eigenvalue.
     """
     series = np.asarray(series, dtype=complex)
     m = len(series)
@@ -291,12 +327,18 @@ def spectrum_from_series(
     def fit(qlist):
         return np.linalg.lstsq(model(qlist), series, rcond=None)[0]
 
+    def bits(qlist):
+        return np.array(qlist).tobytes()
+
     # alternate: merge sub-resolution duplicates at their modulus-weighted
     # centroid, drop lines below the relative threshold, and re-converge the
-    # survivors by residual-refinement + joint least squares
+    # survivors by residual-refinement + joint least squares.  With amps =
+    # fit(q_hat), a round and a pass are functions of q_hat alone, so one that
+    # leaves q_hat's bits unchanged leaves them unchanged in every later one
     q_hat = sorted(locations)
     amps = fit(q_hat)
     for _ in range(4):
+        round_start = bits(q_hat)
         pairs = sorted(zip(q_hat, amps), key=lambda p: p[0])
         merged: list[tuple[float, complex]] = []
         for q, a in pairs:
@@ -311,12 +353,17 @@ def spectrum_from_series(
         q_hat = [q for q, a in merged if abs(a) >= _LINE_THRESHOLD * wmax]
         amps = fit(q_hat)
         for _ in range(2):
+            pass_start = bits(q_hat)
             for l in range(len(q_hat)):
                 others = [k for k in range(len(q_hat)) if k != l]
                 res_l = series - model([q_hat[k] for k in others]) @ amps[others] \
                     if others else series
                 q_hat[l] = _refine_peak(res_l, dtheta, q_hat[l], bin_width)
+            if bits(q_hat) == pass_start:
+                break
             amps = fit(q_hat)
+        if bits(q_hat) == round_start:
+            break
 
     weights = np.abs(amps)
     return sorted((float(q), float(w)) for q, w in zip(q_hat, weights))

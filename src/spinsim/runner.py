@@ -461,9 +461,7 @@ def _scalar_value(obs: ObservableSpec, state: StateVector, exact: StateVector) -
     if obs.kind == "magnetization":
         return observables.magnetization(state, obs.args[0])
     if obs.kind == "total_magnetization":
-        return sum(
-            observables.magnetization(state, i) for i in range(1, state.n_qubits + 1)
-        )
+        return observables.total_magnetization(state)
     return probability(state, obs.args[0])
 
 

@@ -39,7 +39,10 @@ circuits are compared byte for byte.  When the exact reference began to
 diagonalize H by its conserved blocks, instead of whole, values moved on
 fig6b (4 lines, by at most 6.4e-18), fig6c (2 lines, 2.9e-18), heis5-eps2
 (1 line, 2.4e-17) and heis3-s3-corr-first (6 lines, 5.6e-17); fig2, fig4a,
-fig4b, fig4c, fig6a and the other run configs kept their bytes.
+fig4b, fig4c, fig6a and the other run configs kept their bytes.  When
+``total_magnetization`` began to be read in one pass over |psi|^2, instead of
+as a sum of site magnetizations, the ``mz_total`` columns of
+heis3-s3-corr-first moved on 8 lines, by at most 8.3e-17 about their exact 0.
 """
 
 import hashlib
@@ -63,6 +66,7 @@ from spinsim.runner import (
     verify_suite,
 )
 from spinsim.trotter import TrotterPlan, trotterize
+import oracles
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -350,6 +354,56 @@ def test_spectrum_fit_is_stable_under_rounding_noise(name):
         noisy = np.array(observables.spectrum_from_series(series + 1e-15 * noise, dtheta))
         assert noisy.shape == clean.shape
         assert np.max(np.abs(noisy[:, 0] - clean[:, 0])) <= 1e-12
+
+
+def _fit_cases(monkeypatch):
+    """(series, dtheta) pairs: the golden series, the criterion 8 series as a
+    run makes it, and seeded random series of up to five lines, every third noisy."""
+    cases = []
+    for name, text in SPECTRUM_CONFIGS.items():
+        series = _read_series((GOLDEN / f"spectrum-{name}.series").read_text())
+        cfg = parse_config(text)
+        spec = observables.SpectrumSpec(build_hamiltonian(cfg), cfg.initial, m=len(series))
+        cases.append((series, spec.spacing()))
+    cases.append((run_spectrum(SPECTRUM_CONFIGS["heis2"], monkeypatch)[1], cases[0][1]))
+    rng = np.random.default_rng(25)
+    for k in range(120):
+        m, dtheta, lines = 2 ** rng.integers(4, 11), rng.uniform(0.05, 0.5), rng.integers(1, 6)
+        qs = rng.uniform(-np.pi / dtheta, np.pi / dtheta, lines)
+        amps = rng.uniform(0.01, 1, lines) * np.exp(1j * rng.uniform(0, 2 * np.pi, lines))
+        series = np.exp(-1j * np.outer(np.arange(m) * dtheta, qs)) @ amps
+        if k % 3 == 0:
+            series = series + rng.uniform(1e-6, 1e-2) * (np.array([1, 1j]) @ rng.normal(size=(2, m)))
+        cases.append((series, dtheta))
+    return cases
+
+
+def test_spectrum_fit_matches_full_round_oracle_bit_for_bit(monkeypatch):
+    # stopping at the fixed point and ranking the start samples by recurrence
+    # change how much the fit computes, not one bit of what it returns
+    for series, dtheta in _fit_cases(monkeypatch):
+        got = observables.spectrum_from_series(series, dtheta)
+        want = oracles.spectrum_from_series(series, dtheta)
+        assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
+
+
+def test_spectrum_fit_stops_at_its_fixed_point(monkeypatch):
+    series = run_spectrum(SPECTRUM_CONFIGS["heis2"], monkeypatch)[1]
+    cfg = parse_config(SPECTRUM_CONFIGS["heis2"])
+    dtheta = observables.SpectrumSpec(build_hamiltonian(cfg), cfg.initial, m=len(series)).spacing()
+    counts = {}
+    for module in (observables, oracles):
+        refine = module._refine_peak
+
+        def counted(*args, module=module, refine=refine):
+            counts[module] = counts.get(module, 0) + 1
+            return refine(*args)
+
+        monkeypatch.setattr(module, "_refine_peak", counted)
+        module.spectrum_from_series(series, dtheta)
+    # two extractions, then two lines per pass: four rounds of two passes
+    # against two rounds of two passes and a third round's unchanged pass
+    assert counts == {oracles: 18, observables: 12}
 
 
 @pytest.mark.parametrize("fid", FIGURE_IDS)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -13,12 +14,14 @@ from spinsim.observables import (
     CorrelationSpec,
     SpectrumSpec,
     _half,
+    _sample_responses,
     correlation_ancilla,
     correlation_direct,
     correlation_rows,
     magnetization,
     spectrum_from_series,
     spin_correlation,
+    total_magnetization,
     unitary_expectation_series,
 )
 from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
@@ -104,6 +107,21 @@ class TestMagnetization:
     def test_site_range(self):
         with pytest.raises(InputError):
             magnetization(basis_state(2, "00"), 3)
+
+
+class TestTotalMagnetization:
+    def test_basis_states(self):
+        # each 0 counts +1/2 and each 1 counts -1/2
+        for bits in ("0", "1", "000", "0110", "11111"):
+            want = 0.5 * (bits.count("0") - bits.count("1"))
+            assert total_magnetization(basis_state(len(bits), bits)) == want
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 12])
+    def test_sum_of_site_magnetizations(self, n):
+        # on a state and on a strided half of a wider one
+        for state in (random_state(n), _half(random_state(n + 1), 0)):
+            sites = sum(magnetization(state, site) for site in range(1, n + 1))
+            assert abs(total_magnetization(state) - sites) <= 1e-14
 
 
 class TestCorrelationDirect:
@@ -602,6 +620,33 @@ class TestSpectrumFromSeries:
         with pytest.raises(InputError, match="dtheta must be positive and finite"):
             spectrum_from_series(np.ones(64), dtheta)
         assert capfd.readouterr().err == ""  # refused before LAPACK can print to stderr
+
+
+class TestSpectrumFitInternals:
+    def test_sample_responses_match_direct_sums(self):
+        # the recurrence's 13 responses against one exponential per sample
+        rng = np.random.default_rng(25)
+        for m in (16, 256, 1024):
+            series = np.array([1, 1j]) @ rng.normal(size=(2, m))
+            thetas = (np.arange(m) - (m - 1) / 2) * rng.uniform(0.05, 0.5)
+            samples = rng.uniform(-3, 3) + np.linspace(-0.1, 0.1, 13)
+            direct = np.array([abs(np.exp(1j * q * thetas) @ series) for q in samples])
+            assert np.max(np.abs(_sample_responses(series, thetas, samples) / direct - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e300, 1e150, 1e-300])
+    def test_extreme_scales_fit_without_warnings(self, scale):
+        # the peak refinement scales the series by a power of two, so its
+        # Newton quantities neither overflow nor underflow
+        m, dtheta = 64, 0.2
+        thetas = np.arange(m) * dtheta
+        series = 0.6 * np.exp(-1j * 0.7 * thetas) + 0.4 * np.exp(1j * 2.1 * thetas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ((q, w),) = spectrum_from_series(np.full(8, scale + 0j), 0.3)
+            peaks = np.array(spectrum_from_series(scale * series, dtheta))
+        assert q == 0.0 and w == pytest.approx(scale, rel=1e-12)
+        assert np.max(np.abs(peaks[:, 0] - [-2.1, 0.7])) <= 1e-12
+        assert np.max(np.abs(peaks[:, 1] / scale - [0.4, 0.6])) <= 1e-12
 
 
 class TestSpectrumSpecValidation:
