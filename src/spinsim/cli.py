@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             h = runner.build_hamiltonian(cfg)
             (grid, _), *_ = runner._digital_grids(cfg, runner._compilers(cfg, h), [cfg.t_max])
-            _emit(compiler.dumps_circuit(next(grid).circuit), args.out)
+            _emit(compiler.dumps_circuit(next(grid)[0].circuit), args.out)
         else:
             _emit(runner.run(cfg), args.out)
     except InputError as exc:

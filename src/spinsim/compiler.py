@@ -30,10 +30,10 @@ blocks are laid out and its constant gates multiplied once, and a fill
 multiplies in only the angle gates' matrices, for a whole stack of angle rows
 at once: each slot's matrices and each block are stacks with one matrix per
 row.  Its product loop is the only one: a plain circuit's blocks are those of
-a template with no open angles.  Each circuit a fill gives runs its row of the
-stacked blocks as they are, knows them (``Circuit.stack``) as its inverse
-does, and builds its gates only where they are read (a dump, a count, an
-unrolled evolution).
+a template with no open angles.  A fill is one object, its stacked blocks
+(``_Fill``), which a Trotter grid evolves as they are; a row is made a
+circuit only on demand (:meth:`_Fill.circuit`), which builds its gates only
+where they are read (a dump, a count, an unrolled evolution).
 """
 
 from __future__ import annotations
@@ -78,8 +78,6 @@ class Circuit:
     n_qubits: int
     ops: tuple[GateOp, ...]
     global_phase: float = 0.0
-    #: (stacked blocks, row, inverted) for the row of a fill or its inverse, else None
-    stack = None
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -104,8 +102,8 @@ class Circuit:
         so every circuit is laid out by :func:`plan_blocks` and multiplied by
         the one product loop, :meth:`CircuitTemplate.blocks`.  Built on first
         use and kept with the circuit, so a circuit that runs again is fused
-        once.  A circuit filled from a template takes its row of the fill's
-        stacked blocks instead.
+        once.  A circuit made from a fill's row takes that row of its stacked
+        blocks instead.
         """
         return CircuitTemplate(self.n_qubits, self.ops).blocks(())
 
@@ -124,14 +122,13 @@ class _LazyCircuit(Circuit):
 
     ``blocks()`` and ``build()`` return them; the ops are on the targets the
     blocks were made from, which the maker of the blocks checked against the
-    register.  ``stack`` is as for :class:`Circuit`.
+    register.
     """
 
     def __init__(self, n_qubits: int, n_gates: int, blocks: Callable[[], tuple[Block, ...]],
-                 build: Callable[[], Sequence[GateOp]], global_phase: float = 0.0,
-                 stack: tuple | None = None):
+                 build: Callable[[], Sequence[GateOp]], global_phase: float = 0.0):
         self.__dict__.update(n_qubits=n_qubits, n_gates=n_gates, global_phase=global_phase,
-                             _blocks=blocks, _build=build, stack=stack)
+                             _blocks=blocks, _build=build)
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -479,6 +476,7 @@ class CircuitTemplate:
     def __init__(self, n_qubits: int, members: Sequence[GateOp | tuple[AngleSlot, int]]):
         self.n_qubits = n_qubits
         self._members = tuple(members)
+        self.n_gates = len(self._members)
         index: dict[tuple[AngleSlot, int], int] = {}
         # per member: its slot's index, None if built
         self._keys = [None if type(m) is GateOp else index.setdefault(m, len(index))
@@ -524,15 +522,14 @@ class CircuitTemplate:
             blocks.append((targets, products[0] if len(products) == 1 else kron_factors(products)))
         return tuple(blocks)
 
-    def fill(self, rows: np.ndarray) -> list[Circuit]:
-        """One circuit per row of ``rows`` (g x columns), with the row's angles in the slots.
+    def fill(self, rows: np.ndarray) -> _Fill:
+        """The template at each row of ``rows`` (g x columns), with the row's angles in the slots.
 
         The slots of one kind and width, whose other parameters are the same
         constants, get their matrices from one stacked call for all rows
         (:func:`gates.kind_matrix`, each bit-equal to what :func:`gate_matrix`
-        gives its gate), which are multiplied into stacked blocks; a circuit's
-        blocks are its row of those stacks, and its gates are built on first
-        access.  A non-finite parameter is an ``InputError``, as
+        gives its gate), which are multiplied into stacked blocks, one matrix
+        per row.  A non-finite parameter is an ``InputError``, as
         :class:`GateOp` refuses it, named for the first row that has one.
         """
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -553,10 +550,7 @@ class CircuitTemplate:
         for ((kind, width, *constants), slots), first in zip(kinds.items(), firsts):
             for s, m in zip(slots, kind_matrix(kind, (first, *constants), width)):
                 matrices[s] = m
-        filled = _Fill(self, params, matrices, self.blocks(matrices))
-        return [_LazyCircuit(self.n_qubits, len(self._members), partial(filled.blocks_at, row),
-                             partial(filled.ops_at, row), stack=(filled.blocks, row, False))
-                for row in range(len(rows))]
+        return _Fill(self, params, matrices, self.blocks(matrices))
 
 
 class _Fill(NamedTuple):
@@ -567,8 +561,11 @@ class _Fill(NamedTuple):
     matrices: list[np.ndarray]  # per slot, a stack of one matrix per row
     blocks: tuple[Block, ...]  # a stack of one matrix per row, or a constant block
 
-    def blocks_at(self, row: int) -> tuple[Block, ...]:
-        return tuple((targets, u if u.ndim == 2 else u[row]) for targets, u in self.blocks)
+    def circuit(self, row: int) -> Circuit:
+        """Row ``row`` as a circuit: its row of the blocks, and its gates built on first access."""
+        blocks = lambda: tuple((t, u if u.ndim == 2 else u[row]) for t, u in self.blocks)
+        return _LazyCircuit(self.template.n_qubits, self.template.n_gates, blocks,
+                            partial(self.ops_at, row))
 
     def ops_at(self, row: int) -> list[GateOp]:
         """The gates of row ``row``, each keeping the matrix the fill computed."""
@@ -687,7 +684,6 @@ def inverse_circuit(c: Circuit) -> Circuit:
         lambda: tuple((targets, u.conj().T) for targets, u in reversed(c.blocks)),
         lambda: [_inverse_op(op) for op in reversed(c.ops)],
         -c.global_phase,
-        None if c.stack is None else (*c.stack[:2], not c.stack[2]),
     )
 
 

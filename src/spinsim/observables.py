@@ -5,7 +5,7 @@ protocol), and operator spectra via FFT of a phase-swept expectation series.
 The caller makes U(t) and evolves the states: the :func:`correlation_rows` of
 a run's specs at each time point, with its other states, and a route reads one
 point's value from them.  A spectrum is given a compiler of Q, which compiles
-the theta grid a chunk at a time and evolves it a stack of states at a time.
+the theta grid as one grid object per stack of states it evolves.
 
 The ancilla protocols put one extra qubit after the system qubits.  An
 operation controlled on it runs as the plain operation on the amplitudes with
@@ -24,7 +24,7 @@ from .errors import InputError
 from .gates import PAULI
 from .pauli import PauliHamiltonian
 from .statevector import StateVector, _apply_matrix, product_state
-from .trotter import evolve_stack, iter_stacks
+from .trotter import evolve_stack
 
 if TYPE_CHECKING:
     from .trotter import TrotterCompiler
@@ -194,13 +194,13 @@ def unitary_expectation_series(spec: SpectrumSpec, compiler: TrotterCompiler) ->
     """<psi| exp(-i Q theta) |psi> over the theta grid, via the ancilla route.
 
     ``compiler`` compiles Q, such as a :class:`~spinsim.trotter.TrotterCompiler`
-    of Q; its ``iter_grid`` compiles the thetas a chunk at a time, each chunk
-    in one call that fills the step's angle slots for all its thetas at once.
-    Each compiled evolution, global phase included, runs on the ancilla-one
-    half of |psi>|+>: that is exp(-i Q theta) controlled on the ancilla, on
-    any gate set.  A stack of thetas (:func:`~spinsim.trotter.iter_stacks`)
-    evolves copies of that half as one (:func:`~spinsim.trotter.evolve_stack`),
-    each read against the ancilla-zero half, which no theta changes.
+    of Q; its ``iter_grid`` compiles the thetas a stack of points at a time, each
+    stack one :class:`~spinsim.trotter.GridEvolution` that fills the step's angle
+    slots for all its thetas at once.  Each evolution, global phase included,
+    runs on the ancilla-one half of |psi>|+>: that is exp(-i Q theta)
+    controlled on the ancilla, on any gate set.  A grid evolves copies of that
+    half as one stack (:func:`~spinsim.trotter.evolve_stack`), each read
+    against the ancilla-zero half, which no theta changes.
     """
     n = spec.operator.n_qubits
     start = product_state(n + 1, spec.initial + "+").amplitudes
@@ -209,13 +209,11 @@ def unitary_expectation_series(spec: SpectrumSpec, compiler: TrotterCompiler) ->
     zero = start.conj()[0::2]
     dtheta = spec.spacing()
     thetas = [k * dtheta for k in range(spec.m)]
-    out = np.empty(spec.m, dtype=complex)
-    k = 0
-    for results in iter_stacks(compiler.iter_grid(thetas), n):
-        ones = evolve_stack(np.tile(start[1::2], (len(results), 1)), results)
-        out[k:k + len(results)] = 2 * np.matmul(zero, ones[:, :, None])[:, 0]
-        k += len(results)
-    return out
+    series = []
+    for grid in compiler.iter_grid(thetas):
+        ones = evolve_stack(np.tile(start[1::2], (len(grid), 1, 1)), grid)
+        series.append(2 * np.matmul(zero, ones[:, 0, :, None])[:, 0])
+    return np.concatenate(series)
 
 
 # the peak refinement's starting samples per window, and its most Newton steps

@@ -489,16 +489,16 @@ def _variant_evolution(cfg, t: float) -> trotter.EvolutionResult:
                                    1, abs(j * t), circ.global_phase)
 
 
-def _digital_grids(cfg, compilers, times) -> list[tuple[Iterator[trotter.EvolutionResult], int]]:
-    """The digital evolutions at each of ``times``, as iterators over the points, each
-    with the number of rows it evolves at a point: a fidelity sweep's grids, one per
+def _digital_grids(cfg, compilers, times) -> list[tuple[Iterator[trotter.GridEvolution], int]]:
+    """The digital evolutions at ``times``, each as one grid per stack of points, with
+    the number of rows it evolves at a point: a fidelity sweep's grids, one per
     column, and an evolution run's first one evolve psi0 for the scalar columns.
 
-    A Trotter plan compiles its grid a chunk of points per call
-    (:meth:`~spinsim.trotter.TrotterCompiler.iter_grid`); a fixed Heisenberg
-    variant spells its circuit per point.  Correlations run the plan on their
-    2 + 2k rows, psi0 first (:func:`~spinsim.observables.correlation_rows`): on
-    its one grid, or on a second beside a variant.
+    A Trotter plan compiles a stack as one grid (its compiler's ``iter_grid``); a
+    fixed Heisenberg variant spells its circuit per point, a plain form of its
+    stack's grid.  Correlations run the plan on their 2 + 2k rows, psi0 first
+    (:func:`~spinsim.observables.correlation_rows`): on its one grid, or on a
+    second beside a variant, which then evolves no row if no column is scalar.
     """
     if cfg.run_kind == "fidelity":
         return [(compilers(_fidelity_plan(o, cfg.plan.order)).iter_grid(times), 1)
@@ -507,7 +507,8 @@ def _digital_grids(cfg, compilers, times) -> list[tuple[Iterator[trotter.Evoluti
     rows = 2 + 2 * n_corr if n_corr else 1
     if cfg.heis2_variant is None:
         return [(compilers(cfg.plan).iter_grid(times), rows)]
-    variant = (_variant_evolution(cfg, float(t)) for t in times)
+    variant = (trotter.GridEvolution.of([_variant_evolution(cfg, float(t)) for t in ts])
+               for ts in trotter.iter_stacks(times, cfg.n_qubits))
     grids = [(variant, int(n_corr < len(cfg.observables)))]
     if n_corr:
         grids.append((compilers(cfg.plan).iter_grid(times), rows))
@@ -549,7 +550,7 @@ def _check_run_budget(cfg, h, compilers):
     else:
         n_corr = sum(o.kind == "correlation" for o in cfg.observables)
         grids = _digital_grids(cfg, compilers, [cfg.t_max])
-        total = cfg.points * (1 + n_corr + sum(rows * next(grid).gate_applications
+        total = cfg.points * (1 + n_corr + sum(rows * next(grid)[0].gate_applications
                                                for grid, rows in grids))
     if total > gates.GATE_BUDGET:
         raise ResourceError(f"the run plans {total} gate applications, over the budget "
@@ -573,12 +574,12 @@ def _run_grid(cfg, h, compilers, times, header) -> str:
     """The CSV of a fidelity sweep or an evolution run of H, over the time grid ``times``.
 
     One pass, a stack of points at a time: each grid (:func:`_digital_grids`)
-    evolves its rows at the stack's points as one stack of states, as do the
-    exact rows, psi0 then W psi0 per correlation, under one block
-    diagonalization of H (:func:`~spinsim.trotter.exact_stacks`).  Every column
-    reads a point's rows, and the point is let go.  So each state is evolved
-    once: the scalar columns read the exact psi0 (index 0), then each grid's
-    psi0, and the correlation routes read the rows they need.
+    evolves its rows at the stack's points as one (points, rows, amplitudes)
+    stack of states, as do the exact rows, psi0 then W psi0 per correlation,
+    under one block diagonalization of H (:func:`~spinsim.trotter.exact_stacks`).
+    Every column reads a point's rows, and the stack is let go.  So each state
+    is evolved once: the scalar columns read the exact psi0 (index 0), then
+    each grid's psi0, and the correlation routes read the rows they need.
     """
     fidelity = cfg.run_kind == "fidelity"
     scalar_obs = [o for o in cfg.observables if o.kind != "correlation"]
@@ -605,18 +606,14 @@ def _run_grid(cfg, h, compilers, times, header) -> str:
     table = np.zeros((len(times), len(columns)))
     corr = np.zeros((len(times), len(specs), 3), dtype=complex)
     steps_used = []
-    exact = (rows for stack in trotter.exact_stacks(h, start[0::2], times) for rows in stack)
-    for stacks in zip(*(trotter.iter_stacks(grid, cfg.n_qubits) for grid, _ in grids)):
-        evolved = []  # each grid's rows at these points, as (point, row, amplitude)
-        for s, (_, n) in zip(stacks, grids):
-            results = s if n == 1 else [r for r in s for _ in range(n)]
-            states = trotter.evolve_stack(np.tile(start[:n], (len(s), 1)), results)
-            evolved.append(states.reshape(len(s), n, start.shape[1]))
-        for s in stacks:  # popped point by point, so each result is let go after its point
-            s.reverse()
-        for i, exact_rows in zip(range(len(stacks[0])), exact):
+    exact = trotter.exact_stacks(h, start[0::2], times)
+    for *stacks, exact_stack in zip(*(grid for grid, _ in grids), exact):
+        # each grid's rows at these points, as (point, row, amplitude)
+        evolved = [trotter.evolve_stack(np.tile(start[:n], (len(s), 1, 1)), s)
+                   for s, (_, n) in zip(stacks, grids)]
+        for i, exact_rows in enumerate(exact_stack):
             k = len(steps_used)
-            steps_used.append([s.pop().n_steps_used for s in stacks])
+            steps_used.append([int(s.n_steps[i]) for s in stacks])
             if reads:
                 states = [StateVector(cfg.n_qubits, row)
                           for row in (exact_rows[0], *(d[i, 0] for d in evolved))]

@@ -16,23 +16,24 @@ term's gates with its angle left open.  The step is laid out as a
 its fused blocks, with the frame changes and CNOTs multiplied in and the
 angle gates left as slots.  A single-axis hoisted field prefix is a template
 of rotation slots too.  The compiler compiles a whole grid of times at once
-(:meth:`TrotterCompiler.grid`): it works out each point's step count, groups
-the points by form, and fills each group's template once from the stack of
-their angle rows, so each slot's matrices and each block are computed as one
-stack for the group; a point's blocks are its row of those stacks.  A long
-grid is compiled a chunk of points at a time (:meth:`TrotterCompiler.iter_grid`),
-so its memory does not grow with its length.  The step's gates are built
-only if they are read.  Calling the compiler at one time t is the one-point
-grid, and ``trotterize`` is one such call.
+into one :class:`GridEvolution` (:meth:`TrotterCompiler.grid`): it works out
+each point's step count, groups the points by form, and fills each group's
+template once from the stack of their angle rows, so each slot's matrices and
+each block are computed as one stack for the group.  The grid keeps each
+fill with its points, and the per-point step counts and phases as arrays; a
+point is an :class:`EvolutionResult` only where asked for (``grid[k]``).  A
+long grid is compiled a stack of points at a time (:meth:`TrotterCompiler.iter_grid`).
+Calling the compiler at one time t is the one-point grid's point, and
+``trotterize`` is one such call.
 
 A compiled evolution is one Trotter step and its repeat count, not the
 unrolled gate list: it applies the hoisted prefix, then the step n times, then
-the global phase once.  :func:`evolve_stack` evolves a stack of states, such
-as one initial state at a stack of a grid's points (:func:`iter_stacks`), and
-``evolve`` one state.  Where it is cheaper than the gates, the step is folded
-into one dense matrix U, and U^n, formed by repeated squaring in about log2(n)
-products, is applied once in place of n passes of its gates; a stack builds
-and raises its rows' matrices together.
+the global phase once.  :func:`evolve_stack` evolves a grid on a (g, r, 2^N)
+stack of states, r rows a point, each form's stacked blocks on its points'
+rows; ``evolve`` runs one result as a one-point grid.  Where it is cheaper
+than the gates, the step is folded into one dense matrix U, and U^n, formed
+by repeated squaring in about log2(n) products, is applied once in place of n
+passes of its gates; a form builds and raises its points' matrices together.
 
 Backward evolution (t < 0) is the exact mirror of the forward circuit, so a
 forward run followed by a backward run with the same plan is an exact identity.
@@ -44,7 +45,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -157,151 +158,185 @@ class EvolutionResult:
 
     @property
     def folds(self) -> bool:
-        """Whether the repeated step is cheaper as a power of its dense matrix than as gates.
+        """Whether the repeated step is cheaper as a power of its dense matrix than as gates."""
+        return _folds(self.step.n_qubits, len(self.step.blocks), self.n_steps_used)
 
-        Folded, the evolution costs a pass of each of the step's blocks over
-        the 2^N identity columns, which form one 2N-qubit vector, to build the
-        matrix, about two more such passes to set up the columns and apply the
-        power to the state, and about log2(n) dense products of 8^N flops, to
-        square it up to the n-th power.  Unfolded, it costs n passes of its
-        blocks over the state.  Each pass is priced by :func:`_pass_flops`, and
-        the step folds when that makes folding the cheaper route; the table
-        the constants rest on is in CHANGES.md.  The register must also be
-        within the dense-matrix limit ``DENSE_QUBIT_LIMIT``.
-        """
-        n, reps = self.step.n_qubits, self.n_steps_used
-        if n > DENSE_QUBIT_LIMIT or reps == 1:  # one step costs less than its columns
-            return False
-        blocks = len(self.step.blocks)
-        folded = (blocks + 2) * _pass_flops(2 * n) + math.log2(reps) * 8**n
-        return folded < reps * blocks * _pass_flops(n)
+
+def _folds(n: int, blocks: int, reps: int) -> bool:
+    """Whether ``reps`` repeats of a step of ``blocks`` blocks on ``n`` qubits are cheaper
+    as a power of the step's dense matrix than as gates.
+
+    Folded, the evolution costs a pass of each of the step's blocks over the
+    2^N identity columns, which form one 2N-qubit vector, to build the matrix,
+    about two more such passes to set up the columns and apply the power to
+    the state, and about log2(n) dense products of 8^N flops, to square it up
+    to the n-th power.  Unfolded, it costs n passes of its blocks over the
+    state.  Each pass is priced by :func:`_pass_flops`, and the step folds
+    when that makes folding the cheaper route; the table the constants rest on
+    is in CHANGES.md.  The register must also be within the dense-matrix
+    limit ``DENSE_QUBIT_LIMIT``.
+    """
+    if n > DENSE_QUBIT_LIMIT or reps == 1:  # one step costs less than its columns
+        return False
+    folded = (blocks + 2) * _pass_flops(2 * n) + math.log2(reps) * 8**n
+    return folded < reps * blocks * _pass_flops(n)
+
+
+class GridEvolution:
+    """exp(-i H t) compiled at each point of a grid of times, as one object.
+
+    ``prefix`` and ``step`` are forms ``(source, points)``: a template fill whose
+    stacked blocks have a row per point of the int array ``points``, in order,
+    or a plain circuit that each of ``points`` runs.  Per point, the arrays
+    ``n_steps``, ``delta`` (the coupling scale times |t|), ``global_phase``,
+    ``mirrored`` (t < 0: the inverse of the point at -t, whose forward blocks
+    its forms hold) and ``folds`` (:func:`_folds`).  :func:`evolve_stack` reads
+    only these; ``grid[k]`` is point k as an :class:`EvolutionResult`.
+    """
+
+    def __init__(self, n_qubits: int, prefix: list, step: list, n_steps: np.ndarray,
+                 delta: np.ndarray, global_phase: np.ndarray, mirrored: np.ndarray):
+        self.n_qubits, self.prefix, self.step, self.n_steps = n_qubits, prefix, step, n_steps
+        self.delta, self.global_phase, self.mirrored = delta, global_phase, mirrored
+        blocks = np.zeros(len(self), dtype=int)
+        for source, points in step:
+            blocks[points] = len(source.blocks)
+        self.folds = np.array([_folds(n_qubits, b, reps) for b, reps in
+                               zip(blocks.tolist(), n_steps.tolist())], dtype=bool)
+
+    @classmethod
+    def of(cls, results: Sequence[EvolutionResult]) -> "GridEvolution":
+        """Compiled results as a grid whose point k runs ``results[k]``'s circuits as
+        constant blocks; a mirrored result's are inverted back to the forward ones."""
+        forms = [(inverse_circuit(r.prefix), inverse_circuit(r.step)) if r.mirrored
+                 else (r.prefix, r.step) for r in results]
+        prefix, step = ([(c, np.array([k])) for k, c in enumerate(cs)] for cs in zip(*forms))
+        columns = zip(*((r.n_steps_used, r.phase, r.global_phase, r.mirrored) for r in results))
+        return cls(results[0].step.n_qubits, prefix, step, *map(np.array, columns))
+
+    def __len__(self) -> int:
+        return len(self.n_steps)
+
+    def __getitem__(self, k: int) -> EvolutionResult:
+        """Point k as an :class:`EvolutionResult`, its circuits made from its forms' rows."""
+        k = range(len(self))[k]
+        prefix, step = (next((source if isinstance(source, Circuit)
+                              else source.circuit(int(np.flatnonzero(points == k)[0]))
+                              for source, points in forms if k in points),
+                             Circuit(self.n_qubits, ())) for forms in (self.prefix, self.step))
+        if self.mirrored[k]:
+            prefix, step = inverse_circuit(prefix), inverse_circuit(step)
+        return EvolutionResult(prefix, step, int(self.n_steps[k]), float(self.delta[k]),
+                               float(self.global_phase[k]), bool(self.mirrored[k]))
 
 
 def evolve(state: StateVector, result: EvolutionResult) -> StateVector:
     """Apply a compiled evolution to ``state``, on its own register, in place; returns
-    the state.  The one-row case of :func:`evolve_stack`."""
-    evolve_stack(state.amplitudes[None], [result])
+    the state.  The one-point, one-row case of :func:`evolve_stack`."""
+    evolve_stack(state.amplitudes[None, None], GridEvolution.of([result]))
     return state
 
 
 def iter_stacks(points: Iterable, n_qubits: int) -> Iterator[list]:
-    """``points`` (compiled results, or times) in lists of the points one stack of states
-    on ``n_qubits`` holds: ``_CHUNK`` amplitudes, at least one point and at most ``GRID_CHUNK``."""
+    """``points`` (times, say) in lists of the points one stack of states on ``n_qubits``
+    holds: ``_CHUNK`` amplitudes, at least one point and at most ``GRID_CHUNK``."""
     points = iter(points)
     while stack := list(islice(points, max(1, min(GRID_CHUNK, _CHUNK >> n_qubits)))):
         yield stack
 
 
-def evolve_stack(states: np.ndarray, results: Sequence[EvolutionResult]) -> np.ndarray:
-    """Apply ``results[k]`` to row k of ``states``, a (g, 2^N) stack, in place; returns it.
+def evolve_stack(states: np.ndarray, grid: GridEvolution) -> np.ndarray:
+    """Apply point k of ``grid`` to each row of ``states[k]``, a (g, r, 2^N) stack of r
+    rows a point, in place; returns it.
 
-    Each row gets the bits that evolving it alone gives.  The rows whose
-    circuit is a row of one template fill run each block as one batched
-    product; those that repeat the step as gates, ordered by step count, so
-    that step k runs on a leading slice.  Folded rows build their step
-    matrices on their identity columns, ``_CHUNK`` amplitudes of them at a
-    time, and raise them together (:func:`_matrix_powers`); a run of rows of
-    one result is checked once and takes one power.
+    Each row gets the bits that evolving it alone gives.  Each form runs each
+    block on its points' rows as one batched product, the mirrored points' as
+    adjoints in reverse order; a step repeated as gates runs its points by step
+    count, so that step k runs on a leading slice.  Folded points build their
+    step matrices on identity columns, ``_CHUNK`` amplitudes of them at a time,
+    and raise them together (:func:`_matrix_powers`) for all their rows.
     """
-    n = states.shape[-1].bit_length() - 1
-    before, steps, folded, after = [], [], [], []
-    last = None
-    for k, r in enumerate(results):
-        if r is not last:
-            if 2**r.step.n_qubits != states.shape[-1]:
-                raise InputError(f"evolution acts on {r.step.n_qubits} qubits, state has {n}")
-            last, folds = r, r.folds
-            if folds:  # (rows, step, repeats)
-                folded.append(([], r.step, r.n_steps_used))
-        (after if r.mirrored else before).append((k, r.prefix, 1))
-        if folds:
-            folded[-1][0].append(k)
-        else:
-            steps.append((k, r.step, r.n_steps_used))
-    _run_rows(states, n, before)
-    _run_rows(states, n, steps)
+    g, r, dim = states.shape
+    n = grid.n_qubits
+    if dim != 2**n:
+        raise InputError(f"evolution acts on {n} qubits, state has {dim.bit_length() - 1}")
+    flat = states.reshape(g * r, dim)  # a view where the stack's layout allows
+    if not flat.size:
+        return states
+    once = np.ones(len(grid), dtype=int)
+    for forms, pick, counts in ((grid.prefix, ~grid.mirrored, once),
+                                (grid.step, ~grid.folds, grid.n_steps)):
+        for blocks, points, reps in _parts(grid, forms, pick, counts, r):
+            _run_rows(flat, n, r, blocks, points, reps)
     size = max(1, _CHUNK >> 2 * n)
-    for group in _groups(folded):
-        for part in (group[i:i + size] for i in range(0, len(group), size)):
-            mats = _step_matrices(n, [step for _, step, _ in part])
-            powers = _matrix_powers(mats, [reps for _, _, reps in part])
-            rows = [k for ks, _, _ in part for k in ks]
-            if len(rows) > len(part):  # each row takes its result's power
-                powers = np.repeat(powers, [len(ks) for ks, _, _ in part], axis=0)
-            _update(states, rows, lambda sub: np.matmul(
-                powers[0] if sub.ndim == 1 else powers, sub[..., None])[..., 0])
-    _run_rows(states, n, after)
-    rows = [k for k, r in enumerate(results) if r.global_phase != 0.0]
-    if rows:
-        phases = np.exp(1j * np.array([results[k].global_phase for k in rows]))
-        _update(states, rows, lambda sub: sub * (phases[0] if sub.ndim == 1 else phases[:, None]))
+    for blocks, points, reps in _parts(grid, grid.step, grid.folds, grid.n_steps, 1):
+        for k in range(0, len(points), size):
+            part = slice(k, k + size)
+            mats = _step_matrices(n, [(t, u if u.ndim == 2 else u[part]) for t, u in blocks],
+                                  len(points[part]))
+            powers = _matrix_powers(mats, reps[part].tolist())
+            index = _rows(points[part], r)
+            flat[index] = np.matmul(powers if r == 1 else np.repeat(powers, r, axis=0),
+                                    flat[index][..., None])[..., 0]
+    for blocks, points, reps in _parts(grid, grid.prefix, grid.mirrored, once, r):
+        _run_rows(flat, n, r, blocks, points, reps)
+    phased = np.flatnonzero(grid.global_phase != 0.0)
+    if len(phased):
+        flat[_rows(phased, r)] *= np.repeat(np.exp(1j * grid.global_phase[phased]), r)[:, None]
+    if not np.may_share_memory(flat, states):
+        states[...] = flat.reshape(states.shape)
     return states
 
 
-def _index(rows: list[int]) -> int | slice | list[int]:
-    """Those rows of a stack as an index: one row as an int (one state), rows that run
-    up one by one as a slice (a view), others as a list (a copy)."""
-    if len(rows) == 1:
-        return rows[0]
-    return slice(rows[0], rows[-1] + 1) if rows == list(range(rows[0], rows[-1] + 1)) else rows
+def _parts(grid: GridEvolution, forms: list, pick: np.ndarray, counts: np.ndarray, r: int):
+    """``(blocks, points, reps)`` for each form's forward, then mirrored, points where ``pick``
+    holds, most repeats first: their rows of its blocks, r a point, for mirrored points
+    as adjoints in reverse order."""
+    for source, points in forms:
+        for inverted in (False, True):
+            sel = np.flatnonzero(pick[points] & (grid.mirrored[points] == inverted))
+            if len(sel) and source.blocks:
+                sel = sel[np.argsort(-counts[points[sel]], kind="stable")]
+                rows = np.repeat(sel, r)
+                blocks = [(t, u if u.ndim == 2 else u[rows]) for t, u in source.blocks]
+                if inverted:
+                    blocks = [(t, u.conj().swapaxes(-1, -2)) for t, u in reversed(blocks)]
+                yield blocks, points[sel], counts[points[sel]]
 
 
-def _update(states: np.ndarray, rows: list[int], new: Callable[[np.ndarray], np.ndarray]):
-    """Set those rows of the stack to ``new`` of them; one row is given as one state."""
-    index = _index(rows)
-    states[index] = new(states[index])
+def _rows(points: np.ndarray, r: int) -> slice | np.ndarray:
+    """The rows of ``points`` in a flat stack of r rows a point: a slice (a view) where
+    they run up one by one."""
+    rows = (points[:, None] * r + np.arange(r)).ravel()
+    return slice(rows[0], rows[-1] + 1) if len(rows) == 1 or np.all(np.diff(rows) == 1) else rows
 
 
-def _groups(items: list[tuple]) -> Iterable[list[tuple]]:
-    """The ``(row or rows, circuit, repeats)`` items whose circuit has a gate or a phase,
-    grouped by the stacked blocks their circuits are rows of; a plain circuit alone."""
-    groups: dict = {}
-    for item in items:
-        c = item[1]
-        if c.n_gates or c.global_phase:
-            key = id(c) if c.stack is None else (id(c.stack[0]), c.stack[2])
-            groups.setdefault(key, []).append(item)
-    return groups.values()
+def _run_rows(flat: np.ndarray, n: int, r: int, blocks: list[Block], points: np.ndarray,
+              reps: np.ndarray):
+    """``blocks``, one matrix per row, run reps[k] times on the r rows of points[k] of a flat
+    stack; reps run down, so that the rows still repeating are a leading slice."""
+    index = _rows(points, r)
+    sub = flat[index]
+    reps, done = np.repeat(reps, r).tolist(), 0
+    for live in range(len(reps), 0, -1):
+        if reps[live - 1] > done:
+            part = sub[:live]
+            live_blocks = [(t, u if u.ndim == 2 else u[:live]) for t, u in blocks]
+            for _ in range(reps[live - 1] - done):
+                for targets, u in live_blocks:
+                    _apply_matrix(part, n, targets, u)
+            done = reps[live - 1]
+    if not isinstance(index, slice):
+        flat[index] = sub
 
 
-def _take(group: list[tuple[int, Circuit, int]]) -> tuple[Block, ...]:
-    """The blocks of a group's circuits, stacked in its order, or one circuit's own."""
-    c = group[0][1]
-    if c.stack is None or len(group) == 1:
-        return c.blocks
-    rows = _index([item[1].stack[1] for item in group])
-    taken = [(t, u if u.ndim == 2 else u[rows]) for t, u in c.stack[0]]
-    return [(t, u.conj().swapaxes(-1, -2)) for t, u in reversed(taken)] if c.stack[2] else taken
-
-
-def _run_rows(states: np.ndarray, n: int, items: list[tuple[int, Circuit, int]]):
-    """Each ``(row, circuit, repeats)``: the circuit run ``repeats`` times on its row;
-    most repeats first, so that the rows still repeating are a leading slice."""
-    for group in _groups(items):
-        group.sort(key=lambda item: -item[2])
-        index, blocks, done = _index([k for k, _, _ in group]), _take(group), 0
-        phase = group[0][1].global_phase
-        sub = states[index]
-        for live in range(len(group), 0, -1):
-            if group[live - 1][2] > done:
-                part = sub if sub.ndim == 1 else sub[:live]
-                live_blocks = [(t, u if u.ndim == 2 else u[:live]) for t, u in blocks]
-                for _ in range(group[live - 1][2] - done):
-                    for targets, u in live_blocks:
-                        _apply_matrix(part, n, targets, u)
-                    if phase != 0.0:
-                        part *= np.exp(1j * phase)
-                done = group[live - 1][2]
-        if isinstance(index, list):
-            states[index] = sub
-
-
-def _step_matrices(n: int, steps: list[Circuit]) -> np.ndarray:
-    """The dense 2^N x 2^N matrices of ``steps``: each run on the 2^N identity columns,
-    which form one 2N-qubit state."""
-    columns = np.zeros((len(steps), 4**n), dtype=complex)
+def _step_matrices(n: int, blocks: Sequence[Block], g: int) -> np.ndarray:
+    """The dense 2^N x 2^N matrices of g steps whose blocks are ``blocks``, each a stack of g
+    or one constant matrix: run on the 2^N identity columns, one 2N-qubit state a step."""
+    columns = np.zeros((g, 4**n), dtype=complex)
     columns[:, ::2**n + 1] = 1.0  # each row the flattened 2^N x 2^N identity
-    _run_rows(columns, 2 * n, [(k, step, 1) for k, step in enumerate(steps)])
+    for targets, u in blocks:
+        _apply_matrix(columns, 2 * n, targets, u)
     return columns.reshape(-1, 2**n, 2**n)
 
 
@@ -360,8 +395,8 @@ def _sum_commutator_is_zero(fields: list[PauliString], rest: list[PauliString]) 
     return all(abs(v) < 1e-12 for v in acc.values())
 
 
-# the points one stacked fill compiles when a grid is iterated (:meth:`TrotterCompiler.iter_grid`):
-# a 1024-theta spectrum is one fill, and a chunk's blocks and results stay near a megabyte
+# the most points a stack of states holds (:func:`iter_stacks`), and so a grid of
+# :meth:`TrotterCompiler.iter_grid`: a 1024-theta spectrum is one fill, its blocks near a megabyte
 GRID_CHUNK = 1024
 
 
@@ -446,7 +481,6 @@ class TrotterCompiler:
         # the step's template for each pattern of forms, keyed by which of
         # _signed take their negative form
         self._templates: dict[tuple[bool, ...], CircuitTemplate] = {}
-        self._no_prefix = Circuit(self.n_qubits, ())
 
     def _lower(self, term: PauliString) -> PauliLowering:
         sites = tuple(sorted(term.support))
@@ -460,23 +494,17 @@ class TrotterCompiler:
         return CircuitTemplate(self.n_qubits, members)
 
     def __call__(self, t: float) -> EvolutionResult:
-        """exp(-i H t) compiled: the one-point :meth:`grid`."""
+        """exp(-i H t) compiled: the one-point :meth:`grid`'s point."""
         return self.grid((t,))[0]
 
-    def iter_grid(self, times: Sequence[float]) -> Iterator[EvolutionResult]:
-        """:meth:`grid` over ``times``, compiled lazily ``GRID_CHUNK`` points at a time.
+    def iter_grid(self, times: Sequence[float]) -> Iterator[GridEvolution]:
+        """:meth:`grid` over ``times``, one stack of points at a time (:func:`iter_stacks`),
+        so that a long grid holds one stack's fills at a time."""
+        for stack in iter_stacks(times, self.n_qubits):
+            yield self.grid(stack)
 
-        Each result is let go once the caller has moved past it, and a long
-        grid holds at most one chunk of stacked blocks at a time.
-        """
-        for start in range(0, len(times), GRID_CHUNK):
-            chunk = self.grid(times[start:start + GRID_CHUNK])
-            chunk.reverse()
-            while chunk:
-                yield chunk.pop()
-
-    def grid(self, times: Sequence[float]) -> list[EvolutionResult]:
-        """exp(-i H t) compiled at each of ``times``, one result per time.
+    def grid(self, times: Sequence[float]) -> GridEvolution:
+        """exp(-i H t) compiled at each of ``times``, as one :class:`GridEvolution`.
 
         Each point's step count and phase are worked out as for that time
         alone.  The points are then grouped by their pattern of term forms (at
@@ -492,90 +520,75 @@ class TrotterCompiler:
         prefix's angles, the step's angles, the budget), each over every point
         before the next; the first point that fails one raises.
         """
-        times = [float(t) for t in times]
-        for t in times:
-            if not math.isfinite(t):
-                raise InputError(f"time must be finite, got {t}")
-        forward = [-t if t < 0 else t for t in times]
-        phases = []
-        for t in forward:
-            phase = 0.0
+        times = np.array([float(t) for t in times])
+        bad = ~np.isfinite(times)
+        if bad.any():
+            raise InputError(f"time must be finite, got {times[bad][0]}")
+        mirrored = times < 0
+        forward = np.where(mirrored, -times, times)
+        phases = np.zeros(len(times))
+        with np.errstate(over="ignore"):  # a non-finite delta is refused by the step count
+            deltas = self._scale * forward if self._terms else np.zeros(len(times))
             for coef in self._identity:
-                phase += -coef * t
-            phases.append(phase)
-        if self._terms and forward:
-            results = self._compile(forward, phases)
-        else:
-            results = [EvolutionResult(self._no_prefix, self._no_prefix, 1, 0.0, phase)
-                       for phase in phases]
-        return [_mirror(r) if t < 0 else r for t, r in zip(times, results)]
+                phases += -coef * forward
+        prefix, step, ns = [], [], np.ones(len(times), dtype=int)
+        if self._terms and len(times):
+            prefix, step, ns = self._compile(forward, deltas, phases)
+        return GridEvolution(self.n_qubits, prefix, step, ns, deltas,
+                             np.where(mirrored, -phases, phases), mirrored)
 
-    def _compile(self, forward: list[float], phases: list[float]) -> list[EvolutionResult]:
-        """The results at the times ``forward`` (none negative), whose identity phases are ``phases``."""
+    def _compile(self, forward: np.ndarray, deltas: np.ndarray, phases: np.ndarray) -> tuple:
+        """The prefix's and the step's forms at the times ``forward`` (none negative), whose
+        deltas are ``deltas``, and each point's step count; adds the term phases to ``phases``."""
         plan = self.plan
-        ns, deltas = [], []
-        for t in forward:
-            delta = self._scale * t
-            if self._all_commute:
-                n = 1
-            elif plan.n_steps is not None:
-                n = plan.n_steps
-            else:
-                n = steps_for_phase(delta, plan.eps, plan.growth)
-            ns.append(n)
-            deltas.append(delta)
-        prefixes = self._prefixes(forward, phases)
+        if self._all_commute or plan.n_steps is not None:
+            ns = [1 if self._all_commute else plan.n_steps] * len(forward)
+        else:
+            ns = [steps_for_phase(delta, plan.eps, plan.growth) for delta in deltas.tolist()]
+        prefix = self._prefixes(forward, phases)
 
-        dts = [t / (self._sweeps * n) for t, n in zip(forward, ns)]
+        dts = [t / (self._sweeps * n) for t, n in zip(forward.tolist(), ns)]
         with np.errstate(over="ignore"):  # a non-finite angle is refused by the fill
             rows = np.multiply.outer(dts, self._coefs)
         groups: dict[tuple[bool, ...], list[int]] = {}
         for i, negative in enumerate((rows[:, self._signed] < 0.0).tolist()):
             groups.setdefault(tuple(negative), []).append(i)
-        steps: list = [None] * len(forward)
+        step, gates = [], np.zeros(len(forward), dtype=int)
         for forms, points in groups.items():
             template = self._templates.get(forms)
             if template is None:
                 template = self._templates[forms] = self._template(rows[points[0]].tolist())
-            for i, step in zip(points, template.fill(rows[points])):
-                steps[i] = step
+            step.append((template.fill(rows[points]), np.array(points)))
+            gates[points] = template.n_gates
 
-        for n, step in zip(ns, steps):
-            if n * step.n_gates > GATE_BUDGET:
-                raise ResourceError(f"{n} Trotter steps of {step.n_gates} gates are "
-                                    f"{n * step.n_gates} gate applications, over the budget "
-                                    f"of {GATE_BUDGET}")
-        results = []
-        for i, (n, step) in enumerate(zip(ns, steps)):
-            phase = phases[i]
-            if self._phased:
-                term_phases: list[float] = []
-                for d, (_, lowering) in zip(rows[i].tolist(), self._terms):
-                    form = lowering.at(d)
-                    ph = form.phase(d) if form.phase else 0.0
-                    if ph:
-                        term_phases.append(ph)
-                if term_phases:
-                    phase = _add_repeated(phase, term_phases, n)
-            results.append(EvolutionResult(prefixes[i], step, n, deltas[i], phase))
-        return results
+        for n, g in zip(ns, gates.tolist()):
+            if n * g > GATE_BUDGET:
+                raise ResourceError(f"{n} Trotter steps of {g} gates are {n * g} gate "
+                                    f"applications, over the budget of {GATE_BUDGET}")
+        for i, n in enumerate(ns if self._phased else ()):
+            forms = [(lowering.at(d), d) for d, (_, lowering) in zip(rows[i].tolist(), self._terms)]
+            term_phases = [ph for form, d in forms if form.phase and (ph := form.phase(d))]
+            if term_phases:
+                phases[i] = _add_repeated(phases[i], term_phases, n)
+        return prefix, step, np.array(ns)
 
-    def _prefixes(self, forward: list[float], phases: list[float]) -> list[Circuit]:
-        """The hoisted field prefix at each time; an Euler-angle prefix adds its phase to ``phases``.
+    def _prefixes(self, forward: np.ndarray, phases: np.ndarray) -> list:
+        """The hoisted field prefix's forms at the times ``forward``; an Euler-angle prefix
+        adds its phase to ``phases``.
 
-        With one field axis on every hoisted qubit, the prefix is the fill of
+        With one field axis on every hoisted qubit, the prefix is one fill of
         its template of rotation slots at angles field * t.  Otherwise each
-        point spells it qubit by qubit: one axis by its ``pauli_lowering``,
-        several as exp(-i t G) in Euler angles.
+        point spells it qubit by qubit, as a plain circuit of its own: one
+        axis by its ``pauli_lowering``, several as exp(-i t G) in Euler angles.
         """
         if not self._fields:
-            return [self._no_prefix] * len(forward)
+            return []
         if self._prefix is not None:
             with np.errstate(over="ignore"):  # a non-finite angle is refused by the fill
                 rows = np.multiply.outer(forward, self._field_values)
-            return self._prefix.fill(rows)
+            return [(self._prefix.fill(rows), np.arange(len(forward)))]
         prefixes = []
-        for i, t in enumerate(forward):
+        for i, t in enumerate(forward.tolist()):
             prefix: list[GateOp] = []
             field_phase = 0.0
             for q, lowering, field in self._fields:
@@ -586,7 +599,7 @@ class TrotterCompiler:
                     prefix += sub
                     field_phase += ph
             phases[i] += field_phase
-            prefixes.append(Circuit(self.n_qubits, prefix) if prefix else self._no_prefix)
+            prefixes.append((Circuit(self.n_qubits, prefix), np.array([i])))
         return prefixes
 
 
@@ -599,12 +612,6 @@ def _add_repeated(start: float, terms: list[float], n: int) -> float:
         row[0] = start
         start = float(np.add.accumulate(row[:1 + min(reps, n - done) * len(terms)])[-1])
     return start
-
-
-def _mirror(fwd: EvolutionResult) -> EvolutionResult:
-    """The exact inverse of a forward evolution: the evolution at -t."""
-    return EvolutionResult(inverse_circuit(fwd.prefix), inverse_circuit(fwd.step),
-                           fwd.n_steps_used, fwd.phase, -fwd.global_phase, mirrored=True)
 
 
 def trotterize(

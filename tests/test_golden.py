@@ -20,7 +20,9 @@ and a Jordan-Wigner fidelity sweep).  ``heis3-s3-corr-first`` (a correlation
 listed before the scalar columns, on S3 with negative couplings and hoisted
 fields) and ``heis3-s4-fidelity1`` (a fidelity sweep of one column) were
 written by the program as it stood before fidelity sweeps and evolution runs
-shared one time-grid loop.
+shared one time-grid loop.  ``heis2-3cnot-corr`` (only a correlation, so the
+bond variant's grid evolves no row beside the Trotter plan's) was written by
+the program as it stood before a compiled time grid became one object.
 
 The ``spectrum-*.csv`` files, and the ``spectrum-*.series`` expectation
 series they were fitted to (one ``re,im`` line per theta), were written by the
@@ -109,6 +111,24 @@ max = 3.0
 points = 13
 [observables]
 observable = magnetization 1
+observable = correlation X X 1 2
+""",
+    # only a correlation: the 3-CNOT bond's grid evolves no rows beside the
+    # Trotter plan's
+    "heis2-3cnot-corr": """
+[model]
+kind = heisenberg
+n_qubits = 2
+j = 1.0
+[initial]
+state = 0+
+[evolution]
+variant = 3cnot
+steps = 3
+[time]
+max = 3.0
+points = 5
+[observables]
 observable = correlation X X 1 2
 """,
     # four-qubit Jordan-Wigner terms

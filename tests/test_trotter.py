@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinsim import observables, runner, statevector, trotter
+from spinsim import compiler, observables, runner, statevector, trotter
 from spinsim.compiler import (
     Circuit,
     GateSet,
@@ -318,7 +318,7 @@ class TestStepAndRepeat:
     @pytest.mark.parametrize("ancilla", [False, True])
     def test_step_power_matches_gates(self, monkeypatch, n_qubits, steps, ancilla):
         # every repeat count, folded or not by the rule, through the squaring
-        monkeypatch.setattr(EvolutionResult, "folds", True)
+        monkeypatch.setattr(trotter, "_folds", lambda n, blocks, reps: True)
         res = trotterize(_repeating_chain(n_qubits), 2.3, TrotterPlan.fixed_n(steps, order=2))
         assert res.n_steps_used == steps and res.folds
         state = random_state(n_qubits + ancilla)
@@ -394,7 +394,7 @@ class TestStepAndRepeat:
 
     def test_folded_step_is_the_step_unitary(self):
         res = trotterize(fig2_hamiltonian(), 2.0, TrotterPlan.fixed_n(9))
-        folded_step = trotter._step_matrices(res.step.n_qubits, [res.step])[0]
+        folded_step = trotter._step_matrices(res.step.n_qubits, res.step.blocks, 1)[0]
         assert res.folds and np.max(np.abs(folded_step - circuit_unitary(res.step))) <= 1e-14
 
     def test_evolve_rejects_narrow_register(self):
@@ -450,11 +450,13 @@ def test_spectrum_compiles_its_theta_grid_once(monkeypatch):
     assert len(compilers) == 1
 
 
-def _per_point(states: np.ndarray, results) -> np.ndarray:
-    """Each row evolved on its own, by one ``evolve`` per point."""
+def _per_point(states: np.ndarray, grid) -> np.ndarray:
+    """Each row of a (points, rows, amplitudes) stack evolved on its own, by one
+    ``evolve`` per point and row."""
     out = states.copy()
-    for row, result in zip(out, results):
-        evolve(StateVector(row.size.bit_length() - 1, row), result)
+    for rows, result in zip(out, grid):
+        for row in rows:
+            evolve(StateVector(row.size.bit_length() - 1, row), result)
     return out
 
 
@@ -489,24 +491,27 @@ STACK_GRIDS = {
 class TestEvolveStack:
     """``evolve_stack`` against one ``evolve`` per point, byte for byte."""
 
+    @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("name", STACK_GRIDS)
-    def test_grid_matches_one_evolve_per_point(self, name):
+    def test_grid_matches_one_evolve_per_point(self, name, rows):
+        # one row a point, and three, as a run's correlation rows
         build, plan, gate_set, times = STACK_GRIDS[name]
         h = build()
-        results = trotter.TrotterCompiler(h, plan, gate_set).grid(times)
-        states = np.array([random_state(h.n_qubits).amplitudes for _ in results])
-        want = _per_point(states, results)
-        assert np.array_equal(trotter.evolve_stack(states, results), want)
+        grid = trotter.TrotterCompiler(h, plan, gate_set).grid(times)
+        states = np.array([[random_state(h.n_qubits).amplitudes for _ in range(rows)]
+                           for _ in times])
+        want = _per_point(states, grid)
+        assert np.array_equal(trotter.evolve_stack(states, grid), want)
         if name == "heis3-mirrored":
-            assert all(r.mirrored for r in results[1:])
+            assert all(grid.mirrored[1:])
         if name == "tim3-eps-mixed":
-            assert len({r.n_steps_used for r in results}) > 5
-            assert {r.folds for r in results} == {True, False}
+            assert len(set(grid.n_steps.tolist())) > 5
+            assert set(grid.folds.tolist()) == {True, False}
         if name == "tim7-eps-gates":
-            assert not any(r.folds for r in results)
-            assert len({r.n_steps_used for r in results if not r.mirrored}) == 5
+            assert not any(grid.folds)
+            assert len(set(grid.n_steps[~grid.mirrored].tolist())) == 5
         if name == "tim3-s3-forms":
-            assert len({id(r.step.stack[0]) for r in results}) == 2
+            assert len(grid.step) == 2
 
     def test_fig2_plans(self):
         # fig2's three fidelity plans over its deltas: every point folds but
@@ -518,26 +523,26 @@ class TestEvolveStack:
         folded = 0
         for o in cfg.observables:
             plan = runner._fidelity_plan(o, cfg.plan.order)
-            results = trotter.TrotterCompiler(h, plan, cfg.gate_set).grid(deltas)
-            folded += sum(r.folds for r in results)
-            states = np.tile(psi0, (len(results), 1))
-            want = _per_point(states, results)
-            assert np.array_equal(trotter.evolve_stack(states, results), want)
+            grid = trotter.TrotterCompiler(h, plan, cfg.gate_set).grid(deltas)
+            folded += sum(grid.folds)
+            states = np.tile(psi0, (len(grid), 1, 1))
+            want = _per_point(states, grid)
+            assert np.array_equal(trotter.evolve_stack(states, grid), want)
         assert folded == 3 * len(deltas) - 2
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_folded_rows_every_repeat_count(self, monkeypatch, order):
         # every row folds, with step counts 1, 2 and 3 (each its own order of
         # products in np.linalg.matrix_power) and more, mirrored and not
-        monkeypatch.setattr(EvolutionResult, "folds", True)
+        monkeypatch.setattr(trotter, "_folds", lambda n, blocks, reps: True)
         h = _repeating_chain(3)
         times = [0.0, 0.05, -0.1, 0.2, 0.3, -0.6, 1.1, 2.3]
-        results = trotter.TrotterCompiler(h, TrotterPlan.fixed_eps(0.02, order=order)).grid(times)
-        assert {1, 2, 3} < {r.n_steps_used for r in results}
-        assert max(r.n_steps_used for r in results) > 64
-        states = np.array([random_state(3).amplitudes for _ in results])
-        want = _per_point(states, results)
-        assert np.array_equal(trotter.evolve_stack(states, results), want)
+        grid = trotter.TrotterCompiler(h, TrotterPlan.fixed_eps(0.02, order=order)).grid(times)
+        assert {1, 2, 3} < set(grid.n_steps.tolist())
+        assert max(grid.n_steps) > 64
+        states = np.array([[random_state(3).amplitudes] for _ in times])
+        want = _per_point(states, grid)
+        assert np.array_equal(trotter.evolve_stack(states, grid), want)
 
     def test_heis2_spectrum_series(self):
         # the criterion 8 series, evolved a stack at a time and read by one
@@ -552,46 +557,68 @@ class TestEvolveStack:
             want.append(2 * np.vdot(state.amplitudes[0::2], state.amplitudes[1::2]))
         assert np.array_equal(unitary_expectation_series(spec, compile_q), want)
 
+    def test_series_makes_no_result_or_circuit_per_theta(self, monkeypatch):
+        # the criterion 8 series evolves each theta from its grid's arrays and
+        # fills: no EvolutionResult and no Circuit is made for a theta
+        spec = SpectrumSpec(heisenberg_chain(2, [1.0], 0.0), "01", m=1024)
+        compile_q = trotter.TrotterCompiler(spec.operator, TrotterPlan.fixed_eps(0.1))
+        made = _count_constructions(monkeypatch)
+        unitary_expectation_series(spec, compile_q)
+        assert made == {}
+
+    def test_run_grid_makes_no_result_or_circuit_per_point(self, monkeypatch):
+        # fig2's pass over its grid, after the budget check's one-point compile
+        # of each column's plan, makes no EvolutionResult and no Circuit
+        made, original = _count_constructions(monkeypatch), runner._run_grid
+
+        def counting_run_grid(*args):
+            made.clear()
+            return original(*args)
+
+        monkeypatch.setattr(runner, "_run_grid", counting_run_grid)
+        text = runner.run(runner.figure_preset("fig2"))
+        assert "n_steps_used" in text and made == {}
+
     @pytest.mark.parametrize("folded", [False, True], ids=["gates", "folded"])
     def test_strided_ancilla_halves(self, folded):
         # a stack of ancilla-one halves, each a stride-2 view of its register
         h = heisenberg_chain(3, [1.0, 0.7], 3.0)
         plan = TrotterPlan.fixed_n(64 if folded else 2)
-        results = trotter.TrotterCompiler(h, plan, GateSet.S2).grid(np.linspace(-1.0, 1.0, 6))
-        assert all(r.folds is folded for r in results[:2])
-        registers = np.array([random_state(4).amplitudes for _ in results])
+        grid = trotter.TrotterCompiler(h, plan, GateSet.S2).grid(np.linspace(-1.0, 1.0, 6))
+        assert all(grid.folds[:2] == folded)
+        registers = np.array([random_state(4).amplitudes for _ in grid])
         want = registers.copy()
-        for row, result in zip(want, results):
+        for row, result in zip(want, grid):
             evolve(_half(StateVector(4, row), 1), result)
-        halves = registers[:, 1::2]
+        halves = registers[:, None, 1::2]
         assert not halves.flags.c_contiguous
-        trotter.evolve_stack(halves, results)
+        trotter.evolve_stack(halves, grid)
         assert np.array_equal(registers, want)
 
     @pytest.mark.parametrize("name", ["tim3-eps-mixed", "heis3-mirrored"])
     def test_runs_of_rows_of_one_result(self, monkeypatch, name):
         # three rows a point, as a run's correlation rows: each row gets the
-        # bits it gets alone, and a folded result builds its step matrix once
+        # bits it gets alone, and a folded point builds its step matrix once
         build, plan, gate_set, times = STACK_GRIDS[name]
         h = build()
         grid = trotter.TrotterCompiler(h, plan, gate_set).grid(times)
-        results = [r for r in grid for _ in range(3)]
-        states = np.array([random_state(h.n_qubits).amplitudes for _ in results])
-        want = _per_point(states, results)
+        states = np.array([[random_state(h.n_qubits).amplitudes for _ in range(3)]
+                           for _ in times])
+        want = _per_point(states, grid)
         built, original = [], trotter._step_matrices
         monkeypatch.setattr(trotter, "_step_matrices",
-                            lambda n, steps: built.extend(steps) or original(n, steps))
-        assert np.array_equal(trotter.evolve_stack(states, results), want)
-        assert len(built) == sum(r.folds for r in grid)
+                            lambda n, blocks, g: built.append(g) or original(n, blocks, g))
+        assert np.array_equal(trotter.evolve_stack(states, grid), want)
+        assert sum(built) == sum(grid.folds)
 
     def test_stacks_stay_within_a_chunk(self, monkeypatch):
         # N = 12: 16 thetas run in stacks of 8 = 2^15 / 2^12 states
         stacks, calls = [], []
         original_stack, original_apply = trotter.evolve_stack, trotter._apply_matrix
 
-        def recording_stack(states, results):
+        def recording_stack(states, grid):
             stacks.append(states.shape)
-            return original_stack(states, results)
+            return original_stack(states, grid)
 
         def recording_apply(amps, n, targets, u):
             calls.append(amps.size)
@@ -602,7 +629,7 @@ class TestEvolveStack:
         q = heisenberg_chain(12, [1.0] * 11, 0.0)
         spec = SpectrumSpec(q, "01" * 6, m=16)
         unitary_expectation_series(spec, trotter.TrotterCompiler(q, TrotterPlan.fixed_n(1)))
-        assert stacks == [(8, 2**12), (8, 2**12)]
+        assert stacks == [(8, 1, 2**12), (8, 1, 2**12)]
         assert calls and max(calls) <= statevector._CHUNK
         assert list(map(len, trotter.iter_stacks(range(20), 12))) == [8, 8, 4]
         assert list(map(len, trotter.iter_stacks(range(3), 20))) == [1, 1, 1]
@@ -610,10 +637,22 @@ class TestEvolveStack:
         assert list(map(len, trotter.iter_stacks(range(10), 2))) == [4, 4, 2]
 
     def test_rejects_another_register(self):
-        results = trotter.TrotterCompiler(heisenberg_chain(2, [1.0], 0.5),
-                                          TrotterPlan.fixed_n(2)).grid([0.5, 1.0])
+        grid = trotter.TrotterCompiler(heisenberg_chain(2, [1.0], 0.5),
+                                       TrotterPlan.fixed_n(2)).grid([0.5, 1.0])
         with pytest.raises(InputError, match="evolution acts on 2 qubits, state has 3"):
-            trotter.evolve_stack(np.zeros((2, 8), dtype=complex), results)
+            trotter.evolve_stack(np.zeros((2, 1, 8), dtype=complex), grid)
+
+
+def _count_constructions(monkeypatch) -> dict:
+    """Counts, by class name, each ``EvolutionResult`` and ``Circuit`` (lazy ones too) made."""
+    made = {}
+    for cls in (EvolutionResult, Circuit, compiler._LazyCircuit):
+        def counting(self, *args, original=cls.__init__, name=cls.__name__, **kwargs):
+            made[name] = made.get(name, 0) + 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return made
 
 
 def _random_unitary(dim: int) -> np.ndarray:
@@ -732,9 +771,9 @@ class TestGateBudget:
         counted = []
         original_stack, original_exact = trotter.evolve_stack, trotter.exact_stacks
 
-        def counting_stack(states, results):
-            counted.extend(result.gate_applications for result in results)
-            return original_stack(states, results)
+        def counting_stack(states, grid):  # each of a point's rows
+            counted.extend(states.shape[1] * result.gate_applications for result in grid)
+            return original_stack(states, grid)
 
         def counting_exact(h, rows, times):
             for stack in original_exact(h, rows, times):  # (points, rows, amplitudes)
@@ -777,9 +816,9 @@ def test_each_state_a_point_needs_is_evolved_once(monkeypatch):
     exact_rows, compiled_rows = [], []  # exact rows per point, compiled rows per stack
     original_stack, original_exact = trotter.evolve_stack, trotter.exact_stacks
 
-    def counting_stack(states, results):
-        compiled_rows.append(len(results))
-        return original_stack(states, results)
+    def counting_stack(states, grid):
+        compiled_rows.append(states.shape[0] * states.shape[1])
+        return original_stack(states, grid)
 
     def counting_exact(h, rows, times):
         for stack in original_exact(h, rows, times):  # (points, rows, amplitudes)
