@@ -10,10 +10,8 @@ from .compiler import (
     Circuit,
     GateSet,
     circuit_unitary,
-    controlled_circuit,
     decompose_pauli,
     dumps_circuit,
-    equal_up_to_global_phase,
     heisenberg2_circuit,
     inverse_circuit,
     loads_circuit,
@@ -52,7 +50,6 @@ from .statevector import (
     apply_gate,
     basis_state,
     inner_product,
-    pauli_expectation,
     probability,
     product_state,
 )
@@ -60,7 +57,6 @@ from .trotter import (
     EvolutionResult,
     TrotterCompiler,
     TrotterPlan,
-    commutator_error_bound,
     evolve,
     steps_for_phase,
     trotterize,

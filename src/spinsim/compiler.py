@@ -107,15 +107,6 @@ class Circuit:
         """
         return CircuitTemplate(self.n_qubits, self.ops).blocks(())
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if other.n_qubits != self.n_qubits:
-            raise InputError("cannot concatenate circuits on different registers")
-        return Circuit(
-            self.n_qubits,
-            self.ops + other.ops,
-            self.global_phase + other.global_phase,
-        )
-
 
 class _LazyCircuit(Circuit):
     """A circuit whose fused blocks and ops are made on first access.
@@ -196,11 +187,6 @@ def phase_distance(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise InputError(f"dimension mismatch: {u.shape} vs {v.shape}")
     return float(1.0 - abs(np.trace(u.conj().T @ v)) / u.shape[0])
-
-
-def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff phase_distance(u, v) <= tol."""
-    return phase_distance(u, v) <= tol
 
 
 # --- single-qubit rotations and frame changes ---------------------------------
@@ -624,10 +610,8 @@ def heisenberg2_circuit(
         raise InputError("need two distinct qubits")
     n = max(i, j)
     if variant == "6cnot":
-        c = Circuit(n, ())
-        for axis in ("x", "y", "z"):
-            c = c + decompose_pauli((axis, axis), delta, qubits, GateSet.S1)
-        return c
+        return Circuit(n, [op for axis in "xyz"
+                           for op in decompose_pauli((axis, axis), delta, qubits, GateSet.S1).ops])
     if variant == "3cnot":
         a = 2 * delta + np.pi / 2
         ops = [
@@ -685,126 +669,6 @@ def inverse_circuit(c: Circuit) -> Circuit:
         lambda: [_inverse_op(op) for op in reversed(c.ops)],
         -c.global_phase,
     )
-
-
-# --- controlled expansion -----------------------------------------------------
-
-def _ctrl_rz(theta: float, c: int, t: int) -> list[GateOp]:
-    return [
-        _rot("z", theta / 2, t),
-        GateOp("CNOT", (), (c, t)),
-        _rot("z", -theta / 2, t),
-        GateOp("CNOT", (), (c, t)),
-    ]
-
-
-def _ctrl_ry(theta: float, c: int, t: int) -> list[GateOp]:
-    return [_rot("x", np.pi / 2, t), *_ctrl_rz(theta, c, t), _rot("x", -np.pi / 2, t)]
-
-
-def _ctrl_rx(theta: float, c: int, t: int) -> list[GateOp]:
-    return [GateOp("H", (), (t,)), *_ctrl_rz(theta, c, t), GateOp("H", (), (t,))]
-
-
-def _toffoli(c1: int, c2: int, t: int) -> list[GateOp]:
-    tg = lambda q: GateOp("Phase", (np.pi / 4,), (q,))
-    tdg = lambda q: GateOp("Phase", (-np.pi / 4,), (q,))
-    return [
-        GateOp("H", (), (t,)),
-        GateOp("CNOT", (), (c2, t)),
-        tdg(t),
-        GateOp("CNOT", (), (c1, t)),
-        tg(t),
-        GateOp("CNOT", (), (c2, t)),
-        tdg(t),
-        GateOp("CNOT", (), (c1, t)),
-        tg(c2),
-        tg(t),
-        GateOp("H", (), (t,)),
-        GateOp("CNOT", (), (c1, c2)),
-        tg(c1),
-        tdg(c2),
-        GateOp("CNOT", (), (c1, c2)),
-    ]
-
-
-def _ctrl_pair_core(
-    alpha: str, beta: str, delta: float, c: int, i: int, j: int
-) -> list[GateOp]:
-    # controlled exp(-i d sigma sigma): frames and CNOT conjugation cancel when
-    # the control is off, so only the central Rz of the S1 form needs the control
-    ops: list[GateOp] = []
-    for op in decompose_pauli((alpha, beta), delta, (i, j), GateSet.S1).ops:
-        ops += _ctrl_rz(op.params[0], c, j) if op.kind == "Rz" else [op]
-    return ops
-
-
-def _controlled_op(op: GateOp, c: int) -> list[GateOp]:
-    k, p, tg = op.kind, op.params, op.targets
-    if c in tg:
-        raise InputError(f"control qubit {c} collides with targets of {k}")
-    if k == "X":
-        return [GateOp("CNOT", (), (c, tg[0]))]
-    if k == "Phase":
-        return [GateOp("CPhase", (p[0],), (c, tg[0]))]
-    if k == "Rz":
-        return _ctrl_rz(p[0], c, tg[0])
-    if k == "Rx":
-        return _ctrl_rx(p[0], c, tg[0])
-    if k == "Ry":
-        return _ctrl_ry(p[0], c, tg[0])
-    if k == "H":
-        # H = e^{i pi/2} Ry(pi/2) Rz(pi)
-        return [
-            GateOp("Phase", (np.pi / 2,), (c,)),
-            *_ctrl_rz(np.pi, c, tg[0]),
-            *_ctrl_ry(np.pi / 2, c, tg[0]),
-        ]
-    if k == "U3":
-        theta, phi, lam = p
-        # u3 = e^{i (phi + lam)/2} Rz(phi) Ry(theta) Rz(lam)
-        return [
-            GateOp("Phase", ((phi + lam) / 2,), (c,)),
-            *_ctrl_rz(lam, c, tg[0]),
-            *_ctrl_ry(theta, c, tg[0]),
-            *_ctrl_rz(phi, c, tg[0]),
-        ]
-    if k == "CNOT":
-        return _toffoli(c, tg[0], tg[1])
-    if k == "CPhase":
-        d = p[0]
-        return [
-            GateOp("CPhase", (d / 2,), (tg[0], tg[1])),
-            GateOp("CNOT", (), (c, tg[0])),
-            GateOp("CPhase", (-d / 2,), (tg[0], tg[1])),
-            GateOp("CNOT", (), (c, tg[0])),
-            GateOp("CPhase", (d / 2,), (c, tg[1])),
-        ]
-    if k in ("ZZ", "XX", "YY"):
-        a = k[0].lower()
-        return _ctrl_pair_core(a, a, p[0], c, tg[0], tg[1])
-    if k == "Uxy":
-        return _ctrl_pair_core("x", "x", p[0], c, *tg) + _ctrl_pair_core(
-            "y", "y", p[0], c, *tg
-        )
-    raise InputError(f"controlled expansion not supported for gate kind {k}")
-
-
-def controlled_circuit(circuit: Circuit, control: int) -> Circuit:
-    """The hardware circuit of ``circuit`` controlled on qubit ``control``.
-
-    Each gate becomes controlled S1 gates and the global phase a phase gate on
-    the control; MS gates have no such spelling (``InputError``).  This is the
-    circuit a device runs for an ancilla protocol.  It is not simulated: the
-    observables apply the plain operation to the amplitudes with the control at 1.
-    """
-    n = max(circuit.n_qubits, control)
-    ops: list[GateOp] = []
-    if circuit.global_phase != 0.0:
-        ops.append(GateOp("Phase", (circuit.global_phase,), (control,)))
-    for op in circuit.ops:
-        ops += _controlled_op(op, control)
-    return Circuit(n, ops)
 
 
 # --- serialization: one op per line, `NAME(params) targets...` + phase footer --

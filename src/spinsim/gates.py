@@ -1,7 +1,7 @@
 """Gate definitions: named gate operations and their dense unitary matrices.
 
 Matrices are stored with the exact phase of their defining formula; use
-:func:`spinsim.compiler.equal_up_to_global_phase` for phase-insensitive
+:func:`spinsim.compiler.phase_distance` for phase-insensitive
 comparisons.  Angles are unrestricted reals (no normalization into [0, 2pi)).
 All functions here are pure and safe for concurrent use.
 """
@@ -267,12 +267,6 @@ def kind_matrix(k: str, p: tuple[float, ...], n_targets: int) -> np.ndarray:
         phi = p[1] if len(p) > 1 else 0.0
         return hermitian_expm(ms_generator(k, theta, phi, n_targets))
     raise InputError(f"unknown gate kind {k!r}")
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return m.shape[0] == m.shape[1] and bool(
-        np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol
-    )
 
 
 def zyz_angles(m: np.ndarray) -> tuple[float, float, float, float]:

@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .gates import PAULI, GateOp, hadamard, is_unitary
-from .pauli import PauliString
+from .gates import GateOp, hadamard
 
 _DENSE_LIMIT = 26  # 2**26 complex amplitudes == 1 GiB
 
@@ -276,19 +275,6 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return state
 
 
-def apply_dense_unitary(
-    state: StateVector, u: np.ndarray, targets: tuple[int, ...]
-) -> StateVector:
-    """Apply an explicit 2^k x 2^k unitary to the given target qubits, in place."""
-    check_targets(state.n_qubits, targets)
-    if u.shape != (2 ** len(targets), 2 ** len(targets)):
-        raise InputError(f"matrix shape {u.shape} does not match {len(targets)} targets")
-    if not is_unitary(u):
-        raise InputError("matrix is not unitary within 1e-10")
-    _apply_matrix(state.amplitudes, state.n_qubits, targets, u)
-    return state
-
-
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in ``a``."""
     if a.n_qubits != b.n_qubits:
@@ -301,22 +287,3 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 def probability(state: StateVector, bits: str) -> float:
     """|<bits|state>|^2; ``bits`` as :func:`basis_state` takes it."""
     return float(abs(state.amplitudes[_basis_index(state.n_qubits, bits)]) ** 2)
-
-
-def pauli_expectation(state: StateVector, p: PauliString) -> float:
-    """<state| P |state> for a Hermitian Pauli string (real coefficient)."""
-    coef = complex(p.coef)
-    if abs(coef.imag) > 1e-12:
-        raise InputError(f"Pauli expectation needs a real coefficient, got {p.coef}")
-    if len(p.letters) != state.n_qubits:
-        raise InputError(
-            f"Pauli string length {len(p.letters)} does not match register size"
-        )
-    phi = state.copy()
-    for q, letter in enumerate(p.letters, start=1):
-        if letter != "I":
-            _apply_run(phi.amplitudes, state.n_qubits, q, PAULI[letter])
-    value = coef.real * inner_product(state, phi)
-    if abs(value.imag) > 1e-10:
-        raise InputError(f"expectation came out non-real: {value}")
-    return float(value.real)

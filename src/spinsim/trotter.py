@@ -703,18 +703,3 @@ def exact_stacks(
             yield out
 
     return stacks()
-
-
-def commutator_error_bound(
-    o1: PauliHamiltonian, o2: PauliHamiltonian, delta: float, n: int
-) -> float:
-    """First-order Trotter remainder bound (delta^2 / 2n) ||[O1, O2]|| (spectral)."""
-    if o1.n_qubits != o2.n_qubits:
-        raise InputError("operators act on different register sizes")
-    if o1.n_qubits > 8:
-        raise ResourceError("commutator bound limited to 8 qubits")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    m1, m2 = dense_matrix(o1), dense_matrix(o2)
-    comm = m1 @ m2 - m2 @ m1
-    return float(delta**2 / (2 * n) * np.linalg.norm(comm, 2))

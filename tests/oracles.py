@@ -8,6 +8,27 @@ in the form the correlation tests apply: one function per time, evolving one
 state in place.  ``spectrum_from_series`` is the spectrum fit before it
 stopped at its fixed point: four full merge rounds, each start sample's
 response from its own exponentials.
+
+The rest are second spellings of concepts spinsim implements once, kept here
+as references for its checks:
+
+* ``controlled_circuit`` (with ``_controlled_op`` and its ``_ctrl_*``,
+  ``_toffoli`` and ``_ctrl_pair_core`` helpers) is the gate-level circuit a
+  device runs for an ancilla protocol: each gate controlled on the ancilla,
+  spelled in S1 gates.  spinsim runs the protocols as the plain operation on
+  the ancilla-one half of the register; the ancilla-route tests check that
+  against this circuit, and the ``circuits.json`` digests of
+  ``controlled/heis3-tilted/S1|S2`` pin its ops.
+* ``pauli_expectation`` is <psi| P |psi> by applying P's letters to a copy of
+  the state; the ancilla readout tests read sigma_x and sigma_y of the ancilla
+  with it.
+* ``commutator_error_bound`` is the first-order Trotter remainder bound from
+  the dense commutator, up to 8 qubits: the N <= 8 check for a symbolic bound.
+* ``apply_dense_unitary`` (with ``is_unitary``) applies an explicit unitary to
+  any targets through the kernels' matrix route, refusing a non-unitary
+  matrix: the route the target-range checks take besides gates and circuits.
+* ``equal_up_to_global_phase`` is phase-insensitive equality of dense
+  unitaries, :func:`spinsim.compiler.phase_distance` within a tolerance.
 """
 
 from typing import Sequence
@@ -15,10 +36,17 @@ from typing import Sequence
 import numpy as np
 
 from spinsim import trotter
-from spinsim.compiler import GateSet
-from spinsim.errors import InputError
-from spinsim.pauli import PauliHamiltonian, dense_matrix
-from spinsim.statevector import StateVector
+from spinsim.compiler import Circuit, GateSet, _rot, decompose_pauli, phase_distance
+from spinsim.errors import InputError, ResourceError
+from spinsim.gates import PAULI, GateOp
+from spinsim.pauli import PauliHamiltonian, PauliString, dense_matrix
+from spinsim.statevector import (
+    StateVector,
+    _apply_matrix,
+    _apply_run,
+    check_targets,
+    inner_product,
+)
 from spinsim.trotter import TrotterPlan, evolve, trotterize
 
 
@@ -180,3 +208,181 @@ def spectrum_from_series(
 
     weights = np.abs(amps)
     return sorted((float(q), float(w)) for q, w in zip(q_hat, weights))
+
+
+# the controlled expansion, as it was in spinsim.compiler
+def _ctrl_rz(theta: float, c: int, t: int) -> list[GateOp]:
+    return [
+        _rot("z", theta / 2, t),
+        GateOp("CNOT", (), (c, t)),
+        _rot("z", -theta / 2, t),
+        GateOp("CNOT", (), (c, t)),
+    ]
+
+
+def _ctrl_ry(theta: float, c: int, t: int) -> list[GateOp]:
+    return [_rot("x", np.pi / 2, t), *_ctrl_rz(theta, c, t), _rot("x", -np.pi / 2, t)]
+
+
+def _ctrl_rx(theta: float, c: int, t: int) -> list[GateOp]:
+    return [GateOp("H", (), (t,)), *_ctrl_rz(theta, c, t), GateOp("H", (), (t,))]
+
+
+def _toffoli(c1: int, c2: int, t: int) -> list[GateOp]:
+    tg = lambda q: GateOp("Phase", (np.pi / 4,), (q,))
+    tdg = lambda q: GateOp("Phase", (-np.pi / 4,), (q,))
+    return [
+        GateOp("H", (), (t,)),
+        GateOp("CNOT", (), (c2, t)),
+        tdg(t),
+        GateOp("CNOT", (), (c1, t)),
+        tg(t),
+        GateOp("CNOT", (), (c2, t)),
+        tdg(t),
+        GateOp("CNOT", (), (c1, t)),
+        tg(c2),
+        tg(t),
+        GateOp("H", (), (t,)),
+        GateOp("CNOT", (), (c1, c2)),
+        tg(c1),
+        tdg(c2),
+        GateOp("CNOT", (), (c1, c2)),
+    ]
+
+
+def _ctrl_pair_core(
+    alpha: str, beta: str, delta: float, c: int, i: int, j: int
+) -> list[GateOp]:
+    # controlled exp(-i d sigma sigma): frames and CNOT conjugation cancel when
+    # the control is off, so only the central Rz of the S1 form needs the control
+    ops: list[GateOp] = []
+    for op in decompose_pauli((alpha, beta), delta, (i, j), GateSet.S1).ops:
+        ops += _ctrl_rz(op.params[0], c, j) if op.kind == "Rz" else [op]
+    return ops
+
+
+def _controlled_op(op: GateOp, c: int) -> list[GateOp]:
+    k, p, tg = op.kind, op.params, op.targets
+    if c in tg:
+        raise InputError(f"control qubit {c} collides with targets of {k}")
+    if k == "X":
+        return [GateOp("CNOT", (), (c, tg[0]))]
+    if k == "Phase":
+        return [GateOp("CPhase", (p[0],), (c, tg[0]))]
+    if k == "Rz":
+        return _ctrl_rz(p[0], c, tg[0])
+    if k == "Rx":
+        return _ctrl_rx(p[0], c, tg[0])
+    if k == "Ry":
+        return _ctrl_ry(p[0], c, tg[0])
+    if k == "H":
+        # H = e^{i pi/2} Ry(pi/2) Rz(pi)
+        return [
+            GateOp("Phase", (np.pi / 2,), (c,)),
+            *_ctrl_rz(np.pi, c, tg[0]),
+            *_ctrl_ry(np.pi / 2, c, tg[0]),
+        ]
+    if k == "U3":
+        theta, phi, lam = p
+        # u3 = e^{i (phi + lam)/2} Rz(phi) Ry(theta) Rz(lam)
+        return [
+            GateOp("Phase", ((phi + lam) / 2,), (c,)),
+            *_ctrl_rz(lam, c, tg[0]),
+            *_ctrl_ry(theta, c, tg[0]),
+            *_ctrl_rz(phi, c, tg[0]),
+        ]
+    if k == "CNOT":
+        return _toffoli(c, tg[0], tg[1])
+    if k == "CPhase":
+        d = p[0]
+        return [
+            GateOp("CPhase", (d / 2,), (tg[0], tg[1])),
+            GateOp("CNOT", (), (c, tg[0])),
+            GateOp("CPhase", (-d / 2,), (tg[0], tg[1])),
+            GateOp("CNOT", (), (c, tg[0])),
+            GateOp("CPhase", (d / 2,), (c, tg[1])),
+        ]
+    if k in ("ZZ", "XX", "YY"):
+        a = k[0].lower()
+        return _ctrl_pair_core(a, a, p[0], c, tg[0], tg[1])
+    if k == "Uxy":
+        return _ctrl_pair_core("x", "x", p[0], c, *tg) + _ctrl_pair_core(
+            "y", "y", p[0], c, *tg
+        )
+    raise InputError(f"controlled expansion not supported for gate kind {k}")
+
+
+def controlled_circuit(circuit: Circuit, control: int) -> Circuit:
+    """The hardware circuit of ``circuit`` controlled on qubit ``control``.
+
+    Each gate becomes controlled S1 gates and the global phase a phase gate on
+    the control; MS gates have no such spelling (``InputError``).  This is the
+    circuit a device runs for an ancilla protocol.  It is not simulated: the
+    observables apply the plain operation to the amplitudes with the control at 1.
+    """
+    n = max(circuit.n_qubits, control)
+    ops: list[GateOp] = []
+    if circuit.global_phase != 0.0:
+        ops.append(GateOp("Phase", (circuit.global_phase,), (control,)))
+    for op in circuit.ops:
+        ops += _controlled_op(op, control)
+    return Circuit(n, ops)
+
+
+# dense references, as they were in spinsim.statevector, gates, trotter and compiler
+def pauli_expectation(state: StateVector, p: PauliString) -> float:
+    """<state| P |state> for a Hermitian Pauli string (real coefficient)."""
+    coef = complex(p.coef)
+    if abs(coef.imag) > 1e-12:
+        raise InputError(f"Pauli expectation needs a real coefficient, got {p.coef}")
+    if len(p.letters) != state.n_qubits:
+        raise InputError(
+            f"Pauli string length {len(p.letters)} does not match register size"
+        )
+    phi = state.copy()
+    for q, letter in enumerate(p.letters, start=1):
+        if letter != "I":
+            _apply_run(phi.amplitudes, state.n_qubits, q, PAULI[letter])
+    value = coef.real * inner_product(state, phi)
+    if abs(value.imag) > 1e-10:
+        raise InputError(f"expectation came out non-real: {value}")
+    return float(value.real)
+
+
+def commutator_error_bound(
+    o1: PauliHamiltonian, o2: PauliHamiltonian, delta: float, n: int
+) -> float:
+    """First-order Trotter remainder bound (delta^2 / 2n) ||[O1, O2]|| (spectral)."""
+    if o1.n_qubits != o2.n_qubits:
+        raise InputError("operators act on different register sizes")
+    if o1.n_qubits > 8:
+        raise ResourceError("commutator bound limited to 8 qubits")
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    m1, m2 = dense_matrix(o1), dense_matrix(o2)
+    comm = m1 @ m2 - m2 @ m1
+    return float(delta**2 / (2 * n) * np.linalg.norm(comm, 2))
+
+
+def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
+    return m.shape[0] == m.shape[1] and bool(
+        np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol
+    )
+
+
+def apply_dense_unitary(
+    state: StateVector, u: np.ndarray, targets: tuple[int, ...]
+) -> StateVector:
+    """Apply an explicit 2^k x 2^k unitary to the given target qubits, in place."""
+    check_targets(state.n_qubits, targets)
+    if u.shape != (2 ** len(targets), 2 ** len(targets)):
+        raise InputError(f"matrix shape {u.shape} does not match {len(targets)} targets")
+    if not is_unitary(u):
+        raise InputError("matrix is not unitary within 1e-10")
+    _apply_matrix(state.amplitudes, state.n_qubits, targets, u)
+    return state
+
+
+def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
+    """True iff phase_distance(u, v) <= tol."""
+    return phase_distance(u, v) <= tol

@@ -34,14 +34,13 @@ from spinsim.compiler import (
     circuit_unitary,
     decompose_pauli,
     embed_unitary,
-    equal_up_to_global_phase,
     heisenberg2_circuit,
 )
 from spinsim.gates import GateOp, PAULI, gate_matrix, pauli_pair_exponential
 from spinsim.pauli import FermionHamiltonian, FermionTerm, jw_ladder, string_matrix
 from spinsim.runner import figure_preset, run
 from spinsim.statevector import StateVector, apply_gate
-from oracles import digital_fidelity, exact_evolvers, exact_propagator
+from oracles import digital_fidelity, equal_up_to_global_phase, exact_evolvers, exact_propagator
 from test_observables import per_point
 
 RNG = np.random.default_rng(123456)

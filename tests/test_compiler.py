@@ -1,28 +1,31 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spinsim
 from spinsim.compiler import (
     Circuit,
     GateSet,
     circuit_unitary,
-    controlled_circuit,
     decompose_pauli,
     dumps_circuit,
     embed_unitary,
-    equal_up_to_global_phase,
     heisenberg2_circuit,
     inverse_circuit,
     loads_circuit,
     phase_distance,
     run_circuit,
 )
-from spinsim import compiler, trotter
+from spinsim import compiler, gates, statevector, trotter
 from spinsim.errors import InputError, ResourceError
 from spinsim.gates import GATE_SIGNATURES, GateOp, PAULI, gate_matrix, hadamard, hermitian_expm, pauli_pair_exponential
 from spinsim.observables import _half
 from spinsim.pauli import heisenberg_chain
-from spinsim.statevector import StateVector, apply_dense_unitary, apply_gate, basis_state, product_state
+from spinsim.statevector import StateVector, apply_gate, basis_state, product_state
 from spinsim.trotter import TrotterPlan, evolve, trotterize
+from oracles import apply_dense_unitary, controlled_circuit, equal_up_to_global_phase
 
 RNG = np.random.default_rng(2024)
 
@@ -408,6 +411,21 @@ class TestControlledCircuit:
     def test_control_collision(self):
         with pytest.raises(InputError):
             controlled_circuit(Circuit(2, (GateOp("X", (), (2,)),)), 2)
+
+
+def test_second_spellings_live_only_in_the_test_oracles():
+    # the controlled expansion and the dense references are the tests' oracles,
+    # and circuits are not concatenated with `+`
+    names = ("controlled_circuit", "_controlled_op", "_ctrl_rz", "_ctrl_ry", "_ctrl_rx",
+             "_toffoli", "_ctrl_pair_core", "equal_up_to_global_phase", "apply_dense_unitary",
+             "is_unitary", "pauli_expectation", "commutator_error_bound")
+    for module in (spinsim, compiler, statevector, trotter, gates):
+        assert [n for n in names if hasattr(module, n)] == [], module.__name__
+    with pytest.raises(TypeError):
+        Circuit(1, ()) + Circuit(1, ())
+    tree = ast.parse(Path(statevector.__file__).read_text(encoding="utf-8"))
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "pauli" not in imported
 
 
 class TestSerialization:

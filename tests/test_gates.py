@@ -3,7 +3,6 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from spinsim.compiler import equal_up_to_global_phase
 from spinsim.errors import InputError
 from spinsim.gates import (
     GateOp,
@@ -12,7 +11,6 @@ from spinsim.gates import (
     gate_matrix,
     hadamard,
     hermitian_expm,
-    is_unitary,
     kron_factors,
     ms_generator,
     pauli_pair_exponential,
@@ -22,6 +20,7 @@ from spinsim.gates import (
     uxy,
     zyz_angles,
 )
+from oracles import equal_up_to_global_phase, is_unitary
 
 RNG = np.random.default_rng(7)
 

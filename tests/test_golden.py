@@ -56,7 +56,7 @@ import pytest
 
 from spinsim import observables
 from spinsim.cli import main as cli_main
-from spinsim.compiler import GateSet, controlled_circuit, dumps_circuit, heisenberg2_circuit
+from spinsim.compiler import GateSet, dumps_circuit, heisenberg2_circuit
 from spinsim.pauli import PauliHamiltonian, PauliString, heisenberg_chain, tim_chain
 from spinsim.runner import (
     FIGURE_IDS,
@@ -274,14 +274,15 @@ def fixed_circuit_cases():
     """(case id, circuit) for circuits built outside the Trotter grid.
 
     The fixed Heisenberg bond variants, and the controlled expansion of one
-    Trotter step (S2 adds the exchange gate, controlled through pair frames).
+    Trotter step by the reference in ``oracles`` (S2 adds the exchange gate,
+    controlled through pair frames).
     """
     for variant in ("6cnot", "3cnot", "3uxy", "s4"):
         for delta in (0.7, -1.3):
             yield f"heisenberg2/{variant}/d{delta:+}", heisenberg2_circuit(delta, (1, 2), variant)
     for gate_set in (GateSet.S1, GateSet.S2):
         step = trotterize(_tilted_heisenberg3(), 0.7, TrotterPlan.fixed_n(1), gate_set).circuit
-        yield f"controlled/heis3-tilted/{gate_set.value}", controlled_circuit(step, 4)
+        yield f"controlled/heis3-tilted/{gate_set.value}", oracles.controlled_circuit(step, 4)
 
 
 def digest(circuit) -> str:

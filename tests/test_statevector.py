@@ -10,11 +10,11 @@ from spinsim.statevector import (
     basis_state,
     check_register,
     inner_product,
-    pauli_expectation,
     probability,
     product_state,
 )
 from spinsim.pauli import PauliString
+from oracles import pauli_expectation
 
 RNG = np.random.default_rng(42)
 

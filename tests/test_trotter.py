@@ -10,7 +10,6 @@ from spinsim.compiler import (
     GateSet,
     circuit_unitary,
     decompose_pauli,
-    equal_up_to_global_phase,
     run_circuit,
 )
 from spinsim.errors import InputError, ResourceError
@@ -28,14 +27,13 @@ from spinsim.statevector import StateVector, basis_state, inner_product, product
 from spinsim.trotter import (
     EvolutionResult,
     TrotterPlan,
-    commutator_error_bound,
     conserved_blocks,
     evolve,
     exact_stacks,
     steps_for_phase,
     trotterize,
 )
-from oracles import digital_fidelity, exact_propagator
+from oracles import commutator_error_bound, digital_fidelity, equal_up_to_global_phase, exact_propagator
 from test_golden import RUN_CONFIGS
 
 RNG = np.random.default_rng(314)
