@@ -536,7 +536,7 @@ class CircuitTemplate:
         for ((kind, width, *constants), slots), first in zip(kinds.items(), firsts):
             for s, m in zip(slots, kind_matrix(kind, (first, *constants), width)):
                 matrices[s] = m
-        return _Fill(self, params, matrices, self.blocks(matrices))
+        return _Fill(self, params, matrices, self.blocks(matrices), self.n_gates)
 
 
 class _Fill(NamedTuple):
@@ -546,11 +546,12 @@ class _Fill(NamedTuple):
     params: list[tuple]  # per slot, its parameters: a column per row, or a constant
     matrices: list[np.ndarray]  # per slot, a stack of one matrix per row
     blocks: tuple[Block, ...]  # a stack of one matrix per row, or a constant block
+    n_gates: int  # each row's gates, as a Circuit counts them
 
     def circuit(self, row: int) -> Circuit:
         """Row ``row`` as a circuit: its row of the blocks, and its gates built on first access."""
         blocks = lambda: tuple((t, u if u.ndim == 2 else u[row]) for t, u in self.blocks)
-        return _LazyCircuit(self.template.n_qubits, self.template.n_gates, blocks,
+        return _LazyCircuit(self.template.n_qubits, self.n_gates, blocks,
                             partial(self.ops_at, row))
 
     def ops_at(self, row: int) -> list[GateOp]:

@@ -24,9 +24,9 @@ SQRT2 = math.sqrt(2.0)
 #: unitary or folded Trotter step)
 DENSE_QUBIT_LIMIT = 12
 
-#: most gate applications one compiled evolution may take (Trotter steps times
-#: gates per step); a plan past it is refused before it runs, and so is a time
-#: or spectrum grid of more points, since each point takes at least one gate
+#: most gate applications a run may plan, each compiled point priced by the route
+#: it runs (a folded step costs less than its gates), and also the most grid points
+#: and the most unrolled gates (steps times step gates) of one compiled evolution
 GATE_BUDGET = 10**8
 
 PAULI = {

@@ -292,10 +292,15 @@ def spectrum_from_series(
         raise InputError(f"series length must be a power of two, got {m}")
     if not 0 < dtheta < np.inf:
         raise InputError(f"dtheta must be positive and finite, got {dtheta}")
+    with np.errstate(over="ignore"):  # the refinement window at the Nyquist edge, and its width
+        bin_width = 2 * np.pi / (m * dtheta)
+        window = (np.pi / dtheta + 1.5 * bin_width, 3 * bin_width)
+    if not np.isfinite(window).all():
+        raise InputError(f"dtheta {dtheta} is too small for {m} samples: the fit's window "
+                         "about q = pi/dtheta overflows")
     if not np.isfinite(series).all():
         raise InputError("series entries must be finite")
     qvals = -2 * np.pi * np.fft.fftfreq(m, d=dtheta)
-    bin_width = 2 * np.pi / (m * dtheta)
     thetas = np.arange(m) * dtheta
     base = float(np.max(np.abs(np.fft.fft(series))) / m)
     if base == 0.0:

@@ -196,7 +196,8 @@ def disjoint_layers(terms: Sequence[PauliString]) -> list[list[PauliString]]:
 
 def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     """Dense 2^N x 2^N matrix (N <= DENSE_QUBIT_LIMIT): term (x, z) sends j to j ^ x
-    with phase i^|x&z| (-1)^|j&z|."""
+    with phase i^|x&z| (-1)^|j&z|.  An entry that overflows is an ``InputError``;
+    none can while the coefficients' 1-norm, which bounds every entry, is finite."""
     if h.n_qubits > DENSE_QUBIT_LIMIT:
         raise ResourceError(
             f"dense matrix for {h.n_qubits} qubits exceeds the {DENSE_QUBIT_LIMIT}-qubit limit"
@@ -204,9 +205,12 @@ def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     j = np.arange(2**h.n_qubits)
     signs = np.array([1 - 2 * (k.bit_count() & 1) for k in range(len(j))])  # (-1)^|k|
     out = np.zeros((len(j), len(j)), dtype=complex)
-    for t in h.terms:
-        x, z = t.masks
-        out[j ^ x, j] += t.coef * _I_POW[(x & z).bit_count() % 4] * signs[j & z]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for t in h.terms:
+            x, z = t.masks
+            out[j ^ x, j] += t.coef * _I_POW[(x & z).bit_count() % 4] * signs[j & z]
+    if not cmath.isfinite(sum(abs(t.coef) for t in h.terms)) and not np.isfinite(out).all():
+        raise InputError("the Hamiltonian's dense matrix has an entry that overflows")
     return out
 
 

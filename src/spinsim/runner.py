@@ -538,21 +538,20 @@ def run(cfg: ExperimentConfig) -> str:
 def _check_run_budget(cfg, h, compilers):
     """Refuse a run of over ``GATE_BUDGET`` planned gate applications, before its grid is made.
 
-    No point of the grid costs more than its last, largest time: the gates of
-    each compiled evolution times the rows it evolves (:func:`_digital_grids`),
-    plus one per row of its exact stack: psi0 and each correlation's W psi0.
-    That point is compiled here on its own, so a grid too long to run is
-    refused without being filled.
+    No point of the grid costs more than its last, largest time: the price of
+    each compiled evolution there (``GridEvolution.price``, by the route it runs)
+    times the rows it evolves (:func:`_digital_grids`), plus one per row of its
+    exact stack: psi0 and each correlation's W psi0.  That point is compiled
+    here as a one-point grid, so a grid too long to run is refused unfilled.
     """
     if cfg.run_kind == "spectrum":
         spec = _spectrum_spec(cfg, h)
-        total = spec.m * compilers(cfg.plan)((spec.m - 1) * spec.spacing()).gate_applications
+        total = spec.m * compilers(cfg.plan).grid([(spec.m - 1) * spec.spacing()]).price[0]
     else:
         n_corr = sum(o.kind == "correlation" for o in cfg.observables)
         grids = _digital_grids(cfg, compilers, [cfg.t_max])
-        total = cfg.points * (1 + n_corr + sum(rows * next(grid)[0].gate_applications
-                                               for grid, rows in grids))
-    if total > gates.GATE_BUDGET:
+        total = cfg.points * (1 + n_corr + sum(rows * next(grid).price[0] for grid, rows in grids))
+    if (total := math.ceil(total)) > gates.GATE_BUDGET:
         raise ResourceError(f"the run plans {total} gate applications, over the budget "
                             f"of {gates.GATE_BUDGET}")
 

@@ -18,22 +18,20 @@ angle gates left as slots.  A single-axis hoisted field prefix is a template
 of rotation slots too.  The compiler compiles a whole grid of times at once
 into one :class:`GridEvolution` (:meth:`TrotterCompiler.grid`): it works out
 each point's step count, groups the points by form, and fills each group's
-template once from the stack of their angle rows, so each slot's matrices and
-each block are computed as one stack for the group.  The grid keeps each
-fill with its points, and the per-point step counts and phases as arrays; a
-point is an :class:`EvolutionResult` only where asked for (``grid[k]``).  A
-long grid is compiled a stack of points at a time (:meth:`TrotterCompiler.iter_grid`).
-Calling the compiler at one time t is the one-point grid's point, and
-``trotterize`` is one such call.
+template once from the stack of their angle rows.  The grid keeps each fill
+with its points, and per point its step count, phases, route and price as
+arrays; a point is an :class:`EvolutionResult` only where asked for
+(``grid[k]``).  A long grid is compiled a stack of points at a time
+(:meth:`TrotterCompiler.iter_grid`); ``trotterize`` compiles one time.
 
 A compiled evolution is one Trotter step and its repeat count, not the
 unrolled gate list: it applies the hoisted prefix, then the step n times, then
 the global phase once.  :func:`evolve_stack` evolves a grid on a (g, r, 2^N)
-stack of states, r rows a point, each form's stacked blocks on its points'
-rows; ``evolve`` runs one result as a one-point grid.  Where it is cheaper
-than the gates, the step is folded into one dense matrix U, and U^n, formed
-by repeated squaring in about log2(n) products, is applied once in place of n
-passes of its gates; a form builds and raises its points' matrices together.
+stack of states, r rows a point.  Where it is cheaper than the gates, the
+step is folded into one dense matrix U, and U^n, formed by repeated squaring
+in about log2(n) products, is applied once in place of n passes of its gates.
+One cost model, :func:`_route_cost`, makes that choice and prices each point
+by the route it takes, in gate applications; the run budget reads that price.
 
 Backward evolution (t < 0) is the exact mirror of the forward circuit, so a
 forward run followed by a backward run with the same plan is an exact identity.
@@ -152,34 +150,30 @@ class EvolutionResult:
         return Circuit(self.step.n_qubits, ops, self.global_phase)
 
     @property
-    def gate_applications(self) -> int:
-        """The gates ``circuit`` applies, counted without unrolling it or building its ops."""
-        return self.prefix.n_gates + self.n_steps_used * self.step.n_gates
-
-    @property
     def folds(self) -> bool:
         """Whether the repeated step is cheaper as a power of its dense matrix than as gates."""
-        return _folds(self.step.n_qubits, len(self.step.blocks), self.n_steps_used)
+        return bool(_route_cost(self.step.n_qubits, len(self.step.blocks), self.n_steps_used) < 1)
 
 
-def _folds(n: int, blocks: int, reps: int) -> bool:
-    """Whether ``reps`` repeats of a step of ``blocks`` blocks on ``n`` qubits are cheaper
-    as a power of the step's dense matrix than as gates.
+def _route_cost(n: int, blocks, reps) -> np.ndarray:
+    """What ``reps`` repeats of a step of ``blocks`` blocks on ``n`` qubits cost by the route
+    :func:`evolve_stack` takes, as a share r of their cost as gates (per point of arrays).
 
     Folded, the evolution costs a pass of each of the step's blocks over the
     2^N identity columns, which form one 2N-qubit vector, to build the matrix,
     about two more such passes to set up the columns and apply the power to
     the state, and about log2(n) dense products of 8^N flops, to square it up
-    to the n-th power.  Unfolded, it costs n passes of its blocks over the
-    state.  Each pass is priced by :func:`_pass_flops`, and the step folds
-    when that makes folding the cheaper route; the table the constants rest on
-    is in CHANGES.md.  The register must also be within the dense-matrix
-    limit ``DENSE_QUBIT_LIMIT``.
+    to the n-th power.  As gates, it costs n passes of its blocks over the
+    state.  Each pass is priced by :func:`_pass_flops`.  The step folds, and r
+    is the folded cost over the gates', exactly where that is below 1, n > 1 and
+    N is within ``DENSE_QUBIT_LIMIT``; elsewhere r = 1.  The table the
+    constants rest on is in CHANGES.md.
     """
-    if n > DENSE_QUBIT_LIMIT or reps == 1:  # one step costs less than its columns
-        return False
-    folded = (blocks + 2) * _pass_flops(2 * n) + math.log2(reps) * 8**n
-    return folded < reps * blocks * _pass_flops(n)
+    reps, blocks = np.asarray(reps, dtype=float), np.asarray(blocks, dtype=float)
+    gates = reps * blocks * _pass_flops(n)
+    folded = (blocks + 2) * _pass_flops(2 * n) + np.log2(reps) * 8.0**n
+    folds = (folded < gates) & (reps > 1) & (n <= DENSE_QUBIT_LIMIT)
+    return np.divide(folded, gates, out=np.ones_like(folded), where=folds)
 
 
 class GridEvolution:
@@ -190,19 +184,23 @@ class GridEvolution:
     or a plain circuit that each of ``points`` runs.  Per point, the arrays
     ``n_steps``, ``delta`` (the coupling scale times |t|), ``global_phase``,
     ``mirrored`` (t < 0: the inverse of the point at -t, whose forward blocks
-    its forms hold) and ``folds`` (:func:`_folds`).  :func:`evolve_stack` reads
-    only these; ``grid[k]`` is point k as an :class:`EvolutionResult`.
+    its forms hold), and ``folds`` and ``price`` (:func:`_route_cost`'s share r:
+    r < 1 folds, and the price is the prefix's gates plus n_steps times r times
+    the step's).  :func:`evolve_stack` reads only these; ``grid[k]`` is point k
+    as an :class:`EvolutionResult`.
     """
 
     def __init__(self, n_qubits: int, prefix: list, step: list, n_steps: np.ndarray,
                  delta: np.ndarray, global_phase: np.ndarray, mirrored: np.ndarray):
         self.n_qubits, self.prefix, self.step, self.n_steps = n_qubits, prefix, step, n_steps
         self.delta, self.global_phase, self.mirrored = delta, global_phase, mirrored
-        blocks = np.zeros(len(self), dtype=int)
+        prefix_gates, step_gates, blocks = np.zeros((3, len(self)), dtype=int)
+        for source, points in prefix:
+            prefix_gates[points] = source.n_gates
         for source, points in step:
-            blocks[points] = len(source.blocks)
-        self.folds = np.array([_folds(n_qubits, b, reps) for b, reps in
-                               zip(blocks.tolist(), n_steps.tolist())], dtype=bool)
+            step_gates[points], blocks[points] = source.n_gates, len(source.blocks)
+        cost = _route_cost(n_qubits, blocks, n_steps)
+        self.folds, self.price = cost < 1, prefix_gates + n_steps * step_gates * cost
 
     @classmethod
     def of(cls, results: Sequence[EvolutionResult]) -> "GridEvolution":
@@ -514,11 +512,11 @@ class TrotterCompiler:
         same way, in one fill for every point.  A point at t < 0 is the mirror
         of the one at -t.
 
-        A non-finite time or angle is an ``InputError``, and a point over
-        ``GATE_BUDGET`` gate applications a ``ResourceError``.  The checks run
-        in the order a single call makes them (the time, the step count, the
-        prefix's angles, the step's angles, the budget), each over every point
-        before the next; the first point that fails one raises.
+        A non-finite time or angle is an ``InputError``, and a point whose
+        steps unroll to over ``GATE_BUDGET`` gates a ``ResourceError``.  The
+        checks run in the order a single call makes them (the time, the step
+        count, the prefix's angles, the step's angles, the budget), each over
+        every point before the next; the first point that fails one raises.
         """
         times = np.array([float(t) for t in times])
         bad = ~np.isfinite(times)

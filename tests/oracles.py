@@ -29,8 +29,11 @@ as references for its checks:
   matrix: the route the target-range checks take besides gates and circuits.
 * ``equal_up_to_global_phase`` is phase-insensitive equality of dense
   unitaries, :func:`spinsim.compiler.phase_distance` within a tolerance.
+* ``folds`` is the fold rule one point at a time, in Python floats with
+  ``math.log2``, as it stood before the rule also priced the route it picks.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +51,14 @@ from spinsim.statevector import (
     inner_product,
 )
 from spinsim.trotter import TrotterPlan, evolve, trotterize
+
+
+def folds(n: int, blocks: int, reps: int) -> bool:
+    """Whether ``reps`` repeats of a step of ``blocks`` blocks on ``n`` qubits fold."""
+    if n > trotter.DENSE_QUBIT_LIMIT or reps == 1:
+        return False
+    folded = (blocks + 2) * trotter._pass_flops(2 * n) + math.log2(reps) * 8**n
+    return folded < reps * blocks * trotter._pass_flops(n)
 
 
 def exact_propagator(h: PauliHamiltonian, t: float) -> np.ndarray:

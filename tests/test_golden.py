@@ -32,6 +32,9 @@ to an amplitude half instead of a controlled gate circuit, from the configs in
 plans, whose folded steps repeat up to thousands of times.
 The plan line of ``spectrum-heis2.csv`` was rewritten when a spectrum run's
 header began to name the fixed-eps plan that runs in place of a fixed_n one.
+``heis4-folded`` was written by the program as it stood before the run budget
+priced a folded step below its unrolled gates, with its gate budget raised:
+that program refused the run, planning 186,205,696 gate applications.
 
 Preset values may move by float rounding (the folded step multiplies a dense
 matrix, and a fused block the matrices of its gates, instead of applying the
@@ -231,6 +234,19 @@ schedule = fixed_eps
 eps = 0.05
 [observables]
 observable = spectrum 32
+""",
+    # a 4-qubit chain with a field, whose 256 thetas fold their steps: each
+    # point's price is far below the gates it stands for
+    "heis4-folded": """
+[model]
+kind = heisenberg
+n_qubits = 4
+j = 1.0
+bg = 0.5
+[initial]
+state = 0101
+[observables]
+observable = spectrum 256
 """,
 }
 

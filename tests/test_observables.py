@@ -622,6 +622,24 @@ class TestSpectrumFromSeries:
             spectrum_from_series(np.ones(64), dtheta)
         assert capfd.readouterr().err == ""  # refused before LAPACK can print to stderr
 
+    @pytest.mark.parametrize("m, dtheta", [(4, 2e-308), (2, 2.0943951023931954e-308),
+                                           (8, 2.0943951023931954e-308)])
+    def test_dtheta_whose_window_overflows_rejected(self, m, dtheta, capfd):
+        # the window of 1.5 bins either side of q = pi/dtheta, or its width, is
+        # past the float range: refused before the fit's SVD fails on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="the fit's window about q = pi/dtheta overflows"):
+                spectrum_from_series(np.exp(-1j * np.arange(m)), dtheta)
+        assert capfd.readouterr().err == ""
+
+    def test_smallest_dtheta_with_a_finite_window_fits(self):
+        # 1024 samples at the same dtheta: its bins are narrow enough
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ((q, w),) = spectrum_from_series(np.ones(1024), 2.0943951023931954e-308)
+        assert q == 0.0 and w == pytest.approx(1.0, rel=1e-12)
+
 
 class TestSpectrumFitInternals:
     def test_sample_responses_match_direct_sums(self):

@@ -210,6 +210,14 @@ class TestMaskAlgebra:
             reference += t.coef * string_matrix(t.letters)
         assert np.array_equal(dense_matrix(h), reference)
 
+    def test_dense_matrix_refuses_an_overflowing_entry(self):
+        # two ZZ bonds of 1e308 put 2e308 on the diagonal
+        with pytest.raises(InputError, match="entry that overflows"):
+            dense_matrix(heisenberg_chain(3, [1e308, 1e308], 0.0))
+        # a 1-norm past the float range whose entries are each finite
+        h = PauliHamiltonian(2, [PauliString(1e308, "XX"), PauliString(1e308, "ZZ")])
+        assert np.isfinite(dense_matrix(h)).all()
+
 
 class TestDisjointLayers:
     def test_four_spin_chain_parallel_bonds(self):

@@ -938,6 +938,33 @@ class TestCli:
         assert rows[:, 0] == pytest.approx([-3.0, 1.0], abs=bin_width)
         assert rows[:, 1] == pytest.approx([0.5, 0.5], abs=0.02)
 
+    @pytest.mark.parametrize("observable", ["magnetization 1", "correlation X X 1 2"])
+    def test_overflowing_hamiltonian_exits_2(self, tmp_path, capsys, observable):
+        # ZZ bonds of 1e308 overflow the exact reference's dense H; the
+        # circuit at time.max needs no dense H and is still written
+        cfgfile = tmp_path / "huge.cfg"
+        cfgfile.write_text("[model]\nkind = heisenberg\nn_qubits = 3\nj = 1e308\n"
+                           f"[observables]\nobservable = {observable}\n")
+        assert cli_main(["run", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the Hamiltonian's dense matrix has an entry that overflows\n")
+        assert cli_main(["dump-circuit", str(cfgfile)]) == 0
+        assert capsys.readouterr().out.startswith("qubits 3\n")
+
+    @pytest.mark.parametrize("m, code", [(2, 2), (4, 2), (8, 2), (1024, 0)])
+    def test_spectrum_of_an_overflowing_field(self, tmp_path, capsys, m, code):
+        # bg = 1e308 makes dtheta about 2e-308: the fit's window about the
+        # Nyquist edge overflows unless the grid is long enough to narrow it
+        cfgfile = tmp_path / "huge.cfg"
+        cfgfile.write_text("[model]\nkind = heisenberg\nn_qubits = 2\nj = 1.0\nbg = 1e308\n"
+                           f"[initial]\nstate = 01\n[observables]\nobservable = spectrum {m}\n")
+        assert cli_main(["run", str(cfgfile)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith(f"error: dtheta 2.0943951023931954e-308 is too small for {m} ")
+        else:
+            assert err == "" and out.endswith("q,weight\n0,1\n")
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         assert cli_main(["figure", "fig4c", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")

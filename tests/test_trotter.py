@@ -33,6 +33,7 @@ from spinsim.trotter import (
     steps_for_phase,
     trotterize,
 )
+import oracles
 from oracles import commutator_error_bound, digital_fidelity, equal_up_to_global_phase, exact_propagator
 from test_golden import RUN_CONFIGS
 
@@ -316,7 +317,8 @@ class TestStepAndRepeat:
     @pytest.mark.parametrize("ancilla", [False, True])
     def test_step_power_matches_gates(self, monkeypatch, n_qubits, steps, ancilla):
         # every repeat count, folded or not by the rule, through the squaring
-        monkeypatch.setattr(trotter, "_folds", lambda n, blocks, reps: True)
+        monkeypatch.setattr(trotter, "_route_cost",
+                            lambda n, blocks, reps: np.full(np.shape(reps), 0.5))
         res = trotterize(_repeating_chain(n_qubits), 2.3, TrotterPlan.fixed_n(steps, order=2))
         assert res.n_steps_used == steps and res.folds
         state = random_state(n_qubits + ancilla)
@@ -532,7 +534,8 @@ class TestEvolveStack:
     def test_folded_rows_every_repeat_count(self, monkeypatch, order):
         # every row folds, with step counts 1, 2 and 3 (each its own order of
         # products in np.linalg.matrix_power) and more, mirrored and not
-        monkeypatch.setattr(trotter, "_folds", lambda n, blocks, reps: True)
+        monkeypatch.setattr(trotter, "_route_cost",
+                            lambda n, blocks, reps: np.full(np.shape(reps), 0.5))
         h = _repeating_chain(3)
         times = [0.0, 0.05, -0.1, 0.2, 0.3, -0.6, 1.1, 2.3]
         grid = trotter.TrotterCompiler(h, TrotterPlan.fixed_eps(0.02, order=order)).grid(times)
@@ -705,6 +708,56 @@ def test_global_phase_adds_term_by_term(monkeypatch, gate_set, chunk):
             assert got.hex() == (-want if t < 0 else want).hex(), (n, t)
 
 
+PRICE_HAMILTONIANS = {
+    "tim3": lambda: tim_chain(3, [0.7, 0.7, 0.7], 1.0),
+    # z fields hoisted in front of the Trotter loop
+    "heis4-hoisted": lambda: heisenberg_chain(4, [1.0, 0.8, 1.2], 0.5),
+    # negative couplings: S3's one-CPhase form at t = 0, its two-CPhase form after
+    "heis3-negative": lambda: heisenberg_chain(3, [-0.8, 0.6], 0.5),
+}
+PRICE_PLANS = [TrotterPlan.fixed_n(1), TrotterPlan.fixed_n(3), TrotterPlan.fixed_n(64, order=2),
+               TrotterPlan.fixed_eps(0.01), TrotterPlan.fixed_eps(0.02, "linear", order=2)]
+
+
+class TestPrice:
+    """``GridEvolution.price`` and ``folds``, the one cost model of a compiled point."""
+
+    @pytest.mark.parametrize("plan", PRICE_PLANS, ids=str)
+    @pytest.mark.parametrize("gate_set", list(GateSet), ids=lambda g: g.value)
+    @pytest.mark.parametrize("name", PRICE_HAMILTONIANS)
+    def test_price_and_folds(self, name, gate_set, plan):
+        times = np.linspace(-2.5, 2.5, 21)
+        grid = trotter.TrotterCompiler(PRICE_HAMILTONIANS[name](), plan, gate_set).grid(times)
+        # never cheaper at a larger |t|: the run budget prices a grid by its last point
+        by_time = np.argsort(np.abs(times), kind="stable")
+        assert np.all(np.diff(grid.price[by_time]) >= 0)
+        for k, result in enumerate(grid):
+            unrolled = result.prefix.n_gates + result.n_steps_used * result.step.n_gates
+            assert grid.folds[k] == oracles.folds(result.step.n_qubits, len(result.step.blocks),
+                                                  result.n_steps_used)
+            if grid.folds[k]:
+                assert grid.price[k] < unrolled
+            else:
+                assert grid.price[k] == unrolled
+
+    def test_price_grids_fold_and_do_not(self):
+        # the cases above hold points on both sides of the fold rule
+        folded = set()
+        for build in PRICE_HAMILTONIANS.values():
+            for plan in PRICE_PLANS:
+                grid = trotter.TrotterCompiler(build(), plan).grid(np.linspace(-2.5, 2.5, 21))
+                folded |= set(grid.folds.tolist())
+        assert folded == {True, False}
+
+    def test_fixed_eps_price_crosses_the_fold_rule_without_a_drop(self):
+        # a 6-qubit chain folds from 16 steps on (the crossover table): its
+        # price runs up with the step count, then on as log2 of it
+        grid = trotter.TrotterCompiler(heisenberg_chain(6, [1.0] * 5, 0.5),
+                                       TrotterPlan.fixed_eps(0.05)).grid(np.linspace(0, 2, 41))
+        assert not grid.folds[0] and grid.folds[-1]
+        assert np.all(np.diff(grid.price) >= 0)
+
+
 class TestGateBudget:
     def test_steps_times_gates_against_budget(self, monkeypatch):
         h = fig2_hamiltonian()
@@ -745,7 +798,12 @@ class TestGateBudget:
     def test_run_budget_far_above_every_preset_run(self, monkeypatch):
         planned = {fid: self._planned(monkeypatch, runner.figure_preset(fid))
                    for fid in runner.FIGURE_IDS}
-        assert planned["fig2"] == max(planned.values()) == 2_381_696
+        # each point priced by its route: fig2's folded steps cost less than the
+        # 2,381,696 gates they stand for, and fig6a-c's 8-qubit steps, which
+        # fold too, now plan the most
+        assert planned["fig2"] == 2_119
+        assert planned["fig6a"] == planned["fig6b"] == planned["fig6c"] == 17_484
+        assert max(planned.values()) == 17_484
         assert GATE_BUDGET >= 40 * max(planned.values())
 
     # what a fixed-n evolution run plans beyond what it applies: nothing, but
@@ -753,14 +811,15 @@ class TestGateBudget:
     # S3's one-CPhase form, 36 gates shorter than the two-CPhase form of every
     # other point, in each of the point's six compiled rows (psi0, shared by
     # the scalar columns and the direct route, the ancilla's zero half, and
-    # W psi0 and the one half for each of the two correlations)
-    _SPARE_AT_T0 = {"heis3-s3-corr-first": 6 * 36}
+    # W psi0 and the one half for each of the two correlations).  Both forms'
+    # 4 steps of 2 blocks fold on 3 qubits, so those gates cost r of each
+    _SPARE_AT_T0 = {"heis3-s3-corr-first": 6 * 36 * trotter._route_cost(3, 2, 4)}
 
     @pytest.mark.parametrize("name", runner.FIGURE_IDS + tuple(RUN_CONFIGS))
     def test_run_budget_covers_the_evolutions_run(self, monkeypatch, name):
         # every evolution the run applies, counted as the budget prices it: a
-        # compiled one by its gate applications, an exact row of a stack as
-        # one; the figure presets and the golden run configs
+        # compiled one by its grid's price, an exact row of a stack as one; the
+        # figure presets and the golden run configs
         if name in runner.FIGURE_IDS:
             cfg = runner.figure_preset(name)
         else:
@@ -770,7 +829,7 @@ class TestGateBudget:
         original_stack, original_exact = trotter.evolve_stack, trotter.exact_stacks
 
         def counting_stack(states, grid):  # each of a point's rows
-            counted.extend(states.shape[1] * result.gate_applications for result in grid)
+            counted.extend(states.shape[1] * grid.price)
             return original_stack(states, grid)
 
         def counting_exact(h, rows, times):
@@ -783,18 +842,21 @@ class TestGateBudget:
         monkeypatch.setattr(observables, "evolve_stack", counting_stack)
         monkeypatch.setattr(trotter, "exact_stacks", counting_exact)
         runner.run(cfg)
-        assert planned >= sum(counted) > 0
+        assert planned >= math.fsum(counted) > 0
         if name in runner.FIGURE_IDS and cfg.run_kind == "evolution":
             assert cfg.plan.n_steps is not None
         if cfg.run_kind == "evolution" and cfg.plan.n_steps is not None:
             # a fixed-n plan costs the same at every point but t = 0 (above)
-            assert planned == sum(counted) + self._SPARE_AT_T0.get(name, 0)
+            assert planned == math.ceil(math.fsum(counted) + self._SPARE_AT_T0.get(name, 0))
 
     def test_run_budget_is_the_planned_total(self, monkeypatch):
         cfg = runner.figure_preset("fig4c")
         planned = self._planned(monkeypatch, cfg)
-        # 61 points of one exact evolution and 5 steps of 5 gates
-        assert planned == 61 * (1 + 5 * 5)
+        # 61 points of one exact evolution and 5 steps of 5 gates in one block,
+        # which fold: they cost r of their gates
+        r = trotter._route_cost(2, 1, 5)
+        assert 0.6 < r < 0.61
+        assert planned == math.ceil(61 * (1 + 5 * 5 * r))
         monkeypatch.setattr(runner.gates, "GATE_BUDGET", planned)
         runner.run(cfg)
         monkeypatch.setattr(runner.gates, "GATE_BUDGET", planned - 1)
